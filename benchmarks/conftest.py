@@ -1,13 +1,13 @@
 """Shared helpers for the benchmark suite.
 
 Every benchmark regenerates one of the paper's tables/figures.  The rendered
-ASCII table is written to ``benchmarks/results/<name>.txt`` so the artefacts
-survive the run, and key relationships from the paper are asserted so the
-benchmarks double as regression checks.
+ASCII table is written to the git-ignored ``.bench_build/results/<name>.txt``
+so a plain test run never rewrites a committed file, and key relationships
+from the paper are asserted so the benchmarks double as regression checks.
+The committed tables under ``benchmarks/results/`` change only when asked
+for::
 
-Run with::
-
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/test_bench_kernel_fusion.py --record-results
 
 Accuracy benchmarks execute real numerical experiments (the INT8 engine and
 all baselines run on this CPU); throughput/power benchmarks evaluate the
@@ -26,7 +26,20 @@ _SRC = _ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
+#: Committed tables, rewritten only under ``--record-results``.
+RECORDED_DIR = pathlib.Path(__file__).resolve().parent / "results"
+#: Default destination of every table (git-ignored).
+RESULTS_DIR = _ROOT / ".bench_build" / "results"
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-results",
+        action="store_true",
+        default=False,
+        help="write benchmark tables to the committed benchmarks/results/ "
+        "instead of .bench_build/results/",
+    )
 
 
 def pytest_collection_modifyitems(items):
@@ -48,15 +61,16 @@ def pytest_collection_modifyitems(items):
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
+def results_dir(request) -> pathlib.Path:
     """Directory collecting the rendered tables of every benchmark."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+    path = RECORDED_DIR if request.config.getoption("--record-results") else RESULTS_DIR
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 @pytest.fixture
 def save_result(results_dir):
-    """Write a rendered table to ``benchmarks/results/<name>.txt``.
+    """Write a rendered table to ``<results_dir>/<name>.txt``.
 
     Every artifact is prefixed with the machine-readable provenance stamp
     (:mod:`repro.harness.provenance`): host, CPU count, git revision,

@@ -7,8 +7,9 @@ prepared 4096x4096 system matrix — the exact product every iteration of the
 
 * ``gemv_fast_path=True`` (default): the dedicated
   :func:`repro.core.gemv.prepared_gemv` kernel — one fused stacked engine
-  GEMV (INT32-accumulating einsum, no float64 promotion of the residue
-  stack), vector-shaped conversion, no plan/scheduler machinery;
+  GEMV (exact SGEMVs on cache-sized float32 row blocks, so the residue
+  stack streams from memory once), vector-shaped conversion, no
+  plan/scheduler machinery;
 * ``gemv_fast_path=False``: the full ``n = 1`` GEMM route, kept in-tree as
   the verification comparator.
 
@@ -36,8 +37,8 @@ FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 CPUS = os.cpu_count() or 1
 
 #: Problem size of the GEMV comparison.  4096x4096 is the acceptance scale
-#: (the ~250 MiB residue stack makes the GEMM route's float64 promotion
-#: traffic visible); the full run adds more iterations, not size.
+#: (the ~250 MiB residue stack makes the GEMM route's floating-point
+#: promotion traffic visible); the full run adds more iterations, not size.
 SIZE = 4096
 ITERS = 8 if FULL else 4
 REPEATS = 3 if FULL else 2

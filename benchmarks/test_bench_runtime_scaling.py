@@ -34,8 +34,10 @@ FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 CPUS = os.cpu_count() or 1
 
 #: Problem size of the serial-vs-parallel scaling run.  The full setting is
-#: the acceptance-scale 4096^3 DGEMM emulation.
-SCALING_SIZE = 4096 if FULL else 256
+#: the acceptance-scale 4096^3 DGEMM emulation; the quick one is large
+#: enough (~0.1 s serial) that the pool's fixed dispatch cost does not
+#: dominate the ratio.
+SCALING_SIZE = 4096 if FULL else 512
 SCALING_WORKERS = (1, 2, 4) if (FULL or CPUS >= 4) else (1, 2)
 
 #: Batched-vs-loop setting: 8 same-shape problems so the batched path can
@@ -49,7 +51,7 @@ def test_bench_runtime_parallel_scaling(save_result):
         [SCALING_SIZE],
         workers=SCALING_WORKERS,
         num_moduli=15,
-        repeats=2 if not FULL else 1,
+        repeats=3 if not FULL else 1,
     )
     # Record the host so archived tables are interpretable: a speedup of
     # 0.9x means something entirely different on 1 vCPU than on 8 cores.

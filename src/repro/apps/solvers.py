@@ -689,6 +689,7 @@ def pcg_solve(
         seconds=time.perf_counter() - start,
         precond=m_inv.kind,
         precond_seconds=precond_seconds,
+        ledger=sched.engine.counter,
         moduli_history=moduli,
     )
 

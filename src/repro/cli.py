@@ -632,6 +632,22 @@ def _cmd_selfcheck(args) -> int:
 
     a, b = phi_pair(96, 128, 80, phi=0.5, seed=0)
     checks = []
+
+    from .engines.int8 import Int8MatrixEngine
+
+    # The INT8 engine runs float32 SGEMM on k-chunks of 1024, relying on a
+    # BLAS that sums integers up to 2**24 exactly: probe that very edge.
+    probe = Int8MatrixEngine().matmul(
+        np.full((2, 1024), -128, dtype=np.int8), np.full((1024, 2), -128, dtype=np.int8)
+    )
+    checks.append(
+        (
+            "INT8 engine SGEMM exact at k=1024 (all -128: sum 2**24)",
+            bool(np.all(probe == 2**24)),
+            "",
+        )
+    )
+
     serial = ozaki2_gemm(a, b, config=Ozaki2Config(parallelism=1))
     err = max_relative_error(serial, reference_gemm(a, b))
     checks.append(("serial OS II-fast-15 error < 1e-12", err < 1e-12, f"{err:.3e}"))

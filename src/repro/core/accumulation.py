@@ -14,13 +14,19 @@ first accumulation ``C'^{(1)} = Σ_i s_{i1} U_i`` is *error-free*; the second
 accumulation ``C'^{(2)} = Σ_i s_{i2} U_i`` carries the low-order bits.  The
 final combination uses FMA so the huge cancellation ``C'^{(1)} − P_1 Q`` is
 performed without forming the product ``P_1 Q`` inexactly.
+
+``U_i`` is computed in the float domain as ``C'_i − p_i ⌊C'_i / p_i⌋``,
+exact for every ``|C'| < 2^52`` (see :func:`repro.crt.residues.
+uint8_residues_stack`).  Callers run accumulation and reconstruction per row
+block (:func:`accumulation_row_blocks`), so each block's float64 U-stack —
+about 1 MiB — stays cache-resident from the mod through the reconstruction.
+Every step is elementwise in the rows, so blocking never changes a bit.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +34,12 @@ from ..crt.constants import CRTConstantTable
 from ..crt.residues import uint8_residues, uint8_residues_stack
 from ..utils.fma import fma
 
-__all__ = ["accumulate_residue_products", "reconstruct_crt", "unscale"]
+__all__ = [
+    "accumulate_residue_products",
+    "accumulation_row_blocks",
+    "reconstruct_crt",
+    "unscale",
+]
 
 
 @functools.lru_cache(maxsize=None)
@@ -49,33 +60,22 @@ def _split_tail_terms(moduli: Tuple[int, ...], precision_bits: int) -> Tuple[boo
     return bool(nonzero), nonzero
 
 
-#: Per-thread reusable float64 U-stack workspaces keyed on
-#: ``(num_moduli, m, n)``.  The vectorised accumulation materialises the
-#: whole float64 residue stack on every GEMM/GEMV call even though its
-#: allocation depends only on the moduli count and the tile shape; solvers
-#: and batched runs hit the same shape thousands of times, so the buffer is
-#: recycled (thread-local: the accumulation runs on the calling thread, and
-#: concurrent callers must not share a scratch stack).  Contents are fully
-#: overwritten by :func:`repro.crt.residues.uint8_residues_stack` before
-#: any read, and the buffer never escapes the call.
-_WORKSPACE = threading.local()
-
-#: Distinct shapes cached per thread before the pool is cleared (bounds the
-#: resident scratch memory for workloads sweeping many problem sizes).
-_WORKSPACE_MAX_SHAPES = 8
+#: Target bytes of one row block's float64 U-stack (``N * rows * n * 8``):
+#: small enough that the mod, the weighted sum and the reconstruction of a
+#: block all run out of cache.
+_U_BLOCK_BYTES = 1 << 20
 
 
-def _u_stack_workspace(shape: Tuple[int, ...]) -> np.ndarray:
-    """Fetch (or allocate) this thread's float64 U-stack for ``shape``."""
-    pool = getattr(_WORKSPACE, "pool", None)
-    if pool is None:
-        pool = _WORKSPACE.pool = {}
-    buffer = pool.get(shape)
-    if buffer is None:
-        if len(pool) >= _WORKSPACE_MAX_SHAPES:
-            pool.clear()
-        buffer = pool[shape] = np.empty(shape, dtype=np.float64)
-    return buffer
+def accumulation_row_blocks(num_moduli: int, m: int, n: int) -> Iterator[Tuple[int, int]]:
+    """Row ranges ``[r0, r1)`` of an ``(m, n)`` tile, each ~1 MiB of U-stack.
+
+    The callers that pair :func:`accumulate_residue_products` with
+    :func:`reconstruct_crt` loop over these blocks; both are elementwise in
+    the rows, so the result is bit-identical to one whole-tile call.
+    """
+    rows = max(1, _U_BLOCK_BYTES // (8 * num_moduli * max(n, 1)))
+    for r0 in range(0, m, rows):
+        yield r0, min(r0 + rows, m)
 
 
 def accumulate_residue_products(
@@ -95,10 +95,10 @@ def accumulate_residue_products(
         Constant table providing moduli, split weights and reciprocals.
     use_mulhi:
         Use the ``__mulhi`` fast kernel for ``mod`` (Section 4.3) instead of
-        the exact integer remainder.  Both yield identical ``U_i``.
+        the float-domain floor-division.  Both yield identical ``U_i``.
     vectorized:
-        When True (default), materialise the whole float64 U-stack first
-        (one scalar-divisor remainder per modulus, no UINT8/float64
+        When True (default), materialise the float64 U-stack of ``c_stack``
+        first (one float-domain floor-division per modulus, no UINT8/float64
         round-trips) and evaluate ``C1`` with a single
         :func:`numpy.tensordot` of the split weights against the U-stack.
         For the 64-bit tables ``C1`` is order-independent because the
@@ -128,17 +128,15 @@ def accumulate_residue_products(
         )
     need_c2, s2_nonzero = _split_tail_terms(table.moduli, table.precision_bits)
     if vectorized:
-        # Materialise the whole float64 U-stack up front, into this
-        # thread's cached workspace for the (moduli, tile) shape — the
-        # buffer is fully overwritten before any read.  The residues lie
-        # in [0, p) ⊂ [0, 255], so writing them straight into float64 makes
+        # Materialise the U-stack up front.  The residues lie in
+        # [0, p) ⊂ [0, 255], so computing them straight into float64 makes
         # the UINT8 narrowing of the per-modulus path a bitwise no-op and
         # saves the widening pass.
         u = uint8_residues_stack(
             c_stack,
             table.moduli,
             table.pinv_prime if use_mulhi else None,
-            out=_u_stack_workspace(c_stack.shape),
+            out=np.empty(c_stack.shape, dtype=np.float64),
         )
         if table.precision_bits == 64:
             c1 = np.tensordot(table.s1, u.reshape(table.num_moduli, -1), axes=1)

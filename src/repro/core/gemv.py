@@ -5,8 +5,8 @@ system matrix to a new vector every iteration.  Routing that ``n = 1``
 product through :func:`~repro.core.gemm.ozaki2_gemm` pays the full GEMM
 machinery per call — an :class:`~repro.runtime.plan.ExecutionPlan`, a
 :class:`~repro.runtime.scheduler.Scheduler`, modulus-chunk task lists, m/n
-tiling — and, worse, the stacked float64 BLAS product promotes the whole
-``(N, m, k)`` INT8 residue stack to float64 on every iteration (8x the
+tiling — and, worse, the engine's SGEMM product promotes the whole
+``(N, m, k)`` INT8 residue stack to float32 on every iteration (4x the
 stack's memory traffic for a product that performs only ``N·m·k`` MACs).
 
 :func:`prepared_gemv` is the ``n = 1`` specialisation that skips all of it:
@@ -15,8 +15,9 @@ stack's memory traffic for a product that performs only ``N·m·k`` MACs).
   (:func:`repro.crt.residues.residues_to_int8` on the 1-D ``x'``),
 * the ``N`` residue GEMVs issue as **one** fused
   :meth:`~repro.engines.base.MatrixEngine.matvec_stack` engine call per
-  k-block (the INT8 engine contracts the stack with an INT32-accumulating
-  einsum — no float64 promotion),
+  k-block (the INT8 engine casts the stack to float32 in cache-sized row
+  blocks and runs exact k-chunk SGEMVs on each, so the stack streams from
+  memory once),
 * no plan, no scheduler, no tiling: the transient workspace is one
   ``(N, m)`` stack.
 

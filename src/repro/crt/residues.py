@@ -1,18 +1,29 @@
 """Residue kernels: ``rmod`` and ``mod`` (Sections 4.2 and 4.3).
 
-Two families of implementations are provided.
+Three families of implementations are provided.
 
 Reference kernels
-    :func:`rmod_exact` and :func:`mod_exact` use IEEE-exact remainder
-    operations (``fmod`` on floats is exact; integer ``%`` is exact), so
-    they realise the mathematical definitions
+    :func:`rmod_exact` and :func:`mod_exact` use exact integer remainders
+    (values beyond the int64 range are split exactly into two limbs first),
+    so they realise the mathematical definitions
 
     .. math::
 
         \\mathrm{rmod}(X, p) = X - p\\,\\mathrm{round}(X/p), \\qquad
         \\mathrm{mod}(X, p)  = X - p\\,\\lfloor X/p \\rfloor
 
-    with no error.  They are the default used by the emulation.
+    with no error.  The test suite compares the production kernels with
+    them.
+
+Production kernels
+    :func:`residues_to_int8` (lines 4-5 of Algorithm 1) and
+    :func:`uint8_residues_stack` (line 7) compute the same remainders in
+    the float domain — the CPU analogue of the paper's FMA/reciprocal and
+    ``__mulhi`` kernels: one correctly rounded division by ``p``, a
+    ``rint``/``floor``, and an exact subtraction, over cache-sized blocks.
+    Conversion is exact for every ``|x| < 2**93`` (larger inputs raise
+    :class:`ValueError`); the ``mod`` of the INT32/INT64 products is exact
+    for every ``|C'| < 2**52``.
 
 Fast kernels
     :func:`rmod_fast_fma` reproduces the FMA/reciprocal kernel of
@@ -53,6 +64,28 @@ _FAST_RMOD_THRESHOLDS = {64: (13, 19), 32: (5, 11)}
 #: remainder path (one bit of headroom below 2**63).
 _INT64_SAFE_LIMIT = 2.0**62
 
+#: The exact conversion kernels (the float-domain single pass and the integer
+#: reference) are exact for ``|x|`` strictly below this bound and raise above
+#: it instead of returning wrong residues.  It is far above anything the
+#: scaling produces (accurate mode reaches ``2**81`` at N = 20).
+_EXACT_RANGE_LIMIT = 2.0**93
+
+#: Limb split of the float-domain conversion: ``x = hi * 2**50 + lo`` with
+#: ``0 <= lo < 2**50`` and ``|hi| <= 2**43`` for ``|x| <= 2**93``.
+_LIMB_BITS = 50
+
+#: Elements per float-domain conversion block: four float64 temporaries of
+#: this length stay resident in L2 across all ``N`` moduli.
+_CONVERT_BLOCK = 16384
+
+
+def _check_exact_range(max_abs: float) -> None:
+    """Refuse magnitudes the exact residue kernels cannot represent."""
+    if not max_abs < _EXACT_RANGE_LIMIT:
+        raise ValueError(
+            f"residue conversion is exact only for |x| < 2**93, got max |x| = {max_abs:.6g}"
+        )
+
 
 def _nonneg_mod_integer_valued(
     x: np.ndarray, p: int, max_abs: float | None = None
@@ -63,7 +96,8 @@ def _nonneg_mod_integer_valued(
     fit; larger values — which occur for many moduli, where the scaled
     matrices can exceed 2**62 — are split exactly into
     ``x = hi * 2**31 + lo`` (both parts fit int64) and recombined modulo
-    ``p``.  Either way the result is exact.
+    ``p``.  Either way the result is exact for ``|x| < 2**93``; larger
+    magnitudes raise :class:`ValueError`.
 
     ``max_abs`` lets callers that reduce the *same* matrix by many moduli
     pass a precomputed ``max(|x|)``, so the full-matrix scan that selects the
@@ -73,11 +107,12 @@ def _nonneg_mod_integer_valued(
     p_int = int(p)
     if max_abs is None:
         max_abs = float(np.max(np.abs(x))) if x.size else 0.0
+    _check_exact_range(max_abs)
     if max_abs < _INT64_SAFE_LIMIT:
         return np.remainder(x.astype(np.int64), p_int).astype(np.float64)
     # Exact split: hi = floor(x / 2^31) is an integer below 2^62 for
-    # |x| < 2^93 (far above anything the scaling can produce); lo = x - hi*2^31
-    # lies in [0, 2^31).  Both steps are exact in float64.
+    # |x| < 2^93; lo = x - hi*2^31 lies in [0, 2^31).  Both steps are exact
+    # in float64.
     hi = np.floor(np.ldexp(x, -31))
     lo = x - np.ldexp(hi, 31)
     hi_mod = np.remainder(hi.astype(np.int64), p_int)
@@ -213,12 +248,14 @@ def residues_to_int8(
     pinv_b, pinv32, precision_bits:
         Reciprocal tables and input precision, required by the fast kernel.
     single_pass:
-        When True (default), convert once and broadcast the remainder across
-        a leading moduli axis: the ``max(|x|)`` scan and the float64→int64
-        conversion run a single time for all ``N`` moduli instead of once
-        per modulus.  When False, fall back to the per-modulus loop (kept as
-        the pre-fusion comparator for benchmarks and bit-identity tests).
-        Both paths are exact integer arithmetic and bit-identical.
+        When True (default), run the float-domain kernel: per cache-sized
+        block, ``x`` is split exactly into power-of-two limbs once, and each
+        modulus combines the limbs and reduces them with one correctly
+        rounded division (see :func:`_residues_to_int8_single_pass`).  When
+        False, fall back to the per-modulus integer-remainder loop (kept as
+        the reference for benchmarks and bit-identity tests).  With the
+        exact kernel both paths are bit-identical for every ``|x| < 2**93``
+        and raise :class:`ValueError` above it.
     """
     x = np.asarray(x, dtype=np.float64)
     mods = [int(p) for p in moduli]
@@ -268,60 +305,57 @@ def _residues_to_int8_single_pass(
     pinv32: np.ndarray | None,
     precision_bits: int,
 ) -> np.ndarray:
-    """Single-pass conversion of the exact kernel for all ``N`` moduli.
+    """Float-domain conversion of the exact kernel for all ``N`` moduli.
 
-    The ``max(|x|)`` scan and the float64→int64 conversion run **once** and
-    serve every modulus; each residue is then produced entirely in the
-    integer domain with the shifted remainder
+    ``x`` is processed in blocks of :data:`_CONVERT_BLOCK` elements, so each
+    block's temporaries stay cache-resident while every modulus visits it.
+    Per block, ``x`` is split exactly into ``hi * 2**50 + lo`` once
+    (``0 <= lo < 2**50``, ``|hi| <= 2**43``).  Per modulus,
 
-        ``rmod(x, p) = ((x + ⌊p/2⌋) mod p) − ⌊p/2⌋``
+        ``y = hi * (2**50 mod p) + lo``
 
-    which yields the centred representative directly — no float64
-    round-trip, no separate centring pass, and ``+p/2`` lands on ``−p/2``
-    for even ``p`` exactly as the INT8 wrap does.  The result is
-    bit-identical to the per-modulus loop.  The remainder itself runs per
-    modulus with a *scalar* divisor: NumPy's scalar-divisor inner loop is
-    several times faster than a broadcast against an ``(N, 1, ...)``
-    divisor array, so looping the one cheap op beats broadcasting the
-    whole chain.
+    is congruent to ``x`` and exact (``|y| < 2**52``), so the correctly
+    rounded ``y / p`` rounds to the exact nearest quotient and
+    ``y - p * rint(y / p)`` is the centred remainder, exactly.  For odd
+    ``p`` that is the unique representative in ``[-(p-1)/2, (p-1)/2]``; for
+    even ``p`` the quotient tie is resolved by mapping ``+p/2`` to ``-p/2``,
+    exactly as the INT8 wrap of ``+128`` does for ``p = 256``.  The result
+    is bit-identical to the integer per-modulus loop for every
+    ``|x| < 2**93``; larger magnitudes raise :class:`ValueError`.
 
     The fast-FMA kernel delegates to the loop: it is pure per-modulus
-    floating-point arithmetic with no shared scan or conversion to hoist,
-    and stacking it only adds temporary-array pressure.
+    floating-point arithmetic with no shared split to hoist.
     """
     if kernel == "fast_fma":
         return _residues_to_int8_loop(x, mods, kernel, pinv_b, pinv32, precision_bits)
 
     out = np.empty((len(mods),) + x.shape, dtype=np.int8)
-    max_abs = float(np.max(np.abs(x))) if x.size else 0.0
-    if max_abs < _INT64_SAFE_LIMIT:
-        xi = x.astype(np.int64)
-        scratch = np.empty_like(xi)
-        for i, p in enumerate(mods):
-            half = p // 2
-            # |xi| < 2**62, so the +half shift cannot overflow int64.
-            np.add(xi, half, out=scratch)
-            np.remainder(scratch, p, out=scratch)
-            scratch -= half
-            out[i] = scratch.astype(np.int8)
+    if x.size == 0:
         return out
-
-    # Beyond the int64-safe limit: the same exact hi/lo split as
-    # _nonneg_mod_integer_valued, performed once for all moduli.
-    hi = np.floor(np.ldexp(x, -31))
-    lo = x - np.ldexp(hi, 31)
-    hi_i64 = hi.astype(np.int64)
-    lo_i64 = lo.astype(np.int64)
-    for i, p in enumerate(mods):
-        half = p // 2
-        shift_mod = pow(2, 31, p)
-        hi_mod = np.remainder(hi_i64, p)
-        lo_mod = np.remainder(lo_i64, p)
-        # hi_mod, lo_mod < p <= 256 and shift_mod < p, so the combination
-        # stays far below the int64 range.
-        r = np.remainder(hi_mod * shift_mod + lo_mod + half, p)
-        r -= half
-        out[i] = r.astype(np.int8)
+    _check_exact_range(max(float(np.max(x)), -float(np.min(x))))
+    flat = np.ascontiguousarray(x).reshape(-1)
+    dest = out.reshape(len(mods), -1)
+    consts = [(float(p), float(pow(2, _LIMB_BITS, p)), p % 2 == 0) for p in mods]
+    size = min(flat.size, _CONVERT_BLOCK)
+    hi, lo, y, q = (np.empty(size, dtype=np.float64) for _ in range(4))
+    for start in range(0, flat.size, _CONVERT_BLOCK):
+        stop = min(start + _CONVERT_BLOCK, flat.size)
+        n = stop - start
+        xb, hb, lb, yb, qb = flat[start:stop], hi[:n], lo[:n], y[:n], q[:n]
+        np.multiply(xb, 2.0**-_LIMB_BITS, out=hb)
+        np.floor(hb, out=hb)
+        np.multiply(hb, 2.0**_LIMB_BITS, out=lb)
+        np.subtract(xb, lb, out=lb)
+        for i, (p, shift_mod, even) in enumerate(consts):
+            np.multiply(hb, shift_mod, out=yb)
+            yb += lb
+            np.divide(yb, p, out=qb)
+            np.rint(qb, out=qb)
+            qb *= p
+            yb -= qb
+            if even:
+                yb[yb == 0.5 * p] = -0.5 * p
+            dest[i, start:stop] = yb
     return out
 
 
@@ -348,25 +382,35 @@ def uint8_residues_stack(
 
     ``c_stack`` is the ``(N, m, n)`` integer residue-product stack; entry
     ``i`` is reduced by modulus ``moduli[i]``.  Bit-identical to calling
-    :func:`uint8_residues` per modulus, without the per-call int64
-    casts and UINT8/float round-trips: each remainder runs with a scalar
-    divisor (NumPy's fastest inner loop) straight into the output stack.
-    When ``pinv_prime`` (the ``⌊2^32/p_i − 1⌋`` table) is given, the
-    ``__mulhi`` fast kernel of Section 4.3 is used instead of the exact
-    remainder.
+    :func:`uint8_residues` per modulus.  The remainder is a float-domain
+    floor-division, ``C' - p * floor(C' / p)``: ``C'`` widens to float64
+    exactly, the correctly rounded quotient floors to the exact integer
+    quotient, and the subtraction is exact, for every ``|C'| < 2**52`` —
+    INT32 products and the int64 k-blocked sums alike (``k * 2**14`` stays
+    below ``2**52`` for any ``k`` that fits in memory).  When ``pinv_prime``
+    (the ``⌊2^32/p_i − 1⌋`` table) is given, the ``__mulhi`` fast kernel of
+    Section 4.3 is used instead.
 
     ``out`` may supply a preallocated ``c_stack.shape`` array of any dtype
     that can represent ``[0, 255]``; the fused accumulation passes a
-    float64 stack so the residues land in their final representation with
-    no separate widening pass.  Without ``out``, a UINT8 stack is returned.
+    float64 stack so the residues are computed in place in their final
+    representation.  Without ``out``, a UINT8 stack is returned.
     """
     c = np.asarray(c_stack)
     u = out if out is not None else np.empty(c.shape, dtype=np.uint8)
-    if pinv_prime is None:
-        p_dtype = c.dtype.type
-        for i, p in enumerate(moduli):
-            u[i] = np.remainder(c[i], p_dtype(p))
-    else:
+    if pinv_prime is not None:
         for i, p in enumerate(moduli):
             u[i] = mod_fast_mulhi(c[i], p, int(pinv_prime[i]))
+        return u
+    quotient = np.empty(c.shape[1:], dtype=np.float64)
+    scratch = None if u.dtype == np.float64 else np.empty(c.shape[1:], dtype=np.float64)
+    for i, p in enumerate(moduli):
+        r = u[i] if scratch is None else scratch
+        np.copyto(r, c[i])
+        np.divide(r, p, out=quotient)
+        np.floor(quotient, out=quotient)
+        quotient *= p
+        r -= quotient
+        if scratch is not None:
+            u[i] = r
     return u

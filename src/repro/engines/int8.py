@@ -9,12 +9,14 @@ engine.
 
 Two computation paths are provided:
 
-* ``use_blas=True`` (default): operands are promoted to float64 and
-  multiplied with BLAS.  Because ``|a| <= 128``, ``|b| <= 128`` and
-  ``k <= 2**17``, every exact inner product is bounded by ``2**31`` and is
-  therefore exactly representable in float64 (well below ``2**53``); the
-  result is then reduced modulo ``2**32`` to reproduce the hardware
-  wraparound bit-for-bit.  This path is typically 10-50x faster on CPUs.
+* ``use_blas=True`` (default): the precision-matched path.  Operands are
+  cast to float32 and multiplied with SGEMM over k-chunks of at most
+  ``1024``.  Because ``|a|, |b| <= 128``, every product is at most
+  ``2**14`` in magnitude and every partial sum of a chunk is an integer
+  bounded by ``1024 * 2**14 = 2**24`` — exactly representable in binary32,
+  so the chunk product is exact in *any* summation order BLAS chooses.
+  The chunk results are then summed in int32, whose two's-complement
+  wraparound is exactly the hardware accumulator's.
 * ``use_blas=False``: operands are multiplied directly with NumPy integer
   arithmetic (int32 accumulators with native wraparound).  This is the
   byte-level reference used in the test suite to validate the fast path.
@@ -39,6 +41,65 @@ __all__ = ["Int8MatrixEngine"]
 #: exceed the INT32 range by more than the single harmless 2**31 case.
 _MAX_EXACT_K = 2**17
 
+#: Widest k-chunk one float32 SGEMM sums: every partial sum is an integer
+#: with ``|s| <= 1024 * 2**14 = 2**24``, exact in binary32 in any order.
+_SGEMM_EXACT_K = 1024
+
+#: Bytes of the float32 row block the stacked GEMV casts at a time: its
+#: k-chunk SGEMVs read the block while it is still cache-resident.
+_GEMV_BLOCK_BYTES = 1 << 20
+
+
+def _chunked_sgemm(a32: np.ndarray, b32: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = a32 @ b32`` exactly, for INT8-valued float32 operands.
+
+    Each k-chunk of at most :data:`_SGEMM_EXACT_K` runs as one float32
+    SGEMM (or SGEMV for a vector ``b32``) and is cast to int32 exactly; the
+    chunks are summed in int32, whose two's-complement wraparound is the
+    hardware accumulator's (only reachable from ``k = 2**17``, Section 4.3).
+    """
+    k = a32.shape[1]
+    out[...] = np.matmul(a32[:, :_SGEMM_EXACT_K], b32[:_SGEMM_EXACT_K])
+    for start in range(_SGEMM_EXACT_K, k, _SGEMM_EXACT_K):
+        stop = start + _SGEMM_EXACT_K
+        out += np.matmul(a32[:, start:stop], b32[start:stop]).astype(np.int32)
+
+
+def _exact_int8_product(a8: np.ndarray, b8: np.ndarray) -> np.ndarray:
+    """Exact INT32 product of INT8 operands, 2-D or stacked.
+
+    A stack is multiplied one residue matrix at a time
+    (:func:`_chunked_sgemm`), so the float32 copies stay one matrix large
+    (the per-matrix SGEMM calls are the ones a stacked ``matmul`` issues).
+    """
+    if a8.ndim == 2:
+        return _exact_int8_product(a8[None], b8[None])[0]
+    out = np.empty(a8.shape[:2] + b8.shape[2:], dtype=np.int32)
+    for a_i, b_i, out_i in zip(a8, b8, out, strict=True):
+        _chunked_sgemm(a_i.astype(np.float32), b_i.astype(np.float32), out_i)
+    return out
+
+
+def _exact_int8_matvec(a8: np.ndarray, v8: np.ndarray) -> np.ndarray:
+    """Exact INT32 GEMV stack ``(N, m, k) @ (N, k) -> (N, m)`` of INT8 operands.
+
+    Each residue matrix is cast to float32 in row blocks of about
+    :data:`_GEMV_BLOCK_BYTES` (into one reused buffer), and the block's
+    k-chunk SGEMVs (:func:`_chunked_sgemm`) run while it is cache-resident,
+    so the INT8 stack is streamed from memory once.
+    """
+    n_stack, m, k = a8.shape
+    rows = max(1, min(m, _GEMV_BLOCK_BYTES // (4 * max(k, 1))))
+    out = np.empty((n_stack, m), dtype=np.int32)
+    block = np.empty((rows, k), dtype=np.float32)
+    for a_i, v_i, out_i in zip(a8, v8, out, strict=True):
+        v32 = v_i.astype(np.float32)
+        for r0 in range(0, m, rows):
+            a32 = block[: min(rows, m - r0)]
+            np.copyto(a32, a_i[r0 : r0 + rows])
+            _chunked_sgemm(a32, v32, out_i[r0 : r0 + rows])
+    return out
+
 
 class Int8MatrixEngine(MatrixEngine):
     """Simulated INT8 Tensor Core (INT8 inputs, INT32 accumulation).
@@ -46,7 +107,7 @@ class Int8MatrixEngine(MatrixEngine):
     Parameters
     ----------
     use_blas:
-        Select the float64/BLAS-backed fast path (exact, default) or the
+        Select the chunked float32/SGEMM fast path (exact, default) or the
         pure-integer reference path.
     strict_k:
         If True (default), refuse inner dimensions above ``2**17`` with
@@ -93,20 +154,17 @@ class Int8MatrixEngine(MatrixEngine):
                 "(core.blocking) or construct the engine with strict_k=False"
             )
         if self.use_blas:
-            return self._compute_blas(a, b)
+            return _exact_int8_product(a, b)
         return self._compute_integer(a, b)
 
     # -- fused stacked path ---------------------------------------------------
     def matmul_stack(self, a: np.ndarray, b: np.ndarray, trusted: bool = False) -> np.ndarray:
         """Fused batched product ``(N, m, k) @ (N, k, n) -> (N, m, n)``.
 
-        Unlike the generic per-slice fallback, this override converts each
-        residue stack to float64 **once** and issues a single stacked
-        BLAS-backed :func:`numpy.matmul`, so the ``N`` residue GEMMs of one
-        modulus chunk cost one engine call's worth of Python/NumPy overhead.
-        The INT32 wraparound reduction is applied only when the inner
-        dimension can actually reach the accumulator boundary (see
-        :meth:`_wrap_int32`).
+        Unlike the generic per-slice fallback, this override validates the
+        stacks once and runs the ``N`` residue GEMMs of one modulus chunk
+        in a single engine call (:func:`_exact_int8_product`: float32 SGEMM
+        per k-chunk), with one call's worth of ledger bookkeeping.
 
         ``trusted=True`` additionally skips the per-call validation sweeps
         when the operands are already INT8 — the contract for residue stacks
@@ -134,11 +192,9 @@ class Int8MatrixEngine(MatrixEngine):
             a8 = self._prepare(a, "A")
             b8 = self._prepare(b, "B")
         if self.use_blas:
-            prod = np.matmul(a8.astype(np.float64), b8.astype(np.float64))
-            out = self._wrap_int32(prod, k)
+            out = _exact_int8_product(a8, b8)
         else:
-            with np.errstate(over="ignore"):
-                out = np.matmul(a8.astype(np.int32), b8.astype(np.int32)).astype(np.int32)
+            out = self._compute_integer(a8, b8)
         self.counter.record_matmul(
             m,
             n,
@@ -154,20 +210,19 @@ class Int8MatrixEngine(MatrixEngine):
         """Fused batched GEMV ``(N, m, k) @ (N, k) -> (N, m)``.
 
         The ``n = 1`` products are bandwidth-bound on the INT8 residue
-        stack, so promoting it to float64 for BLAS — the right call for
-        GEMM, where the arithmetic amortises the 8x promotion traffic —
-        costs more than the whole product here.  This override instead
-        contracts the INT8 operands directly with an INT32-accumulating
-        :func:`numpy.einsum`, reading the stack once at one byte per
-        element (measured ~12x faster than the float64 stacked matmul at
-        4096² on one core).
-
-        INT32 accumulation wraps in two's complement exactly like the
-        hardware accumulator: every partial sum is congruent modulo 2**32
-        regardless of order, so the result is bit-identical to the float64
-        path's :meth:`_wrap_int32` reduction for every ``k`` the engine
+        stack, so casting a whole residue matrix to float32 — the right call
+        for GEMM, where the arithmetic amortises the cast — would stream it
+        through memory twice more than the product reads it.  This override
+        instead casts ~1 MiB row blocks and runs their k-chunk SGEMVs while
+        they are cache-resident (:func:`_exact_int8_matvec`), so the stack
+        is read once at one byte per element.  The chunk sums are exact and
+        wrap in int32 like the hardware accumulator, so the result is
+        bit-identical to :meth:`matmul_stack` for every ``k`` the engine
         accepts (only ``k = 2**17`` can reach the ``±2**31`` boundary,
-        Section 4.3).  ``trusted`` has the :meth:`matmul_stack` contract:
+        Section 4.3).
+        ``use_blas=False`` contracts the INT8 operands with an
+        INT32-accumulating :func:`numpy.einsum` instead (the integer
+        reference).  ``trusted`` has the :meth:`matmul_stack` contract:
         INT8 stacks produced by this library's own conversion skip the
         per-call validation sweeps; any other dtype is validated regardless.
         The op ledger records the same ``N`` GEMVs as the generic fallback.
@@ -186,8 +241,11 @@ class Int8MatrixEngine(MatrixEngine):
         else:
             a8 = self._prepare(a, "A")
             v8 = self._prepare(v, "B")
-        with np.errstate(over="ignore"):
-            out = np.einsum("nmk,nk->nm", a8, v8, dtype=np.int32)
+        if self.use_blas:
+            out = _exact_int8_matvec(a8, v8)
+        else:
+            with np.errstate(over="ignore"):
+                out = np.einsum("nmk,nk->nm", a8, v8, dtype=np.int32)
         self.counter.record_matmul(
             m,
             1,
@@ -198,37 +256,7 @@ class Int8MatrixEngine(MatrixEngine):
         )
         return out
 
-    @staticmethod
-    def _wrap_int32(prod: np.ndarray, k: int) -> np.ndarray:
-        """Reduce exact float64 products into the signed INT32 range.
-
-        Every prepared operand entry is bounded by ``|a|, |b| <= 128``, so an
-        exact inner product over ``k`` terms is bounded by
-        ``k * 128 * 128 = k * 2**14``.  For ``k < 2**17`` that bound is
-        strictly below ``2**31``: every product already lies inside the INT32
-        range, the wraparound reduction is the identity, and the two
-        full-array ``mod``/``where`` passes can be skipped — the plain cast
-        is exact.  Only ``k >= 2**17`` can reach ``±2**31`` (the single
-        boundary case of Section 4.3 at ``k = 2**17``) and takes the
-        reduction.
-        """
-        if k < _MAX_EXACT_K:
-            return prod.astype(np.int32)
-        wrapped = np.mod(prod, 4294967296.0)
-        wrapped = np.where(wrapped >= 2147483648.0, wrapped - 4294967296.0, wrapped)
-        return wrapped.astype(np.int32)
-
     # -- computation paths ---------------------------------------------------
-    @staticmethod
-    def _compute_blas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact product via float64 BLAS, then INT32 wraparound."""
-        prod = np.matmul(a.astype(np.float64), b.astype(np.float64))
-        # Reduce modulo 2**32 into the signed INT32 range to emulate the
-        # hardware accumulator wraparound (only reachable at k = 2**17).
-        wrapped = np.mod(prod, 4294967296.0)
-        wrapped = np.where(wrapped >= 2147483648.0, wrapped - 4294967296.0, wrapped)
-        return wrapped.astype(np.int32)
-
     @staticmethod
     def _compute_integer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Reference integer product with native int32 wraparound."""

@@ -210,7 +210,8 @@ def runtime_scaling_sweep(
     and reported, if ``workers`` does not start with 1); each row reports
     the best-of-``repeats`` wall time, the speedup relative to the serial
     run and whether the result was bit-identical to it — which the runtime
-    guarantees (:mod:`repro.runtime.scheduler`).
+    guarantees (:mod:`repro.runtime.scheduler`).  The worker counts' repeats
+    alternate, so a slow stretch of the host hits every count alike.
     """
     from ..config import Ozaki2Config
     from ..core.gemm import ozaki2_gemm
@@ -224,28 +225,26 @@ def runtime_scaling_sweep(
     rows: List[Dict[str, object]] = []
     for size in sizes:
         a, b = phi_pair(size, size, size, phi=phi, precision=fmt, seed=seed)
-        serial_seconds: Optional[float] = None
-        serial_c = None
-        for count in counts:
-            config = Ozaki2Config(
-                precision=fmt, num_moduli=num_moduli, parallelism=int(count)
-            )
-            best = float("inf")
-            c = None
-            for _ in range(max(1, repeats)):
+        configs = [
+            Ozaki2Config(precision=fmt, num_moduli=num_moduli, parallelism=int(count))
+            for count in counts
+        ]
+        best = [float("inf")] * len(counts)
+        outputs: List[Optional[np.ndarray]] = [None] * len(counts)
+        for _ in range(max(1, repeats)):
+            for index, config in enumerate(configs):
                 start = time.perf_counter()
-                c = ozaki2_gemm(a, b, config=config)
-                best = min(best, time.perf_counter() - start)
-            if serial_seconds is None:
-                serial_seconds, serial_c = best, c
+                outputs[index] = ozaki2_gemm(a, b, config=config)
+                best[index] = min(best[index], time.perf_counter() - start)
+        for count, config, seconds, c in zip(counts, configs, best, outputs, strict=True):
             rows.append(
                 {
                     "n": int(size),
                     "method": config.method_name,
                     "workers": int(count),
-                    "seconds": best,
-                    "speedup_vs_serial": serial_seconds / best,
-                    "bit_identical": bool(np.array_equal(c, serial_c)),
+                    "seconds": seconds,
+                    "speedup_vs_serial": best[0] / seconds,
+                    "bit_identical": bool(np.array_equal(c, outputs[0])),
                 }
             )
     return rows
@@ -437,11 +436,12 @@ def gemv_fast_path_sweep(
     }
     prep = prepare_a(a, config=configs["gemv-fast"])
 
-    best: Dict[str, float] = {}
+    best = {route: float("inf") for route in configs}
     outputs: Dict[str, List[np.ndarray]] = {}
-    for route, config in configs.items():
-        best[route] = float("inf")
-        for _ in range(max(1, repeats)):
+    # The routes' repeats alternate, so a slow stretch of the host hits
+    # both sides alike.
+    for _ in range(max(1, repeats)):
+        for route, config in configs.items():
             with Scheduler(
                 parallelism=config.parallelism,
                 executor=config.executor,
@@ -566,8 +566,10 @@ def batched_speedup_sweep(
 ) -> List[Dict[str, object]]:
     """Batched API vs a Python loop of serial calls, on ``batch`` problems.
 
-    Returns two rows (``strategy`` = ``"loop"`` / ``"batched"``) with wall
-    time, speedup of batched over the loop and a bitwise-equality flag.
+    Returns two rows (``strategy`` = ``"loop"`` / ``"batched"``) with the
+    best-of-3 wall time (the two strategies' repeats alternate, so a slow
+    stretch of the host hits both alike), speedup of batched over the loop
+    and a bitwise-equality flag.
     """
     from ..config import Ozaki2Config
     from ..core.gemm import ozaki2_gemm
@@ -582,15 +584,17 @@ def batched_speedup_sweep(
         for j in range(batch)
     ]
 
-    start = time.perf_counter()
-    loop_results = [ozaki2_gemm(a, b, config=config) for a, b in pairs]
-    loop_seconds = time.perf_counter() - start
+    loop_seconds = batched_seconds = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        loop_results = [ozaki2_gemm(a, b, config=config) for a, b in pairs]
+        loop_seconds = min(loop_seconds, time.perf_counter() - start)
 
-    start = time.perf_counter()
-    batched_results = ozaki2_gemm_batched(
-        [a for a, _ in pairs], [b for _, b in pairs], config=config
-    )
-    batched_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        batched_results = ozaki2_gemm_batched(
+            [a for a, _ in pairs], [b for _, b in pairs], config=config
+        )
+        batched_seconds = min(batched_seconds, time.perf_counter() - start)
 
     identical = all(
         np.array_equal(x, y) for x, y in zip(loop_results, batched_results, strict=True)
@@ -628,10 +632,11 @@ def prepared_reuse_sweep(
     distinct partners twice: once with plain :func:`~repro.core.gemm.
     ozaki2_gemm` calls (A converted every time) and once through a single
     :func:`~repro.core.operand.prepare_a` whose residues serve all ``r``
-    calls.  Rows report best-of-``repeats`` total wall time, amortised
-    per-call time (the prepared total *includes* the one-time preparation),
-    the amortised speedup, and bitwise equality — which the prepared path
-    guarantees.
+    calls.  Rows report best-of-``repeats`` total wall time (the two
+    routes' repeats alternate, so a slow stretch of the host hits both
+    alike), amortised per-call time (the prepared total *includes* the
+    one-time preparation), the amortised speedup, and bitwise equality —
+    which the prepared path guarantees.
     """
     from ..config import Ozaki2Config
     from ..core.gemm import ozaki2_gemm
@@ -648,8 +653,8 @@ def prepared_reuse_sweep(
 
     rows: List[Dict[str, object]] = []
     for reuse in reuse_counts:
-        plain_seconds = float("inf")
-        plain_results = None
+        plain_seconds = prepared_seconds = float("inf")
+        plain_results = prepared_results = None
         for _ in range(max(1, repeats)):
             start = time.perf_counter()
             results = [ozaki2_gemm(a, partners[i], config=config) for i in range(reuse)]
@@ -657,9 +662,6 @@ def prepared_reuse_sweep(
             if elapsed < plain_seconds:
                 plain_seconds, plain_results = elapsed, results
 
-        prepared_seconds = float("inf")
-        prepared_results = None
-        for _ in range(max(1, repeats)):
             start = time.perf_counter()
             prep = prepare_a(a, config=config)
             results = [
@@ -711,11 +713,13 @@ def adaptive_moduli_sweep(
     * the auto configuration (``num_moduli="auto"`` at the default
       ``target_accuracy`` unless the family overrides it),
 
-    with best-of-``repeats`` wall clocks.  Each row reports the selected
-    count, the measured end-to-end speedup next to the cost model's
-    *predicted* ops speedup (:func:`repro.perfmodel.adaptive_moduli_savings`),
-    the measured max element-wise error against the high-precision
-    reference next to the selection's guaranteed bound
+    with best-of-``repeats`` wall clocks; the fixed and auto repeats
+    alternate, so a slow stretch of the host hits both sides alike.  Each
+    row reports the selected count, the measured end-to-end speedup next to
+    the cost model's *predicted* ops speedup (:func:`repro.perfmodel.
+    adaptive_moduli_savings`) and the ledgers' INT8 MAC ratio (``mac_ratio``,
+    deterministic), the measured max element-wise error against the
+    high-precision reference next to the selection's guaranteed bound
     (``within_bound``), and bitwise equality of the auto result against a
     fixed run at the selected count (``bit_identical`` — auto selection
     chooses the configuration, never the arithmetic).
@@ -739,11 +743,10 @@ def adaptive_moduli_sweep(
             precision=fmt, num_moduli="auto", target_accuracy=target
         )
 
-        best = {}
+        best = {"fixed": float("inf"), "auto": float("inf")}
         details = {}
-        for key, cfg in (("fixed", fixed_cfg), ("auto", auto_cfg)):
-            best[key] = float("inf")
-            for _ in range(max(1, int(repeats))):
+        for _ in range(max(1, int(repeats))):
+            for key, cfg in (("fixed", fixed_cfg), ("auto", auto_cfg)):
                 start = time.perf_counter()
                 result = ozaki2_gemm(a, b, config=cfg, return_details=True)
                 elapsed = time.perf_counter() - start
@@ -776,6 +779,7 @@ def adaptive_moduli_sweep(
                 "seconds_auto": best["auto"],
                 "speedup": best["fixed"] / best["auto"],
                 "predicted_speedup": predicted["predicted_ops_speedup"],
+                "mac_ratio": details["fixed"].ledger.mac_ops / auto.ledger.mac_ops,
                 "max_error": measured_error,
                 "error_bound": float(selection.bound),
                 "within_bound": bool(measured_error <= selection.bound),
@@ -799,8 +803,9 @@ def progressive_solver_sweep(
     moduli-escalation ladder of :class:`repro.apps.solvers._ModuliLadder`).
     Two rows — ``route`` = ``"fixed"`` / ``"progressive"`` — report
     convergence, iterations, the final relative residual (both routes face
-    the *same* full-count residual check), wall clock, and the
-    progressive route's moduli schedule as ``N:iterations`` segments.
+    the *same* full-count residual check), the INT8 MACs on the solve's
+    ledger (deterministic), wall clock, and the progressive route's moduli
+    schedule as ``N:iterations`` segments.
     """
     from ..apps.solvers import cg_solve, moduli_schedule_segments
     from ..config import Ozaki2Config
@@ -823,6 +828,7 @@ def progressive_solver_sweep(
                 "iterations": int(result.iterations),
                 "residual": float(result.residual_norm),
                 "tol": float(tol),
+                "int8_macs": int(result.ledger.mac_ops),
                 "seconds": float(result.seconds),
                 "schedule": "->".join(f"{c}x{i}" for c, i in segments),
             }

@@ -45,7 +45,11 @@ import multiprocessing
 import numpy as np
 
 from .. import faults
-from ..core.accumulation import accumulate_residue_products, reconstruct_crt
+from ..core.accumulation import (
+    accumulate_residue_products,
+    accumulation_row_blocks,
+    reconstruct_crt,
+)
 from ..core.conversion import residue_slices, truncate_scaled
 from ..crt.constants import CRTConstantTable, build_constant_table
 from ..engines.base import MatrixEngine, OpCounter
@@ -208,17 +212,21 @@ def _task_accumulate(engine: MatrixEngine, p: Dict[str, Any]) -> Tuple[float, fl
         m0, _ = p["m_range"]
         n0, n1 = p["n_range"]
         table = _table_from_spec(p["table"])
-        t0 = time.perf_counter()
-        c1, c2 = accumulate_residue_products(
-            c[:, r0:r1, :],
-            table,
-            use_mulhi=p["use_mulhi"],
-            vectorized=p["vectorized"],
-        )
-        t1 = time.perf_counter()
-        out[m0 + r0 : m0 + r1, n0:n1] = reconstruct_crt(c1, c2, table)
-        t2 = time.perf_counter()
-        return (t1 - t0, t2 - t1)
+        accumulate_s = reconstruct_s = 0.0
+        # Cache-sized row blocks within the band, as the thread path does.
+        for b0, b1 in accumulation_row_blocks(table.num_moduli, r1 - r0, n1 - n0):
+            t0 = time.perf_counter()
+            c1, c2 = accumulate_residue_products(
+                c[:, r0 + b0 : r0 + b1, :],
+                table,
+                use_mulhi=p["use_mulhi"],
+                vectorized=p["vectorized"],
+            )
+            t1 = time.perf_counter()
+            out[m0 + r0 + b0 : m0 + r0 + b1, n0:n1] = reconstruct_crt(c1, c2, table)
+            accumulate_s += t1 - t0
+            reconstruct_s += time.perf_counter() - t1
+        return (accumulate_s, reconstruct_s)
 
 
 def _task_convert(engine: MatrixEngine, p: Dict[str, Any]) -> None:

@@ -49,7 +49,11 @@ import numpy as np
 from .. import faults
 from ..analysis.lockorder import named_lock
 from ..config import Ozaki2Config, ResidueKernel
-from ..core.accumulation import accumulate_residue_products, reconstruct_crt
+from ..core.accumulation import (
+    accumulate_residue_products,
+    accumulation_row_blocks,
+    reconstruct_crt,
+)
 from ..core.conversion import residue_slices, truncate_scaled
 from ..crt.constants import CRTConstantTable
 from ..engines.base import MatrixEngine
@@ -641,17 +645,26 @@ def execute_plan(
                 config.residue_kernel is ResidueKernel.FAST_FMA
                 and c_stack.dtype == np.int32
             )
-            c1, c2 = accumulate_residue_products(
-                c_stack, table, use_mulhi=use_mulhi, vectorized=fused
-            )
-            t2 = time.perf_counter()
-            c_pp[m0:m1, n0:n1] = reconstruct_crt(c1, c2, table)
-            t3 = time.perf_counter()
+            # Accumulate and reconstruct per row block, so each block's
+            # U-stack stays cache-resident through both (bit-identical to
+            # one whole-tile call: both steps are elementwise in the rows).
+            # The stack assembly above belongs to the accumulate phase.
+            accumulate_s = time.perf_counter() - t1
+            reconstruct_s = 0.0
+            for r0, r1 in accumulation_row_blocks(n_mod, m1 - m0, n1 - n0):
+                t2 = time.perf_counter()
+                c1, c2 = accumulate_residue_products(
+                    c_stack[:, r0:r1], table, use_mulhi=use_mulhi, vectorized=fused
+                )
+                t3 = time.perf_counter()
+                c_pp[m0 + r0 : m0 + r1, n0:n1] = reconstruct_crt(c1, c2, table)
+                accumulate_s += t3 - t2
+                reconstruct_s += time.perf_counter() - t3
 
             if times is not None:
                 times.add("matmul", t1 - t0)
-                times.add("accumulate", t2 - t1)
-                times.add("reconstruct", t3 - t2)
+                times.add("accumulate", accumulate_s)
+                times.add("reconstruct", reconstruct_s)
     finally:
         # Merge on the error path too, so a failing task never strands the
         # completed tasks' ledgers in the clones.

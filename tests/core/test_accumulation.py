@@ -8,6 +8,7 @@ import pytest
 from repro.accuracy.reference import exact_int_gemm
 from repro.core.accumulation import (
     accumulate_residue_products,
+    accumulation_row_blocks,
     reconstruct_crt,
     unscale,
 )
@@ -93,13 +94,35 @@ class TestAccumulate:
 
     def test_vectorized_matches_loop_on_int64_blocked_stack(self, rng):
         """k-blocked partial sums arrive as int64 and can exceed the INT32
-        range; both accumulation paths must stay exact and identical."""
+        range; the float-domain mod is exact up to |C'| < 2**52, so both
+        accumulation paths must stay exact and bit-identical there."""
         table = build_constant_table(12, 64)
-        c_stack = rng.integers(-(2**33), 2**33, (12, 5, 4)).astype(np.int64)
-        c1_v, c2_v = accumulate_residue_products(c_stack, table, vectorized=True)
-        c1_l, c2_l = accumulate_residue_products(c_stack, table, vectorized=False)
-        np.testing.assert_array_equal(c1_v, c1_l)
-        np.testing.assert_array_equal(c2_v, c2_l)
+        for bits in (33, 40, 51):
+            c_stack = rng.integers(-(2**bits), 2**bits, (12, 5, 4)).astype(np.int64)
+            c_stack[:, 0, 0] = [2**bits - 1, -(2**bits)] * 6
+            c1_v, c2_v = accumulate_residue_products(c_stack, table, vectorized=True)
+            c1_l, c2_l = accumulate_residue_products(c_stack, table, vectorized=False)
+            np.testing.assert_array_equal(c1_v.view(np.uint64), c1_l.view(np.uint64))
+            np.testing.assert_array_equal(c2_v.view(np.uint64), c2_l.view(np.uint64))
+
+    @pytest.mark.parametrize("precision_bits", [64, 32])
+    def test_row_blocks_match_whole_tile(self, rng, precision_bits):
+        """Accumulate + reconstruct per row block (as the executors run it)
+        is bit-identical to one whole-tile call, and the blocks tile the
+        rows exactly once."""
+        n_mod = 15 if precision_bits == 64 else 8
+        table = build_constant_table(n_mod, precision_bits)
+        m, n = 301, 257
+        c_stack = rng.integers(-(2**31), 2**31, (n_mod, m, n)).astype(np.int32)
+        whole = reconstruct_crt(*accumulate_residue_products(c_stack, table), table)
+        blocks = list(accumulation_row_blocks(n_mod, m, n))
+        assert len(blocks) > 1
+        assert [r for r0, r1 in blocks for r in range(r0, r1)] == list(range(m))
+        blocked = np.empty_like(whole)
+        for r0, r1 in blocks:
+            c1, c2 = accumulate_residue_products(c_stack[:, r0:r1], table)
+            blocked[r0:r1] = reconstruct_crt(c1, c2, table)
+        np.testing.assert_array_equal(blocked.view(np.uint64), whole.view(np.uint64))
 
 
 class TestReconstruct:

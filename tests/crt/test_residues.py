@@ -296,20 +296,49 @@ class TestResidueStacks:
         assert fused.dtype == np.int8
 
     def test_single_pass_matches_loop_above_int64_limit(self):
-        """Values beyond the int64-safe limit take the exact hi/lo split in
-        both paths; they must still agree bit-for-bit."""
-        from repro.crt.residues import _INT64_SAFE_LIMIT
-
-        table = build_constant_table(18, 64)
-        x = np.array(
-            [
-                [0.0, 1.0, -1.0, 12345.0],
-                [_INT64_SAFE_LIMIT, -_INT64_SAFE_LIMIT, 4 * _INT64_SAFE_LIMIT, 2.0**70],
-            ]
-        )
+        """Values up to the 2**93 range limit: the float-domain single pass
+        must agree bit-for-bit with the integer per-modulus loop and with
+        exact integer residues, for every modulus the tables use."""
+        table = build_constant_table(20, 64)
+        edges = [
+            # Around the float64 integer edge (2**53 + 1 is not representable).
+            [2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53 - 1), -(2.0**53 + 2)],
+            # Straddling the reference's int64-safe limit.
+            [2.0**62 - 1024, 2.0**62, 2.0**62 + 2048, -(2.0**62), -(2.0**62 + 2048)],
+            # Accurate mode's largest |A'|, at N = 20.
+            [2.0**81, -(2.0**81), 2.0**81 + 2.0**29, 3.0 * 2.0**80, 12345.0],
+            # The largest magnitude the conversion accepts.
+            [2.0**93 - 2.0**40, -(2.0**93 - 2.0**40), 2.0**92 + 2.0**50 + 2.0**40, 1.0, -1.0],
+        ]
+        x = np.array([[0.0, 1.0, -1.0, 12345.0, -12345.0], *edges])
         fused = residues_to_int8(x, table.moduli, single_pass=True)
         loop = residues_to_int8(x, table.moduli, single_pass=False)
-        np.testing.assert_array_equal(fused, loop)
+        np.testing.assert_array_equal(fused.view(np.uint8), loop.view(np.uint8))
+
+        def assert_centred(values, stack, moduli):
+            for p, residues in zip(moduli, stack, strict=True):
+                for xi, ri in zip(values.ravel(), residues.ravel(), strict=True):
+                    assert int(ri) == (int(xi) + p // 2) % p - p // 2, (xi, p)
+
+        assert_centred(x, fused, table.moduli)
+        # Even moduli besides 256 map the tie +p/2 to -p/2 as well.
+        shifted = x + 127.0
+        assert_centred(shifted, residues_to_int8(shifted, (254, 2)), (254, 2))
+
+    def test_magnitudes_beyond_exact_range_raise(self):
+        """|x| >= 2**93 (and non-finite x) cannot be reduced exactly: the
+        conversion and the reference must raise, never return wrong
+        residues."""
+        x = np.array([2.0**94 + 2.0**54])
+        with pytest.raises(ValueError, match="2\\*\\*93"):
+            residues_to_int8(x, (256, 255, 253, 251))
+        with pytest.raises(ValueError, match="2\\*\\*93"):
+            residues_to_int8(x, (256, 255, 253, 251), single_pass=False)
+        with pytest.raises(ValueError):
+            rmod_exact(x, 251)
+        for bad in (2.0**93, -(2.0**93), np.inf, np.nan):
+            with pytest.raises(ValueError):
+                residues_to_int8(np.array([[1.0, bad]]), (256, 251))
 
     def test_single_pass_on_3d_input(self):
         """The batched runtime stacks same-shape operands before conversion;

@@ -20,11 +20,37 @@ class TestBasicProducts:
 
     def test_blas_and_integer_paths_agree(self):
         rng = np.random.default_rng(0)
-        a = rng.integers(-128, 128, (37, 90)).astype(np.int8)
-        b = rng.integers(-128, 128, (90, 23)).astype(np.int8)
-        fast = Int8MatrixEngine(use_blas=True).matmul(a, b)
-        ref = Int8MatrixEngine(use_blas=False).matmul(a, b)
-        np.testing.assert_array_equal(fast, ref)
+        cases = [
+            (37, 90, 23, None),
+            # One SGEMM chunk whose sums reach exactly 2**24 (the binary32
+            # integer edge), then a second chunk of width 1, then four.
+            (3, 1024, 2, -128),
+            (3, 1025, 2, -128),
+            (5, 4096, 3, None),
+            (2, 4096, 2, -128),
+            # Large same-sign products: a chunk much wider than 1024 would
+            # sum past 2**24 and round.
+            (8, 4096, 8, "positive"),
+            # Three GEMV row blocks at k = 4096, the last one partial.
+            (130, 4096, 2, None),
+        ]
+        for m, k, n, fill in cases:
+            if fill in (None, "positive"):
+                low = 100 if fill else -128
+                a = rng.integers(low, 128, (m, k)).astype(np.int8)
+                b = rng.integers(low, 128, (k, n)).astype(np.int8)
+            else:
+                a = np.full((m, k), fill, dtype=np.int8)
+                b = np.full((k, n), fill, dtype=np.int8)
+            fast = Int8MatrixEngine(use_blas=True).matmul(a, b)
+            ref = Int8MatrixEngine(use_blas=False).matmul(a, b)
+            np.testing.assert_array_equal(fast, ref, err_msg=f"k={k}")
+            stacked = Int8MatrixEngine().matmul_stack(a[None], b[None], trusted=True)
+            np.testing.assert_array_equal(stacked[0], ref, err_msg=f"k={k}")
+            matvec = Int8MatrixEngine().matvec_stack(a[None], b[None, :, 0], trusted=True)
+            np.testing.assert_array_equal(matvec[0], ref[:, 0], err_msg=f"k={k}")
+            if isinstance(fill, int):
+                assert np.all(fast == fill * fill * k)
 
     def test_float_integer_valued_input_accepted(self):
         engine = Int8MatrixEngine()
@@ -164,10 +190,11 @@ class TestMatmulStack:
 
 
 class TestWraparoundSkipBoundary:
-    """The stacked path skips the INT32 wraparound reduction exactly when it
-    is unreachable: |a|,|b| <= 128 bounds every inner product by k * 2**14,
-    which stays strictly below 2**31 for k < 2**17 and reaches +/-2**31 only
-    at k = 2**17 (Section 4.3)."""
+    """|a|,|b| <= 128 bounds every inner product by k * 2**14, which stays
+    strictly below 2**31 for k < 2**17 and reaches +/-2**31 only at
+    k = 2**17 (Section 4.3).  The int32 sum of the SGEMM chunks must wrap
+    exactly like the hardware accumulator there, in the 2-D, stacked and
+    stacked-GEMV paths alike."""
 
     def test_k_at_boundary_wraps(self):
         k = 2**17
@@ -178,6 +205,10 @@ class TestWraparoundSkipBoundary:
         assert c[0, 0, 0] == -(2**31) and c[0, 0, 1] == -(2**31)
         ref = Int8MatrixEngine(use_blas=False).matmul_stack(a, b, trusted=True)
         np.testing.assert_array_equal(c, ref)
+        np.testing.assert_array_equal(Int8MatrixEngine().matmul(a[0], b[0]), ref[0])
+        np.testing.assert_array_equal(
+            Int8MatrixEngine().matvec_stack(a, b[:, :, 0], trusted=True), ref[:, :, 0]
+        )
 
     def test_k_just_below_boundary_skips_reduction_exactly(self):
         k = 2**17 - 1
@@ -189,18 +220,30 @@ class TestWraparoundSkipBoundary:
         assert c[0, 0, 0] == -128 * 127 * k
         ref = Int8MatrixEngine(use_blas=False).matmul_stack(a, b, trusted=True)
         np.testing.assert_array_equal(c, ref)
+        np.testing.assert_array_equal(Int8MatrixEngine().matmul(a[0], b[0]), ref[0])
+        np.testing.assert_array_equal(
+            Int8MatrixEngine().matvec_stack(a, b[:, :, 0], trusted=True), ref[:, :, 0]
+        )
 
     def test_above_boundary_with_strict_k_off_matches_reference(self):
         k = 2**17 + 64
-        a = np.full((1, 1, k), 127, dtype=np.int8)
-        b = np.full((1, k, 1), 127, dtype=np.int8)
-        fast = Int8MatrixEngine(strict_k=False).matmul_stack(a, b, trusted=True)
-        ref = Int8MatrixEngine(use_blas=False, strict_k=False).matmul_stack(
-            a, b, trusted=True
-        )
-        np.testing.assert_array_equal(fast, ref)
-        wrapped = ((127 * 127 * k + 2**31) % 2**32) - 2**31
-        assert fast[0, 0, 0] == wrapped
+        for fill_a, fill_b in ((127, 127), (-128, -128)):
+            a = np.full((1, 1, k), fill_a, dtype=np.int8)
+            b = np.full((1, k, 1), fill_b, dtype=np.int8)
+            fast = Int8MatrixEngine(strict_k=False).matmul_stack(a, b, trusted=True)
+            ref = Int8MatrixEngine(use_blas=False, strict_k=False).matmul_stack(
+                a, b, trusted=True
+            )
+            np.testing.assert_array_equal(fast, ref)
+            wrapped = ((fill_a * fill_b * k + 2**31) % 2**32) - 2**31
+            assert fast[0, 0, 0] == wrapped
+            np.testing.assert_array_equal(
+                Int8MatrixEngine(strict_k=False).matmul(a[0], b[0]), ref[0]
+            )
+            np.testing.assert_array_equal(
+                Int8MatrixEngine(strict_k=False).matvec_stack(a, b[:, :, 0], trusted=True),
+                ref[:, :, 0],
+            )
 
 
 class TestGenericStackFallback:

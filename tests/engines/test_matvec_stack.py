@@ -84,8 +84,8 @@ class TestInt8FusedOverride:
 
     def test_int32_wraparound_matches_matmul_stack_at_boundary(self):
         # k = 2**17 with all-(-128) entries reaches exactly +2**31, the one
-        # harmless wraparound case of Section 4.3; the einsum accumulation
-        # must wrap bit-identically to the float64 path's reduction.
+        # harmless wraparound case of Section 4.3; the GEMV's int32 chunk
+        # sums must wrap bit-identically to the GEMM path's.
         k = 2**17
         a = np.full((1, 1, k), -128, dtype=np.int8)
         v = np.full((1, k), -128, dtype=np.int8)

@@ -13,7 +13,12 @@ from repro.core.scaling import check_condition3, fast_mode_scales
 from repro.crt.constants import build_constant_table
 from repro.crt.inverses import crt_reconstruct_int, moduli_product
 from repro.crt.moduli import select_moduli
-from repro.crt.residues import mod_fast_mulhi, rmod_exact
+from repro.crt.residues import (
+    mod_fast_mulhi,
+    residues_to_int8,
+    rmod_exact,
+    uint8_residues_stack,
+)
 from repro.utils.fma import fma, split, two_prod, two_sum
 from repro.workloads.generators import phi_matrix
 
@@ -78,26 +83,46 @@ class TestCrtInvariants:
         assert crt_reconstruct_int(residues, mods) == x
 
     @given(
-        value=st.integers(min_value=-(2**70), max_value=2**70),
+        value=st.one_of(
+            st.integers(min_value=-(2**70), max_value=2**70),
+            # Up to the conversion's 2**93 range limit.
+            st.integers(min_value=-(2**93) + 2**40, max_value=2**93 - 2**40),
+        ),
         p_index=st.integers(min_value=0, max_value=19),
     )
     @settings(**COMMON_SETTINGS)
     def test_rmod_exact_congruence_and_range(self, value, p_index):
-        p = select_moduli(20)[p_index]
-        r = rmod_exact(np.array([float(value)]), p)[0]
+        mods = select_moduli(20)
+        p = mods[p_index]
+        x = np.array([float(value)])
+        r = rmod_exact(x, p)[0]
         assert abs(r) <= p / 2
         assert (int(float(value)) - int(r)) % p == 0
+        # The float-domain conversion returns the same residue for every
+        # modulus, bit for bit (the INT8 wrap maps +128 to -128).
+        got = residues_to_int8(x, mods)[:, 0]
+        want = [(int(float(value)) + q // 2) % q - q // 2 for q in mods]
+        assert got.tolist() == want
 
     @given(
-        c=st.integers(min_value=-(2**31), max_value=2**31 - 1),
+        c=st.one_of(
+            st.integers(min_value=-(2**31), max_value=2**31 - 1),
+            # int64 k-blocked sums, up to the float-domain mod's 2**52 limit.
+            st.integers(min_value=-(2**52) + 1, max_value=2**52 - 1),
+        ),
         p_index=st.integers(min_value=0, max_value=19),
     )
     @settings(**COMMON_SETTINGS)
     def test_mulhi_mod_matches_python_mod(self, c, p_index):
         table = build_constant_table(20, 64)
         p = table.moduli[p_index]
-        got = mod_fast_mulhi(np.array([c], dtype=np.int32), p, int(table.pinv_prime[p_index]))[0]
-        assert got == c % p
+        if -(2**31) <= c < 2**31:
+            c32 = np.array([c], dtype=np.int32)
+            got = mod_fast_mulhi(c32, p, int(table.pinv_prime[p_index]))[0]
+            assert got == c % p
+        dtype = np.int32 if -(2**31) <= c < 2**31 else np.int64
+        stack = uint8_residues_stack(np.array([[[c]]], dtype=dtype), [p])
+        assert int(stack[0, 0, 0]) == c % p
 
     @given(n=st.integers(min_value=2, max_value=20))
     @settings(**COMMON_SETTINGS)
