@@ -6,14 +6,15 @@ serialise on it.  The process executor (``Ozaki2Config.executor``) moves
 whole modulus chunks and output tiles into worker *processes* that read
 the operand stacks from shared memory and write partials into a shared
 output — no GIL, no pickling of matrices.  This benchmark sweeps
-``executor x workers`` on one fast-mode GEMM and archives the table
+``executor x workers`` on one fast-mode GEMM — ``"auto"`` included, with
+the backend it routed to — and archives the table
 (``benchmarks/results/process_scaling.txt``, uploaded by the CI smoke
 job) with the per-phase breakdown where the de-serialised
 convert/accumulate is visible.
 
 Bitwise equality and op-ledger equality against the serial baseline are
-asserted unconditionally on every row — they are the runtime's core
-guarantee, independent of backend.  The ``>= 1.5x`` process-over-serial
+asserted unconditionally on every row, ``"auto"`` rows too — they are the
+runtime's core guarantee, independent of backend.  The ``>= 1.5x`` process-over-serial
 floor from the acceptance criteria is enforced only in the full-scale run
 (``REPRO_BENCH_FULL=1``, 1024^3, minutes) on hosts with at least 4 real
 CPUs; quick runs on small containers skip it (explicitly — not a silent
@@ -50,7 +51,7 @@ def test_bench_process_scaling(save_result):
         rows,
         float_format=".3e",
         title=(
-            f"process scaling: thread vs process executor "
+            f"process scaling: thread vs process vs auto executor "
             f"({SCALING_SIZE}^3, {CPUS} CPUs)"
         ),
     )

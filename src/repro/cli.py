@@ -76,8 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="thread",
         choices=["thread", "process", "auto"],
         help="worker pool backend: 'thread' (GIL-bound), 'process' "
-        "(shared-memory worker processes), or 'auto' (processes whenever "
-        "--parallel > 1)",
+        "(shared-memory worker processes), or 'auto' (per GEMM: processes "
+        "when --parallel > 1 and its INT8 work N*m*k*n reaches "
+        "repro.runtime.plan.PROCESS_MIN_MACS, threads otherwise); the "
+        "backend each GEMM used is printed",
     )
     run.add_argument(
         "--moduli",
@@ -196,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         default="thread",
         choices=["thread", "process", "auto"],
-        help="worker pool backend for the residue GEMMs",
+        help="worker pool backend for the residue GEMMs ('auto' picks "
+        "processes per GEMM from PROCESS_MIN_MACS INT8 MACs up)",
     )
     solve.add_argument(
         "--precond", default=None, choices=["none", "ilu0", "ssor"],
@@ -299,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         default="thread",
         choices=["thread", "process", "auto"],
-        help="worker pool backend of the session scheduler",
+        help="worker pool backend of the session scheduler ('auto' picks "
+        "processes per GEMM from PROCESS_MIN_MACS INT8 MACs up)",
     )
     serve.add_argument(
         "--coalesce-window-ms",
@@ -402,7 +406,7 @@ def _cmd_run(args) -> int:
     from .config import Ozaki2Config
     from .core.operand import prepare_a, prepare_b
     from .harness import format_table
-    from .runtime import ozaki2_gemm_batched
+    from .runtime import Scheduler, ozaki2_gemm_batched
     from .workloads import phi_pair
 
     m, k, n = _parse_size(args.size)
@@ -438,10 +442,17 @@ def _cmd_run(args) -> int:
         else contextlib.nullcontext()
     )
     start = time.perf_counter()
-    with armed as plan:
+    with armed as plan, Scheduler(
+        parallelism=config.parallelism,
+        executor=config.executor,
+        max_pool_rebuilds=config.max_pool_rebuilds,
+    ) as sched:
         As = [prepare_a(pairs[0][0], config)] * batch if args.prepare_a else [a for a, _ in pairs]
         Bs = [prepare_b(pairs[0][1], config)] * batch if args.prepare_b else [b for _, b in pairs]
-        results = ozaki2_gemm_batched(As, Bs, config=config, return_details=True)
+        results = ozaki2_gemm_batched(
+            As, Bs, config=config, return_details=True, scheduler=sched
+        )
+        calls = sched.health()["calls"]
     elapsed = time.perf_counter() - start
 
     rows = []
@@ -471,6 +482,8 @@ def _cmd_run(args) -> int:
     print(format_table(rows, float_format=".3e", title=title + ")"))
     mnk = 2.0 * m * k * n * len(results)
     print(f"wall time {elapsed:.3f} s  ({mnk / elapsed / 1e9:.2f} effective GFLOP/s)")
+    ran = ", ".join(f"{name} x{count}" for name, count in calls.items() if count)
+    print(f"backend: {ran}")
     if plan is not None:
         listing = ", ".join(
             f"{site} {stat['fired']}/{stat['hits']}"

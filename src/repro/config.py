@@ -173,9 +173,12 @@ class Ozaki2Config:
         ``"process"`` uses the persistent worker-process pool of
         :mod:`repro.runtime.process`: residue stacks travel through shared
         memory (never pickled), and residue conversion, CRT accumulation
-        and reconstruction parallelise too.  ``"auto"`` picks processes
-        whenever more than one worker is configured (and the platform has
-        a ``multiprocessing`` start method), threads otherwise.  Results
+        and reconstruction parallelise too.  ``"auto"`` chooses per GEMM
+        (and per batched item): processes when more than one worker is
+        configured, the platform has a ``multiprocessing`` start method and
+        the call's INT8 work ``N·m·k·n`` reaches
+        :data:`~repro.runtime.plan.PROCESS_MIN_MACS`; threads otherwise,
+        where the process pool's IPC costs more than it saves.  Results
         and merged op ledgers are **bit-identical** for every setting.
     max_pool_rebuilds:
         How many worker-*pool* failures (a worker process dying mid-wave,

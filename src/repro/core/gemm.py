@@ -257,6 +257,9 @@ def ozaki2_gemm(
     # Raises OverflowRiskError when k > 2**17 with blocking disabled; the
     # number of k-blocks reported below comes from the ranges actually used.
     # The threshold is read from this module's global so tests can shrink it.
+    # The plan also records the call's route (executor="auto" picks threads
+    # or processes by the INT8 work N·m·k·n), which both conversions and
+    # the plan execution below follow.
     plan = plan_for_config(m, k, n, config, max_block_k=MAX_K_WITHOUT_BLOCKING)
 
     own_scheduler = scheduler is None
@@ -298,16 +301,18 @@ def ozaki2_gemm(
         # Lines 2 and 4: A' and its residues (skipped when A carries a
         # fast-mode residue stack; an accurate prepared operand converts
         # from its retained source — the scales are partner-coupled).
-        # Conversion routes through the scheduler so the process backend can
-        # band the rows across workers (bit-identical to the inline path,
-        # which serial/thread schedulers run unchanged).
+        # Conversion routes through the scheduler so a process-routed call
+        # can band the rows across workers (bit-identical to the inline
+        # path, which serial/thread-routed calls run unchanged).
         if isinstance(a_prep, ResidueOperand):
             a_slices = a_prep.slices
             times.add("convert_A", 0.0)
         else:
             a_src = a_prep.source if a_prep is not None else a
             with _PhaseTimer(times, "convert_A"):
-                a_slices = scheduler.convert_residues(a_src, mu, "left", table, config)
+                a_slices = scheduler.convert_residues(
+                    a_src, mu, "left", table, config, plan
+                )
 
         # Lines 3 and 5: B' and its residues (skipped when B is prepared).
         if isinstance(b_prep, ResidueOperand):
@@ -316,7 +321,9 @@ def ozaki2_gemm(
         else:
             b_src = b_prep.source if b_prep is not None else b
             with _PhaseTimer(times, "convert_B"):
-                b_slices = scheduler.convert_residues(b_src, nu, "right", table, config)
+                b_slices = scheduler.convert_residues(
+                    b_src, nu, "right", table, config, plan
+                )
 
         # Lines 6-11: the N INT8 GEMMs (fanned out over the scheduler's
         # workers, blocked over k and tiled over m/n per the plan) and the

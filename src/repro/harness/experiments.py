@@ -253,29 +253,32 @@ def runtime_scaling_sweep(
 def process_scaling_sweep(
     size: int,
     workers: Sequence[int] = (1, 2, 4),
-    executors: Sequence[str] = ("thread", "process"),
+    executors: Sequence[str] = ("thread", "process", "auto"),
     num_moduli: int = 15,
     target: "Format | str" = FP64,
     phi: float = 0.5,
     seed: int = 0,
     repeats: int = 1,
 ) -> List[Dict[str, object]]:
-    """Thread pool vs process pool wall clock for one emulated GEMM.
+    """Thread pool vs process pool (vs ``"auto"``) wall clock for one GEMM.
 
     One ``size^3`` emulated GEMM runs per ``(executor, workers)`` pair —
     the process executor dispatches the residue work to worker *processes*
     over shared-memory stacks, so (unlike threads) the INT8 conversion and
-    accumulation phases escape the GIL.  Every row reports the
-    best-of-``repeats`` wall time, the speedup over the strictly serial
-    baseline (first row), bitwise equality with that baseline and op-ledger
-    equality — both guaranteed by the runtime regardless of backend — plus
-    the per-phase seconds (``phase_<key>``) of the best run, which is where
-    the de-serialised convert/accumulate shows up.  ``workers == 1`` rows
-    are forced onto the thread path (a one-worker process pool only adds
-    IPC overhead), so exactly one serial baseline appears.
+    accumulation phases escape the GIL, and ``"auto"`` picks one of the two
+    by the call's INT8 work (its ``backend`` column says which).  Every row
+    reports the best-of-``repeats`` wall time, the speedup over the
+    strictly serial baseline (first row), bitwise equality with that
+    baseline and op-ledger equality — both guaranteed by the runtime
+    regardless of backend — plus the per-phase seconds (``phase_<key>``)
+    of the best run, which is where the de-serialised convert/accumulate
+    shows up.  ``workers == 1`` rows are forced onto the thread path (a
+    one-worker process pool only adds IPC overhead), so exactly one serial
+    baseline appears.
     """
     from ..config import Ozaki2Config
     from ..core.gemm import ozaki2_gemm
+    from ..runtime.plan import plan_for_config
 
     fmt = precision_for_target(target)
     a, b = phi_pair(size, size, size, phi=phi, precision=fmt, seed=seed)
@@ -308,6 +311,11 @@ def process_scaling_sweep(
                 "n": int(size),
                 "method": result.method_name,
                 "executor": executor,
+                "backend": (
+                    "serial"
+                    if count == 1
+                    else plan_for_config(size, size, size, config).executor
+                ),
                 "workers": int(count),
                 "seconds": best,
                 "speedup_vs_serial": serial_seconds / best,

@@ -52,7 +52,7 @@ from ..engines.base import MatrixEngine
 from ..errors import ConfigurationError
 from ..types import result_dtype
 from ..utils.validation import check_gemm_operands
-from .plan import plan_for_config
+from .plan import ExecutionPlan, plan_for_config
 from .scheduler import Scheduler, execute_plan
 
 __all__ = ["ozaki2_gemm_batched"]
@@ -297,12 +297,14 @@ def _run_batch(
                 seen_b[id(b_in)] = j
 
     # -- shared residue conversion -------------------------------------------
-    # Thread/serial schedulers run one pass per (shape, moduli) group; the
-    # process backend converts per item through the scheduler instead — the
-    # INT8 stacks land in scheduler-owned shared memory (grouped stacking
-    # would yield non-contiguous per-item views no worker can attach), the
-    # rows band across the worker processes, and the result is bit-identical
-    # (residue conversion is elementwise).
+    # Each item converts on its plan's route.  Thread-path items (every item
+    # of a serial or thread scheduler, the small ones under executor="auto")
+    # share one pass per (shape, moduli) group; process-routed items convert
+    # per item through the scheduler instead — the INT8 stacks land in
+    # scheduler-owned shared memory (grouped stacking would yield
+    # non-contiguous per-item views no worker can attach), the rows band
+    # across the worker processes, and the result is bit-identical (residue
+    # conversion is elementwise).
     a_slices = b_slices = None
     # Recoveries during the shared conversion phase (shm fallbacks, pool
     # rebuilds, degradation) belong to the whole batch, not any one item's
@@ -310,20 +312,12 @@ def _run_batch(
     # stay visible on some ledger instead of falling between snapshots.
     convert_before = engine.counter.copy()
     try:
-        if sched.uses_processes:
-            a_slices = _scheduler_residue_slices(
-                a_primes, tables, config, times, "convert_A", sched
-            )
-            b_slices = _scheduler_residue_slices(
-                b_primes, tables, config, times, "convert_B", sched
-            )
-        else:
-            a_slices = _grouped_residue_slices(
-                a_primes, tables, config, times, "convert_A"
-            )
-            b_slices = _grouped_residue_slices(
-                b_primes, tables, config, times, "convert_B"
-            )
+        a_slices = _residue_slices(
+            a_primes, tables, plans, config, times, "convert_A", sched
+        )
+        b_slices = _residue_slices(
+            b_primes, tables, plans, config, times, "convert_B", sched
+        )
         for j in range(batch):
             if isinstance(a_preps[j], ResidueOperand):
                 a_slices[j] = a_preps[j].slices
@@ -387,27 +381,38 @@ def _run_batch(
                 sched.release(arr)
 
 
-def _scheduler_residue_slices(
+def _residue_slices(
     primes: List[Optional[np.ndarray]],
     tables: List[CRTConstantTable],
+    plans: List[ExecutionPlan],
     config: Ozaki2Config,
     times: List[PhaseTimes],
     phase_key: str,
     sched: Scheduler,
 ) -> List[Optional[np.ndarray]]:
-    """Per-item residue stacks via the scheduler (process backend).
+    """Residue stacks for every item, each converted on its plan's route.
 
-    Operands are already truncate-scaled (``scale=None``); each item's rows
-    band across the worker processes and the INT8 stack comes back as a
-    scheduler-shared view that plan execution passes to workers zero-copy.
-    ``None`` entries (prepared or aliased) stay ``None`` for the caller.
+    Items the scheduler runs on worker processes convert one by one through
+    :meth:`Scheduler.convert_residues`: operands are already truncate-scaled
+    (``scale=None``), the rows band across the workers and the INT8 stack
+    comes back as a scheduler-shared view that plan execution passes to the
+    workers zero-copy.  Every other item goes through
+    :func:`_grouped_residue_slices`.  ``None`` entries (prepared or aliased)
+    stay ``None`` for the caller.
     """
-    out: List[Optional[np.ndarray]] = [None] * len(primes)
+    on_processes = [sched.backend(plan) == "process" for plan in plans]
+    out = _grouped_residue_slices(
+        [None if proc else x for x, proc in zip(primes, on_processes, strict=True)],
+        tables,
+        config,
+        times,
+        phase_key,
+    )
     for j, x in enumerate(primes):
-        if x is None:
+        if x is None or not on_processes[j]:
             continue
         t0 = time.perf_counter()
-        out[j] = sched.convert_residues(x, None, "left", tables[j], config)
+        out[j] = sched.convert_residues(x, None, "left", tables[j], config, plans[j])
         times[j].add(phase_key, time.perf_counter() - t0)
     return out
 

@@ -13,6 +13,9 @@ decomposition for one problem:
 * ``m_tiles`` / ``n_tiles`` — output tiles sized so the transient residue
   stack ``(N, m_tile, n_tile)`` respects an optional memory budget.
 * ``parallelism`` — the resolved worker count for the scheduler.
+* ``executor`` — the call's route, ``"thread"`` or ``"process"``.
+  ``executor="auto"`` decides it here, once per call, from the call's INT8
+  work ``N·m·k·n`` (:data:`PROCESS_MIN_MACS`).
 
 Plans are pure data: building one performs no numerical work, so tests can
 assert on the decomposition cheaply, and the scheduler can execute the same
@@ -39,6 +42,7 @@ from ..core.blocking import k_block_ranges
 from ..errors import OverflowRiskError
 
 __all__ = [
+    "PROCESS_MIN_MACS",
     "ExecutionPlan",
     "build_plan",
     "modulus_chunk_ranges",
@@ -57,6 +61,18 @@ _BYTES_PER_ELEMENT_PER_MODULUS = 8 + 1 + 8
 #: Workspace bytes charged per output element independent of ``N`` (the two
 #: FP64 accumulators ``C1``/``C2`` and the reconstructed tile).
 _BYTES_PER_ELEMENT_FIXED = 3 * 8
+
+#: INT8 multiply-accumulates ``N·m·k·n`` (the ledger's ``mac_ops`` for one
+#: call) at and above which ``executor="auto"`` runs a multi-worker call on
+#: worker processes; smaller calls run on the thread path.  Below it the
+#: process executor's IPC and shared-memory set-up cost more than escaping
+#: the GIL saves.  Measured on a 2-CPU host (2 workers, fp64 N=15, OpenBLAS
+#: on one thread), processes take 1.96x the serial time at 192^3 (1.1e8
+#: MACs) and 1.53x at 384^3 (8.5e8), tie with threads at 512^3 (2.0e9), and
+#: beat them from 4e9 up; any value between 8.5e8 and 2.0e9 puts every
+#: measured shape on its faster backend.  README "Breaking the GIL" has the
+#: sweep.
+PROCESS_MIN_MACS = 2**30
 
 
 def resolve_parallelism(parallelism: "Optional[int] | str") -> int:
@@ -80,14 +96,16 @@ def resolve_parallelism(parallelism: "Optional[int] | str") -> int:
     return workers
 
 
-def resolve_executor(executor: str, workers: int) -> str:
-    """Resolve an executor knob to a concrete backend name.
+def resolve_executor(executor: str, workers: int, macs: Optional[int] = None) -> str:
+    """Resolve an executor knob to a backend name.
 
-    ``"thread"`` and ``"process"`` are taken literally; ``"auto"`` picks the
-    process backend whenever it would actually help — more than one worker
-    and a platform with a usable ``multiprocessing`` start method — and the
-    thread backend otherwise (a serial run gains nothing from forking, and
-    the thread path has no pool start-up cost).
+    ``"thread"`` and ``"process"`` are taken literally.  ``"auto"`` is the
+    thread backend for a single worker (a serial run gains nothing from
+    forking) and on platforms without a ``multiprocessing`` start method.
+    With more than one worker it chooses per call, by the call's INT8 work
+    ``macs`` (``N·m·k·n``): ``"process"`` at or above
+    :data:`PROCESS_MIN_MACS`, ``"thread"`` below.  Without ``macs`` — a
+    scheduler's policy, before any call is known — it stays ``"auto"``.
     """
     key = str(executor).strip().lower()
     if key not in ("thread", "process", "auto"):
@@ -104,7 +122,11 @@ def resolve_executor(executor: str, workers: int) -> str:
         available = bool(multiprocessing.get_all_start_methods())
     except Exception:  # pragma: no cover - restricted platforms only
         available = False
-    return "process" if available else "thread"
+    if not available:
+        return "thread"
+    if macs is None:
+        return "auto"
+    return "process" if macs >= PROCESS_MIN_MACS else "thread"
 
 
 def modulus_chunk_ranges(num_moduli: int, workers: int) -> Tuple[Range, ...]:
@@ -154,6 +176,14 @@ class ExecutionPlan:
         entry points construct their :class:`~repro.runtime.scheduler.
         Scheduler` from it, but a plan executed on an explicitly provided
         scheduler runs with *that* scheduler's worker count.
+    executor:
+        The call's route, ``"thread"`` or ``"process"``, resolved from its
+        executor knob by :func:`resolve_executor` (``"auto"`` by
+        :attr:`macs`).  A scheduler built with ``executor="auto"`` follows
+        it; one built with an explicit ``"thread"`` or ``"process"`` runs
+        every plan on its own backend, and a single-worker one runs
+        serially (:meth:`Scheduler.backend
+        <repro.runtime.scheduler.Scheduler.backend>`).
     """
 
     m: int
@@ -164,6 +194,12 @@ class ExecutionPlan:
     m_tiles: Tuple[Range, ...]
     n_tiles: Tuple[Range, ...]
     parallelism: int = 1
+    executor: str = "thread"
+
+    @property
+    def macs(self) -> int:
+        """INT8 multiply-accumulates of the call, ``N·m·k·n`` (as ledgered)."""
+        return self.num_moduli * self.m * self.k * self.n
 
     @property
     def num_k_blocks(self) -> int:
@@ -241,6 +277,7 @@ def build_plan(
     max_block_k: int = MAX_K_WITHOUT_BLOCKING,
     memory_budget_mb: Optional[float] = None,
     parallelism: Optional[int] = 1,
+    executor: str = "thread",
 ) -> ExecutionPlan:
     """Build an :class:`ExecutionPlan` for one ``(m, k, n)`` problem.
 
@@ -262,6 +299,8 @@ def build_plan(
         Optional workspace cap in MiB driving m/n tiling.
     parallelism:
         Worker-count knob, resolved via :func:`resolve_parallelism`.
+    executor:
+        Executor knob, resolved for this call via :func:`resolve_executor`.
     """
     for name, value in (("m", m), ("k", k), ("n", n)):
         if int(value) <= 0:
@@ -284,7 +323,7 @@ def build_plan(
     else:
         m_tiles, n_tiles = _budget_tiles(m, n, num_moduli, float(memory_budget_mb) * 2**20)
 
-    return ExecutionPlan(
+    plan = ExecutionPlan(
         m=int(m),
         k=int(k),
         n=int(n),
@@ -293,6 +332,9 @@ def build_plan(
         m_tiles=m_tiles,
         n_tiles=n_tiles,
         parallelism=resolve_parallelism(parallelism),
+    )
+    return dataclasses.replace(
+        plan, executor=resolve_executor(executor, plan.parallelism, plan.macs)
     )
 
 
@@ -313,4 +355,5 @@ def plan_for_config(
         max_block_k=max_block_k,
         memory_budget_mb=config.memory_budget_mb,
         parallelism=config.parallelism,
+        executor=config.executor,
     )

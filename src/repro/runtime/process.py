@@ -53,7 +53,7 @@ from ..core.accumulation import (
 from ..core.conversion import residue_slices, truncate_scaled
 from ..crt.constants import CRTConstantTable, build_constant_table
 from ..engines.base import MatrixEngine, OpCounter
-from .shm import SharedArray, attach_view
+from .shm import SharedArray, attach_view, start_tracker
 
 __all__ = [
     "ProcessPool",
@@ -332,6 +332,7 @@ class ProcessPool:
         self._next_id = 0
         self._closed = False
         engine_bytes = pickle.dumps(engine.clone())
+        start_tracker()
         self._procs = [
             self._ctx.Process(
                 target=_worker_main,

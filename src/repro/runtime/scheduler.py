@@ -25,7 +25,11 @@ Two backends share that contract:
   (:mod:`repro.runtime.process`).  Residue stacks live in shared memory
   (:mod:`repro.runtime.shm`), workers write partial ``c_stack`` chunks and
   reconstructed rows in place, and conversion/accumulation parallelise
-  too.  ``executor="auto"`` picks processes whenever ``workers > 1``.
+  too.
+
+``executor="auto"`` picks between them per call: a plan whose INT8 work
+``N·m·k·n`` reaches :data:`~repro.runtime.plan.PROCESS_MIN_MACS` runs on
+the processes, a smaller one on the threads (:meth:`Scheduler.backend`).
 
 Engine ledgers: thread workers lazily receive ``engine.clone()`` (same
 settings, fresh :class:`~repro.engines.base.OpCounter`) and
@@ -90,9 +94,13 @@ class Scheduler:
         Primary matrix engine.  The serial path uses it directly; parallel
         workers use clones whose ledgers are merged back into it.
     executor:
-        ``"thread"`` (default), ``"process"``, or ``"auto"`` (processes
-        whenever more than one worker was requested).  Serial schedulers
-        never start a pool of either kind.
+        ``"thread"`` (default) or ``"process"`` run every plan on that
+        backend.  ``"auto"`` runs each plan on the backend the plan chose
+        by its INT8 work (:meth:`backend`): processes from
+        :data:`~repro.runtime.plan.PROCESS_MIN_MACS` up, threads below, so
+        the worker processes start at the first call that needs them (or
+        at :meth:`start`).  Serial schedulers never start a pool of either
+        kind.
 
     A scheduler may be shared across many GEMMs (this is how the batched API
     amortises pool start-up); use it as a context manager or call
@@ -143,6 +151,9 @@ class Scheduler:
         #: that already lives in shared memory and skip the copy.
         self._shared: Dict[int, SharedArray] = {}
         self._shared_lock = named_lock("runtime.scheduler._shared_lock")
+        #: Plans executed per backend (see :meth:`health`).
+        self._calls = {"serial": 0, "thread": 0, "process": 0}
+        self._calls_lock = named_lock("runtime.scheduler._calls_lock")
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -176,23 +187,65 @@ class Scheduler:
 
     @property
     def uses_processes(self) -> bool:
-        """True when parallel tasks run on worker *processes*.
+        """True when parallel tasks may run on worker *processes*.
 
-        A scheduler that degraded after repeated pool failures reports
-        False: from that point on it routes everything through the
-        thread/serial path, which is bit-identical by construction.
+        That is an explicit ``"process"`` scheduler, or an ``"auto"`` one
+        for the plans :meth:`backend` routes there.  A scheduler that
+        degraded after repeated pool failures reports False: from that
+        point on it routes everything through the thread/serial path,
+        which is bit-identical by construction.
         """
-        return self.executor == "process" and self.workers > 1 and not self.degraded
+        return self.executor != "thread" and self.workers > 1 and not self.degraded
+
+    def backend(self, plan: ExecutionPlan) -> str:
+        """The backend ``plan`` runs on here: ``"serial"``, ``"thread"`` or
+        ``"process"``.
+
+        A serial scheduler runs inline and an explicit ``"thread"`` /
+        ``"process"`` scheduler runs every plan on its own backend.  An
+        ``"auto"`` scheduler follows the route the plan recorded from its
+        INT8 work (:attr:`ExecutionPlan.executor
+        <repro.runtime.plan.ExecutionPlan.executor>`).  Conversion and plan
+        execution of one call both ask, so they follow one route.
+        """
+        if not self.is_parallel:
+            return "serial"
+        if self.uses_processes and (
+            self.executor == "process" or plan.executor == "process"
+        ):
+            return "process"
+        return "thread"
+
+    def start(self) -> None:
+        """Start the worker processes now, if this scheduler may use them.
+
+        Otherwise the first process-routed call starts them, forking from
+        a parent that has by then grown by that call's operands (and the
+        workers' resident set with it).  A start failure takes the
+        dispatch path's bounded rebuild-or-degrade policy: it is recorded
+        on the ledger (``pool_failure``, ``degraded_to_thread``) and never
+        raised.
+        """
+        if self.uses_processes and self._process_pool is None:
+            self.run_process_tasks([])
 
     def health(self) -> Dict[str, Any]:
-        """Operational snapshot: executor, degradation state, pool failures."""
+        """Operational snapshot: executor, degradation state, pool failures,
+        and how many plans ran on each backend (``calls``)."""
+        with self._calls_lock:
+            calls = dict(self._calls)
         return {
             "executor": self.executor,
             "workers": self.workers,
             "degraded": self.degraded,
             "degraded_reason": self.degraded_reason,
             "pool_failures": self._pool_failures,
+            "calls": calls,
         }
+
+    def _count_call(self, backend: str) -> None:
+        with self._calls_lock:
+            self._calls[backend] += 1
 
     # -- engine management ---------------------------------------------------
     def _worker_engine(self) -> MatrixEngine:
@@ -432,10 +485,12 @@ class Scheduler:
         side: str,
         table: CRTConstantTable,
         config: Ozaki2Config,
+        plan: ExecutionPlan,
     ) -> np.ndarray:
         """Truncate-scale ``x`` (optional) and convert to INT8 residues.
 
-        The thread/serial path runs the exact inline pipeline
+        Conversion follows the :meth:`backend` of ``plan``, the call it
+        feeds.  The thread/serial path runs the exact inline pipeline
         (:func:`~repro.core.conversion.truncate_scaled` +
         :func:`~repro.core.conversion.residue_slices`).  Under the process
         backend the rows are banded across workers — both steps are
@@ -445,7 +500,7 @@ class Scheduler:
         :meth:`release` the returned stack when done (close() sweeps any
         stragglers).
         """
-        if not self.uses_processes or x.ndim != 2 or x.shape[0] < 2:
+        if self.backend(plan) != "process" or x.ndim != 2 or x.shape[0] < 2:
             return self.convert_residues_inline(x, scale, side, table, config)
         try:
             source = SharedArray.copy_from(np.ascontiguousarray(x, dtype=np.float64))
@@ -517,7 +572,8 @@ def execute_plan(
         Worker pool (serial, thread- or process-parallel — the result is
         bit-identical across all of them).
     plan:
-        Task decomposition from :func:`~repro.runtime.plan.build_plan`.
+        Task decomposition from :func:`~repro.runtime.plan.build_plan`; it
+        runs on the scheduler's :meth:`~Scheduler.backend` for it.
     a_slices / b_slices:
         Full INT8 residue stacks of shape ``(N, m, k)`` / ``(N, k, n)``.
         Under the process backend these may be scheduler-shared views (no
@@ -561,11 +617,13 @@ def execute_plan(
             f"{(n_mod, plan.k, plan.n)}"
         )
 
-    if scheduler.uses_processes:
+    if scheduler.backend(plan) == "process":
         try:
-            return execute_plan_process(
+            c_pp = execute_plan_process(
                 scheduler, plan, a_slices, b_slices, table, config, times, trusted
             )
+            scheduler._count_call("process")
+            return c_pp
         except (MemoryError, faults.InjectedFault) as exc:
             # Shared-memory allocation failed in the parent (or the
             # ``shm.alloc`` site fired) before/between dispatch waves: the
@@ -669,4 +727,5 @@ def execute_plan(
         # Merge on the error path too, so a failing task never strands the
         # completed tasks' ledgers in the clones.
         scheduler.merge_counters()
+    scheduler._count_call("thread" if scheduler.is_parallel else "serial")
     return c_pp

@@ -75,6 +75,23 @@ def _tracker_unregister(name: str) -> None:
         pass
 
 
+def start_tracker() -> None:
+    """Start this process's resource_tracker before any worker is forked.
+
+    ``fork`` workers share the tracker only if it already runs when they
+    are forked (:data:`_ATTACH_UNREGISTERS` relies on that).  A pool
+    started before the parent's first segment would otherwise leave each
+    worker to start its own tracker at its first attach, whose exit warns
+    about — and unlinks — segments the parent owns.
+    """
+    try:
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
+    except Exception:  # pragma: no cover - tracker internals vary by version
+        pass
+
+
 class SharedArray:
     """One NumPy array backed by a named shared-memory segment.
 

@@ -44,6 +44,7 @@ import random
 import socket
 import threading
 import time
+import weakref
 from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
@@ -154,7 +155,9 @@ class ServiceClient:
         self.deadline = None if deadline is None else float(deadline)
         self._retry_rng = random.Random(int(retry_seed))
         self._known: Set[Tuple[str, str]] = set()
-        self._fingerprints: Dict[int, str] = {}
+        #: Fingerprint memo keyed by ``id(array)``, each entry holding a
+        #: weak reference that proves the id still names the same object.
+        self._fingerprints: Dict[int, Tuple[weakref.ref, str]] = {}
         self._lock = named_lock("service.client._lock")
         self._local = threading.local()
 
@@ -259,25 +262,43 @@ class ServiceClient:
 
     # -- operand negotiation -------------------------------------------------
     def _fingerprint(self, array: np.ndarray) -> str:
-        """Content fingerprint, memoised per array object identity.
+        """Content fingerprint, memoised per live array object.
 
-        The id-keyed memo only short-circuits re-hashing when the *same
-        object* is reused (the service workload's common case); a mutated
-        or different array object is always re-hashed.
+        The memo skips re-hashing only while the *same object* is alive and
+        reused (the service workload's common case): an entry whose object
+        has been freed — a temporary such as the contiguous copy of
+        ``A.T`` — never answers for a new object that inherits its
+        ``id()``.  The memo does not see in-place writes: an array mutated
+        after its first request keeps its first fingerprint, so pass a new
+        array (or a copy) for changed contents.
         """
         from ..core.operand import matrix_fingerprint
 
-        key = id(array)
         with self._lock:
-            cached = self._fingerprints.get(key)
+            cached = self._memo_lookup(array)
         if cached is not None:
             return cached
         fingerprint = matrix_fingerprint(array)
         with self._lock:
-            if len(self._fingerprints) > 4096:
-                self._fingerprints.clear()
-            self._fingerprints[key] = fingerprint
+            self._memo_store(array, fingerprint)
         return fingerprint
+
+    def _memo_lookup(self, array: object) -> Optional[str]:
+        """The memoised fingerprint of this very object, if any (lock held)."""
+        entry = self._fingerprints.get(id(array))
+        if entry is None or entry[0]() is not array:
+            return None
+        return entry[1]
+
+    def _memo_store(self, array: object, fingerprint: str) -> None:
+        """Memoise ``fingerprint`` for this object (lock held)."""
+        try:
+            ref = weakref.ref(array)
+        except TypeError:  # not weak-referenceable: never memoised
+            return
+        if len(self._fingerprints) > 4096:
+            self._fingerprints.clear()
+        self._fingerprints[id(array)] = (ref, fingerprint)
 
     def _encode_operand(
         self,
@@ -467,8 +488,8 @@ class ServiceClient:
             )
         self._learn(resp_header, {"x": side.upper()})
         with self._lock:
-            self._fingerprints[id(x)] = str(
-                (resp_header.get("learned") or {}).get("x", "")
+            self._memo_store(
+                x, str((resp_header.get("learned") or {}).get("x", ""))
             )
         return dict(resp_header.get("result", {}))
 

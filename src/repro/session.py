@@ -13,7 +13,9 @@ services multiplying *recurring* operands under *one* configuration.
   :class:`~repro.engines.base.OpCounter` ledger accumulates across every
   call (GEMM work *and* operand-cache events — one ledger to read),
 * a warm :class:`~repro.runtime.scheduler.Scheduler` pool sized from
-  ``config.parallelism`` (pool start-up is paid once, not per call),
+  ``config.parallelism`` (pool start-up is paid once, not per call: a
+  session that may use worker processes starts them when it is
+  constructed, while the parent is still small),
 * a transparent :class:`~repro.service.cache.OperandCache`: matrix
   operands are recognised by *content fingerprint*
   (:func:`~repro.core.operand.matrix_fingerprint`) and their prepared
@@ -100,6 +102,10 @@ class Session:
             executor=self.config.executor,
             max_pool_rebuilds=self.config.max_pool_rebuilds,
         )
+        # Fork the worker processes (if any) now, before the parent holds
+        # any operand: a pool forked inside a large first call would carry
+        # the parent's grown address space into every worker's resident set.
+        self._scheduler.start()
         self._cache = OperandCache(cache_bytes, ledger=self._engine.counter)
         self._started = time.perf_counter()
         self._requests = 0
@@ -292,8 +298,8 @@ class Session:
         """Snapshot for dashboards: uptime, requests, cache, ledger, runtime.
 
         The ``"runtime"`` entry is the scheduler's health document —
-        executor, worker count, pool-failure tally and (never silent)
-        degradation state.
+        executor, worker count, pool-failure tally, (never silent)
+        degradation state, and the GEMM calls run on each backend.
         """
         return {
             "uptime_seconds": time.perf_counter() - self._started,

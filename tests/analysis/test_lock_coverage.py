@@ -25,6 +25,7 @@ from repro.session import Session
 ALL_LOCKS = {
     "runtime.scheduler._clones_lock",
     "runtime.scheduler._shared_lock",
+    "runtime.scheduler._calls_lock",
     "runtime.shm._live_lock",
     "service.cache._lock",
     "service.coalescer._lock",

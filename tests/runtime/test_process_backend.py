@@ -10,25 +10,36 @@ inside a worker surfaces as :class:`WorkerTaskError` and leaves the
 scheduler usable; dead worker processes surface as :class:`WorkerError`
 and the next use lazily rebuilds the pool; shared-memory segments never
 outlive the run (no ``resource_tracker`` leak warnings).
+
+The routing tests pin ``executor="auto"``: a call below
+:data:`~repro.runtime.plan.PROCESS_MIN_MACS` runs on the thread path and
+one at it on the processes, while an explicit ``"process"`` sends even a
+tiny call to the workers.
 """
 
 from __future__ import annotations
 
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import faults
 from repro.config import Ozaki2Config
 from repro.core.gemm import ozaki2_gemm
 from repro.core.operand import prepare_a, prepare_b
 from repro.errors import ConfigurationError
 from repro.runtime import TileSource, live_segment_names
-from repro.runtime.plan import resolve_executor
+from repro.runtime import scheduler as scheduler_module
+from repro.runtime.plan import PROCESS_MIN_MACS, resolve_executor
 from repro.runtime.process import WorkerTaskError
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.shm import SharedArray, attach_view
+from repro.session import Session
 from repro.workloads.generators import phi_matrix
 
 pytestmark = pytest.mark.filterwarnings(
@@ -42,7 +53,7 @@ dims = st.integers(min_value=1, max_value=24)
     m=dims,
     k=dims,
     n=dims,
-    executor=st.sampled_from(["thread", "process"]),
+    executor=st.sampled_from(["thread", "process", "auto"]),
     parallelism=st.sampled_from([1, 2, 4]),
     fused=st.booleans(),
     prepared=st.booleans(),
@@ -219,9 +230,121 @@ def test_resolve_executor():
     assert resolve_executor("thread", 4) == "thread"
     assert resolve_executor("process", 4) == "process"
     assert resolve_executor("auto", 1) == "thread"
-    assert resolve_executor("auto", 4) == "process"
+    # With several workers "auto" is a per-call policy until the call's
+    # INT8 work is known; then the constant decides.
+    assert resolve_executor("auto", 4) == "auto"
+    assert resolve_executor("auto", 4, macs=PROCESS_MIN_MACS - 1) == "thread"
+    assert resolve_executor("auto", 4, macs=PROCESS_MIN_MACS) == "process"
+    assert resolve_executor("auto", 1, macs=PROCESS_MIN_MACS) == "thread"
+    assert resolve_executor("process", 4, macs=1) == "process"
     with pytest.raises(ValueError):
         resolve_executor("greenlet", 2)
+
+
+#: N=16 at 256 x 512 x 512 is exactly PROCESS_MIN_MACS INT8 MACs; one
+#: column fewer is just below it.
+_AT = (16, 256, 512, 512)
+assert _AT[0] * _AT[1] * _AT[2] * _AT[3] == PROCESS_MIN_MACS
+
+
+@pytest.mark.parametrize(
+    "n, backend", [(_AT[3] - 1, "thread"), (_AT[3], "process")]
+)
+def test_auto_routes_by_int8_work_bit_identical(n, backend):
+    num_moduli, m, k, _ = _AT
+    a = phi_matrix(m, k, phi=0.5, seed=21)
+    b = phi_matrix(k, n, phi=0.5, seed=22)
+    base = Ozaki2Config(num_moduli=num_moduli)
+    config = base.replace(parallelism=2, executor="auto")
+    serial = ozaki2_gemm(a, b, config=base, return_details=True)
+    with Scheduler(parallelism=2, executor="auto") as sched:
+        result = ozaki2_gemm(a, b, config=config, scheduler=sched, return_details=True)
+        calls = sched.health()["calls"]
+        pool_started = sched._process_pool is not None
+    assert calls == {"serial": 0, "thread": 0, "process": 0, backend: 1}
+    assert pool_started == (backend == "process")
+    np.testing.assert_array_equal(result.value, serial.value)
+    assert result.ledger.as_dict() == serial.ledger.as_dict()
+    assert live_segment_names() == ()
+
+
+def test_explicit_process_sends_a_tiny_call_to_the_workers():
+    a = phi_matrix(8, 8, phi=0.5, seed=23)
+    b = phi_matrix(8, 8, phi=0.5, seed=24)
+    config = Ozaki2Config(num_moduli=15, parallelism=2, executor="process")
+    with Scheduler(parallelism=2, executor="process") as sched:
+        result = ozaki2_gemm(a, b, config=config, scheduler=sched)
+        assert sched.health()["calls"]["process"] == 1
+        assert sched._process_pool is not None
+    np.testing.assert_array_equal(result, ozaki2_gemm(a, b, config=Ozaki2Config(num_moduli=15)))
+
+
+def test_auto_call_below_the_constant_starts_no_process_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(scheduler_module, "ProcessPool", no_pool)
+    a = phi_matrix(64, 48, phi=0.5, seed=25)
+    b = phi_matrix(48, 40, phi=0.5, seed=26)
+    config = Ozaki2Config(num_moduli=15, parallelism=2, executor="auto")
+    result = ozaki2_gemm(a, b, config=config, return_details=True)
+    np.testing.assert_array_equal(
+        result.value, ozaki2_gemm(a, b, config=Ozaki2Config(num_moduli=15))
+    )
+    assert not result.fault_events
+
+
+def test_auto_session_starts_its_workers_at_construction():
+    with Session(Ozaki2Config(parallelism=2, executor="auto")) as session:
+        pool = session._scheduler._process_pool
+        assert pool is not None
+        assert all(proc.is_alive() for proc in pool._procs)
+        assert session.stats()["runtime"]["calls"] == {
+            "serial": 0, "thread": 0, "process": 0
+        }
+    assert live_segment_names() == ()
+
+
+def test_workers_started_before_any_segment_leave_no_tracker_warnings():
+    """Workers forked before the parent's first segment share its tracker.
+
+    Otherwise each worker starts its own ``resource_tracker`` at its first
+    attach, and that tracker's exit warns about (and unlinks) the parent's
+    segments.  The warnings appear at interpreter exit, hence the child.
+    """
+    script = (
+        "import numpy as np\n"
+        "from repro import Session\n"
+        "from repro.config import Ozaki2Config\n"
+        "config = Ozaki2Config(num_moduli=15, parallelism=2, executor='process')\n"
+        "with Session(config) as session:\n"
+        "    session.gemm(np.ones((8, 8)), np.ones((8, 8)))\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "resource_tracker" not in out.stderr, out.stderr
+
+
+def test_session_pool_start_failure_degrades_instead_of_raising():
+    config = Ozaki2Config(num_moduli=15, parallelism=2, executor="auto")
+    with faults.inject("pool.spawn:times=99"):
+        session = Session(config)
+    with session:
+        runtime = session.stats()["runtime"]
+        assert runtime["degraded"] and runtime["pool_failures"] == 3
+        assert session.ledger.fault_events["degraded_to_thread"] == 1
+        a = phi_matrix(24, 20, phi=0.5, seed=27)
+        b = phi_matrix(20, 16, phi=0.5, seed=28)
+        np.testing.assert_array_equal(
+            session.gemm(a, b).value,
+            ozaki2_gemm(a, b, config=Ozaki2Config(num_moduli=15)),
+        )
 
 
 def test_config_validates_executor():

@@ -20,6 +20,7 @@ from repro.core.gemv import prepared_gemv
 from repro.core.operand import matrix_fingerprint, prepare_a
 from repro.service import ReproServer, ServiceClient, ServiceError
 from repro.service.protocol import ERROR_BAD_REQUEST
+from repro.session import Session
 
 
 CFG = Ozaki2Config.for_dgemm(num_moduli=10)
@@ -138,6 +139,21 @@ class TestNegotiation:
                 # answers operand-missing and the client retries inline.
                 result = cli.gemv(a1, x)
                 assert np.array_equal(result.value, prepared_gemv(a1, x, config=CFG))
+
+    def test_fresh_transposed_operands_are_fingerprinted_afresh(self, server, client, rng):
+        """A freed temporary's ``id()`` never lends its fingerprint to a new one.
+
+        ``A.T`` is not C-contiguous, so the client fingerprints a contiguous
+        temporary, which is freed after the request; the next temporary
+        often reuses its ``id()``.  Each product must still be this
+        request's, bit for bit.
+        """
+        b = rng.standard_normal((8, 8))
+        with Session(CFG) as local:
+            for _ in range(50):
+                a = rng.standard_normal((8, 8)).T
+                remote = client.gemm(a, b)
+                assert np.array_equal(remote.value, local.gemm(a, b).value)
 
     def test_fingerprints_disabled_always_uploads(self, server, rng):
         with ServiceClient(port=server.port, use_fingerprints=False) as cli:
