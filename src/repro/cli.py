@@ -661,6 +661,52 @@ def _cmd_selfcheck(args) -> int:
         )
     )
 
+    from .core.accumulation import accumulate_residue_products, reconstruct_crt
+    from .crt.residues import residues_to_int8, uint8_residues_stack
+    from .utils.fma import fma
+
+    # The residue kernels rely on a correctly rounded float64 multiply and
+    # on exact integer floor-division: probe their edges against the
+    # integer references and the software FMA.
+    moduli = build_constant_table(20, 64).moduli
+    edge = np.array([2.0**93 - 2.0**40, -(2.0**93 - 2.0**40), 128.0 * (2**52 + 1), -128.0])
+    checks.append(
+        (
+            "conversion exact at |x| = 2**93 - 2**40 and the p = 256 tie",
+            bool(
+                np.array_equal(
+                    residues_to_int8(edge, moduli),
+                    residues_to_int8(edge, moduli, single_pass=False),
+                )
+            ),
+            "",
+        )
+    )
+    lowest = uint8_residues_stack(np.full((len(moduli), 1, 1), -(2**31), dtype=np.int32), moduli)
+    checks.append(
+        (
+            "int32 mod exact at -2**31",
+            lowest.ravel().tolist() == [-(2**31) % p for p in moduli],
+            "",
+        )
+    )
+    probe_rng = np.random.default_rng(0)
+    signs, exponents = probe_rng.choice([-1, 1], 256), probe_rng.uniform(60, 100, 256)
+    values = [int(sign * 2.0**e) for sign, e in zip(signs, exponents, strict=True)]
+    stack = np.array([[v % p for v in values] for p in table.moduli], dtype=np.int32)[:, :, None]
+    c1, c2 = accumulate_residue_products(stack, table)
+    q = np.rint(table.Pinv * c1)
+    software = fma(-table.P2, q, fma(-table.P1, q, c1) + c2)
+    rebuilt = reconstruct_crt(c1, c2, table)
+    checks.append(
+        (
+            "CRT reconstruction bit-identical to the software FMA "
+            "(log-uniform CRT values)",
+            bool(np.array_equal(rebuilt.view(np.uint64), software.view(np.uint64))),
+            "",
+        )
+    )
+
     serial = ozaki2_gemm(a, b, config=Ozaki2Config(parallelism=1))
     err = max_relative_error(serial, reference_gemm(a, b))
     checks.append(("serial OS II-fast-15 error < 1e-12", err < 1e-12, f"{err:.3e}"))

@@ -12,27 +12,32 @@ of Section 4.1.  Because every ``s_{i1} U_i`` is an integer multiple of a
 common power of two and their sum stays below 2^53 times that unit, the
 first accumulation ``C'^{(1)} = Σ_i s_{i1} U_i`` is *error-free*; the second
 accumulation ``C'^{(2)} = Σ_i s_{i2} U_i`` carries the low-order bits.  The
-final combination uses FMA so the huge cancellation ``C'^{(1)} − P_1 Q`` is
-performed without forming the product ``P_1 Q`` inexactly.
+huge cancellation ``C'^{(1)} − P_1 Q`` is exact, evaluated as two plain
+subtractions of pre-split halves of ``P_1``; the small ``P_2 Q`` term is
+subtracted with the roundings of a fused multiply-add, through error-free
+transformations on a pre-split ``P_2`` (see :func:`reconstruct_crt`).  No
+step divides or calls the software FMA of :mod:`repro.utils.fma`, which
+stays the reference the tests compare against.
 
-``U_i`` is computed in the float domain as ``C'_i − p_i ⌊C'_i / p_i⌋``,
-exact for every ``|C'| < 2^52`` (see :func:`repro.crt.residues.
+``U_i`` is computed as ``C'_i − p_i ⌊C'_i / p_i⌋`` in integer arithmetic,
+exact for every int32 and int64 product (see :func:`repro.crt.residues.
 uint8_residues_stack`).  Callers run accumulation and reconstruction per row
-block (:func:`accumulation_row_blocks`), so each block's float64 U-stack —
-about 1 MiB — stays cache-resident from the mod through the reconstruction.
-Every step is elementwise in the rows, so blocking never changes a bit.
+block (:func:`accumulation_row_blocks`), so each block's float64 U-stack
+stays cache-resident from the mod through the reconstruction.  Every step is
+elementwise in the rows, so blocking never changes a bit.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Optional, Tuple
+import math
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..crt.constants import CRTConstantTable
 from ..crt.residues import uint8_residues, uint8_residues_stack
-from ..utils.fma import fma
+from ..utils.fma import two_sum
 
 __all__ = [
     "accumulate_residue_products",
@@ -42,22 +47,48 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=None)
-def _split_tail_terms(moduli: Tuple[int, ...], precision_bits: int) -> Tuple[bool, Tuple[int, ...]]:
-    """Cached ``(need_c2, nonzero s2 indices)`` for one constant table.
+class _TableTerms(NamedTuple):
+    """Per-table constants of the accumulation and reconstruction."""
 
-    These depend only on the moduli prefix and the table bit width (the
-    32-bit tables always report ``(False, ())`` — their weights are kept
-    unsplit), yet were recomputed — an ``any`` plus a ``flatnonzero`` sweep
-    over the split tails — on every GEMM/GEMV call.  Keyed like the
-    constant-table cache itself, so auto-N runs hopping between moduli
-    counts each hit their own entry.
+    #: Indices of the nonzero split-weight tails ``s_i2`` (empty for the
+    #: 32-bit tables, whose weights are kept unsplit).
+    s2_nonzero: Tuple[int, ...]
+    #: ``P1 = p1_hi + p1_lo`` and ``P2 = p2_hi + p2_lo``, each high part
+    #: truncated to ``53 - ⌈log2(N·255 + 1)⌉`` significant bits.
+    p1_hi: float
+    p1_lo: float
+    p2_hi: float
+    p2_lo: float
+
+
+def _split_high(value: float, bits: int) -> Tuple[float, float]:
+    """``value = hi + lo`` exactly, ``hi`` truncated to ``bits`` significant bits."""
+    if value == 0.0:
+        return 0.0, 0.0
+    mantissa, exponent = math.frexp(value)
+    hi = math.ldexp(math.trunc(math.ldexp(mantissa, bits)), exponent - bits)
+    return hi, value - hi
+
+
+@functools.lru_cache(maxsize=None)
+def _table_terms(moduli: Tuple[int, ...], precision_bits: int) -> _TableTerms:
+    """Cached :class:`_TableTerms` for one constant table.
+
+    They depend only on the moduli prefix and the table bit width, so they
+    are computed once per table instead of on every GEMM/GEMV call.  Keyed
+    like the constant-table cache itself, so auto-N runs hopping between
+    moduli counts each hit their own entry.
     """
     from ..crt.constants import build_constant_table
 
     table = build_constant_table(len(moduli), precision_bits, moduli=moduli)
-    nonzero = tuple(int(i) for i in np.flatnonzero(table.s2))
-    return bool(nonzero), nonzero
+    # |Q| <= N * 255, so a (53 - q_bits)-bit high part times Q is exact.
+    q_bits = math.ceil(math.log2(len(moduli) * 255 + 1))
+    return _TableTerms(
+        tuple(int(i) for i in np.flatnonzero(table.s2)),
+        *_split_high(table.P1, 53 - q_bits),
+        *_split_high(table.P2, 53 - q_bits),
+    )
 
 
 #: Target bytes of one row block's float64 U-stack (``N * rows * n * 8``):
@@ -78,6 +109,20 @@ def accumulation_row_blocks(num_moduli: int, m: int, n: int) -> Iterator[Tuple[i
         yield r0, min(r0 + rows, m)
 
 
+def _ordered_sum(u: np.ndarray, weights: np.ndarray, indices: Sequence[int]) -> np.ndarray:
+    """``Σ weights[i] * u[i]`` over ``indices``, added in that order.
+
+    Bit-identical to accumulating from zeros (``0 + x = x`` for the
+    non-negative terms); every product goes through one reused temporary.
+    """
+    first, *rest = indices
+    total = np.multiply(u[first], weights[first])
+    term = np.empty_like(total)
+    for i in rest:
+        total += np.multiply(u[i], weights[i], out=term)
+    return total
+
+
 def accumulate_residue_products(
     c_stack: np.ndarray,
     table: CRTConstantTable,
@@ -95,10 +140,10 @@ def accumulate_residue_products(
         Constant table providing moduli, split weights and reciprocals.
     use_mulhi:
         Use the ``__mulhi`` fast kernel for ``mod`` (Section 4.3) instead of
-        the float-domain floor-division.  Both yield identical ``U_i``.
+        the integer floor-division.  Both yield identical ``U_i``.
     vectorized:
         When True (default), materialise the float64 U-stack of ``c_stack``
-        first (one float-domain floor-division per modulus, no UINT8/float64
+        first (one integer floor-division per modulus, no UINT8/float64
         round-trips) and evaluate ``C1`` with a single
         :func:`numpy.tensordot` of the split weights against the U-stack.
         For the 64-bit tables ``C1`` is order-independent because the
@@ -126,7 +171,7 @@ def accumulate_residue_products(
             f"c_stack must have shape (N, m, n) with N={table.num_moduli}, "
             f"got {c_stack.shape}"
         )
-    need_c2, s2_nonzero = _split_tail_terms(table.moduli, table.precision_bits)
+    s2_nonzero = _table_terms(table.moduli, table.precision_bits).s2_nonzero
     if vectorized:
         # Materialise the U-stack up front.  The residues lie in
         # [0, p) ⊂ [0, 255], so computing them straight into float64 makes
@@ -143,19 +188,15 @@ def accumulate_residue_products(
             c1 = c1.reshape(c_stack.shape[1:])
         else:
             # Unsplit 32-bit weights: the sum is inexact, keep the loop order.
-            c1 = np.zeros(c_stack.shape[1:], dtype=np.float64)
-            for i in range(table.num_moduli):
-                c1 += table.s1[i] * u[i]
-        if not need_c2:
+            c1 = _ordered_sum(u, table.s1, range(table.num_moduli))
+        if not s2_nonzero:
             return c1, None
         # Ordered accumulation of the inexact low-order terms; adding a term
         # with s2[i] == 0 is a bitwise no-op (all terms are >= 0), so only
         # the nonzero ones are visited.
-        c2 = np.zeros(c_stack.shape[1:], dtype=np.float64)
-        for i in s2_nonzero:
-            c2 += table.s2[i] * u[i]
-        return c1, c2
+        return c1, _ordered_sum(u, table.s2, s2_nonzero)
 
+    need_c2 = bool(s2_nonzero)
     m, n = c_stack.shape[1:]
     c1 = np.zeros((m, n), dtype=np.float64)
     c2 = np.zeros((m, n), dtype=np.float64) if need_c2 else None
@@ -176,20 +217,75 @@ def reconstruct_crt(
     Implements lines 10–11 of Algorithm 1::
 
         Q   = round(Pinv · C'^{(1)})
-        C'' = ((C'^{(1)} − P1·Q) + C'^{(2)}) − P2·Q      (FMA form)
+        t   = (C'^{(1)} − P1·Q) + C'^{(2)}
+        C'' = fma(−P2, Q, t)
 
-    ``Q`` is the integer multiple of ``P`` contained in ``C'``; subtracting
-    it with the double-double ``P ≈ P1 + P2`` and FMA keeps the massive
-    cancellation exact to FP64 accuracy.  ``c2 = None`` (the sentinel for an
-    all-zero second accumulation) skips the addition outright.  The scalar
-    coefficients ``-P1`` / ``-P2`` broadcast through :func:`~repro.utils.
-    fma.fma` directly — no full-size constant matrices are materialised.
+    bit for bit as the software FMA of :mod:`repro.utils.fma` evaluates
+    ``fma(−P1, Q, C1) + C2`` and then ``fma(−P2, Q, t)``, in plain float64
+    passes.  ``c2 = None`` (the sentinel for an all-zero second
+    accumulation) skips the addition outright.
+
+    Let ``g = ulp(P1) = 2^(E−52)`` with ``E = ⌊log2 P1⌋``, and
+    ``L = ⌈log2(N·255 + 1)⌉``.  ``C1 ≤ Σ s_i1 (p_i − 1) < N·255·P``, so
+    ``|Q| ≤ N·255 < 2^L``.  ``P1 = P1h + P1l`` with ``P1h`` truncated to
+    ``53 − L`` bits; both are multiples of ``g`` and ``|P1l| < 2^L g``, so
+    ``P1h·Q`` (at most 53 bits) and ``P1l·Q`` (at most ``2L`` bits) are
+    exact.
+
+    ``P1`` step, ``(C1 − P1h·Q) − P1l·Q``: both subtractions are exact.
+
+    * 64-bit tables: every ``s_i1`` is a multiple of
+      ``2^(e_max − 44 + ⌈log2 N⌉) ≥ g`` (``w_i ≥ P/256``), so ``C1`` and
+      both subtrahends share the unit ``g``.  ``Q`` is the nearest integer
+      to ``C1/P`` up to ``N·255·2^-52``, so both differences are at most
+      ``P/2 + 2^(2L+1) g < 2^(E+1) = 2^53 g`` in magnitude.
+    * 32-bit tables (``C1`` is a rounded sum): ``Q ≥ 2`` implies
+      ``C1 > 2^E``, so ``C1`` is a multiple of ``g`` and the bound above
+      applies; ``Q = 0`` subtracts zeros.  For ``Q = 1``,
+      ``C1 ∈ [P/2, 3P/2]·(1 ± 2^-50)`` lies on a grid of ``g/2`` and both
+      differences stay below ``2^E = 2^53 · g/2``, provided no power of two
+      lies within a factor ``1 ± 2^-36`` of ``P``.  Every default table
+      keeps at least ``2^-8`` (pinned by a test).
+
+    The software ``fma(−P1, Q, C1)`` returns the same exact value: it is
+    representable, and the FMA's error terms are multiples of ``g`` far
+    below ``2^53 g``.
+
+    ``P2`` step.  Splitting ``P2`` the same way is *not* exact:
+    ``fl(fl(t − P2h·Q) − P2l·Q)`` rounds twice whenever ``t − P2h·Q`` is
+    inexact.  Instead every intermediate of the software FMA is reproduced:
+    ``p = fl(−P2·Q)``; its exact error ``e_p = (−P2h·Q − p) − P2l·Q``
+    (the first difference is exact by Sterbenz's lemma, as
+    ``|P2l| < 2^(L−52)|P2h|``; the second yields the rounding error of a
+    product, which is representable); ``(s, e_s) = two_sum(p, t)``, exact
+    for any magnitudes (a fast two-sum is not: ``|t| < |P2h·Q|`` with bits
+    of ``t`` below ``P2h·Q``'s last one occurs when ``C2`` nearly cancels
+    ``C1 − P1·Q``); and ``C'' = s + (e_s + e_p)``.  The 32-bit tables, and
+    the 64-bit ones with ``P < 2^53``, have ``P2 = 0``: there
+    ``fma(−0, Q, t) = t`` and the step is skipped.
     """
-    q = np.rint(table.Pinv * c1)
-    t = fma(-table.P1, q, c1)
+    terms = _table_terms(table.moduli, table.precision_bits)
+    q = np.multiply(c1, table.Pinv)
+    np.rint(q, out=q)
+    t = np.multiply(q, terms.p1_hi)
+    np.subtract(c1, t, out=t)
+    w = np.multiply(q, terms.p1_lo)
+    t -= w
     if c2 is not None:
-        t = t + c2
-    return fma(-table.P2, q, t)
+        t += c2
+    if table.P2 == 0.0:
+        return t
+    # e_p, the exact error of p = fl(-P2*Q), into w.
+    p = np.multiply(q, -table.P2)
+    np.multiply(q, -terms.p2_hi, out=w)
+    w -= p
+    q *= -terms.p2_lo
+    w += q
+    s, e_s = two_sum(p, t)
+    # C'' = s + (e_s + e_p)
+    e_s += w
+    s += e_s
+    return s
 
 
 def unscale(

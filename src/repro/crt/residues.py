@@ -17,13 +17,15 @@ Reference kernels
 
 Production kernels
     :func:`residues_to_int8` (lines 4-5 of Algorithm 1) and
-    :func:`uint8_residues_stack` (line 7) compute the same remainders in
-    the float domain — the CPU analogue of the paper's FMA/reciprocal and
-    ``__mulhi`` kernels: one correctly rounded division by ``p``, a
-    ``rint``/``floor``, and an exact subtraction, over cache-sized blocks.
-    Conversion is exact for every ``|x| < 2**93`` (larger inputs raise
-    :class:`ValueError`); the ``mod`` of the INT32/INT64 products is exact
-    for every ``|C'| < 2**52``.
+    :func:`uint8_residues_stack` (line 7) compute the same remainders
+    exactly, the CPU analogue of the paper's reciprocal and ``__mulhi``
+    kernels.  Conversion multiplies by the correctly rounded ``1/p``,
+    rounds and subtracts, over cache-sized blocks, exactly for every
+    ``|x| < 2**93`` (larger inputs raise :class:`ValueError`).  The ``mod``
+    of the INT32/INT64 products is ``C' - p * (C' // p)`` in integer
+    arithmetic (NumPy vectorises integer floor-division by a scalar as a
+    multiply-high and a shift, the ``__mulhi`` idea), exact for every int32
+    and int64 value.
 
 Fast kernels
     :func:`rmod_fast_fma` reproduces the FMA/reciprocal kernel of
@@ -71,7 +73,7 @@ _INT64_SAFE_LIMIT = 2.0**62
 _EXACT_RANGE_LIMIT = 2.0**93
 
 #: Limb split of the float-domain conversion: ``x = hi * 2**50 + lo`` with
-#: ``0 <= lo < 2**50`` and ``|hi| <= 2**43`` for ``|x| <= 2**93``.
+#: ``|lo| <= 2**49`` and ``|hi| <= 2**43`` for ``|x| < 2**93``.
 _LIMB_BITS = 50
 
 #: Elements per float-domain conversion block: four float64 temporaries of
@@ -250,8 +252,9 @@ def residues_to_int8(
     single_pass:
         When True (default), run the float-domain kernel: per cache-sized
         block, ``x`` is split exactly into power-of-two limbs once, and each
-        modulus combines the limbs and reduces them with one correctly
-        rounded division (see :func:`_residues_to_int8_single_pass`).  When
+        modulus combines the limbs and reduces them with one multiply by the
+        correctly rounded ``1/p`` (see
+        :func:`_residues_to_int8_single_pass`).  When
         False, fall back to the per-modulus integer-remainder loop (kept as
         the reference for benchmarks and bit-identity tests).  With the
         exact kernel both paths are bit-identical for every ``|x| < 2**93``
@@ -309,19 +312,31 @@ def _residues_to_int8_single_pass(
 
     ``x`` is processed in blocks of :data:`_CONVERT_BLOCK` elements, so each
     block's temporaries stay cache-resident while every modulus visits it.
-    Per block, ``x`` is split exactly into ``hi * 2**50 + lo`` once
-    (``0 <= lo < 2**50``, ``|hi| <= 2**43``).  Per modulus,
+    Per block, ``x`` is split exactly into centred limbs
+    ``hi * 2**50 + lo`` once (``hi = rint(x * 2**-50)``, so ``|hi| <= 2**43``
+    and ``lo`` is an integer with ``|lo| <= 2**49``, which the subtraction
+    forms exactly).  Per modulus,
 
-        ``y = hi * (2**50 mod p) + lo``
+        ``y = hi * c + lo``, with ``c = 2**50 mod p`` centred (``|c| <= 127``
+        for ``p <= 255``, ``c = 0`` for ``p = 256``),
 
-    is congruent to ``x`` and exact (``|y| < 2**52``), so the correctly
-    rounded ``y / p`` rounds to the exact nearest quotient and
-    ``y - p * rint(y / p)`` is the centred remainder, exactly.  For odd
-    ``p`` that is the unique representative in ``[-(p-1)/2, (p-1)/2]``; for
-    even ``p`` the quotient tie is resolved by mapping ``+p/2`` to ``-p/2``,
-    exactly as the INT8 wrap of ``+128`` does for ``p = 256``.  The result
-    is bit-identical to the integer per-modulus loop for every
-    ``|x| < 2**93``; larger magnitudes raise :class:`ValueError`.
+    is congruent to ``x`` and exact: ``|hi * c| < 2**50``, so
+    ``|y| < 1.5 * 2**50``.  When ``max |x| < 2**50`` the split is skipped
+    and ``y = x``.  Then ``y - p * rint(fl(y * fl(1/p)))`` is the centred
+    remainder, exactly: the two roundings put the product within
+    ``|y/p| * 2**-52 < 0.38/p`` of ``y/p``.  For odd ``p``, ``y/p`` is at
+    least ``0.5/p`` from every half-integer (``2y - (2j+1)p`` is odd); for
+    even ``p`` it is either an exact half-integer or at least ``1/p`` from
+    one.  So ``rint`` returns the exact nearest quotient, except that an
+    exact tie may round either way; ``p * rint(...)`` and the subtraction
+    are exact integers below ``2**53``.
+
+    For odd ``p`` the result is the unique representative in
+    ``[-(p-1)/2, (p-1)/2]``; for even ``p`` a tie gives ``+p/2`` or
+    ``-p/2``, and ``+p/2`` is mapped to ``-p/2``, exactly as the INT8 wrap of
+    ``+128`` does for ``p = 256``.  The result is bit-identical to the
+    integer per-modulus loop for every ``|x| < 2**93``; larger magnitudes
+    raise :class:`ValueError`.
 
     The fast-FMA kernel delegates to the loop: it is pure per-modulus
     floating-point arithmetic with no shared split to hoist.
@@ -332,27 +347,37 @@ def _residues_to_int8_single_pass(
     out = np.empty((len(mods),) + x.shape, dtype=np.int8)
     if x.size == 0:
         return out
-    _check_exact_range(max(float(np.max(x)), -float(np.min(x))))
+    max_abs = max(float(np.max(x)), -float(np.min(x)))
+    _check_exact_range(max_abs)
+    split = max_abs >= 2.0**_LIMB_BITS
     flat = np.ascontiguousarray(x).reshape(-1)
     dest = out.reshape(len(mods), -1)
-    consts = [(float(p), float(pow(2, _LIMB_BITS, p)), p % 2 == 0) for p in mods]
+    consts = []
+    for p in mods:
+        shift_mod = pow(2, _LIMB_BITS, p)
+        if 2 * shift_mod > p:
+            shift_mod -= p
+        consts.append((float(p), 1.0 / p, float(shift_mod), p % 2 == 0))
     size = min(flat.size, _CONVERT_BLOCK)
     hi, lo, y, q = (np.empty(size, dtype=np.float64) for _ in range(4))
     for start in range(0, flat.size, _CONVERT_BLOCK):
         stop = min(start + _CONVERT_BLOCK, flat.size)
         n = stop - start
         xb, hb, lb, yb, qb = flat[start:stop], hi[:n], lo[:n], y[:n], q[:n]
-        np.multiply(xb, 2.0**-_LIMB_BITS, out=hb)
-        np.floor(hb, out=hb)
-        np.multiply(hb, 2.0**_LIMB_BITS, out=lb)
-        np.subtract(xb, lb, out=lb)
-        for i, (p, shift_mod, even) in enumerate(consts):
-            np.multiply(hb, shift_mod, out=yb)
-            yb += lb
-            np.divide(yb, p, out=qb)
+        if split:
+            np.multiply(xb, 2.0**-_LIMB_BITS, out=hb)
+            np.rint(hb, out=hb)
+            np.multiply(hb, 2.0**_LIMB_BITS, out=lb)
+            np.subtract(xb, lb, out=lb)
+        for i, (p, pinv, shift_mod, even) in enumerate(consts):
+            if split:
+                np.multiply(hb, shift_mod, out=yb)
+                yb += lb
+            src = yb if split else xb
+            np.multiply(src, pinv, out=qb)
             np.rint(qb, out=qb)
             qb *= p
-            yb -= qb
+            np.subtract(src, qb, out=yb)
             if even:
                 yb[yb == 0.5 * p] = -0.5 * p
             dest[i, start:stop] = yb
@@ -382,13 +407,14 @@ def uint8_residues_stack(
 
     ``c_stack`` is the ``(N, m, n)`` integer residue-product stack; entry
     ``i`` is reduced by modulus ``moduli[i]``.  Bit-identical to calling
-    :func:`uint8_residues` per modulus.  The remainder is a float-domain
-    floor-division, ``C' - p * floor(C' / p)``: ``C'`` widens to float64
-    exactly, the correctly rounded quotient floors to the exact integer
-    quotient, and the subtraction is exact, for every ``|C'| < 2**52`` —
-    INT32 products and the int64 k-blocked sums alike (``k * 2**14`` stays
-    below ``2**52`` for any ``k`` that fits in memory).  When ``pinv_prime``
-    (the ``⌊2^32/p_i − 1⌋`` table) is given, the ``__mulhi`` fast kernel of
+    :func:`uint8_residues` per modulus.  The remainder is
+    ``C' - p * (C' // p)`` in the stack's integer type: the floor-division is
+    exact for every int32 and int64 value, and the result lies in
+    ``[0, p)``, so it is exact even where ``p * (C' // p)`` wraps (near
+    ``-2**31`` for int32) — the wrapped product is still right modulo the
+    type's width.  Stacks of any other dtype (an integer-valued float stack,
+    say) are cast to int64 first.  When ``pinv_prime`` (the
+    ``⌊2^32/p_i − 1⌋`` table) is given, the ``__mulhi`` fast kernel of
     Section 4.3 is used instead.
 
     ``out`` may supply a preallocated ``c_stack.shape`` array of any dtype
@@ -402,15 +428,12 @@ def uint8_residues_stack(
         for i, p in enumerate(moduli):
             u[i] = mod_fast_mulhi(c[i], p, int(pinv_prime[i]))
         return u
-    quotient = np.empty(c.shape[1:], dtype=np.float64)
-    scratch = None if u.dtype == np.float64 else np.empty(c.shape[1:], dtype=np.float64)
+    if c.dtype not in (np.int32, np.int64):
+        c = c.astype(np.int64)
+    r = np.empty(c.shape[1:], dtype=c.dtype)
     for i, p in enumerate(moduli):
-        r = u[i] if scratch is None else scratch
-        np.copyto(r, c[i])
-        np.divide(r, p, out=quotient)
-        np.floor(quotient, out=quotient)
-        quotient *= p
-        r -= quotient
-        if scratch is not None:
-            u[i] = r
+        np.floor_divide(c[i], p, out=r)
+        r *= p
+        np.subtract(c[i], r, out=r)
+        u[i] = r
     return u

@@ -109,7 +109,10 @@ class Scheduler:
     op-ledger's ``fault_events`` histogram (never silently):
 
     * a task raising inside a worker is retried up to ``max_task_retries``
-      times (``task_retry``) before :class:`WorkerTaskError` surfaces;
+      times (``task_retry``) before :class:`WorkerTaskError` surfaces.  The
+      default is one retry per worker: a retry may land on any worker, so a
+      fault that can fire once in each worker process still leaves the
+      task a worker that succeeds;
     * a worker *process* dying tears the pool down (``pool_failure``), and
       the whole dispatch wave — whose un-absorbed counters died with it —
       is re-executed on a rebuilt pool (``wave_retry``).  Wave re-execution
@@ -130,13 +133,15 @@ class Scheduler:
         engine: Optional[MatrixEngine] = None,
         executor: str = "thread",
         max_pool_rebuilds: int = 2,
-        max_task_retries: int = 1,
+        max_task_retries: Optional[int] = None,
     ) -> None:
         self.engine = engine if engine is not None else Int8MatrixEngine()
         self.workers = resolve_parallelism(parallelism)
         self.executor = resolve_executor(executor, self.workers)
         self.max_pool_rebuilds = int(max_pool_rebuilds)
-        self.max_task_retries = int(max_task_retries)
+        self.max_task_retries = (
+            self.workers if max_task_retries is None else int(max_task_retries)
+        )
         self.degraded = False
         self.degraded_reason: Optional[str] = None
         self._pool_failures = 0

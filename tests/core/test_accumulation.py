@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from repro.accuracy.reference import exact_int_gemm
 from repro.core.accumulation import (
+    _table_terms,
     accumulate_residue_products,
     accumulation_row_blocks,
     reconstruct_crt,
@@ -179,19 +183,113 @@ class TestReconstructSentinel:
         with_zeros = reconstruct_crt(c1, np.zeros_like(c1), table)
         np.testing.assert_array_equal(with_sentinel, with_zeros)
 
-    def test_scalar_fma_coefficients_broadcast(self, rng):
-        """The -P1/-P2 coefficients are scalars now; spot-check against the
-        seed's full-matrix formulation."""
+    @pytest.mark.parametrize(
+        "num_moduli,precision_bits",
+        [(8, 64), (12, 64), (15, 64), (18, 64), (20, 64), (8, 32), (20, 32)],
+    )
+    def test_scalar_fma_coefficients_broadcast(self, rng, num_moduli, precision_bits):
+        """The split reconstruction is bit-identical to the seed's
+        full-matrix software-FMA formulation: on random stacks, on CRT
+        values drawn log-uniformly over the whole range, on a near-null-space
+        integer GEMM, and on C2 sums that nearly cancel C1 - P1*Q (where
+        splitting P2 like P1, or a fast two-sum, rounds differently)."""
         from repro.utils.fma import fma
 
-        table = build_constant_table(15, 64)
-        c_stack = rng.integers(-(2**31), 2**31, (15, 6, 6)).astype(np.int32)
-        c1, c2 = accumulate_residue_products(c_stack, table)
-        got = reconstruct_crt(c1, c2, table)
-        q = np.rint(table.Pinv * c1)
-        t = fma(np.full_like(q, -table.P1), q, c1) + c2
-        want = fma(np.full_like(q, -table.P2), q, t)
-        np.testing.assert_array_equal(got, want)
+        table = build_constant_table(num_moduli, precision_bits)
+        inputs = [
+            accumulate_residue_products(
+                rng.integers(-(2**31), 2**31, (num_moduli, 6, 6)).astype(np.int32), table
+            )
+        ]
+        half_bits = table.P_int.bit_length() - 2
+        values = [
+            int(sign * 2.0 ** float(e))
+            for e, sign in zip(
+                rng.uniform(0, half_bits, 600), rng.choice([-1, 1], 600), strict=True
+            )
+        ]
+        inputs.append(accumulate_residue_products(_stack_of_values(values, table), table))
+        k = 24
+        bits = int(0.5 * (half_bits - 2 - math.log2(k)))
+        a_prime = np.trunc(rng.standard_normal((8, k)) * 2.0**bits)
+        r = np.trunc(rng.standard_normal((k, 8)) * 2.0**bits)
+        b_prime = r - np.rint(np.linalg.pinv(a_prime) @ (a_prime @ r))
+        inputs.append(
+            accumulate_residue_products(_residue_products(a_prime, b_prime, table), table)
+        )
+        if table.P2 != 0.0:
+            inputs.append(_cancelling_c2(table, rng))
+        for c1, c2 in inputs:
+            got = reconstruct_crt(c1, c2, table)
+            q = np.rint(table.Pinv * c1)
+            t = fma(np.full_like(q, -table.P1), q, c1)
+            if c2 is not None:
+                t = t + c2
+            want = fma(np.full_like(q, -table.P2), q, t)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("precision_bits", [64, 32])
+    def test_split_constants_and_quotient_bound(self, precision_bits):
+        """The facts the split reconstruction's exactness rests on, for every
+        default table: |Q| <= N*255 (pinned up to N = 20), the high halves
+        of P1 and P2 hold 53 - ceil(log2(N*255 + 1)) significant bits and
+        recombine exactly, and no power of two lies within a factor
+        1 +- 2**-36 of P."""
+
+        def significant_bits(value):
+            n = abs(int(value))
+            return (n // (n & -n)).bit_length() if n else 0
+
+        for num_moduli in range(2, 21):
+            table = build_constant_table(num_moduli, precision_bits)
+            # The largest C1 (and so Q): every residue at p_i - 1.
+            c_stack = np.array(table.moduli, dtype=np.int32)[:, None, None] - 1
+            c1, _ = accumulate_residue_products(c_stack, table)
+            assert 0 < np.rint(table.Pinv * c1).max() <= num_moduli * 255
+            terms = _table_terms(table.moduli, precision_bits)
+            high_bits = 53 - math.ceil(math.log2(num_moduli * 255 + 1))
+            for full, hi, lo in (
+                (table.P1, terms.p1_hi, terms.p1_lo),
+                (table.P2, terms.p2_hi, terms.p2_lo),
+            ):
+                assert Fraction(hi) + Fraction(lo) == Fraction(full)
+                assert significant_bits(hi) <= high_bits
+                assert significant_bits(lo) <= 53 - high_bits
+            nearest = 2 ** round(math.log2(table.P_int))
+            assert abs(Fraction(table.P_int, nearest) - 1) > Fraction(1, 2**36)
+
+
+def _stack_of_values(values, table):
+    """Residue stack ``(N, len(values), 1)`` whose CRT values are ``values``."""
+    return np.array([[[v % p] for v in values] for p in table.moduli], dtype=np.int64)
+
+
+def _cancelling_c2(table, rng):
+    """``(C1, C2)`` pairs where ``C2`` nearly cancels ``C1 - P1*Q``.
+
+    ``C1`` sits on the grid of the split weights ``s_i1`` just below
+    ``P1*Q``, and ``C2`` makes ``t = C1 - P1*Q + C2`` small with bits below
+    the last one of ``P2h*Q``, at every ``Q`` the table can produce.
+    """
+    unit = math.gcd(*(int(s) for s in table.s1))
+    unit &= -unit
+    g = 2 ** (math.frexp(table.P1)[1] - 53)
+    p1 = int(table.P1)
+    c1_max = sum(int(s) * (p - 1) for s, p in zip(table.s1, table.moduli, strict=True))
+    c1s, c2s = [], []
+    for q in range(1, c1_max // p1 + 1):
+        j = (p1 * q) % unit // g
+        if j > 64:
+            continue
+        c1 = p1 * q - j * g
+        for e in rng.uniform(10, math.log2(abs(table.P2) * q) + 1, 4):
+            delta = int(2.0 ** float(e))
+            for c2 in (j * g + delta, j * g - delta):
+                if c2 >= 0:
+                    c1s.append(float(c1))
+                    c2s.append(float(c2))
+    assert c1s and all(int(c) % unit == 0 for c in c1s)
+    return np.array(c1s), np.array(c2s)
 
 
 class TestUnscale:

@@ -13,6 +13,7 @@ from repro.crt.residues import (
     rmod_exact,
     rmod_fast_fma,
     uint8_residues,
+    uint8_residues_stack,
 )
 from repro.errors import ConfigurationError
 
@@ -298,31 +299,92 @@ class TestResidueStacks:
     def test_single_pass_matches_loop_above_int64_limit(self):
         """Values up to the 2**93 range limit: the float-domain single pass
         must agree bit-for-bit with the integer per-modulus loop and with
-        exact integer residues, for every modulus the tables use."""
+        exact integer residues, for every modulus the tables use.  Each row
+        is converted on its own, since ``max |x|`` picks the kernel's path
+        (no limb split below 2**50, centred limbs from there up to 2**93)."""
         table = build_constant_table(20, 64)
-        edges = [
+        rows = [
+            [0.0, 1.0, -1.0, 12345.0, -12345.0],
+            # The limb split starts at 2**50.
+            [2.0**50 - 1, -(2.0**50 - 1), 2.0**50 - 2, 3.0, -3.0],
+            [2.0**50, -(2.0**50), 2.0**50 + 1, -(2.0**50 + 1), 7.0],
             # Around the float64 integer edge (2**53 + 1 is not representable).
             [2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53 - 1), -(2.0**53 + 2)],
             # Straddling the reference's int64-safe limit.
             [2.0**62 - 1024, 2.0**62, 2.0**62 + 2048, -(2.0**62), -(2.0**62 + 2048)],
             # Accurate mode's largest |A'|, at N = 20.
             [2.0**81, -(2.0**81), 2.0**81 + 2.0**29, 3.0 * 2.0**80, 12345.0],
+            # Around 2**91.
+            [2.0**91 - 2.0**38, -(2.0**91 - 2.0**38), 2.0**91 - 2.0**40, 1.0, -1.0],
+            [2.0**91, -(2.0**91), 2.0**91 + 2.0**38, -(2.0**91 + 2.0**38), 5.0],
             # The largest magnitude the conversion accepts.
             [2.0**93 - 2.0**40, -(2.0**93 - 2.0**40), 2.0**92 + 2.0**50 + 2.0**40, 1.0, -1.0],
         ]
-        x = np.array([[0.0, 1.0, -1.0, 12345.0, -12345.0], *edges])
-        fused = residues_to_int8(x, table.moduli, single_pass=True)
-        loop = residues_to_int8(x, table.moduli, single_pass=False)
-        np.testing.assert_array_equal(fused.view(np.uint8), loop.view(np.uint8))
+        # j*p +- p/2, the quotient's rounding boundaries (for p = 256 the
+        # exact tie), for every modulus, below the limb split (2**20, 2**44)
+        # and on it (2**51, 2**52: every integer there is representable).
+        for j_bits in (20, 44, 51, 52):
+            rows.append(
+                [
+                    float(sign * (j * p + d))
+                    for p in table.moduli
+                    for j in (2**j_bits // p, 2**j_bits // p + 1)
+                    for d in {-(p + 1) // 2, -(p // 2), -(p - 1) // 2,
+                              (p - 1) // 2, p // 2, (p + 1) // 2}
+                    for sign in (1, -1)
+                ]
+            )
+        # Odd p: |x| near 2**91 at a residue of +-(p-1)/2, the closest a
+        # multiple of 2**38 gets to a half-integer quotient.
+        rows.append(
+            [
+                float(sign * ((r * pow(2**38, -1, p)) % p + (2**53 // p - 1) * p) * 2**38)
+                for p in table.moduli[1:]
+                for r in ((p - 1) // 2, (p + 1) // 2)
+                for sign in (1, -1)
+            ]
+        )
+        # Odd p: the largest combined limb y = hi*c + lo the split can form
+        # for each modulus (|hi| = 2**43 - 1, lo near 2**49 with the sign of
+        # hi*c; |y| up to 1.43 * 2**50 here), again at a residue of +-(p-1)/2.
+        worst = []
+        for p in table.moduli[1:]:
+            c = pow(2, 50, p)
+            c = c - p if 2 * c > p else c
+            for hi in (2**43 - 1, -(2**43 - 1)):
+                lo_sign = 1 if hi * c > 0 else -1
+                for r in ((p - 1) // 2, (p + 1) // 2):
+                    t = next(
+                        t for t in range(1, p + 1)
+                        if (hi * 2**50 + lo_sign * (2**49 - t * 2**40)) % p == r
+                    )
+                    worst.append(float(hi * 2**50 + lo_sign * (2**49 - t * 2**40)))
+        rows.append(worst)
+        # Odd p: random multiples of 2**40 in [2**92, 2**93) moved onto a
+        # residue of +-(p-1)/2.
+        rng = np.random.default_rng(93)
+        near_limit = []
+        for p in table.moduli[1:]:
+            inv = pow(2**40, -1, p)
+            for k in rng.integers(2**52 + p, 2**53, 32):
+                for r in ((p - 1) // 2, (p + 1) // 2):
+                    k_r = int(k) - (int(k) - r * inv) % p
+                    near_limit += [float(k_r * 2**40), -float(k_r * 2**40)]
+        rows.append(near_limit)
 
         def assert_centred(values, stack, moduli):
             for p, residues in zip(moduli, stack, strict=True):
                 for xi, ri in zip(values.ravel(), residues.ravel(), strict=True):
                     assert int(ri) == (int(xi) + p // 2) % p - p // 2, (xi, p)
 
-        assert_centred(x, fused, table.moduli)
+        for row in rows:
+            x = np.array(row)
+            fused = residues_to_int8(x, table.moduli, single_pass=True)
+            loop = residues_to_int8(x, table.moduli, single_pass=False)
+            np.testing.assert_array_equal(fused.view(np.uint8), loop.view(np.uint8))
+            assert_centred(x, fused, table.moduli)
         # Even moduli besides 256 map the tie +p/2 to -p/2 as well.
-        shifted = x + 127.0
+        shifted = np.array(rows[:9]) + 127.0
         assert_centred(shifted, residues_to_int8(shifted, (254, 2)), (254, 2))
 
     def test_magnitudes_beyond_exact_range_raise(self):
@@ -352,8 +414,6 @@ class TestResidueStacks:
         np.testing.assert_array_equal(fused, loop)
 
     def test_uint8_residues_stack_matches_per_modulus(self):
-        from repro.crt.residues import uint8_residues_stack
-
         table = build_constant_table(12, 64)
         rng = np.random.default_rng(11)
         c_stack = rng.integers(-(2**31), 2**31, (12, 9, 5)).astype(np.int32)
@@ -365,6 +425,24 @@ class TestResidueStacks:
                 mulhi[i], uint8_residues(c_stack[i], p, int(table.pinv_prime[i]))
             )
         assert plain.dtype == mulhi.dtype == np.uint8
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_uint8_residues_stack_exact_at_integer_extremes(self, dtype):
+        """The integer floor-division mod is exact over the whole int32 and
+        int64 ranges: at both extremes (where ``p * (c // p)`` wraps), at
+        the multiples of ``p`` nearest them, and around zero, for every
+        modulus of the N = 20 table."""
+        table = build_constant_table(20, 64)
+        lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+        rows = [
+            [lo, lo + 1, hi, hi - 1, 0, -1, 1, -p, p,
+             -(-lo // p) * p, -(-lo // p) * p + 1, (hi // p) * p, (hi // p) * p - 1]
+            for p in table.moduli
+        ]
+        c_stack = np.array(rows, dtype=dtype)[:, None, :]
+        got = uint8_residues_stack(c_stack, table.moduli)
+        want = [[c % p for c in row] for p, row in zip(table.moduli, rows, strict=True)]
+        assert got[:, 0, :].tolist() == want
 
     def test_hoisted_max_abs_scan_is_respected(self):
         """_nonneg_mod_integer_valued must honour a precomputed max_abs (the

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 
 from repro.core.conversion import truncate_scaled
@@ -107,11 +107,21 @@ class TestCrtInvariants:
     @given(
         c=st.one_of(
             st.integers(min_value=-(2**31), max_value=2**31 - 1),
-            # int64 k-blocked sums, up to the float-domain mod's 2**52 limit.
-            st.integers(min_value=-(2**52) + 1, max_value=2**52 - 1),
+            # int64 k-blocked sums: integer floor-division is exact for all.
+            st.integers(min_value=-(2**62), max_value=2**62),
         ),
         p_index=st.integers(min_value=0, max_value=19),
     )
+    # The int32 extremes, where p * (c // p) wraps, and exact multiples of p.
+    @example(c=-(2**31), p_index=0)
+    @example(c=-(2**31), p_index=1)
+    @example(c=-(2**31), p_index=19)
+    @example(c=2**31 - 1, p_index=1)
+    @example(c=2**31 - 1, p_index=19)
+    @example(c=255 * 8421504, p_index=1)
+    @example(c=-253 * 8488077, p_index=2)
+    @example(c=-(2**62), p_index=3)
+    @example(c=2**62, p_index=1)
     @settings(**COMMON_SETTINGS)
     def test_mulhi_mod_matches_python_mod(self, c, p_index):
         table = build_constant_table(20, 64)

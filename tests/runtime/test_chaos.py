@@ -174,7 +174,8 @@ def test_exhausted_task_retries_record_and_raise():
         base = _work(sched.engine.counter.as_dict())
         with pytest.raises(WorkerTaskError):
             sched.run_process_tasks([("no-such-task", {})])
-        assert sched.engine.counter.fault_events.get("task_retry") == 1
+        # One retry per worker by default: two workers, two retries.
+        assert sched.engine.counter.fault_events.get("task_retry") == 2
         # The failed attempts shipped zero-work counter deltas home: the
         # work ledger is untouched, honest about what never happened.
         assert _work(sched.engine.counter.as_dict()) == base
