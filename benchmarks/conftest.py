@@ -7,7 +7,7 @@ from the paper are asserted so the benchmarks double as regression checks.
 The committed tables under ``benchmarks/results/`` change only when asked
 for::
 
-    pytest benchmarks/test_bench_kernel_fusion.py --record-results
+    pytest benchmarks/test_bench_gemv_fast_path.py --record-results
 
 Accuracy benchmarks execute real numerical experiments (the INT8 engine and
 all baselines run on this CPU); throughput/power benchmarks evaluate the

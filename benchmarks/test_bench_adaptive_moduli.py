@@ -11,8 +11,7 @@ Two experiments back the adaptive-precision subsystem
   model decided — ``decided_by`` in the table), and the auto result is
   *bitwise identical* to a fixed run at the selected count (auto selection
   chooses the configuration, never the arithmetic — the fixed route is the
-  in-tree comparator, exactly the ``--no-fused``/``--no-gemv-fast``
-  pattern).  The headline family must cut the INT8 work by >= 1.3x (the
+  in-tree comparator).  The headline family must cut the INT8 work by >= 1.3x (the
   ledgers' MAC ratio; the end-to-end speedup is recorded next to it), and
   the ``fp64-deepk`` family must show the calibrated model certifying N=9
   where the rigorous bound demands 11.

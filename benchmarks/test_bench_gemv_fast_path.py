@@ -2,16 +2,15 @@
 
 Measures the per-iteration latency of an emulated ``A @ x`` against a
 prepared 4096x4096 system matrix — the exact product every iteration of the
-:mod:`repro.apps.solvers` iterative solvers pays — through both routes of
-:func:`repro.apps.solvers.prepared_matvec`:
+:mod:`repro.apps.solvers` iterative solvers pays — through two routes:
 
-* ``gemv_fast_path=True`` (default): the dedicated
-  :func:`repro.core.gemv.prepared_gemv` kernel — one fused stacked engine
-  GEMV (exact SGEMVs on cache-sized float32 row blocks, so the residue
-  stack streams from memory once), vector-shaped conversion, no
+* ``gemv-fast``: :func:`repro.apps.solvers.prepared_matvec`, i.e. the
+  dedicated :func:`repro.core.gemv.prepared_gemv` kernel — one stacked
+  engine GEMV (exact SGEMVs on cache-sized float32 row blocks, so the
+  residue stack streams from memory once), vector-shaped conversion, no
   plan/scheduler machinery;
-* ``gemv_fast_path=False``: the full ``n = 1`` GEMM route, kept in-tree as
-  the verification comparator.
+* ``gemm-n1``: the full ``n = 1`` GEMM route,
+  ``ozaki2_gemm(prep, v[:, None])``.
 
 Bitwise equality of the products *and* equality of the op ledgers are
 asserted unconditionally — the fast path is an execution strategy, not a
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import os
 
-from repro.harness import gemv_fast_path_sweep, preconditioner_sweep
+from repro.harness import gemv_route_sweep, preconditioner_sweep
 from repro.harness.report import format_table
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
@@ -45,7 +44,7 @@ REPEATS = 3 if FULL else 2
 
 
 def test_bench_gemv_fast_path_speedup(save_result):
-    rows = gemv_fast_path_sweep(SIZE, num_moduli=15, iters=ITERS, repeats=REPEATS)
+    rows = gemv_route_sweep(SIZE, num_moduli=15, iters=ITERS, repeats=REPEATS)
     table = format_table(
         rows,
         float_format=".3e",

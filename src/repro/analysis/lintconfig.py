@@ -9,8 +9,8 @@ path fragments matched against the file's POSIX path:
     implicit float64 promotion silently breaks the proven overflow
     windows (dtype rules RPR001/RPR002).
 ``kernel-modules``
-    Modules whose results must stay bit-identical across fused/unfused,
-    serial/parallel and cached/cold execution (determinism rules
+    Modules whose results must stay bit-identical across serial/parallel,
+    thread/process, GEMV/GEMM and cached/cold execution (determinism rules
     RPR010/RPR012; RPR002 also applies here).
 ``engine-modules``
     Modules hosting :class:`~repro.engines.base.MatrixEngine` entry

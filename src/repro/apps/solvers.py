@@ -9,12 +9,10 @@ operand, skipping the dominant ``convert_A`` phase on every call.  The
 emulated products are bit-identical to unprepared calls, so the solvers'
 numerics are exactly those of a loop over :func:`~repro.core.gemm.ozaki2_gemm`.
 
-Each matrix–vector product takes the dedicated residue-GEMV fast path
-(:func:`repro.core.gemv.prepared_gemv`) by default — one fused stacked
-engine GEMV on the cached residues, bypassing the GEMM plan/scheduler
-machinery entirely — and falls back to the bit-identical ``n = 1`` GEMM
-route when ``Ozaki2Config.gemv_fast_path`` is off (see
-:func:`prepared_matvec`).
+Each matrix–vector product takes the dedicated residue-GEMV path
+(:func:`repro.core.gemv.prepared_gemv`) — one stacked engine GEMV on the
+cached residues, bypassing the GEMM plan/scheduler machinery entirely, and
+bit-identical to the ``n = 1`` GEMM route (see :func:`prepared_matvec`).
 
 Four solvers are provided:
 
@@ -31,9 +29,11 @@ Four solvers are provided:
   trailing updates, see :mod:`repro.apps.lu`), then refinement steps whose
   residuals ``r = b − A·x`` run through the prepared emulated GEMM.
 
-All three accept a shared :class:`~repro.runtime.scheduler.Scheduler` via
-``config.parallelism`` internally: one warm worker pool serves every
-iteration's residue GEMMs.
+Each solve runs its products on one
+:class:`~repro.engines.int8.Int8MatrixEngine`, whose op ledger counts every
+iteration's residue GEMVs.  The GEMV kernel is a single engine call, so
+``config.parallelism`` and ``config.executor`` play no part in a solve;
+only ``emulated_factorization``'s trailing updates run GEMMs through them.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ from typing import List, Optional
 import numpy as np
 
 from ..config import Ozaki2Config
-from ..core.gemm import ozaki2_gemm
 from ..core.gemv import prepared_gemv
 from ..core.operand import PreparedOperand, prepare_a
 from ..crt.adaptive import select_num_moduli
+from ..engines.base import MatrixEngine
+from ..engines.int8 import Int8MatrixEngine
 from ..errors import ValidationError
 from ..result import Result
-from ..runtime.scheduler import Scheduler
 from ..utils.validation import ensure_2d
 from .preconditioners import Preconditioner, make_preconditioner
 
@@ -263,28 +263,21 @@ def prepared_matvec(
     operand: PreparedOperand,
     v: np.ndarray,
     config: Optional[Ozaki2Config] = None,
-    scheduler: Optional[Scheduler] = None,
+    engine: Optional[MatrixEngine] = None,
 ) -> np.ndarray:
     """Emulated ``A @ v`` through a prepared left operand.
 
-    With ``config.gemv_fast_path`` (the default) the product takes the
-    dedicated residue-GEMV kernel (:func:`repro.core.gemv.prepared_gemv`):
-    one fused stacked engine GEMV on the cached residues, no
-    plan/scheduler machinery.  With the flag off it routes through the full
-    ``n = 1`` GEMM path instead — the verification comparator.  Both are
-    bit-identical (and, for configurations that do not force output tiling
-    via ``memory_budget_mb``, record identical op ledgers), so solvers
-    behave numerically the same either way.
+    The product takes the dedicated residue-GEMV kernel
+    (:func:`repro.core.gemv.prepared_gemv`): one stacked engine GEMV on the
+    cached residues, no plan/scheduler machinery, bit-identical to the
+    ``n = 1`` GEMM route ``ozaki2_gemm(operand, v[:, None])``.  A given
+    ``engine`` runs it, so the product lands on that engine's op ledger.
     """
     config = config or operand.config
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValidationError(f"matvec expects a 1-D vector, got shape {v.shape}")
-    if config.gemv_fast_path:
-        engine = scheduler.engine if scheduler is not None else None
-        product = prepared_gemv(operand, v, config=config, engine=engine)
-        return np.asarray(product, dtype=np.float64).ravel()
-    product = ozaki2_gemm(operand, v[:, None], config=config, scheduler=scheduler)
+    product = prepared_gemv(operand, v, config=config, engine=engine)
     return np.asarray(product, dtype=np.float64).ravel()
 
 
@@ -428,37 +421,33 @@ def jacobi_solve(
     history: List[float] = []
     moduli: List[int] = []
     converged = False
-    with Scheduler(
-        parallelism=config.parallelism,
-        executor=config.executor,
-        max_pool_rebuilds=config.max_pool_rebuilds,
-    ) as sched:
-        for _ in range(max_iter):
-            residual = b - prepared_matvec(prep_cur, x, cfg_cur, sched)
-            rel = float(np.linalg.norm(residual)) / b_norm
-            history.append(rel)
-            moduli.append(cur_n)
-            if rel <= tol:
-                if cur_n == n_full:
-                    converged = True
-                    break
-                # A low-count residual met the tolerance: re-verify at the
-                # full count before claiming convergence (no sweep applied
-                # — x may already be converged).
-                cur_n = n_full
+    engine = Int8MatrixEngine()
+    for _ in range(max_iter):
+        residual = b - prepared_matvec(prep_cur, x, cfg_cur, engine)
+        rel = float(np.linalg.norm(residual)) / b_norm
+        history.append(rel)
+        moduli.append(cur_n)
+        if rel <= tol:
+            if cur_n == n_full:
+                converged = True
+                break
+            # A low-count residual met the tolerance: re-verify at the
+            # full count before claiming convergence (no sweep applied
+            # — x may already be converged).
+            cur_n = n_full
+            prep_cur, cfg_cur = prep.resolve_for(cur_n), config.resolved(cur_n)
+            continue
+        if ladder is not None:
+            want = ladder.advance(rel, cur_n)
+            if want > cur_n:
+                # Escalate for the *next* sweep; the residual in hand is
+                # still a valid stationary-iteration correction.
+                cur_n = want
                 prep_cur, cfg_cur = prep.resolve_for(cur_n), config.resolved(cur_n)
-                continue
-            if ladder is not None:
-                want = ladder.advance(rel, cur_n)
-                if want > cur_n:
-                    # Escalate for the *next* sweep; the residual in hand is
-                    # still a valid stationary-iteration correction.
-                    cur_n = want
-                    prep_cur, cfg_cur = prep.resolve_for(cur_n), config.resolved(cur_n)
-            if m_inv is None:
-                x = x + residual / diag
-            else:
-                x = x + m_inv.apply(residual)
+        if m_inv is None:
+            x = x + residual / diag
+        else:
+            x = x + m_inv.apply(residual)
     return SolveResult(
         value=x,
         config=config,
@@ -604,79 +593,75 @@ def pcg_solve(
     history: List[float] = []
     moduli: List[int] = []
     converged = False
-    with Scheduler(
-        parallelism=config.parallelism,
-        executor=config.executor,
-        max_pool_rebuilds=config.max_pool_rebuilds,
-    ) as sched:
+    engine = Int8MatrixEngine()
 
-        def _restart():
-            """(Re)start the recurrence from x at the current count."""
-            r = b - prepared_matvec(prep_cur, x, cfg_cur, sched)
-            z = m_inv.apply(r)
-            return r, z, z.copy(), float(r @ z)
+    def _restart():
+        """(Re)start the recurrence from x at the current count."""
+        r = b - prepared_matvec(prep_cur, x, cfg_cur, engine)
+        z = m_inv.apply(r)
+        return r, z, z.copy(), float(r @ z)
 
-        def _recover_from_breakdown():
-            """Escalate to the full count after a low-count breakdown.
+    def _recover_from_breakdown():
+        """Escalate to the full count after a low-count breakdown.
 
-            At a reduced count the emulated ``A·p`` carries the ladder's
-            deliberately larger error, which can destroy the recurrence's
-            positive-definiteness; that is an artefact of the stage, not
-            of the problem, so the progressive solve escalates straight
-            to the full count and restarts instead of aborting.
-            Returns True when a recovery restart was performed.
-            """
-            nonlocal cur_n, prep_cur, cfg_cur, r, z, p, rz
-            if ladder is None or cur_n >= n_full:
-                return False
-            cur_n = n_full
-            prep_cur = prep.resolve_for(cur_n)
-            cfg_cur = config.resolved(cur_n)
-            ladder.reset_window()
-            r, z, p, rz = _restart()
-            return True
-
+        At a reduced count the emulated ``A·p`` carries the ladder's
+        deliberately larger error, which can destroy the recurrence's
+        positive-definiteness; that is an artefact of the stage, not
+        of the problem, so the progressive solve escalates straight
+        to the full count and restarts instead of aborting.
+        Returns True when a recovery restart was performed.
+        """
+        nonlocal cur_n, prep_cur, cfg_cur, r, z, p, rz
+        if ladder is None or cur_n >= n_full:
+            return False
+        cur_n = n_full
+        prep_cur = prep.resolve_for(cur_n)
+        cfg_cur = config.resolved(cur_n)
+        ladder.reset_window()
         r, z, p, rz = _restart()
-        for _ in range(max_iter):
-            rel = float(np.linalg.norm(r)) / b_norm
-            history.append(rel)
-            moduli.append(cur_n)
-            if rel <= tol and cur_n == n_full:
-                converged = True
-                break
-            if ladder is not None:
-                want = ladder.advance(rel, cur_n)
-                if want > cur_n:
-                    cur_n = want
-                    prep_cur = prep.resolve_for(cur_n)
-                    cfg_cur = config.resolved(cur_n)
-                    r, z, p, rz = _restart()
-                    continue
-            if rz == 0.0:
-                # Breakdown: the preconditioned inner product vanished while
-                # the residual has not.  At the full count this is possible
-                # only for a degenerate user-supplied preconditioner — alpha
-                # would be 0 and the beta division undefined, so stop rather
-                # than crash.
-                if _recover_from_breakdown():
-                    continue
-                break
-            ap = prepared_matvec(prep_cur, p, cfg_cur, sched)
-            denom = float(p @ ap)
-            if denom <= 0.0:
-                # Loss of positive-definiteness in the emulated product (or
-                # an indefinite preconditioner) — stop rather than diverge
-                # silently, unless a reduced-count stage caused it.
-                if _recover_from_breakdown():
-                    continue
-                break
-            alpha = rz / denom
-            x = x + alpha * p
-            r = r - alpha * ap
-            z = m_inv.apply(r)
-            rz_next = float(r @ z)
-            p = z + (rz_next / rz) * p
-            rz = rz_next
+        return True
+
+    r, z, p, rz = _restart()
+    for _ in range(max_iter):
+        rel = float(np.linalg.norm(r)) / b_norm
+        history.append(rel)
+        moduli.append(cur_n)
+        if rel <= tol and cur_n == n_full:
+            converged = True
+            break
+        if ladder is not None:
+            want = ladder.advance(rel, cur_n)
+            if want > cur_n:
+                cur_n = want
+                prep_cur = prep.resolve_for(cur_n)
+                cfg_cur = config.resolved(cur_n)
+                r, z, p, rz = _restart()
+                continue
+        if rz == 0.0:
+            # Breakdown: the preconditioned inner product vanished while
+            # the residual has not.  At the full count this is possible
+            # only for a degenerate user-supplied preconditioner — alpha
+            # would be 0 and the beta division undefined, so stop rather
+            # than crash.
+            if _recover_from_breakdown():
+                continue
+            break
+        ap = prepared_matvec(prep_cur, p, cfg_cur, engine)
+        denom = float(p @ ap)
+        if denom <= 0.0:
+            # Loss of positive-definiteness in the emulated product (or
+            # an indefinite preconditioner) — stop rather than diverge
+            # silently, unless a reduced-count stage caused it.
+            if _recover_from_breakdown():
+                continue
+            break
+        alpha = rz / denom
+        x = x + alpha * p
+        r = r - alpha * ap
+        z = m_inv.apply(r)
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
     return SolveResult(
         value=x,
         config=config,
@@ -689,7 +674,7 @@ def pcg_solve(
         seconds=time.perf_counter() - start,
         precond=m_inv.kind,
         precond_seconds=precond_seconds,
-        ledger=sched.engine.counter,
+        ledger=engine.counter,
         moduli_history=moduli,
     )
 
@@ -767,30 +752,26 @@ def iterative_refinement_solve(
     history: List[float] = []
     moduli: List[int] = []
     converged = False
-    with Scheduler(
-        parallelism=config.parallelism,
-        executor=config.executor,
-        max_pool_rebuilds=config.max_pool_rebuilds,
-    ) as sched:
-        for _ in range(max_iter):
-            residual = b - prepared_matvec(prep_cur, x, cfg_cur, sched)
-            rel = float(np.linalg.norm(residual)) / b_norm
-            history.append(rel)
-            moduli.append(cur_n)
-            if rel <= tol:
-                if cur_n == n_full:
-                    converged = True
-                    break
-                # Re-verify at the full count before claiming convergence.
-                cur_n = n_full
+    engine = Int8MatrixEngine()
+    for _ in range(max_iter):
+        residual = b - prepared_matvec(prep_cur, x, cfg_cur, engine)
+        rel = float(np.linalg.norm(residual)) / b_norm
+        history.append(rel)
+        moduli.append(cur_n)
+        if rel <= tol:
+            if cur_n == n_full:
+                converged = True
+                break
+            # Re-verify at the full count before claiming convergence.
+            cur_n = n_full
+            prep_cur, cfg_cur = prep.resolve_for(cur_n), config.resolved(cur_n)
+            continue
+        if ladder is not None:
+            want = ladder.advance(rel, cur_n)
+            if want > cur_n:
+                cur_n = want
                 prep_cur, cfg_cur = prep.resolve_for(cur_n), config.resolved(cur_n)
-                continue
-            if ladder is not None:
-                want = ladder.advance(rel, cur_n)
-                if want > cur_n:
-                    cur_n = want
-                    prep_cur, cfg_cur = prep.resolve_for(cur_n), config.resolved(cur_n)
-            x = x + correction(residual)
+        x = x + correction(residual)
     return SolveResult(
         value=x,
         config=config,

@@ -65,43 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--size", default="512", help="problem size n or m,k,n")
     run.add_argument("--batch", type=int, default=1, help="number of GEMMs in the batch")
-    run.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        help="worker threads for the residue GEMMs (0 = one per CPU)",
-    )
-    run.add_argument(
-        "--executor",
-        default="thread",
-        choices=["thread", "process", "auto"],
-        help="worker pool backend: 'thread' (GIL-bound), 'process' "
-        "(shared-memory worker processes), or 'auto' (per GEMM: processes "
-        "when --parallel > 1 and its INT8 work N*m*k*n reaches "
-        "repro.runtime.plan.PROCESS_MIN_MACS, threads otherwise); the "
-        "backend each GEMM used is printed",
-    )
-    run.add_argument(
-        "--moduli",
-        default=None,
-        help="number of CRT moduli N, or 'auto' for accuracy-driven selection",
-    )
-    run.add_argument(
-        "--target-accuracy",
-        type=float,
-        default=None,
-        help="relative accuracy target of --moduli auto (default: 1e-10 "
-        "for fp64, 1e-5 for fp32)",
-    )
-    run.add_argument(
-        "--selection-model",
-        default="calibrated",
-        choices=["calibrated", "rigorous"],
-        help="error model of --moduli auto: 'calibrated' (measured margins, "
-        "rigorous fallback) or 'rigorous' (a-priori bound only)",
-    )
+    _add_config_arguments(run)
+    _add_runtime_arguments(run)
     run.add_argument("--mode", default="fast", choices=["fast", "accurate"])
-    run.add_argument("--precision", default="fp64", choices=["fp64", "fp32"])
     run.add_argument(
         "--memory-budget-mb",
         type=float,
@@ -122,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--prepare-b",
         action="store_true",
         help="share one B across the batch, converted once",
-    )
-    run.add_argument(
-        "--no-fused",
-        action="store_true",
-        help="use the per-modulus loop path instead of the fused stacked "
-        "kernels (bit-identical; for verification and benchmarking)",
     )
     run.add_argument(
         "--inject-faults",
@@ -159,48 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="alias for the positional solver argument",
     )
     solve.add_argument("--size", type=int, default=256, help="system dimension n")
-    solve.add_argument(
-        "--moduli",
-        default=None,
-        help="number of CRT moduli N, or 'auto' for accuracy-driven selection",
-    )
-    solve.add_argument(
-        "--target-accuracy",
-        type=float,
-        default=None,
-        help="relative accuracy target of --moduli auto (default: 1e-10 "
-        "for fp64, 1e-5 for fp32)",
-    )
-    solve.add_argument(
-        "--selection-model",
-        default="calibrated",
-        choices=["calibrated", "rigorous"],
-        help="error model of --moduli auto: 'calibrated' (measured margins, "
-        "rigorous fallback) or 'rigorous' (a-priori bound only)",
-    )
+    _add_config_arguments(solve)
     solve.add_argument(
         "--progressive",
         action="store_true",
         help="iterate at a reduced moduli count early and escalate as the "
         "residual shrinks (final iterations always run at the full count)",
     )
-    solve.add_argument("--precision", default="fp64", choices=["fp64", "fp32"])
     solve.add_argument(
         "--tol", type=float, default=None,
         help="relative residual tolerance (default 1e-10 for fp64, 1e-5 for fp32)",
     )
     solve.add_argument("--max-iter", type=int, default=None)
-    solve.add_argument(
-        "--parallel", type=int, default=1,
-        help="worker threads for the residue GEMMs (0 = one per CPU)",
-    )
-    solve.add_argument(
-        "--executor",
-        default="thread",
-        choices=["thread", "process", "auto"],
-        help="worker pool backend for the residue GEMMs ('auto' picks "
-        "processes per GEMM from PROCESS_MIN_MACS INT8 MACs up)",
-    )
     solve.add_argument(
         "--precond", default=None, choices=["none", "ilu0", "ssor"],
         help="preconditioner factored once before the iteration (jacobi/cg/pcg; "
@@ -214,13 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cond", type=float, default=None,
         help="condition number of the generated system (pcg's ill-conditioned "
         "SPD family only; default 1e4)",
-    )
-    solve.add_argument(
-        "--no-gemv-fast",
-        action="store_true",
-        help="route the per-iteration matvecs through the n=1 GEMM "
-        "plan/scheduler path instead of the residue-GEMV kernel "
-        "(bit-identical; for verification and benchmarking)",
     )
     solve.add_argument("--phi", type=float, default=0.5)
     solve.add_argument("--seed", type=int, default=0)
@@ -272,39 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=256.0,
         help="prepared-operand cache budget in MiB (0 disables caching)",
     )
-    serve.add_argument(
-        "--moduli",
-        default=None,
-        help="default moduli count N, or 'auto' for accuracy-driven selection",
-    )
-    serve.add_argument(
-        "--target-accuracy",
-        type=float,
-        default=None,
-        help="relative accuracy target of --moduli auto",
-    )
-    serve.add_argument(
-        "--selection-model",
-        default="calibrated",
-        choices=["calibrated", "rigorous"],
-        help="error model of --moduli auto: 'calibrated' (measured margins, "
-        "rigorous fallback) or 'rigorous' (a-priori bound only)",
-    )
+    _add_config_arguments(serve)
+    _add_runtime_arguments(serve)
     serve.add_argument("--mode", default="fast", choices=["fast", "accurate"])
-    serve.add_argument("--precision", default="fp64", choices=["fp64", "fp32"])
-    serve.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        help="worker threads of the session scheduler (0 = one per CPU)",
-    )
-    serve.add_argument(
-        "--executor",
-        default="thread",
-        choices=["thread", "process", "auto"],
-        help="worker pool backend of the session scheduler ('auto' picks "
-        "processes per GEMM from PROCESS_MIN_MACS INT8 MACs up)",
-    )
     serve.add_argument(
         "--coalesce-window-ms",
         type=float,
@@ -398,28 +291,83 @@ def _default_moduli(precision: str, moduli) -> "int | str":
     return moduli
 
 
+def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the :class:`~repro.config.Ozaki2Config` accuracy flags shared
+    by ``run``, ``solve`` and ``serve``."""
+    parser.add_argument("--precision", default="fp64", choices=["fp64", "fp32"])
+    parser.add_argument(
+        "--moduli",
+        default=None,
+        help="number of CRT moduli N, or 'auto' for accuracy-driven selection",
+    )
+    parser.add_argument(
+        "--target-accuracy",
+        type=float,
+        default=None,
+        help="relative accuracy target of --moduli auto (default: 1e-10 "
+        "for fp64, 1e-5 for fp32)",
+    )
+    parser.add_argument(
+        "--selection-model",
+        default="calibrated",
+        choices=["calibrated", "rigorous"],
+        help="error model of --moduli auto: 'calibrated' (measured margins, "
+        "rigorous fallback) or 'rigorous' (a-priori bound only)",
+    )
+
+
+def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the worker-pool flags of ``run`` and ``serve``.  ``solve``
+    has none: each of its products is one engine GEMV."""
+    parser.add_argument(
+        "--parallel",
+        type=int,
+        default=1,
+        help="workers for the residue GEMMs (0 = one per CPU)",
+    )
+    parser.add_argument(
+        "--executor",
+        default="thread",
+        choices=["thread", "process", "auto"],
+        help="worker pool backend: 'thread' (GIL-bound), 'process' "
+        "(shared-memory worker processes), or 'auto' (per GEMM: processes "
+        "when --parallel > 1 and its INT8 work N*m*k*n reaches "
+        "repro.runtime.plan.PROCESS_MIN_MACS, threads otherwise)",
+    )
+
+
+def _config_from_args(args, **extra):
+    """The :class:`~repro.config.Ozaki2Config` of the accuracy flags, plus
+    ``extra`` fields."""
+    from .config import Ozaki2Config
+
+    return Ozaki2Config(
+        precision=args.precision,
+        num_moduli=_default_moduli(args.precision, args.moduli),
+        target_accuracy=args.target_accuracy,
+        selection_model=args.selection_model,
+        **extra,
+    )
+
+
+def _runtime_from_args(args) -> dict:
+    """The :class:`~repro.config.Ozaki2Config` fields of the worker-pool flags."""
+    return {"parallelism": _resolve_workers(args.parallel), "executor": args.executor}
+
+
 def _cmd_run(args) -> int:
     import contextlib
     import time
 
     from . import faults
-    from .config import Ozaki2Config
     from .core.operand import prepare_a, prepare_b
     from .harness import format_table
     from .runtime import Scheduler, ozaki2_gemm_batched
     from .workloads import phi_pair
 
     m, k, n = _parse_size(args.size)
-    config = Ozaki2Config(
-        precision=args.precision,
-        num_moduli=_default_moduli(args.precision, args.moduli),
-        mode=args.mode,
-        parallelism=_resolve_workers(args.parallel),
-        executor=args.executor,
-        memory_budget_mb=args.memory_budget_mb,
-        fused_kernels=not args.no_fused,
-        target_accuracy=args.target_accuracy,
-        selection_model=args.selection_model,
+    config = _config_from_args(
+        args, mode=args.mode, memory_budget_mb=args.memory_budget_mb, **_runtime_from_args(args)
     )
     batch = max(1, args.batch)
     pairs = [
@@ -502,7 +450,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_solve(args) -> int:
     from .apps import cg_solve, iterative_refinement_solve, jacobi_solve, pcg_solve
-    from .config import Ozaki2Config
     from .workloads import linear_system
 
     if (
@@ -530,15 +477,7 @@ def _cmd_solve(args) -> int:
             f"ignored for the {solver} solver",
             file=sys.stderr,
         )
-    config = Ozaki2Config(
-        precision=args.precision,
-        num_moduli=_default_moduli(args.precision, args.moduli),
-        parallelism=_resolve_workers(args.parallel),
-        executor=args.executor,
-        gemv_fast_path=not args.no_gemv_fast,
-        target_accuracy=args.target_accuracy,
-        selection_model=args.selection_model,
-    )
+    config = _config_from_args(args)
     if solver == "pcg":
         kind = "ill_spd"
     elif solver == "cg":
@@ -583,8 +522,7 @@ def _cmd_solve(args) -> int:
 
     error = float(np.max(np.abs(result.x - x_true)))
     matvecs = max(1, result.iterations)
-    route = "gemv fast path" if config.gemv_fast_path else "n=1 GEMM route"
-    print(f"repro solve: {result.method} on n={args.size} ({kind}, {route})")
+    print(f"repro solve: {result.method} on n={args.size} ({kind})")
     print(f"  converged            {result.converged} ({result.iterations} iterations)")
     print(f"  relative residual    {result.residual_norm:.3e}  (tol {tol:.1e})")
     print(f"  max |x - x_true|     {error:.3e}")
@@ -666,19 +604,15 @@ def _cmd_selfcheck(args) -> int:
     from .utils.fma import fma
 
     # The residue kernels rely on a correctly rounded float64 multiply and
-    # on exact integer floor-division: probe their edges against the
-    # integer references and the software FMA.
+    # on exact integer floor-division: probe their edges against exact
+    # Python-integer residues and the software FMA.
     moduli = build_constant_table(20, 64).moduli
     edge = np.array([2.0**93 - 2.0**40, -(2.0**93 - 2.0**40), 128.0 * (2**52 + 1), -128.0])
+    centred = [[(int(x) + p // 2) % p - p // 2 for x in edge] for p in moduli]
     checks.append(
         (
             "conversion exact at |x| = 2**93 - 2**40 and the p = 256 tie",
-            bool(
-                np.array_equal(
-                    residues_to_int8(edge, moduli),
-                    residues_to_int8(edge, moduli, single_pass=False),
-                )
-            ),
+            residues_to_int8(edge, moduli).tolist() == centred,
             "",
         )
     )
@@ -772,15 +706,6 @@ def _cmd_selfcheck(args) -> int:
         ("prepared-operand result bit-identical", bool(np.array_equal(serial, prepared)), "")
     )
 
-    unfused = ozaki2_gemm(a, b, config=Ozaki2Config(fused_kernels=False))
-    checks.append(
-        (
-            "fused vs per-modulus loop bit-identical",
-            bool(np.array_equal(serial, unfused)),
-            "",
-        )
-    )
-
     from .core.gemv import prepared_gemv
 
     v = b[:, 0]
@@ -789,7 +714,7 @@ def _cmd_selfcheck(args) -> int:
     gemv_gemm = ozaki2_gemm(prep, v[:, None], config=Ozaki2Config())
     checks.append(
         (
-            "residue-GEMV fast path bit-identical to n=1 GEMM route",
+            "residue-GEMV path bit-identical to n=1 GEMM route",
             bool(np.array_equal(gemv_fast, gemv_gemm.ravel())),
             "",
         )
@@ -1031,18 +956,9 @@ def _cmd_serve(args) -> int:
         _print_serve_stats(client.stats())
         return 0
 
-    from .config import Ozaki2Config
     from .service import ReproServer
 
-    config = Ozaki2Config(
-        precision=args.precision,
-        num_moduli=_default_moduli(args.precision, args.moduli),
-        mode=args.mode,
-        parallelism=_resolve_workers(args.parallel),
-        executor=args.executor,
-        target_accuracy=args.target_accuracy,
-        selection_model=args.selection_model,
-    )
+    config = _config_from_args(args, mode=args.mode, **_runtime_from_args(args))
     server = ReproServer(
         config=config,
         host=args.host,

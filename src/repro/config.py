@@ -79,11 +79,13 @@ class ComputeMode(str, enum.Enum):
 class ResidueKernel(str, enum.Enum):
     """Which implementation computes ``rmod(X, p_i)`` in Algorithm 1.
 
-    ``EXACT`` uses IEEE-exact ``fmod``-based remainders (the mathematically
-    clean definition); ``FAST_FMA`` reproduces the paper's FMA-based kernel
-    of Section 4.2 (reciprocal multiply + FMA correction steps), which is the
-    high-throughput variant used on GPUs and is exact for the ``N`` ranges
-    stated in the paper.
+    ``EXACT`` computes the centred remainders exactly for every input the
+    conversion accepts: a multiply by the correctly rounded ``1/p`` on
+    exact power-of-two limbs, rounded and subtracted (see
+    :func:`repro.crt.residues.residues_to_int8`).  ``FAST_FMA`` reproduces
+    the paper's FMA-based kernel of Section 4.2 (reciprocal multiply + FMA
+    correction steps), which is the high-throughput variant used on GPUs
+    and is exact for the ``N`` ranges stated in the paper.
     """
 
     EXACT = "exact"
@@ -120,8 +122,7 @@ class Ozaki2Config:
         auto configuration is *resolved* to a concrete one at every entry
         point (the result objects report the selected ``N``), and the
         resolved run is bit-identical to a fixed-``N`` run at the selected
-        count — the fixed route is the verification comparator, exactly
-        like ``fused_kernels``/``gemv_fast_path``.
+        count — the fixed route is the verification comparator.
     target_accuracy:
         Relative accuracy target of auto selection, interpreted against
         the natural element scale ``k·max|A|·max|B|``.  ``None`` (default)
@@ -194,28 +195,6 @@ class Ozaki2Config:
         the runtime tiles the output over m/n so that the transient
         ``(N, m_tile, n_tile)`` stacks stay within the budget; ``None``
         (default) computes the product in a single tile.
-    fused_kernels:
-        If True (default), run the fused kernel path: the ``N`` residue
-        GEMMs are issued as stacked 3-D engine calls over modulus chunks,
-        the residue conversion runs in a single broadcast pass, and the
-        accumulation is vectorised over the U-stack.  If False, run the
-        pre-fusion per-modulus loops instead.  Results and op ledgers are
-        **bit-identical** either way — the loop path is kept as the
-        verification comparator and for benchmarking the fusion speedup.
-    gemv_fast_path:
-        If True (default), matrix–vector products against a prepared
-        operand (:func:`repro.apps.solvers.prepared_matvec`, i.e. every
-        iteration of the iterative solvers) take the dedicated residue-GEMV
-        kernel (:func:`repro.core.gemv.prepared_gemv`): one fused stacked
-        engine GEMV, vector-shaped conversion, no
-        :class:`~repro.runtime.plan.ExecutionPlan`/:class:`~repro.runtime.
-        scheduler.Scheduler` machinery.  If False, route the product
-        through the full ``n = 1`` GEMM path instead.  Results are
-        **bit-identical** either way — and so are the op ledgers, unless a
-        ``memory_budget_mb`` forces the GEMM comparator to tile its output
-        into per-tile engine calls (the GEMV path never tiles).  The GEMM
-        route is kept as the verification comparator (CLI: ``repro solve
-        --no-gemv-fast``).
     """
 
     precision: Format = FP64
@@ -228,8 +207,6 @@ class Ozaki2Config:
     executor: str = "thread"
     max_pool_rebuilds: int = 2
     memory_budget_mb: Optional[float] = None
-    fused_kernels: bool = True
-    gemv_fast_path: bool = True
     target_accuracy: Optional[float] = None
     selection_model: str = "calibrated"
 
@@ -336,8 +313,6 @@ class Ozaki2Config:
                 f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds!r}"
             )
         object.__setattr__(self, "max_pool_rebuilds", rebuilds)
-        object.__setattr__(self, "fused_kernels", bool(self.fused_kernels))
-        object.__setattr__(self, "gemv_fast_path", bool(self.gemv_fast_path))
         if self.memory_budget_mb is not None:
             budget = float(self.memory_budget_mb)
             if not budget > 0.0:

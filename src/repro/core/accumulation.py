@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..crt.constants import CRTConstantTable
-from ..crt.residues import uint8_residues, uint8_residues_stack
+from ..crt.residues import uint8_residues_stack
 from ..utils.fma import two_sum
 
 __all__ = [
@@ -127,9 +127,20 @@ def accumulate_residue_products(
     c_stack: np.ndarray,
     table: CRTConstantTable,
     use_mulhi: bool = False,
-    vectorized: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Compute ``C'^{(1)} = Σ s_i1 U_i`` and ``C'^{(2)} = Σ s_i2 U_i``.
+
+    The float64 U-stack of ``c_stack`` is materialised first (one integer
+    floor-division per modulus, computed straight into float64: the
+    residues lie in ``[0, p) ⊂ [0, 255]``).  For the 64-bit tables ``C1`` is
+    then a single :func:`numpy.tensordot` of the split weights against the
+    U-stack: the split-weight accumulation is *error-free* (every
+    ``s_i1 U_i`` has at most ``β_i + 8 <= 53`` significant bits and every
+    partial sum is an exact multiple of a common unit below 2^53 — Section
+    4.3), so any summation order gives the identical float64 result.  The
+    32-bit tables keep the full (unsplit) weights, whose accumulation
+    carries rounding; there — and for the inexact ``C2`` terms — the terms
+    are added in ascending modulus order, as Algorithm 1 writes the sums.
 
     Parameters
     ----------
@@ -141,21 +152,6 @@ def accumulate_residue_products(
     use_mulhi:
         Use the ``__mulhi`` fast kernel for ``mod`` (Section 4.3) instead of
         the integer floor-division.  Both yield identical ``U_i``.
-    vectorized:
-        When True (default), materialise the float64 U-stack of ``c_stack``
-        first (one integer floor-division per modulus, no UINT8/float64
-        round-trips) and evaluate ``C1`` with a single
-        :func:`numpy.tensordot` of the split weights against the U-stack.
-        For the 64-bit tables ``C1`` is order-independent because the
-        split-weight accumulation is *error-free* (every ``s_i1 U_i`` has at
-        most ``β_i + 8 <= 53`` significant bits and every partial sum is an
-        exact multiple of a common unit below 2^53 — Section 4.3), so any
-        summation order gives the identical float64 result.  The 32-bit
-        tables keep the full (unsplit) weights, whose accumulation carries
-        rounding; there — and for the inexact ``C2`` terms — the fixed
-        ascending-modulus order of the per-modulus loop is preserved so the
-        result stays bit-identical with ``vectorized=False`` (kept as the
-        pre-fusion comparator).
 
     Returns
     -------
@@ -172,41 +168,22 @@ def accumulate_residue_products(
             f"got {c_stack.shape}"
         )
     s2_nonzero = _table_terms(table.moduli, table.precision_bits).s2_nonzero
-    if vectorized:
-        # Materialise the U-stack up front.  The residues lie in
-        # [0, p) ⊂ [0, 255], so computing them straight into float64 makes
-        # the UINT8 narrowing of the per-modulus path a bitwise no-op and
-        # saves the widening pass.
-        u = uint8_residues_stack(
-            c_stack,
-            table.moduli,
-            table.pinv_prime if use_mulhi else None,
-            out=np.empty(c_stack.shape, dtype=np.float64),
-        )
-        if table.precision_bits == 64:
-            c1 = np.tensordot(table.s1, u.reshape(table.num_moduli, -1), axes=1)
-            c1 = c1.reshape(c_stack.shape[1:])
-        else:
-            # Unsplit 32-bit weights: the sum is inexact, keep the loop order.
-            c1 = _ordered_sum(u, table.s1, range(table.num_moduli))
-        if not s2_nonzero:
-            return c1, None
-        # Ordered accumulation of the inexact low-order terms; adding a term
-        # with s2[i] == 0 is a bitwise no-op (all terms are >= 0), so only
-        # the nonzero ones are visited.
-        return c1, _ordered_sum(u, table.s2, s2_nonzero)
-
-    need_c2 = bool(s2_nonzero)
-    m, n = c_stack.shape[1:]
-    c1 = np.zeros((m, n), dtype=np.float64)
-    c2 = np.zeros((m, n), dtype=np.float64) if need_c2 else None
-    for i, p in enumerate(table.moduli):
-        pinv_prime = int(table.pinv_prime[i]) if use_mulhi else None
-        u = uint8_residues(c_stack[i], p, pinv_prime).astype(np.float64)
-        c1 += table.s1[i] * u
-        if need_c2:
-            c2 += table.s2[i] * u
-    return c1, c2
+    u = uint8_residues_stack(
+        c_stack,
+        table.moduli,
+        table.pinv_prime if use_mulhi else None,
+        out=np.empty(c_stack.shape, dtype=np.float64),
+    )
+    if table.precision_bits == 64:
+        c1 = np.tensordot(table.s1, u.reshape(table.num_moduli, -1), axes=1)
+        c1 = c1.reshape(c_stack.shape[1:])
+    else:
+        c1 = _ordered_sum(u, table.s1, range(table.num_moduli))
+    if not s2_nonzero:
+        return c1, None
+    # Adding a term with s2[i] == 0 is a bitwise no-op (all terms are >= 0),
+    # so only the nonzero ones are visited.
+    return c1, _ordered_sum(u, table.s2, s2_nonzero)
 
 
 def reconstruct_crt(

@@ -6,6 +6,10 @@ block; the partial INT32 results are accumulated in INT64 (exact, since each
 partial is below 2^31 and the number of blocks is tiny) before the modular
 reduction.  The reduction to ``U_i`` is unaffected because congruence is
 preserved by exact addition.
+
+The runtime blocks stacked residues (:func:`repro.runtime.scheduler.execute_plan`);
+:func:`blocked_residue_products` is the literal per-modulus form, the line 6
+of the test suite's Algorithm 1 oracle.
 """
 
 from __future__ import annotations

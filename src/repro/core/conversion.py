@@ -43,22 +43,16 @@ def residue_slices(
     x_prime: np.ndarray,
     table: CRTConstantTable,
     kernel: ResidueKernel = ResidueKernel.EXACT,
-    single_pass: bool = True,
 ) -> np.ndarray:
     """INT8 residue stack ``[rmod(X', p_1), ..., rmod(X', p_N)]``.
 
     Returns an ``(N, *X'.shape)`` INT8 array (lines 4–5 of Algorithm 1).
-    The ``kernel`` selects the IEEE-exact implementation or the paper's fast
-    FMA kernel (Section 4.2).  ``single_pass`` selects the fused conversion
-    (one cast/scan, remainders broadcast over a moduli axis) or the
-    per-modulus loop; both are bit-identical (see
-    :func:`repro.crt.residues.residues_to_int8`).
+    The ``kernel`` selects the exact float-domain kernel or the paper's fast
+    FMA kernel (Section 4.2); see :func:`repro.crt.residues.residues_to_int8`.
     """
     kernel = ResidueKernel.parse(kernel)
     if kernel is ResidueKernel.EXACT:
-        return residues_to_int8(
-            x_prime, table.moduli, kernel="exact", single_pass=single_pass
-        )
+        return residues_to_int8(x_prime, table.moduli, kernel="exact")
     return residues_to_int8(
         x_prime,
         table.moduli,
@@ -66,5 +60,4 @@ def residue_slices(
         pinv_b=table.pinv64,
         pinv32=table.pinv32,
         precision_bits=table.precision_bits,
-        single_pass=single_pass,
     )

@@ -330,7 +330,7 @@ def ozaki2_gemm(
         # CRT reconstruction.  Fills the matmul/accumulate/reconstruct
         # phases of ``times``.  The residue stacks come from our own
         # conversion (or a prepared operand), so they are trusted: the
-        # fused engine path may skip its per-call validation sweeps.
+        # engine may skip its per-call validation sweeps.
         c_pp = execute_plan(
             scheduler, plan, a_slices, b_slices, table, config, times, trusted=True
         )

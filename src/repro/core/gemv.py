@@ -13,7 +13,7 @@ stack's memory traffic for a product that performs only ``N·m·k`` MACs).
 
 * the vector converts in a single vector-shaped pass
   (:func:`repro.crt.residues.residues_to_int8` on the 1-D ``x'``),
-* the ``N`` residue GEMVs issue as **one** fused
+* the ``N`` residue GEMVs issue as **one** stacked
   :meth:`~repro.engines.base.MatrixEngine.matvec_stack` engine call per
   k-block (the INT8 engine casts the stack to float32 in cache-sized row
   blocks and runs exact k-chunk SGEMVs on each, so the stack streams from
@@ -21,11 +21,10 @@ stack's memory traffic for a product that performs only ``N·m·k`` MACs).
 * no plan, no scheduler, no tiling: the transient workspace is one
   ``(N, m)`` stack.
 
-The result is **bit-identical** to the ``n = 1`` GEMM route for every
-configuration, and the op ledger records exactly the same ``N`` residue
-products — the fast path is an execution strategy, not a numerical change.
-The GEMM route is kept as the verification comparator, selected by
-``Ozaki2Config(gemv_fast_path=False)`` or ``repro solve --no-gemv-fast``.
+The result is **bit-identical** to the ``n = 1`` GEMM route,
+``ozaki2_gemm(a, x[:, None])``, for every configuration, and the op ledger
+records exactly the same ``N`` residue products — the GEMV path is an
+execution strategy, not a numerical change.
 """
 
 from __future__ import annotations
@@ -150,7 +149,7 @@ def prepared_gemv(
         :class:`~repro.config.Ozaki2Config`; defaults to the prepared
         operand's configuration (or DGEMM emulation for raw ``a``).
         ``parallelism`` and ``memory_budget_mb`` are accepted but moot —
-        the GEMV workspace is one ``(N, m)`` stack and a single fused
+        the GEMV workspace is one ``(N, m)`` stack and a single stacked
         engine call beats any fan-out of it.  Results are bit-identical to
         the plan/scheduler GEMM route at every setting; the op ledgers are
         identical too whenever that route runs untiled (a ``memory_budget_mb``
@@ -245,26 +244,16 @@ def prepared_gemv(
         a_conv_src = a_prep.source if a_prep is not None else a_mat
         with _PhaseTimer(times, "convert_A"):
             a_prime = truncate_scaled(a_conv_src, mu, side="left")
-            a_slices = residue_slices(
-                a_prime,
-                table,
-                config.residue_kernel,
-                single_pass=config.fused_kernels,
-            )
+            a_slices = residue_slices(a_prime, table, config.residue_kernel)
 
     # Lines 3 and 5: x' and its residues, converted vector-shaped — the
     # kernels are element-wise, so the 1-D pass is bit-identical to
     # converting the (k, 1) column (see crt.residues.residues_to_int8).
     with _PhaseTimer(times, "convert_B"):
         x_prime = truncate_scaled(x_col, nu, side="right").ravel()
-        x_slices = residue_slices(
-            x_prime,
-            table,
-            config.residue_kernel,
-            single_pass=config.fused_kernels,
-        )
+        x_slices = residue_slices(x_prime, table, config.residue_kernel)
 
-    # Line 6: the N residue GEMVs — one fused engine call per k-block, no
+    # Line 6: the N residue GEMVs — one stacked engine call per k-block, no
     # plan, no scheduler, no tiling.  Multiple k-blocks accumulate the exact
     # INT32 partials in INT64, exactly as the blocked GEMM route does.
     with _PhaseTimer(times, "matmul"):
@@ -273,29 +262,14 @@ def prepared_gemv(
             if config.block_k
             else [(0, k)]
         )
-        if config.fused_kernels:
-            def _block(start: int, stop: int) -> np.ndarray:
-                return engine.matvec_stack(
-                    a_slices[:, :, start:stop], x_slices[:, start:stop], trusted=True
-                )
-        else:
-            # Pre-fusion comparator: per-modulus 2-D engine calls, exactly
-            # the products the unfused GEMM route issues.
-            def _block(start: int, stop: int) -> np.ndarray:
-                return np.stack(
-                    [
-                        engine.matmul(
-                            a_slices[i, :, start:stop], x_slices[i, start:stop][:, None]
-                        )[:, 0]
-                        for i in range(table.num_moduli)
-                    ]
-                )
         if len(blocks) == 1:
-            c_stack = _block(*blocks[0])
+            c_stack = engine.matvec_stack(a_slices, x_slices, trusted=True)
         else:
             c_stack = np.zeros((table.num_moduli, m), dtype=np.int64)
             for start, stop in blocks:
-                c_stack += _block(start, stop).astype(np.int64)
+                c_stack += engine.matvec_stack(
+                    a_slices[:, :, start:stop], x_slices[:, start:stop], trusted=True
+                ).astype(np.int64)
 
     # Lines 7-11: accumulation and CRT reconstruction, on the (N, m, 1)
     # view so every step matches the GEMM route bit for bit.
@@ -303,9 +277,7 @@ def prepared_gemv(
         config.residue_kernel is ResidueKernel.FAST_FMA and c_stack.dtype == np.int32
     )
     t1 = time.perf_counter()
-    c1, c2 = accumulate_residue_products(
-        c_stack[:, :, None], table, use_mulhi=use_mulhi, vectorized=config.fused_kernels
-    )
+    c1, c2 = accumulate_residue_products(c_stack[:, :, None], table, use_mulhi=use_mulhi)
     t2 = time.perf_counter()
     c_pp = reconstruct_crt(c1, c2, table)
     t3 = time.perf_counter()

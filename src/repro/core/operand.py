@@ -207,9 +207,9 @@ class ResidueOperand(PreparedOperand):
         under; preparing with ``num_moduli="auto"`` stores the resolved
         configuration at the selected count.  Multiplications must use a
         configuration with the same precision, moduli count, mode and
-        residue kernel (runtime knobs — ``parallelism``,
-        ``memory_budget_mb``, ``block_k``, ``validate``, ``fused_kernels``,
-        ``gemv_fast_path`` — may differ freely; they do not affect the
+        residue kernel (runtime knobs — ``parallelism``, ``executor``,
+        ``max_pool_rebuilds``, ``memory_budget_mb``, ``block_k``,
+        ``validate`` — may differ freely; they do not affect the
         residues).  A different moduli count is reachable through
         :meth:`resolve_for` instead of re-preparation.
     convert_seconds:
@@ -367,9 +367,7 @@ class ResidueOperand(PreparedOperand):
         x_prime = truncate_scaled(
             self.source, scale, side="left" if self.side == "A" else "right"
         )
-        slices = residue_slices(
-            x_prime, table, config.residue_kernel, single_pass=config.fused_kernels
-        )
+        slices = residue_slices(x_prime, table, config.residue_kernel)
         derived = ResidueOperand(
             side=self.side,
             scale=scale,
@@ -561,9 +559,7 @@ def _prepare(
         )
     scale = scale_from_prescale(prescale, scale_exponent_budget(table, "fast"))
     x_prime = truncate_scaled(x, scale, side="left" if side == "A" else "right")
-    slices = residue_slices(
-        x_prime, table, config.residue_kernel, single_pass=config.fused_kernels
-    )
+    slices = residue_slices(x_prime, table, config.residue_kernel)
     elapsed = time.perf_counter() - start
 
     return ResidueOperand(

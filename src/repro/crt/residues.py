@@ -21,7 +21,8 @@ Production kernels
     exactly, the CPU analogue of the paper's reciprocal and ``__mulhi``
     kernels.  Conversion multiplies by the correctly rounded ``1/p``,
     rounds and subtracts, over cache-sized blocks, exactly for every
-    ``|x| < 2**93`` (larger inputs raise :class:`ValueError`).  The ``mod``
+    ``|x| < 2**93`` (larger inputs raise
+    :class:`~repro.errors.ValidationError`).  The ``mod``
     of the INT32/INT64 products is ``C' - p * (C' // p)`` in integer
     arithmetic (NumPy vectorises integer floor-division by a scalar as a
     multiply-high and a shift, the ``__mulhi`` idea), exact for every int32
@@ -44,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ValidationError
 from ..utils.fma import fma
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "rmod_fast_fma",
     "mod_fast_mulhi",
     "residues_to_int8",
-    "uint8_residues",
     "uint8_residues_stack",
 ]
 
@@ -66,9 +66,9 @@ _FAST_RMOD_THRESHOLDS = {64: (13, 19), 32: (5, 11)}
 #: remainder path (one bit of headroom below 2**63).
 _INT64_SAFE_LIMIT = 2.0**62
 
-#: The exact conversion kernels (the float-domain single pass and the integer
-#: reference) are exact for ``|x|`` strictly below this bound and raise above
-#: it instead of returning wrong residues.  It is far above anything the
+#: The exact conversion kernels (the float-domain production kernel and the
+#: integer reference) are exact for ``|x|`` strictly below this bound and raise
+#: above it instead of returning wrong residues.  It is far above anything the
 #: scaling produces (accurate mode reaches ``2**81`` at N = 20).
 _EXACT_RANGE_LIMIT = 2.0**93
 
@@ -84,14 +84,12 @@ _CONVERT_BLOCK = 16384
 def _check_exact_range(max_abs: float) -> None:
     """Refuse magnitudes the exact residue kernels cannot represent."""
     if not max_abs < _EXACT_RANGE_LIMIT:
-        raise ValueError(
+        raise ValidationError(
             f"residue conversion is exact only for |x| < 2**93, got max |x| = {max_abs:.6g}"
         )
 
 
-def _nonneg_mod_integer_valued(
-    x: np.ndarray, p: int, max_abs: float | None = None
-) -> np.ndarray:
+def _nonneg_mod_integer_valued(x: np.ndarray, p: int) -> np.ndarray:
     """Exact ``x mod p`` in ``[0, p)`` for integer-valued float64 ``x``.
 
     Uses int64 remainders (much faster than ``fmod``) whenever the values
@@ -99,16 +97,11 @@ def _nonneg_mod_integer_valued(
     matrices can exceed 2**62 — are split exactly into
     ``x = hi * 2**31 + lo`` (both parts fit int64) and recombined modulo
     ``p``.  Either way the result is exact for ``|x| < 2**93``; larger
-    magnitudes raise :class:`ValueError`.
-
-    ``max_abs`` lets callers that reduce the *same* matrix by many moduli
-    pass a precomputed ``max(|x|)``, so the full-matrix scan that selects the
-    int64 path runs once per conversion instead of once per modulus.
+    magnitudes raise :class:`~repro.errors.ValidationError`.
     """
     x = np.asarray(x, dtype=np.float64)
     p_int = int(p)
-    if max_abs is None:
-        max_abs = float(np.max(np.abs(x))) if x.size else 0.0
+    max_abs = float(np.max(np.abs(x))) if x.size else 0.0
     _check_exact_range(max_abs)
     if max_abs < _INT64_SAFE_LIMIT:
         return np.remainder(x.astype(np.int64), p_int).astype(np.float64)
@@ -123,18 +116,16 @@ def _nonneg_mod_integer_valued(
     return np.remainder(hi_mod * shift_mod + lo_mod, p_int).astype(np.float64)
 
 
-def rmod_exact(x: np.ndarray, p: int, max_abs: float | None = None) -> np.ndarray:
+def rmod_exact(x: np.ndarray, p: int) -> np.ndarray:
     """Centred remainder ``x - p*round(x/p)`` computed exactly.
 
     ``x`` must contain integer-valued float64 entries (as produced by the
     truncation step of Algorithm 1).  The result lies in ``[-p/2, p/2]``;
     for even ``p`` the boundary value ``+p/2`` is kept (the INT8 engine
-    wraps ``+128`` to ``-128``, which is congruent modulo 256).  ``max_abs``
-    is an optional precomputed ``max(|x|)`` (see
-    :func:`_nonneg_mod_integer_valued`).
+    wraps ``+128`` to ``-128``, which is congruent modulo 256).
     """
     p_f = float(int(p))
-    r = _nonneg_mod_integer_valued(x, p, max_abs=max_abs)
+    r = _nonneg_mod_integer_valued(x, p)
     return np.where(r > p_f / 2.0, r - p_f, r)
 
 
@@ -226,7 +217,6 @@ def residues_to_int8(
     pinv_b: np.ndarray | None = None,
     pinv32: np.ndarray | None = None,
     precision_bits: int = 64,
-    single_pass: bool = True,
 ) -> np.ndarray:
     """Residues of an integer-valued array for every modulus, as INT8.
 
@@ -234,9 +224,9 @@ def residues_to_int8(
     ``rmod(x, p_i)`` cast to INT8 (lines 4-5 of Algorithm 1).  ``x`` may be
     any shape — the kernels are element-wise, so a 1-D vector (the ``n = 1``
     GEMV operand of :func:`repro.core.gemv.prepared_gemv`) converts in the
-    same single pass as a matrix and is bit-identical to converting the
-    equivalent ``(k, 1)`` column: a vector-shaped conversion is simply a
-    matrix-shaped one without the dead trailing axis.
+    same pass as a matrix and is bit-identical to converting the equivalent
+    ``(k, 1)`` column: a vector-shaped conversion is simply a matrix-shaped
+    one without the dead trailing axis.
 
     Parameters
     ----------
@@ -246,68 +236,31 @@ def residues_to_int8(
     moduli:
         Sequence of moduli.
     kernel:
-        ``"exact"`` (default) or ``"fast_fma"`` for the Section 4.2 kernel.
+        ``"exact"`` (default) for the float-domain kernel of
+        :func:`_residues_to_int8_exact`, exact for every ``|x| < 2**93``
+        (larger magnitudes raise :class:`~repro.errors.ValidationError`),
+        or ``"fast_fma"`` for the Section 4.2 kernel
+        (:func:`rmod_fast_fma`, one modulus at a time).
     pinv_b, pinv32, precision_bits:
         Reciprocal tables and input precision, required by the fast kernel.
-    single_pass:
-        When True (default), run the float-domain kernel: per cache-sized
-        block, ``x`` is split exactly into power-of-two limbs once, and each
-        modulus combines the limbs and reduces them with one multiply by the
-        correctly rounded ``1/p`` (see
-        :func:`_residues_to_int8_single_pass`).  When
-        False, fall back to the per-modulus integer-remainder loop (kept as
-        the reference for benchmarks and bit-identity tests).  With the
-        exact kernel both paths are bit-identical for every ``|x| < 2**93``
-        and raise :class:`ValueError` above it.
     """
     x = np.asarray(x, dtype=np.float64)
     mods = [int(p) for p in moduli]
     if kernel not in ("exact", "fast_fma"):
         raise ConfigurationError(f"unknown residue kernel {kernel!r}")
-    if kernel == "fast_fma" and (pinv_b is None or pinv32 is None):
+    if kernel == "exact":
+        return _residues_to_int8_exact(x, mods)
+    if pinv_b is None or pinv32 is None:
         raise ConfigurationError("fast_fma kernel requires pinv_b and pinv32 tables")
-    if single_pass:
-        return _residues_to_int8_single_pass(
-            x, mods, kernel, pinv_b, pinv32, precision_bits
-        )
-    return _residues_to_int8_loop(x, mods, kernel, pinv_b, pinv32, precision_bits)
-
-
-def _residues_to_int8_loop(
-    x: np.ndarray,
-    mods: "list[int]",
-    kernel: str,
-    pinv_b: np.ndarray | None,
-    pinv32: np.ndarray | None,
-    precision_bits: int,
-) -> np.ndarray:
-    """Per-modulus conversion loop (the pre-fusion reference path).
-
-    The only cross-modulus saving applied here is the hoisted ``max(|x|)``
-    scan: one conversion serves all ``N`` moduli of the exact kernel instead
-    of rescanning the same matrix per modulus.
-    """
     out = np.empty((len(mods),) + x.shape, dtype=np.int8)
-    max_abs = float(np.max(np.abs(x))) if x.size else 0.0
     for i, p in enumerate(mods):
-        if kernel == "exact":
-            r = rmod_exact(x, p, max_abs=max_abs)
-        else:
-            r = rmod_fast_fma(
-                x, p, float(pinv_b[i]), float(pinv32[i]), len(mods), precision_bits
-            )
-        out[i] = _wrap_to_int8(r)
+        out[i] = _wrap_to_int8(
+            rmod_fast_fma(x, p, float(pinv_b[i]), float(pinv32[i]), len(mods), precision_bits)
+        )
     return out
 
 
-def _residues_to_int8_single_pass(
-    x: np.ndarray,
-    mods: "list[int]",
-    kernel: str,
-    pinv_b: np.ndarray | None,
-    pinv32: np.ndarray | None,
-    precision_bits: int,
-) -> np.ndarray:
+def _residues_to_int8_exact(x: np.ndarray, mods: "list[int]") -> np.ndarray:
     """Float-domain conversion of the exact kernel for all ``N`` moduli.
 
     ``x`` is processed in blocks of :data:`_CONVERT_BLOCK` elements, so each
@@ -334,16 +287,10 @@ def _residues_to_int8_single_pass(
     For odd ``p`` the result is the unique representative in
     ``[-(p-1)/2, (p-1)/2]``; for even ``p`` a tie gives ``+p/2`` or
     ``-p/2``, and ``+p/2`` is mapped to ``-p/2``, exactly as the INT8 wrap of
-    ``+128`` does for ``p = 256``.  The result is bit-identical to the
-    integer per-modulus loop for every ``|x| < 2**93``; larger magnitudes
-    raise :class:`ValueError`.
-
-    The fast-FMA kernel delegates to the loop: it is pure per-modulus
-    floating-point arithmetic with no shared split to hoist.
+    ``+128`` does for ``p = 256``.  The result equals :func:`rmod_exact`
+    cast to INT8 for every ``|x| < 2**93``; larger magnitudes raise
+    :class:`~repro.errors.ValidationError`.
     """
-    if kernel == "fast_fma":
-        return _residues_to_int8_loop(x, mods, kernel, pinv_b, pinv32, precision_bits)
-
     out = np.empty((len(mods),) + x.shape, dtype=np.int8)
     if x.size == 0:
         return out
@@ -384,19 +331,6 @@ def _residues_to_int8_single_pass(
     return out
 
 
-def uint8_residues(c_int32: np.ndarray, p: int, pinv_prime: int | None = None) -> np.ndarray:
-    """``U_i = mod(C'_i, p_i)`` as UINT8 (line 7 of Algorithm 1).
-
-    When ``pinv_prime`` is given the ``__mulhi`` fast kernel is used,
-    otherwise the exact integer remainder.
-    """
-    if pinv_prime is None:
-        u = np.mod(np.asarray(c_int32, dtype=np.int64), int(p))
-    else:
-        u = mod_fast_mulhi(c_int32, p, pinv_prime)
-    return u.astype(np.uint8)
-
-
 def uint8_residues_stack(
     c_stack: np.ndarray,
     moduli: Sequence[int],
@@ -406,8 +340,7 @@ def uint8_residues_stack(
     """``U = [mod(C'_1, p_1), ..., mod(C'_N, p_N)]`` for the whole stack.
 
     ``c_stack`` is the ``(N, m, n)`` integer residue-product stack; entry
-    ``i`` is reduced by modulus ``moduli[i]``.  Bit-identical to calling
-    :func:`uint8_residues` per modulus.  The remainder is
+    ``i`` is reduced by modulus ``moduli[i]``.  The remainder is
     ``C' - p * (C' // p)`` in the stack's integer type: the floor-division is
     exact for every int32 and int64 value, and the result lies in
     ``[0, p)``, so it is exact even where ``p * (C' // p)`` wraps (near
@@ -418,8 +351,8 @@ def uint8_residues_stack(
     Section 4.3 is used instead.
 
     ``out`` may supply a preallocated ``c_stack.shape`` array of any dtype
-    that can represent ``[0, 255]``; the fused accumulation passes a
-    float64 stack so the residues are computed in place in their final
+    that can represent ``[0, 255]``; the accumulation passes a float64
+    stack so the residues are computed in place in their final
     representation.  Without ``out``, a UINT8 stack is returned.
     """
     c = np.asarray(c_stack)

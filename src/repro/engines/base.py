@@ -43,8 +43,8 @@ class OpCounter:
         Histogram ``{N: count}`` of emulated GEMM/GEMV calls retired
         through this engine, keyed by the moduli count each call actually
         ran with.  Recorded by the emulation entry points (not by the raw
-        engine ops), so fused/unfused and GEMV/GEMM execution strategies
-        stay ledger-identical; under ``num_moduli="auto"`` this is where
+        engine ops), so the stacked, per-slice and GEMV/GEMM execution
+        strategies stay ledger-identical; under ``num_moduli="auto"`` this is where
         the per-call selected ``N`` becomes observable.
     cache_hits / cache_misses / cache_evictions:
         Prepared-operand cache events (:class:`repro.service.cache.

@@ -14,8 +14,7 @@ from .experiments import (
     batched_speedup_sweep,
     breakdown_sweep,
     cpu_wallclock_sweep,
-    gemv_fast_path_sweep,
-    kernel_fusion_sweep,
+    gemv_route_sweep,
     power_sweep,
     preconditioner_sweep,
     prepared_reuse_sweep,
@@ -48,8 +47,7 @@ __all__ = [
     "batched_speedup_sweep",
     "breakdown_sweep",
     "cpu_wallclock_sweep",
-    "gemv_fast_path_sweep",
-    "kernel_fusion_sweep",
+    "gemv_route_sweep",
     "power_sweep",
     "preconditioner_sweep",
     "prepared_reuse_sweep",

@@ -28,8 +28,7 @@ __all__ = [
     "power_sweep",
     "breakdown_sweep",
     "cpu_wallclock_sweep",
-    "kernel_fusion_sweep",
-    "gemv_fast_path_sweep",
+    "gemv_route_sweep",
     "preconditioner_sweep",
     "runtime_scaling_sweep",
     "batched_speedup_sweep",
@@ -329,73 +328,7 @@ def process_scaling_sweep(
     return rows
 
 
-def kernel_fusion_sweep(
-    size: int,
-    num_moduli: int = 15,
-    workers: Sequence[int] = (1,),
-    target: "Format | str" = FP64,
-    phi: float = 0.5,
-    seed: int = 0,
-    repeats: int = 3,
-) -> List[Dict[str, object]]:
-    """Fused kernel path vs the pre-fusion per-modulus loop (this CPU).
-
-    For every worker count, one ``size^3`` emulated GEMM runs end-to-end
-    through both paths (``Ozaki2Config.fused_kernels`` True/False); each
-    pair of rows reports the best-of-``repeats`` wall time, the fused
-    speedup over the loop, whether the results were bit-identical and
-    whether the merged op ledgers were equal — both of which the fused path
-    guarantees.  The per-phase seconds of the *best* run of each path are
-    attached under ``phase_<key>`` so benchmarks can archive the
-    before/after breakdown.
-    """
-    from ..config import Ozaki2Config
-    from ..core.gemm import ozaki2_gemm
-
-    fmt = precision_for_target(target)
-    a, b = phi_pair(size, size, size, phi=phi, precision=fmt, seed=seed)
-    rows: List[Dict[str, object]] = []
-    for count in workers:
-        results: Dict[bool, object] = {}
-        best: Dict[bool, float] = {}
-        for fused in (False, True):
-            config = Ozaki2Config(
-                precision=fmt,
-                num_moduli=num_moduli,
-                parallelism=int(count),
-                fused_kernels=fused,
-            )
-            best[fused] = float("inf")
-            for _ in range(max(1, repeats)):
-                start = time.perf_counter()
-                result = ozaki2_gemm(a, b, config=config, return_details=True)
-                elapsed = time.perf_counter() - start
-                if elapsed < best[fused]:
-                    best[fused] = elapsed
-                    results[fused] = result
-        identical = bool(np.array_equal(results[True].c, results[False].c))
-        ledger_equal = (
-            results[True].int8_counter.as_dict()
-            == results[False].int8_counter.as_dict()
-        )
-        for fused in (False, True):
-            row: Dict[str, object] = {
-                "n": int(size),
-                "method": results[fused].method_name,
-                "workers": int(count),
-                "path": "fused" if fused else "per-modulus",
-                "seconds": best[fused],
-                "speedup_vs_loop": best[False] / best[fused],
-                "bit_identical": identical,
-                "ledger_equal": ledger_equal,
-            }
-            for key, value in results[fused].phase_times.seconds.items():
-                row[f"phase_{key}"] = value
-            rows.append(row)
-    return rows
-
-
-def gemv_fast_path_sweep(
+def gemv_route_sweep(
     size: int,
     num_moduli: int = 15,
     iters: int = 5,
@@ -404,19 +337,20 @@ def gemv_fast_path_sweep(
     seed: int = 0,
     repeats: int = 3,
 ) -> List[Dict[str, object]]:
-    """Residue-GEMV fast path vs the ``n = 1`` GEMM route (this CPU).
+    """Residue-GEMV path vs the ``n = 1`` GEMM route (this CPU).
 
     Models one solver run: a ``size x size`` system matrix is prepared once
     (:func:`~repro.core.operand.prepare_a`), then ``iters`` distinct vectors
-    are multiplied through :func:`~repro.apps.solvers.prepared_matvec` with
-    ``gemv_fast_path`` off (the full plan/scheduler ``n = 1`` GEMM route)
-    and on (the dedicated :func:`~repro.core.gemv.prepared_gemv` kernel).
-    Two rows are returned — ``route`` = ``"gemm-n1"`` / ``"gemv-fast"`` —
-    with the best-of-``repeats`` total wall time, the **per-iteration
-    latency** (the figure a solver iteration pays), the fast path's speedup,
-    and the bitwise/op-ledger equality flags that the fast path guarantees.
-    Per-phase seconds of a representative call are attached under
-    ``phase_<key>``.
+    are multiplied through the full plan/scheduler ``n = 1`` GEMM route
+    (``ozaki2_gemm(prep, v[:, None])``) and through
+    :func:`~repro.apps.solvers.prepared_matvec` (the dedicated
+    :func:`~repro.core.gemv.prepared_gemv` kernel every solver iteration
+    runs).  Two rows are returned — ``route`` = ``"gemm-n1"`` /
+    ``"gemv-fast"`` — with the best-of-``repeats`` total wall time, the
+    **per-iteration latency** (the figure a solver iteration pays), the GEMV
+    path's speedup, and the bitwise/op-ledger equality flags that the GEMV
+    path guarantees.  Per-phase seconds of a representative call are
+    attached under ``phase_<key>``.
     """
     from ..apps.solvers import prepared_matvec
     from ..config import Ozaki2Config
@@ -434,29 +368,30 @@ def gemv_fast_path_sweep(
         for j in range(max(1, int(iters)))
     ]
 
-    configs = {
-        "gemm-n1": Ozaki2Config(
-            precision=fmt, num_moduli=num_moduli, gemv_fast_path=False
-        ),
-        "gemv-fast": Ozaki2Config(
-            precision=fmt, num_moduli=num_moduli, gemv_fast_path=True
-        ),
-    }
-    prep = prepare_a(a, config=configs["gemv-fast"])
+    config = Ozaki2Config(precision=fmt, num_moduli=num_moduli)
+    prep = prepare_a(a, config=config)
 
-    best = {route: float("inf") for route in configs}
+    def gemm_n1(v: np.ndarray, sched: Scheduler) -> np.ndarray:
+        product = ozaki2_gemm(prep, v[:, None], config=config, scheduler=sched)
+        return np.asarray(product, dtype=np.float64).ravel()
+
+    def gemv(v: np.ndarray, sched: Scheduler) -> np.ndarray:
+        return prepared_matvec(prep, v, config, sched.engine)
+
+    routes = {"gemm-n1": gemm_n1, "gemv-fast": gemv}
+    best = {route: float("inf") for route in routes}
     outputs: Dict[str, List[np.ndarray]] = {}
     # The routes' repeats alternate, so a slow stretch of the host hits
     # both sides alike.
     for _ in range(max(1, repeats)):
-        for route, config in configs.items():
+        for route, product in routes.items():
             with Scheduler(
                 parallelism=config.parallelism,
                 executor=config.executor,
                 max_pool_rebuilds=config.max_pool_rebuilds,
             ) as sched:
                 start = time.perf_counter()
-                outs = [prepared_matvec(prep, v, config, sched) for v in vectors]
+                outs = [product(v, sched) for v in vectors]
                 elapsed = time.perf_counter() - start
             if elapsed < best[route]:
                 best[route] = elapsed
@@ -471,15 +406,11 @@ def gemv_fast_path_sweep(
     v0 = vectors[0]
     gemm_engine = Int8MatrixEngine()
     gemm_details = ozaki2_gemm(
-        prep,
-        v0[:, None],
-        config=configs["gemm-n1"],
-        engine=gemm_engine,
-        return_details=True,
+        prep, v0[:, None], config=config, engine=gemm_engine, return_details=True
     )
     gemv_engine = Int8MatrixEngine()
     gemv_details = prepared_gemv(
-        prep, v0, config=configs["gemv-fast"], engine=gemv_engine, return_details=True
+        prep, v0, config=config, engine=gemv_engine, return_details=True
     )
     ledger_equal = (
         gemm_details.int8_counter.as_dict() == gemv_details.int8_counter.as_dict()
@@ -490,7 +421,7 @@ def gemv_fast_path_sweep(
     for route in ("gemm-n1", "gemv-fast"):
         row: Dict[str, object] = {
             "n": int(size),
-            "method": configs[route].method_name,
+            "method": config.method_name,
             "route": route,
             "iters": len(vectors),
             "seconds_total": best[route],

@@ -446,20 +446,10 @@ def _grouped_residue_slices(
         t0 = time.perf_counter()
         if len(members) == 1:
             j = members[0]
-            out[j] = residue_slices(
-                primes[j],
-                table,
-                config.residue_kernel,
-                single_pass=config.fused_kernels,
-            )
+            out[j] = residue_slices(primes[j], table, config.residue_kernel)
         else:
             stacked = np.stack([primes[j] for j in members])
-            slices = residue_slices(
-                stacked,
-                table,
-                config.residue_kernel,
-                single_pass=config.fused_kernels,
-            )
+            slices = residue_slices(stacked, table, config.residue_kernel)
             # slices has shape (N, group, rows, cols) -> per item (N, rows, cols)
             for pos, j in enumerate(members):
                 out[j] = slices[:, pos]

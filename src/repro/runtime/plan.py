@@ -130,11 +130,11 @@ def resolve_executor(executor: str, workers: int, macs: Optional[int] = None) ->
 
 
 def modulus_chunk_ranges(num_moduli: int, workers: int) -> Tuple[Range, ...]:
-    """Split the ``N`` moduli into contiguous chunks for fused engine calls.
+    """Split the ``N`` moduli into contiguous chunks for stacked engine calls.
 
     Each chunk becomes one :meth:`~repro.engines.base.MatrixEngine.
     matmul_stack` task.  A serial run takes the whole stack in a single
-    fused call; a parallel run splits it into ``min(workers, N)``
+    stacked call; a parallel run splits it into ``min(workers, N)``
     near-equal contiguous ranges so every worker gets one stacked call per
     k-block.  Chunk boundaries never affect the result — the residue GEMMs
     are independent exact integer products reassembled in fixed modulus
@@ -215,10 +215,9 @@ class ExecutionPlan:
     def tasks_per_tile(self) -> int:
         """Independent residue GEMMs per output tile (``N * k-blocks``).
 
-        This counts the ledger-visible 2-D products.  The fused kernel path
-        issues them as :attr:`modulus_chunks` stacked engine calls per
-        k-block instead of one call each, but records the identical op
-        ledger.
+        This counts the ledger-visible 2-D products.  The executors issue
+        them as :attr:`modulus_chunks` stacked engine calls per k-block
+        instead of one call each, which record the identical op ledger.
         """
         return self.num_moduli * self.num_k_blocks
 
@@ -229,7 +228,7 @@ class ExecutionPlan:
 
     @property
     def modulus_chunks(self) -> Tuple[Range, ...]:
-        """Contiguous moduli ranges, one fused stacked call each.
+        """Contiguous moduli ranges, one stacked engine call each.
 
         Derived from the plan's recorded ``parallelism``; a plan executed on
         an explicitly provided scheduler is re-chunked for *that* scheduler's

@@ -23,7 +23,10 @@ tile into row bands reproduces the serial float64 result bitwise (the same
 argument that makes the thread path worker-count invariant).
 
 Failure semantics: a task that raises inside a worker reports its traceback
-and leaves the pool alive (:class:`WorkerTaskError`); a worker *process*
+and leaves the pool alive (:class:`WorkerTaskError`), except that a
+:class:`~repro.errors.ReproError` (the caller's error, e.g. an operand
+outside the conversion's exact range) is shipped and re-raised as itself;
+a worker *process*
 dying (OOM kill, segfault) tears the pool down (:class:`WorkerError`) and
 the owning :class:`~repro.runtime.scheduler.Scheduler` lazily restarts it
 on the next dispatch.
@@ -53,6 +56,7 @@ from ..core.accumulation import (
 from ..core.conversion import residue_slices, truncate_scaled
 from ..crt.constants import CRTConstantTable, build_constant_table
 from ..engines.base import MatrixEngine, OpCounter
+from ..errors import ReproError
 from .shm import SharedArray, attach_view, start_tracker
 
 __all__ = [
@@ -159,9 +163,8 @@ def _task_matmul(engine: MatrixEngine, p: Dict[str, Any]) -> None:
     """One modulus chunk of one tile: INT8 products for every k-block.
 
     Replays exactly the engine calls the thread path makes for this chunk
-    (one ``matmul_stack`` per k-block when fused, one 2-D ``matmul`` when
-    not), accumulating k-block partials in exact INT64 before writing the
-    chunk's rows of the shared ``c_stack``.
+    (one ``matmul_stack`` per k-block), accumulating k-block partials in
+    exact INT64 before writing the chunk's rows of the shared ``c_stack``.
     """
     with ExitStack() as stack:
         a = _open_operand(p["a"], stack)
@@ -170,31 +173,22 @@ def _task_matmul(engine: MatrixEngine, p: Dict[str, Any]) -> None:
         lo, hi = p["chunk"]
         m0, m1 = p["m_range"]
         n0, n1 = p["n_range"]
-        fused = p["fused"]
         k_ranges: Sequence[Tuple[int, int]] = p["k_ranges"]
         blocked = len(k_ranges) > 1
         acc: Optional[np.ndarray] = None
         for start, stop in k_ranges:
-            if fused:
-                partial = engine.matmul_stack(
-                    a[lo:hi, m0:m1, start:stop],
-                    b[lo:hi, start:stop, n0:n1],
-                    trusted=p["trusted"],
-                )
-            else:
-                partial = engine.matmul(
-                    a[lo, m0:m1, start:stop], b[lo, start:stop, n0:n1]
-                )
+            partial = engine.matmul_stack(
+                a[lo:hi, m0:m1, start:stop],
+                b[lo:hi, start:stop, n0:n1],
+                trusted=p["trusted"],
+            )
             if not blocked:
                 acc = partial
             elif acc is None:
                 acc = partial.astype(np.int64)
             else:
                 acc += partial.astype(np.int64)
-        if fused:
-            c[lo:hi] = acc
-        else:
-            c[lo] = acc
+        c[lo:hi] = acc
 
 
 def _task_accumulate(engine: MatrixEngine, p: Dict[str, Any]) -> Tuple[float, float]:
@@ -217,10 +211,7 @@ def _task_accumulate(engine: MatrixEngine, p: Dict[str, Any]) -> Tuple[float, fl
         for b0, b1 in accumulation_row_blocks(table.num_moduli, r1 - r0, n1 - n0):
             t0 = time.perf_counter()
             c1, c2 = accumulate_residue_products(
-                c[:, r0 + b0 : r0 + b1, :],
-                table,
-                use_mulhi=p["use_mulhi"],
-                vectorized=p["vectorized"],
+                c[:, r0 + b0 : r0 + b1, :], table, use_mulhi=p["use_mulhi"]
             )
             t1 = time.perf_counter()
             out[m0 + r0 + b0 : m0 + r0 + b1, n0:n1] = reconstruct_crt(c1, c2, table)
@@ -244,9 +235,7 @@ def _task_convert(engine: MatrixEngine, p: Dict[str, Any]) -> None:
         if scale is not None:
             band = truncate_scaled(band, scale, p["side"])
         table = _table_from_spec(p["table"])
-        out[:, r0:r1] = residue_slices(
-            band, table, p["kernel"], single_pass=p["single_pass"]
-        )
+        out[:, r0:r1] = residue_slices(band, table, p["kernel"])
 
 
 _TASK_HANDLERS = {
@@ -297,6 +286,8 @@ def _worker_main(
             faults.raise_if("worker.task_error")
             value = _TASK_HANDLERS[kind](engine, payload)
             ok, report = True, value
+        except ReproError as exc:
+            ok, report = False, exc
         except Exception:
             ok, report = False, traceback.format_exc()
         # Snapshot the counter: Queue.put serialises on a feeder thread,
@@ -361,8 +352,9 @@ class ProcessPool:
         """Dispatch one wave of ``(kind, payload)`` tasks; collect in order.
 
         Task-level exceptions are *returned* (``ok=False`` with the worker
-        traceback as the value) so the caller can absorb the counters of the
-        tasks that did succeed before raising.  A worker process dying
+        traceback, or the :class:`~repro.errors.ReproError` itself, as the
+        value) so the caller can absorb the counters of the tasks that did
+        succeed before raising.  A worker process dying
         mid-wave raises :class:`WorkerError` — the pool is no longer
         coherent and must be closed.
         """
@@ -446,15 +438,11 @@ def execute_plan_process(
     from .plan import modulus_chunk_ranges
 
     n_mod = plan.num_moduli
-    fused = config.fused_kernels
     blocked = plan.num_k_blocks > 1
-    if fused:
-        if scheduler.workers == plan.parallelism:
-            chunks = plan.modulus_chunks
-        else:
-            chunks = modulus_chunk_ranges(n_mod, scheduler.workers)
+    if scheduler.workers == plan.parallelism:
+        chunks = plan.modulus_chunks
     else:
-        chunks = [(i, i + 1) for i in range(n_mod)]
+        chunks = modulus_chunk_ranges(n_mod, scheduler.workers)
     # matmul_stack always yields INT32; k-blocked runs accumulate partials
     # exactly in INT64 — the same dtypes the thread path materialises.
     c_dtype = np.int64 if blocked else np.int32
@@ -490,7 +478,6 @@ def execute_plan_process(
                             "m_range": (m0, m1),
                             "n_range": (n0, n1),
                             "k_ranges": tuple(plan.k_ranges),
-                            "fused": fused,
                             "trusted": trusted,
                         },
                     )
@@ -513,7 +500,6 @@ def execute_plan_process(
                             "n_range": (n0, n1),
                             "table": spec,
                             "use_mulhi": use_mulhi,
-                            "vectorized": fused,
                         },
                     )
                     for band in bands

@@ -6,11 +6,10 @@ any order and still reconstruct bit-identically: every engine call is exact
 in INT32/INT64, the k-block partial sums are exact integer additions, and
 the only floating-point accumulation (lines 8–9 of Algorithm 1) is applied
 per output tile in a fixed modulus order by exactly the code the serial
-path uses.  Under the fused kernel path (``config.fused_kernels``, the
-default) a task is a contiguous *modulus chunk* of the residue stack — one
-stacked BLAS-backed engine call — rather than a single modulus; chunk
-boundaries follow the executing scheduler's worker count and never affect
-the value.  The scheduler therefore guarantees
+path uses.  A task is a contiguous *modulus chunk* of the residue stack —
+one stacked engine call — and a k-block; chunk boundaries follow the
+executing scheduler's worker count and never affect the value.  The
+scheduler therefore guarantees
 
     ``execute_plan(parallelism=W) == execute_plan(parallelism=1)``  (bitwise)
 
@@ -61,6 +60,7 @@ from ..core.accumulation import (
 from ..core.conversion import residue_slices, truncate_scaled
 from ..crt.constants import CRTConstantTable
 from ..engines.base import MatrixEngine
+from ..errors import ReproError
 from ..result import PhaseTimes
 from ..engines.int8 import Int8MatrixEngine
 from .plan import ExecutionPlan, modulus_chunk_ranges, resolve_executor, resolve_parallelism
@@ -112,7 +112,9 @@ class Scheduler:
       times (``task_retry``) before :class:`WorkerTaskError` surfaces.  The
       default is one retry per worker: a retry may land on any worker, so a
       fault that can fire once in each worker process still leaves the
-      task a worker that succeeds;
+      task a worker that succeeds.  A :class:`~repro.errors.ReproError`
+      raised by a task is the caller's error, not a worker fault: it
+      reaches the caller as itself, unretried, as on the thread path;
     * a worker *process* dying tears the pool down (``pool_failure``), and
       the whole dispatch wave — whose un-absorbed counters died with it —
       is re-executed on a rebuilt pool (``wave_retry``).  Wave re-execution
@@ -354,7 +356,8 @@ class Scheduler:
         Absorbs every returned :class:`~repro.engines.base.OpCounter` delta
         into the primary engine — for failed tasks too, so partial work
         stays on the ledger.  Failed tasks are retried (``task_retry`` in
-        the ledger) before :class:`WorkerTaskError` surfaces; a dead worker
+        the ledger) before :class:`WorkerTaskError` surfaces, except that a
+        task's :class:`~repro.errors.ReproError` is re-raised at once; a dead worker
         process triggers a bounded pool rebuild + wave re-execution
         (``pool_failure`` / ``wave_retry``), degrading to inline execution
         (``degraded_to_thread``) once ``max_pool_rebuilds`` is exceeded.
@@ -394,7 +397,7 @@ class Scheduler:
                 )
         values: List[Any] = [None] * len(tasks)
         failed: List[int] = []
-        failures: List[str] = []
+        failures: List[Any] = []
         for index, (ok, value, counter) in enumerate(results):
             if counter is not None:
                 self.engine.counter.absorb(counter)
@@ -402,7 +405,10 @@ class Scheduler:
                 values[index] = value
             else:
                 failed.append(index)
-                failures.append(str(value))
+                failures.append(value)
+        for failure in failures:
+            if isinstance(failure, ReproError):
+                raise failure
         if failed:
             if retries_left <= 0:
                 raise WorkerTaskError(
@@ -479,9 +485,7 @@ class Scheduler:
     ) -> np.ndarray:
         """The serial conversion pipeline (also the shm-failure fallback)."""
         x_prime = x if scale is None else truncate_scaled(x, scale, side)
-        return residue_slices(
-            x_prime, table, config.residue_kernel, single_pass=config.fused_kernels
-        )
+        return residue_slices(x_prime, table, config.residue_kernel)
 
     def convert_residues(
         self,
@@ -546,7 +550,6 @@ class Scheduler:
                             "side": side,
                             "table": spec,
                             "kernel": config.residue_kernel,
-                            "single_pass": config.fused_kernels,
                         },
                     )
                 )
@@ -587,13 +590,11 @@ def execute_plan(
     table:
         CRT constant table matching ``config``.
     config:
-        Configuration.  Selects the ``mod`` kernel of the accumulation and,
-        via ``config.fused_kernels``, whether tasks are modulus *chunks* of
-        the stack (one fused :meth:`~repro.engines.base.MatrixEngine.
-        matmul_stack` call each — serial runs take a single fused call per
-        tile and k-block, parallel runs split the stack across workers) or
-        the per-modulus 2-D calls of the pre-fusion path.  Both are
-        bit-identical and record identical op ledgers.
+        Configuration; selects the ``mod`` kernel of the accumulation.
+        Tasks are modulus *chunks* of the stack, one
+        :meth:`~repro.engines.base.MatrixEngine.matmul_stack` call per
+        chunk and k-block: serial runs take the whole stack in one call per
+        tile and k-block, parallel runs split it across workers.
     times:
         Optional :class:`~repro.core.gemm.PhaseTimes` receiving per-phase
         seconds under the keys ``matmul`` / ``accumulate`` / ``reconstruct``.
@@ -601,8 +602,8 @@ def execute_plan(
         ``matmul`` entry is the elapsed (not summed per-worker) time.
     trusted:
         Declare the residue stacks as produced by this library's own
-        conversion (INT8, in range by construction), letting the fused path
-        skip the engine's per-call validation sweeps.  Off by default so
+        conversion (INT8, in range by construction), letting the engine
+        skip its per-call validation sweeps.  Off by default so
         external callers handing in arbitrary stacks keep full validation.
 
     Tiles are processed one at a time — bounding the transient workspace to
@@ -643,30 +644,22 @@ def execute_plan(
             )
 
     blocked = plan.num_k_blocks > 1
-    fused = config.fused_kernels
-    if fused:
-        # Modulus chunks sized for the worker count actually executing the
-        # plan: the plan's own decomposition when the scheduler matches its
-        # recorded parallelism (the entry points always construct the
-        # scheduler from it), re-chunked for an externally supplied
-        # scheduler with a different worker count.  Tasks are ordered
-        # chunk-major so the unblocked fast path can reassemble the stack
-        # by concatenation; chunking never affects the value.
-        if scheduler.workers == plan.parallelism:
-            chunks = plan.modulus_chunks
-        else:
-            chunks = modulus_chunk_ranges(n_mod, scheduler.workers)
-        tasks = [
-            (lo, hi, start, stop)
-            for lo, hi in chunks
-            for start, stop in plan.k_ranges
-        ]
+    # Modulus chunks sized for the worker count actually executing the plan:
+    # the plan's own decomposition when the scheduler matches its recorded
+    # parallelism (the entry points always construct the scheduler from it),
+    # re-chunked for an externally supplied scheduler with a different
+    # worker count.  Tasks are ordered chunk-major so the unblocked path can
+    # reassemble the stack by concatenation; chunking never affects the
+    # value.
+    if scheduler.workers == plan.parallelism:
+        chunks = plan.modulus_chunks
     else:
-        tasks = [
-            (i, i + 1, start, stop)
-            for i in range(n_mod)
-            for start, stop in plan.k_ranges
-        ]
+        chunks = modulus_chunk_ranges(n_mod, scheduler.workers)
+    tasks = [
+        (lo, hi, start, stop)
+        for lo, hi in chunks
+        for start, stop in plan.k_ranges
+    ]
     c_pp = np.empty((plan.m, plan.n), dtype=np.float64)
 
     try:
@@ -674,14 +667,10 @@ def execute_plan(
 
             def _matmul(engine: MatrixEngine, task, _m0=m0, _m1=m1, _n0=n0, _n1=n1):
                 lo, hi, start, stop = task
-                if fused:
-                    return engine.matmul_stack(
-                        a_slices[lo:hi, _m0:_m1, start:stop],
-                        b_slices[lo:hi, start:stop, _n0:_n1],
-                        trusted=trusted,
-                    )
-                return engine.matmul(
-                    a_slices[lo, _m0:_m1, start:stop], b_slices[lo, start:stop, _n0:_n1]
+                return engine.matmul_stack(
+                    a_slices[lo:hi, _m0:_m1, start:stop],
+                    b_slices[lo:hi, start:stop, _n0:_n1],
+                    trusted=trusted,
                 )
 
             t0 = time.perf_counter()
@@ -694,15 +683,10 @@ def execute_plan(
                 # associative — but keeping it fixed documents the determinism).
                 c_stack = np.zeros((n_mod, m1 - m0, n1 - n0), dtype=np.int64)
                 for (lo, hi, _, _), partial in zip(tasks, partials, strict=True):
-                    if fused:
-                        c_stack[lo:hi] += partial.astype(np.int64)
-                    else:
-                        c_stack[lo] += partial.astype(np.int64)
-            elif fused:
+                    c_stack[lo:hi] += partial.astype(np.int64)
+            else:
                 # One k-block: tasks are the chunks in modulus order already.
                 c_stack = partials[0] if len(partials) == 1 else np.concatenate(partials)
-            else:
-                c_stack = np.asarray(partials)
 
             use_mulhi = (
                 config.residue_kernel is ResidueKernel.FAST_FMA
@@ -717,7 +701,7 @@ def execute_plan(
             for r0, r1 in accumulation_row_blocks(n_mod, m1 - m0, n1 - n0):
                 t2 = time.perf_counter()
                 c1, c2 = accumulate_residue_products(
-                    c_stack[:, r0:r1], table, use_mulhi=use_mulhi, vectorized=fused
+                    c_stack[:, r0:r1], table, use_mulhi=use_mulhi
                 )
                 t3 = time.perf_counter()
                 c_pp[m0 + r0 : m0 + r1, n0:n1] = reconstruct_crt(c1, c2, table)

@@ -237,20 +237,14 @@ class TileSource:
                     if side == "A":
                         strip = truncate_scaled(x[lo:hi], scale[lo:hi], side="left")
                         staged[:, lo:hi, :] = residue_slices(
-                            strip,
-                            table,
-                            config.residue_kernel,
-                            single_pass=config.fused_kernels,
+                            strip, table, config.residue_kernel
                         )
                     else:
                         strip = truncate_scaled(
                             x[:, lo:hi], scale[lo:hi], side="right"
                         )
                         staged[:, :, lo:hi] = residue_slices(
-                            strip,
-                            table,
-                            config.residue_kernel,
-                            single_pass=config.fused_kernels,
+                            strip, table, config.residue_kernel
                         )
                     return
                 except (faults.InjectedFault, OSError) as exc:

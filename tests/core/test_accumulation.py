@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import algorithm1_oracle as oracle
 from repro.accuracy.reference import exact_int_gemm
 from repro.core.accumulation import (
     _table_terms,
@@ -68,46 +69,32 @@ class TestAccumulate:
 
     def test_sgemm_table_gives_c2_sentinel(self, rng):
         """All split-weight tails are zero for SGEMM tables: the dead second
-        accumulation is skipped and reported as the ``None`` sentinel (for
-        both the vectorized path and the per-modulus comparator)."""
+        accumulation is skipped and reported as the ``None`` sentinel."""
         table = build_constant_table(8, 32)
         c_stack = rng.integers(-(2**31), 2**31, (8, 3, 3)).astype(np.int32)
-        for vectorized in (True, False):
-            _, c2 = accumulate_residue_products(c_stack, table, vectorized=vectorized)
-            assert c2 is None
+        _, c2 = accumulate_residue_products(c_stack, table)
+        assert c2 is None
 
     @pytest.mark.parametrize("precision_bits", [64, 32])
     @pytest.mark.parametrize("use_mulhi", [False, True])
-    def test_vectorized_matches_per_modulus_loop(self, rng, precision_bits, use_mulhi):
-        """The single-tensordot/broadcast path must be bit-identical to the
-        per-modulus loop it replaces, including the inexact C2 terms."""
+    def test_matches_oracle_accumulation(self, rng, precision_bits, use_mulhi):
+        """The U-stack/tensordot accumulation must be bit-identical to the
+        oracle's ascending per-modulus sums, including the inexact C2 terms
+        and the rounded C1 sum of the unsplit 32-bit weights."""
         n_mod = 15 if precision_bits == 64 else 8
         table = build_constant_table(n_mod, precision_bits)
         c_stack = rng.integers(-(2**31), 2**31, (n_mod, 7, 9)).astype(np.int32)
-        c1_v, c2_v = accumulate_residue_products(
-            c_stack, table, use_mulhi=use_mulhi, vectorized=True
-        )
-        c1_l, c2_l = accumulate_residue_products(
-            c_stack, table, use_mulhi=use_mulhi, vectorized=False
-        )
-        np.testing.assert_array_equal(c1_v, c1_l)
-        if c2_l is None:
-            assert c2_v is None
-        else:
-            np.testing.assert_array_equal(c2_v, c2_l)
+        _assert_matches_oracle(c_stack, table, use_mulhi)
 
-    def test_vectorized_matches_loop_on_int64_blocked_stack(self, rng):
+    def test_matches_oracle_on_int64_blocked_stack(self, rng):
         """k-blocked partial sums arrive as int64 and can exceed the INT32
-        range; the float-domain mod is exact up to |C'| < 2**52, so both
-        accumulation paths must stay exact and bit-identical there."""
+        range; the integer mod is exact over the whole int64 range, so the
+        accumulation must match the oracle bit for bit there too."""
         table = build_constant_table(12, 64)
         for bits in (33, 40, 51):
             c_stack = rng.integers(-(2**bits), 2**bits, (12, 5, 4)).astype(np.int64)
             c_stack[:, 0, 0] = [2**bits - 1, -(2**bits)] * 6
-            c1_v, c2_v = accumulate_residue_products(c_stack, table, vectorized=True)
-            c1_l, c2_l = accumulate_residue_products(c_stack, table, vectorized=False)
-            np.testing.assert_array_equal(c1_v.view(np.uint64), c1_l.view(np.uint64))
-            np.testing.assert_array_equal(c2_v.view(np.uint64), c2_l.view(np.uint64))
+            _assert_matches_oracle(c_stack, table, use_mulhi=False)
 
     @pytest.mark.parametrize("precision_bits", [64, 32])
     def test_row_blocks_match_whole_tile(self, rng, precision_bits):
@@ -127,6 +114,16 @@ class TestAccumulate:
             c1, c2 = accumulate_residue_products(c_stack[:, r0:r1], table)
             blocked[r0:r1] = reconstruct_crt(c1, c2, table)
         np.testing.assert_array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+
+
+def _assert_matches_oracle(c_stack, table, use_mulhi):
+    c1, c2 = accumulate_residue_products(c_stack, table, use_mulhi=use_mulhi)
+    want_c1, want_c2 = oracle.accumulate(list(c_stack), table, use_mulhi)
+    np.testing.assert_array_equal(c1.view(np.uint64), want_c1.view(np.uint64))
+    if c2 is None:
+        assert not np.any(want_c2)
+    else:
+        np.testing.assert_array_equal(c2.view(np.uint64), want_c2.view(np.uint64))
 
 
 class TestReconstruct:
@@ -188,13 +185,11 @@ class TestReconstructSentinel:
         [(8, 64), (12, 64), (15, 64), (18, 64), (20, 64), (8, 32), (20, 32)],
     )
     def test_scalar_fma_coefficients_broadcast(self, rng, num_moduli, precision_bits):
-        """The split reconstruction is bit-identical to the seed's
-        full-matrix software-FMA formulation: on random stacks, on CRT
-        values drawn log-uniformly over the whole range, on a near-null-space
-        integer GEMM, and on C2 sums that nearly cancel C1 - P1*Q (where
-        splitting P2 like P1, or a fast two-sum, rounds differently)."""
-        from repro.utils.fma import fma
-
+        """The split reconstruction is bit-identical to the oracle's
+        software-FMA lines 10-11: on random stacks, on CRT values drawn
+        log-uniformly over the whole range, on a near-null-space integer
+        GEMM, and on C2 sums that nearly cancel C1 - P1*Q (where splitting
+        P2 like P1, or a fast two-sum, rounds differently)."""
         table = build_constant_table(num_moduli, precision_bits)
         inputs = [
             accumulate_residue_products(
@@ -221,11 +216,7 @@ class TestReconstructSentinel:
             inputs.append(_cancelling_c2(table, rng))
         for c1, c2 in inputs:
             got = reconstruct_crt(c1, c2, table)
-            q = np.rint(table.Pinv * c1)
-            t = fma(np.full_like(q, -table.P1), q, c1)
-            if c2 is not None:
-                t = t + c2
-            want = fma(np.full_like(q, -table.P2), q, t)
+            want = oracle.reconstruct(c1, np.zeros_like(c1) if c2 is None else c2, table)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("precision_bits", [64, 32])

@@ -42,15 +42,6 @@ class TestBitIdentityWithGemmRoute:
             np.asarray(ozaki2_gemm(prep, v[:, None], config=config)).ravel(),
         )
 
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_fused_and_loop_paths(self, fused):
-        config = Ozaki2Config(fused_kernels=fused)
-        a, v = _problem(seed=5)
-        np.testing.assert_array_equal(
-            prepared_gemv(a, v, config=config),
-            ozaki2_gemm(a, v[:, None], config=config).ravel(),
-        )
-
     def test_fast_fma_residue_kernel(self):
         config = Ozaki2Config(residue_kernel="fast_fma")
         a, v = _problem(seed=7)
@@ -63,12 +54,9 @@ class TestBitIdentityWithGemmRoute:
         monkeypatch.setattr(gemm_mod, "MAX_K_WITHOUT_BLOCKING", 16)
         monkeypatch.setattr(gemv_mod, "MAX_K_WITHOUT_BLOCKING", 16)
         a, v = _problem(m=9, k=50, seed=11)
-        for fused in (True, False):
-            config = Ozaki2Config(fused_kernels=fused)
-            np.testing.assert_array_equal(
-                prepared_gemv(a, v, config=config),
-                ozaki2_gemm(a, v[:, None], config=config).ravel(),
-            )
+        np.testing.assert_array_equal(
+            prepared_gemv(a, v), ozaki2_gemm(a, v[:, None]).ravel()
+        )
 
     def test_block_k_disabled_raises_like_the_plan(self, monkeypatch):
         monkeypatch.setattr(gemv_mod, "MAX_K_WITHOUT_BLOCKING", 16)

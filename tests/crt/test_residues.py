@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import algorithm1_oracle as oracle
 from repro.crt.constants import build_constant_table
 from repro.crt.residues import (
     mod_exact,
@@ -12,10 +13,9 @@ from repro.crt.residues import (
     residues_to_int8,
     rmod_exact,
     rmod_fast_fma,
-    uint8_residues,
     uint8_residues_stack,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ValidationError
 
 
 def _random_integer_matrix(rng, shape, bits):
@@ -276,9 +276,9 @@ class TestResidueStacks:
 
     @pytest.mark.parametrize("kernel", ["exact", "fast_fma"])
     @pytest.mark.parametrize("precision_bits", [64, 32])
-    def test_single_pass_matches_loop(self, kernel, precision_bits):
-        """The broadcast single-pass conversion must be bit-identical to the
-        per-modulus loop across kernels and precisions."""
+    def test_matches_oracle_residues(self, kernel, precision_bits):
+        """The production conversion must be bit-identical to the oracle's
+        per-modulus ``rmod`` across kernels and precisions."""
         n_mod = 15 if precision_bits == 64 else 8
         table = build_constant_table(n_mod, precision_bits)
         alpha = 0.5 * (table.log2_P - 1.5)
@@ -291,14 +291,13 @@ class TestResidueStacks:
                 pinv32=table.pinv32,
                 precision_bits=precision_bits,
             )
-        fused = residues_to_int8(x, table.moduli, single_pass=True, **kwargs)
-        loop = residues_to_int8(x, table.moduli, single_pass=False, **kwargs)
-        np.testing.assert_array_equal(fused, loop)
-        assert fused.dtype == np.int8
+        got = residues_to_int8(x, table.moduli, **kwargs)
+        np.testing.assert_array_equal(got, oracle.residues(x, table, kernel))
+        assert got.dtype == np.int8
 
-    def test_single_pass_matches_loop_above_int64_limit(self):
-        """Values up to the 2**93 range limit: the float-domain single pass
-        must agree bit-for-bit with the integer per-modulus loop and with
+    def test_matches_oracle_above_int64_limit(self):
+        """Values up to the 2**93 range limit: the float-domain conversion
+        must agree bit-for-bit with the oracle's integer ``rmod`` and with
         exact integer residues, for every modulus the tables use.  Each row
         is converted on its own, since ``max |x|`` picks the kernel's path
         (no limb split below 2**50, centred limbs from there up to 2**93)."""
@@ -379,10 +378,10 @@ class TestResidueStacks:
 
         for row in rows:
             x = np.array(row)
-            fused = residues_to_int8(x, table.moduli, single_pass=True)
-            loop = residues_to_int8(x, table.moduli, single_pass=False)
-            np.testing.assert_array_equal(fused.view(np.uint8), loop.view(np.uint8))
-            assert_centred(x, fused, table.moduli)
+            got = residues_to_int8(x, table.moduli)
+            want = np.array(oracle.residues(x, table))
+            np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+            assert_centred(x, got, table.moduli)
         # Even moduli besides 256 map the tie +p/2 to -p/2 as well.
         shifted = np.array(rows[:9]) + 127.0
         assert_centred(shifted, residues_to_int8(shifted, (254, 2)), (254, 2))
@@ -392,26 +391,23 @@ class TestResidueStacks:
         conversion and the reference must raise, never return wrong
         residues."""
         x = np.array([2.0**94 + 2.0**54])
-        with pytest.raises(ValueError, match="2\\*\\*93"):
+        with pytest.raises(ValidationError, match="2\\*\\*93"):
             residues_to_int8(x, (256, 255, 253, 251))
-        with pytest.raises(ValueError, match="2\\*\\*93"):
-            residues_to_int8(x, (256, 255, 253, 251), single_pass=False)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="2\\*\\*93"):
             rmod_exact(x, 251)
         for bad in (2.0**93, -(2.0**93), np.inf, np.nan):
             with pytest.raises(ValueError):
                 residues_to_int8(np.array([[1.0, bad]]), (256, 251))
 
-    def test_single_pass_on_3d_input(self):
+    def test_conversion_on_3d_input(self):
         """The batched runtime stacks same-shape operands before conversion;
-        the broadcast path must handle the extra leading axis."""
+        the conversion must handle the extra leading axis."""
         rng = np.random.default_rng(9)
         table = build_constant_table(6, 64)
         x = np.trunc(rng.standard_normal((3, 5, 7)) * 1e6)
-        fused = residues_to_int8(x, table.moduli, single_pass=True)
-        loop = residues_to_int8(x, table.moduli, single_pass=False)
-        assert fused.shape == (6, 3, 5, 7)
-        np.testing.assert_array_equal(fused, loop)
+        got = residues_to_int8(x, table.moduli)
+        assert got.shape == (6, 3, 5, 7)
+        np.testing.assert_array_equal(got, oracle.residues(x, table))
 
     def test_uint8_residues_stack_matches_per_modulus(self):
         table = build_constant_table(12, 64)
@@ -420,9 +416,9 @@ class TestResidueStacks:
         plain = uint8_residues_stack(c_stack, table.moduli)
         mulhi = uint8_residues_stack(c_stack, table.moduli, table.pinv_prime)
         for i, p in enumerate(table.moduli):
-            np.testing.assert_array_equal(plain[i], uint8_residues(c_stack[i], p))
+            np.testing.assert_array_equal(plain[i], mod_exact(c_stack[i], p))
             np.testing.assert_array_equal(
-                mulhi[i], uint8_residues(c_stack[i], p, int(table.pinv_prime[i]))
+                mulhi[i], mod_fast_mulhi(c_stack[i], p, int(table.pinv_prime[i]))
             )
         assert plain.dtype == mulhi.dtype == np.uint8
 
@@ -443,27 +439,3 @@ class TestResidueStacks:
         got = uint8_residues_stack(c_stack, table.moduli)
         want = [[c % p for c in row] for p, row in zip(table.moduli, rows, strict=True)]
         assert got[:, 0, :].tolist() == want
-
-    def test_hoisted_max_abs_scan_is_respected(self):
-        """_nonneg_mod_integer_valued must honour a precomputed max_abs (the
-        per-conversion hoist) and stay exact on both sides of the limit."""
-        from repro.crt.residues import _INT64_SAFE_LIMIT, _nonneg_mod_integer_valued
-
-        x = np.array([1.0, -7.0, 2.0**40])
-        hoisted = _nonneg_mod_integer_valued(x, 251, max_abs=float(2.0**40))
-        np.testing.assert_array_equal(hoisted, _nonneg_mod_integer_valued(x, 251))
-        # A max_abs above the limit must route the same values down the
-        # split path and still return exact remainders.
-        wide = _nonneg_mod_integer_valued(x, 251, max_abs=float(2 * _INT64_SAFE_LIMIT))
-        np.testing.assert_array_equal(wide, hoisted)
-
-    def test_uint8_residues_with_and_without_mulhi(self):
-        table = build_constant_table(4, 64)
-        rng = np.random.default_rng(2)
-        c = rng.integers(-(2**31), 2**31, (8, 8)).astype(np.int32)
-        for i, p in enumerate(table.moduli):
-            plain = uint8_residues(c, p)
-            fast = uint8_residues(c, p, int(table.pinv_prime[i]))
-            np.testing.assert_array_equal(plain, fast)
-            assert plain.dtype == np.uint8
-            assert np.all(plain < p)

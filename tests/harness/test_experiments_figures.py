@@ -13,7 +13,7 @@ from repro.harness.experiments import (
     accuracy_sweep,
     breakdown_sweep,
     cpu_wallclock_sweep,
-    gemv_fast_path_sweep,
+    gemv_route_sweep,
     power_sweep,
     preconditioner_sweep,
     prepared_reuse_sweep,
@@ -80,8 +80,8 @@ class TestSweeps:
             )
             assert row["method"] == "OS II-fast-8"
 
-    def test_gemv_fast_path_sweep(self):
-        rows = gemv_fast_path_sweep(48, num_moduli=8, iters=2, repeats=1)
+    def test_gemv_route_sweep(self):
+        rows = gemv_route_sweep(48, num_moduli=8, iters=2, repeats=1)
         assert [row["route"] for row in rows] == ["gemm-n1", "gemv-fast"]
         for row in rows:
             assert row["bit_identical"] and row["ledger_equal"]

@@ -256,23 +256,6 @@ class TestCli:
         assert code == 0
         assert "jacobi+ssor(OS II-fast-15)" in capsys.readouterr().out
 
-    def test_solve_no_gemv_fast_comparator_route(self, capsys):
-        code = cli_main(["solve", "jacobi", "--size", "48", "--no-gemv-fast"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "n=1 GEMM route" in out
-        assert "converged            True" in out
-
-    def test_solve_gemv_routes_agree_on_iteration_count(self, capsys):
-        assert cli_main(["solve", "jacobi", "--size", "40"]) == 0
-        fast = capsys.readouterr().out
-        assert cli_main(["solve", "jacobi", "--size", "40", "--no-gemv-fast"]) == 0
-        slow = capsys.readouterr().out
-        pick = lambda text: next(  # noqa: E731
-            line for line in text.splitlines() if "converged" in line
-        )
-        assert pick(fast) == pick(slow)
-
     def test_solve_fp32_default_tolerance_is_reachable(self, capsys):
         """fp32 emulation has a ~1e-7 residual floor; the default tolerance
         must scale with the precision so fp32 solves can succeed."""

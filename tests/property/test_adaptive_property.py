@@ -3,9 +3,8 @@
 Two guarantees across modes, precisions and shapes:
 
 * an ``num_moduli="auto"`` run is **bitwise identical** to a fixed-count
-  run at the selected count (the fixed route is the comparator, exactly
-  the ``--no-fused``/``--no-gemv-fast`` pattern), and the selection never
-  exceeds ``MAX_MODULI``;
+  run at the selected count (the fixed route is the comparator), and the
+  selection never exceeds ``MAX_MODULI``;
 * the auto result stays within the model's guaranteed accuracy bound of
   the fixed ``N = 15`` (DGEMM default) result: both sit within their
   respective a-priori bounds of the true product, so their difference is

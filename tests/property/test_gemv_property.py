@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import algorithm1_oracle as oracle
 from repro.config import ComputeMode, Ozaki2Config
 from repro.core.gemm import ozaki2_gemm
 from repro.core.gemv import prepared_gemv
@@ -76,14 +77,14 @@ def test_gemv_fast_path_is_bit_identical_to_n1_gemm(
     seed=st.integers(0, 2**16),
 )
 @settings(**COMMON_SETTINGS)
-def test_solver_matvec_is_route_invariant(k, num_moduli, parallelism, seed):
-    """prepared_matvec returns the same bits whichever route the flag picks."""
+def test_solver_matvec_matches_oracle(k, num_moduli, parallelism, seed):
+    """prepared_matvec returns the oracle's bits at every parallelism."""
     from repro.apps.solvers import prepared_matvec
 
     config = Ozaki2Config.for_dgemm(num_moduli, parallelism=parallelism)
     a = phi_matrix(k, k, phi=0.5, seed=seed)
     v = phi_matrix(k, 1, phi=0.5, seed=seed + 1)[:, 0]
     prep = prepare_a(a, config=config)
-    fast = prepared_matvec(prep, v, config.replace(gemv_fast_path=True))
-    slow = prepared_matvec(prep, v, config.replace(gemv_fast_path=False))
-    np.testing.assert_array_equal(fast, slow)
+    want, _ = oracle.gemm(a, v[:, None], config)
+    got = prepared_matvec(prep, v, config)
+    np.testing.assert_array_equal(got.view(np.uint8), want[:, 0].view(np.uint8))

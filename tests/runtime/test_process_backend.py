@@ -1,13 +1,15 @@
 """Process-parallel scheduler: bit-identity, ledgers, failure paths, shm.
 
 The process executor must be a drop-in replacement for the thread pool:
-for any problem, any worker count and either kernel path, the result is
-bitwise equal to the strictly serial run and the merged op ledger is
-indistinguishable from it.  The property test sweeps that whole grid.
+for any problem, any worker count and raw or prepared operands, the result
+is bitwise equal to the literal Algorithm 1 of ``algorithm1_oracle`` and
+the merged op ledger is indistinguishable from its.  The property test
+sweeps that whole grid.
 
 The failure-path tests pin the hardening guarantees: a task that raises
-inside a worker surfaces as :class:`WorkerTaskError` and leaves the
-scheduler usable; dead worker processes surface as :class:`WorkerError`
+inside a worker surfaces as :class:`WorkerTaskError` (a library error such
+as :class:`ValidationError` as itself) and leaves the scheduler usable;
+dead worker processes surface as :class:`WorkerError`
 and the next use lazily rebuilds the pool; shared-memory segments never
 outlive the run (no ``resource_tracker`` leak warnings).
 
@@ -28,11 +30,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import algorithm1_oracle as oracle
 from repro import faults
 from repro.config import Ozaki2Config
 from repro.core.gemm import ozaki2_gemm
 from repro.core.operand import prepare_a, prepare_b
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ValidationError
 from repro.runtime import TileSource, live_segment_names
 from repro.runtime import scheduler as scheduler_module
 from repro.runtime.plan import PROCESS_MIN_MACS, resolve_executor
@@ -55,30 +58,29 @@ dims = st.integers(min_value=1, max_value=24)
     n=dims,
     executor=st.sampled_from(["thread", "process", "auto"]),
     parallelism=st.sampled_from([1, 2, 4]),
-    fused=st.booleans(),
     prepared=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=12, deadline=None)
 def test_executors_bit_identical_with_equal_ledgers(
-    m, k, n, executor, parallelism, fused, prepared, seed
+    m, k, n, executor, parallelism, prepared, seed
 ):
     a = phi_matrix(m, k, phi=0.5, seed=seed)
     b = phi_matrix(k, n, phi=0.5, seed=seed + 1)
-    base = Ozaki2Config(num_moduli=15, fused_kernels=fused)
+    base = Ozaki2Config(num_moduli=15)
     config = base.replace(parallelism=parallelism, executor=executor)
 
     if prepared:
         operands = (prepare_a(a, base), prepare_b(b, base))
     else:
         operands = (a, b)
-    serial = ozaki2_gemm(*operands, config=base, return_details=True)
+    want, ledger = oracle.gemm(a, b, base)
     result = ozaki2_gemm(*operands, config=config, return_details=True)
 
-    np.testing.assert_array_equal(result.c, serial.c)
-    assert result.ledger.as_dict() == serial.ledger.as_dict(), (
+    np.testing.assert_array_equal(result.c.view(np.uint8), want.view(np.uint8))
+    assert result.ledger.as_dict() == ledger.as_dict(), (
         f"op ledger diverged for executor={executor} "
-        f"parallelism={parallelism} fused={fused} prepared={prepared}"
+        f"parallelism={parallelism} prepared={prepared}"
     )
     assert live_segment_names() == ()
 
@@ -139,7 +141,14 @@ def test_worker_task_error_leaves_scheduler_usable():
     with Scheduler(parallelism=2, executor="process") as sched:
         with pytest.raises(WorkerTaskError):
             sched.run_process_tasks([("no-such-task", {})])
-        # The pool survived the in-task failure: the same scheduler still
+        # An operand the conversion cannot represent (its scales overflow
+        # to inf) fails inside the workers, but it is the caller's error:
+        # it arrives as itself, not retried.
+        retries = sched.engine.counter.fault_events["task_retry"]
+        with pytest.raises(ValidationError, match="2\\*\\*93"):
+            ozaki2_gemm(a, b * 1e-300, config=config, scheduler=sched)
+        assert sched.engine.counter.fault_events["task_retry"] == retries
+        # The pool survived both in-task failures: the same scheduler still
         # serves a full GEMM, bit-identically.
         again = ozaki2_gemm(a, b, config=config, scheduler=sched)
     np.testing.assert_array_equal(again, serial)

@@ -189,6 +189,12 @@ class TestErrors:
     def test_shape_mismatch_is_an_error_not_a_hang(self, server, client, rng):
         with pytest.raises(ServiceError):
             client.gemm(rng.standard_normal((8, 4)), rng.standard_normal((8, 4)))
+        # A B side the residue conversion cannot represent exactly (its
+        # scales overflow to inf) is the caller's error, not the server's.
+        a = rng.standard_normal((64, 64))
+        with pytest.raises(ServiceError) as excinfo:
+            client.gemm(a, rng.standard_normal((64, 64)) * 1e-300)
+        assert excinfo.value.code == ERROR_BAD_REQUEST
 
     def test_missing_operand_in_frame(self, server, client):
         with pytest.raises(ServiceError) as excinfo:
