@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Ozaki2Config, emulated_dgemm, emulated_sgemm, ozaki2_gemm
+from repro import Ozaki2Config, emulated_dgemm, emulated_sgemm
+from repro.core.gemm import ozaki2_gemm
 from repro.baselines import bf16x9_gemm, cumpsgemm_fp16tcec, native_dgemm, ozimmu_gemm
 from repro.harness.report import format_table
 from repro.workloads import phi_pair

@@ -25,7 +25,8 @@ import os
 
 import pytest
 
-from repro import Ozaki2Config, ozaki2_gemm
+from repro import Ozaki2Config
+from repro.core.gemm import ozaki2_gemm
 from repro.harness import batched_speedup_sweep, runtime_scaling_sweep
 from repro.harness.report import format_table
 from repro.workloads import phi_pair

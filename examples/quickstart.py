@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 
 
-from repro import Ozaki2Config, emulated_dgemm, emulated_sgemm, ozaki2_gemm
+from repro import Ozaki2Config, Session, emulated_dgemm, emulated_sgemm
 from repro.accuracy import max_relative_error, reference_gemm
 from repro.baselines import native_dgemm, native_sgemm, ozimmu_gemm
 from repro.harness import format_table
@@ -61,8 +61,10 @@ def main(n: int = 384) -> None:
     print()
 
     # --- per-phase breakdown of one emulated DGEMM --------------------------
-    config = Ozaki2Config.for_dgemm(num_moduli=15)
-    result = ozaki2_gemm(a, b, config=config, return_details=True)
+    # cache_bytes=0: convert both operands inside the call, so the
+    # breakdown shows the conversion phases instead of a cache hit.
+    with Session(Ozaki2Config.for_dgemm(num_moduli=15), cache_bytes=0) as session:
+        result = session.gemm(a, b)
     rows = [
         {"phase": phase, "seconds": seconds, "fraction": frac}
         for (phase, seconds), frac in zip(
@@ -71,8 +73,8 @@ def main(n: int = 384) -> None:
     ]
     print(format_table(rows, title=f"CPU wall-clock breakdown of {result.method_name}"))
     print(
-        f"\nINT8 engine issued {result.int8_counter.matmul_calls} GEMMs "
-        f"({result.int8_counter.mac_ops / 1e9:.2f} GMACs)."
+        f"\nINT8 engine issued {result.ledger.matmul_calls} GEMMs "
+        f"({result.ledger.mac_ops / 1e9:.2f} GMACs)."
     )
 
 

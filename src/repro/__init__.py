@@ -35,28 +35,23 @@ Main entry points
   the paper's performance figures.
 * :mod:`repro.harness` — one function per paper figure.
 
-Deprecated spellings
---------------------
-The pre-Session free functions (``repro.ozaki2_gemm``,
-``repro.prepared_gemv``, ``repro.ozaki2_gemm_batched``, ``repro.prepare_a``,
-``repro.prepare_b``) keep working bit-identically but emit one
-:class:`DeprecationWarning` per process pointing at :class:`Session`; the
-defining submodules (e.g. :func:`repro.core.gemm.ozaki2_gemm`) remain the
-supported low-level spelling.
+Low-level spelling
+------------------
+The defining submodules stay importable for low-level work:
+:func:`repro.core.gemm.ozaki2_gemm`, :func:`repro.core.gemv.prepared_gemv`,
+:func:`repro.runtime.batched.ozaki2_gemm_batched` and
+:func:`repro.core.operand.prepare_a` / :func:`~repro.core.operand.prepare_b`.
+Their results carry the product in ``.value`` and the op ledger in
+``.ledger``.
 """
 
 from __future__ import annotations
 
 __version__ = "1.3.0"
 
-from ._compat import deprecated_alias as _deprecated_alias
-from ._compat import reset_deprecation_warnings
 from .config import ComputeMode, Ozaki2Config, ResidueKernel
 from .core.blas_like import gemm
-from .core import gemm as _gemm_module
-from .core import gemv as _gemv_module
-from .core import operand as _operand_module
-from .core.gemm import Ozaki2Result, emulated_dgemm, emulated_sgemm
+from .core.gemm import emulated_dgemm, emulated_sgemm
 from .core.gemv import GemvResult
 from .core.operand import (
     AccurateOperand,
@@ -71,7 +66,6 @@ from . import faults
 from .faults import FaultPlan, InjectedFault
 from .result import GemmResult, PhaseTimes, Result
 from .runtime import ExecutionPlan, Scheduler
-from .runtime import batched as _batched_module
 from .apps.solvers import SolveResult
 from .session import SOLVE_METHODS, Session
 from .service import ReproServer, ServiceClient
@@ -86,23 +80,6 @@ from .errors import (
 )
 from .types import BF16, FP16, FP32, FP64, INT8, TF32, Format, get_format
 
-# -- deprecated free-function shims (see repro._compat) ----------------------
-ozaki2_gemm = _deprecated_alias(
-    "ozaki2_gemm", "Session.gemm", _gemm_module.ozaki2_gemm
-)
-prepared_gemv = _deprecated_alias(
-    "prepared_gemv", "Session.gemv", _gemv_module.prepared_gemv
-)
-ozaki2_gemm_batched = _deprecated_alias(
-    "ozaki2_gemm_batched", "Session.gemm_batched", _batched_module.ozaki2_gemm_batched
-)
-prepare_a = _deprecated_alias(
-    "prepare_a", "Session.prepare(x, side='A')", _operand_module.prepare_a
-)
-prepare_b = _deprecated_alias(
-    "prepare_b", "Session.prepare(x, side='B')", _operand_module.prepare_b
-)
-
 __all__ = [
     "__version__",
     # facade
@@ -115,7 +92,6 @@ __all__ = [
     "GemmResult",
     "GemvResult",
     "SolveResult",
-    "Ozaki2Result",
     "PhaseTimes",
     # configuration
     "ComputeMode",
@@ -125,13 +101,6 @@ __all__ = [
     "emulated_dgemm",
     "emulated_sgemm",
     "gemm",
-    # deprecated free functions (shimmed)
-    "ozaki2_gemm",
-    "prepared_gemv",
-    "ozaki2_gemm_batched",
-    "prepare_a",
-    "prepare_b",
-    "reset_deprecation_warnings",
     # operands
     "PreparedOperand",
     "ResidueOperand",

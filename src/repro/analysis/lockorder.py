@@ -3,7 +3,7 @@
 The static lock rules (RPR030/031/032) see lexical structure; what they
 cannot see is the *acquisition order* across objects at runtime — the
 property that actually prevents deadlock when the serve/Session layer,
-the scheduler and the deprecation shims nest their six locks.  This
+the scheduler and the shared-memory registry nest their locks.  This
 module closes that gap:
 
 * every lock in the library is created through :func:`named_lock`, a

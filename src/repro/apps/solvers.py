@@ -212,8 +212,7 @@ class SolveResult(Result):
     Attributes
     ----------
     value:
-        The computed solution vector (also reachable under the historical
-        name :attr:`x`).
+        The computed solution vector.
     converged:
         Whether the stopping tolerance was met within ``max_iter``.
     iterations:
@@ -252,11 +251,6 @@ class SolveResult(Result):
     seconds: float = 0.0
     precond: str = "none"
     precond_seconds: float = 0.0
-
-    @property
-    def x(self) -> np.ndarray:
-        """The solution vector (historical alias of :attr:`value`)."""
-        return self.value
 
 
 def prepared_matvec(

@@ -410,14 +410,14 @@ def _cmd_run(args) -> int:
             "method": result.method_name,
             "shape": f"{m}x{k}x{n}",
             "k_blocks": result.num_k_blocks,
-            "int8_gemms": result.int8_counter.matmul_calls,
+            "int8_gemms": result.ledger.matmul_calls,
             "seconds": result.phase_times.total,
         }
         if args.check:
             from .accuracy import max_relative_error, reference_gemm
 
             a, b = pairs[j]
-            row["max_rel_error"] = max_relative_error(result.c, reference_gemm(a, b))
+            row["max_rel_error"] = max_relative_error(result.value, reference_gemm(a, b))
         rows.append(row)
     prepared = "".join(
         label for label, on in (("A", args.prepare_a), ("B", args.prepare_b)) if on
@@ -520,7 +520,7 @@ def _cmd_solve(args) -> int:
     }
     result = solvers[solver]()
 
-    error = float(np.max(np.abs(result.x - x_true)))
+    error = float(np.max(np.abs(result.value - x_true)))
     matvecs = max(1, result.iterations)
     print(f"repro solve: {result.method} on n={args.size} ({kind})")
     print(f"  converged            {result.converged} ({result.iterations} iterations)")
@@ -675,10 +675,21 @@ def _cmd_selfcheck(args) -> int:
             tiles.prepare_b(b, ooc_config),
             config=ooc_config,
         )
+        # Staging under num_moduli="auto" selects the count every in-core
+        # route selects, so the staged operand multiplies without re-deriving.
+        auto = Ozaki2Config(num_moduli="auto")
+        out_of_core_auto = ozaki2_gemm(tiles.prepare_a(a, auto), b, config=auto)
     checks.append(
         (
             "out-of-core streamed tiles bit-identical",
             bool(np.array_equal(serial, out_of_core)),
+            "",
+        )
+    )
+    checks.append(
+        (
+            "out-of-core auto-N bit-identical",
+            bool(np.array_equal(ozaki2_gemm(a, b, config=auto), out_of_core_auto)),
             "",
         )
     )
@@ -741,7 +752,7 @@ def _cmd_selfcheck(args) -> int:
         (
             f"auto moduli selection (N={auto.config.num_moduli}) bit-identical "
             "to fixed N",
-            bool(np.array_equal(auto.c, auto_fixed)),
+            bool(np.array_equal(auto.value, auto_fixed)),
             "",
         )
     )
@@ -777,7 +788,7 @@ def _cmd_selfcheck(args) -> int:
     checks.append(
         (
             "fault injection (worker task error) recovered bit-identically",
-            bool(np.array_equal(serial, injected.c))
+            bool(np.array_equal(serial, injected.value))
             and injected.fault_events.get("task_retry", 0) >= 1,
             "",
         )
@@ -794,7 +805,7 @@ def _cmd_selfcheck(args) -> int:
         (
             "fault injection (pool spawn) degraded to threads, bit-identical "
             "and on the ledger",
-            bool(np.array_equal(serial, degraded.c))
+            bool(np.array_equal(serial, degraded.value))
             and degraded.degraded
             and degraded.fault_events.get("degraded_to_thread", 0) >= 1,
             "",

@@ -3,8 +3,10 @@
 The central object is :class:`Ozaki2Config`, which captures every knob of
 Algorithm 1 in the paper: the target precision (FP64 for DGEMM emulation,
 FP32 for SGEMM emulation), the number of CRT moduli ``N``, the computing
-mode (``fast`` or ``accurate``, Section 4.2), and implementation switches
-(which residue kernel to use, whether to block over ``k``).
+mode (``fast`` or ``accurate``, Section 4.2), the residue kernel, and the
+runtime knobs (workers, executor, memory budget).  Inputs are always
+validated, and inner dimensions beyond ``2**17`` are always processed in
+blocks (Section 4.3).
 """
 
 from __future__ import annotations
@@ -146,14 +148,6 @@ class Ozaki2Config:
         ``ComputeMode.FAST`` or ``ComputeMode.ACCURATE`` (Section 4.2).
     residue_kernel:
         Implementation used for ``rmod`` (see :class:`ResidueKernel`).
-    block_k:
-        If True (default), inner dimensions larger than ``2**17`` are
-        processed in blocks so the INT32 accumulator never wraps
-        (Section 4.3).  If False, such inputs raise
-        :class:`~repro.errors.OverflowRiskError`.
-    validate:
-        If True (default), public entry points validate shapes, dtypes and
-        finiteness of the inputs.
     parallelism:
         Number of worker threads used by the execution runtime to fan the
         ``N`` residue GEMMs / k-blocks / output tiles out
@@ -201,8 +195,6 @@ class Ozaki2Config:
     num_moduli: Union[int, str] = DEFAULT_MODULI_DGEMM
     mode: ComputeMode = ComputeMode.FAST
     residue_kernel: ResidueKernel = ResidueKernel.EXACT
-    block_k: bool = True
-    validate: bool = True
     parallelism: Union[int, str] = 1
     executor: str = "thread"
     max_pool_rebuilds: int = 2

@@ -17,7 +17,6 @@ from .accumulation import accumulate_residue_products, reconstruct_crt, unscale
 from .blocking import blocked_residue_products, k_block_ranges
 from .conversion import residue_slices, truncate_scaled
 from .gemm import (
-    Ozaki2Result,
     PhaseTimes,
     emulated_dgemm,
     emulated_sgemm,
@@ -47,7 +46,6 @@ __all__ = [
     "k_block_ranges",
     "residue_slices",
     "truncate_scaled",
-    "Ozaki2Result",
     "PhaseTimes",
     "GemvResult",
     "prepared_gemv",

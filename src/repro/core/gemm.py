@@ -1,36 +1,56 @@
-"""Public emulated-GEMM API (Algorithm 1).
+"""Public emulated-GEMM API (Algorithm 1) and its shared front end.
 
 :func:`ozaki2_gemm` runs the full pipeline of Algorithm 1 on a pair of
 matrices and returns either the result matrix or a
-:class:`~repro.result.GemmResult` (historically ``Ozaki2Result``, kept as an
-alias) with per-phase timings, operation counts and intermediate
-diagnostics.  The convenience wrappers :func:`emulated_dgemm` /
-:func:`emulated_sgemm` choose sensible defaults for FP64 / FP32 targets.
+:class:`~repro.result.GemmResult` with per-phase timings, operation counts
+and intermediate diagnostics.  The convenience wrappers
+:func:`emulated_dgemm` / :func:`emulated_sgemm` choose sensible defaults for
+FP64 / FP32 targets.
+
+Lines 1–5 of Algorithm 1 (validation, moduli selection, the scale vectors
+and whatever conversion a side still needs) are decided in one place,
+:func:`_scaled_sides`, for every entry point: this module's GEMM, the
+residue GEMV (:mod:`repro.core.gemv`) and each item of the batched runtime
+(:mod:`repro.runtime.batched`).  Each route keeps only its own conversion
+strategy, its line 6 and its result type.  The inner-dimension block limit
+of Section 4.3 is read from this module's :data:`MAX_K_WITHOUT_BLOCKING`
+on every route, so tests shrink it in one place.
 
 The result and phase-time classes live in :mod:`repro.result` (the unified
 result hierarchy shared with the GEMV and solver routes) and are re-exported
-here for backwards compatibility; see that module for the phase-key table.
+here; see that module for the phase-key table.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
 from ..config import ComputeMode, MAX_K_WITHOUT_BLOCKING, Ozaki2Config
-from ..crt.adaptive import AdaptiveSelection, select_num_moduli
-from ..crt.constants import CRTConstantTable, build_constant_table
+from ..crt.adaptive import AdaptiveSelection
+# Selection runs in core.operand.resolve_moduli; the name stays importable
+# here because perfbench's span tracer looks it up in this module.
+from ..crt.adaptive import select_num_moduli  # noqa: F401
+from ..crt.constants import CRTConstantTable
 from ..engines.base import MatrixEngine
-from ..result import GemmResult, Ozaki2Result, PHASE_KEYS, PhaseTimes, _PhaseTimer
+from ..engines.int8 import Int8MatrixEngine
+from ..result import GemmResult, PHASE_KEYS, PhaseTimes, _PhaseTimer
 from ..types import result_dtype
-from ..utils.validation import check_gemm_operands, check_operand
+from ..utils.validation import check_operand, require_finite
 from ..errors import ConfigurationError, ValidationError
 
 if TYPE_CHECKING:  # runtime imports core; keep the scheduler type import one-way
     from ..runtime.scheduler import Scheduler
 from .accumulation import unscale
-from .operand import AccurateOperand, PreparedOperand, ResidueOperand
+from .operand import (
+    AUTO_TABLE_RESTRICTION,
+    PreparedOperand,
+    ResidueOperand,
+    resolve_moduli,
+    table_for,
+)
 from .scaling import (
     accurate_mode_prescale,
     accurate_scales_from_prescale,
@@ -42,130 +62,165 @@ __all__ = [
     "PHASE_KEYS",
     "PhaseTimes",
     "GemmResult",
-    "Ozaki2Result",
     "ozaki2_gemm",
     "emulated_dgemm",
     "emulated_sgemm",
 ]
 
-#: Why num_moduli="auto" rejects a caller-supplied constant table.
-_AUTO_TABLE_RESTRICTION = (
-    "num_moduli='auto' selects the count (and with it the moduli prefix) "
-    "per call from the default table, so a caller-supplied constant_table "
-    "cannot be honoured; pass a fixed num_moduli to use a custom table"
-)
+
+@dataclasses.dataclass
+class _ScaledSides:
+    """What lines 1–5 decided for one product (see :func:`_scaled_sides`).
+
+    ``a_slices``/``b_slices`` hold a side's cached INT8 residue stack (a
+    fast-mode :class:`~repro.core.operand.ResidueOperand`); when ``None``,
+    ``a_source``/``b_source`` is the float64 matrix the route still has to
+    truncate under ``mu``/``nu`` and convert (lines 2–5).
+    """
+
+    config: Ozaki2Config
+    table: CRTConstantTable
+    selection: Optional[AdaptiveSelection]
+    m: int
+    k: int
+    n: int
+    mu: np.ndarray
+    nu: np.ndarray
+    a_slices: Optional[np.ndarray]
+    a_source: Optional[np.ndarray]
+    b_slices: Optional[np.ndarray]
+    b_source: Optional[np.ndarray]
 
 
-def _operand_max_abs(raw: np.ndarray, prep: Optional[PreparedOperand]) -> float:
-    """``max|X|`` of one GEMM side, prepared or raw.
+#: Why a prepared operand was refused on a side, keyed by the side it was
+#: passed on.
+_WRONG_SIDE = {
+    "A": "an operand prepared for the B side (per-column scales) was passed as "
+    "the left operand; use prepare_a for A",
+    "B": "an operand prepared for the A side (per-row scales) was passed as "
+    "the right operand; use prepare_b for B",
+}
+
+
+def _side(x: Any, want: str) -> "tuple[Optional[PreparedOperand], Any]":
+    """Split one GEMM side into ``(prepared, raw)``; validate its shape.
+
+    A raw side is coerced to a contiguous 2-D float64 matrix (finiteness is
+    checked by the caller after the inner dimensions, as
+    :func:`~repro.utils.validation.check_gemm_operands` orders it).
+    """
+    if not isinstance(x, PreparedOperand):
+        return None, check_operand(x, want, check_finite=False)
+    if x.side != want:
+        raise ValidationError(_WRONG_SIDE[want])
+    return x, None
+
+
+def _scaled_sides(
+    a: "np.ndarray | PreparedOperand",
+    b: "np.ndarray | PreparedOperand",
+    config: Ozaki2Config,
+    constant_table: Optional[CRTConstantTable],
+    engine: MatrixEngine,
+    times: PhaseTimes,
+) -> _ScaledSides:
+    """Lines 1–5 of Algorithm 1 up to conversion, for raw or prepared sides.
+
+    Validates both sides (orientation and configuration compatibility of a
+    prepared side, shape and finiteness of a raw one, the inner dimension),
+    resolves ``num_moduli="auto"`` through
+    :func:`~repro.core.operand.resolve_moduli` (re-deriving prepared sides
+    at the selected count), builds the constant table and derives the scale
+    vectors under the ``"scale"`` phase of ``times``.  Fast mode takes each
+    side's scales from that side alone, so a prepared operand contributes
+    its cached vector; accurate mode finalises from the two sides'
+    pre-scales (cached on an :class:`~repro.core.operand.AccurateOperand`,
+    computed here otherwise) through the coupled bound product on
+    ``engine``.  Every entry point calls this, so a prepared, raw, vector or
+    batched side is scaled by the same arithmetic.
+    """
+    a_prep, a = _side(a, "A")
+    b_prep, b = _side(b, "B")
+    for prep in (a_prep, b_prep):
+        if prep is not None:
+            prep.require_compatible(config)
+    shape_a = a_prep.shape if a_prep is not None else a.shape
+    shape_b = b_prep.shape if b_prep is not None else b.shape
+    if shape_a[1] != shape_b[0]:
+        raise ValidationError(
+            f"inner dimensions do not match: A is {tuple(shape_a)}, "
+            f"B is {tuple(shape_b)}"
+        )
+    if a is not None:
+        require_finite(a, "A")
+    if b is not None:
+        require_finite(b, "B")
+    (m, k), n = shape_a, shape_b[1]
+
+    # Accuracy-driven moduli selection: resolve "auto" to a concrete count
+    # (and re-derive prepared sides at it) before any table exists.  A
+    # caller-supplied table cannot be honoured under auto — the selection
+    # model is defined for the default moduli prefix — so it is rejected
+    # rather than silently replaced.
+    selection = None
+    if config.moduli_is_auto:
+        if constant_table is not None:
+            raise ConfigurationError(AUTO_TABLE_RESTRICTION)
+        config, selection = resolve_moduli(
+            config, k, _max_abs(a, a_prep), _max_abs(b, b_prep)
+        )
+        if a_prep is not None:
+            a_prep = a_prep.resolve_for(config.num_moduli)
+        if b_prep is not None:
+            b_prep = b_prep.resolve_for(config.num_moduli)
+    table = constant_table or table_for(config)
+
+    with _PhaseTimer(times, "scale"):
+        if config.mode is ComputeMode.FAST:
+            mu = a_prep.scale if a_prep is not None else fast_mode_scale_a(a, table)
+            nu = b_prep.scale if b_prep is not None else fast_mode_scale_b(b, table)
+        else:
+            pa = a_prep.prescale if a_prep is not None else accurate_mode_prescale(a, axis=1)
+            pb = b_prep.prescale if b_prep is not None else accurate_mode_prescale(b, axis=0)
+            mu, nu, _ = accurate_scales_from_prescale(
+                pa, pb, table, engine, MAX_K_WITHOUT_BLOCKING
+            )
+
+    # A fast prepared side carries its residues; everything else (raw, or
+    # accurate prepared — its scales are partner-coupled) still converts.
+    a_slices, a_source = _pending(a, a_prep)
+    b_slices, b_source = _pending(b, b_prep)
+    return _ScaledSides(
+        config, table, selection, m, k, n, mu, nu, a_slices, a_source, b_slices, b_source
+    )
+
+
+def _pending(
+    raw: Any, prep: Optional[PreparedOperand]
+) -> "tuple[Optional[np.ndarray], Optional[np.ndarray]]":
+    """``(cached INT8 stack, None)`` or ``(None, matrix still to convert)``."""
+    if isinstance(prep, ResidueOperand):
+        return prep.slices, None
+    return None, raw if prep is None else prep.source
+
+
+def _max_abs(raw: Any, prep: Optional[PreparedOperand]) -> float:
+    """``max|X|`` of one side, the magnitude auto selection feeds on.
 
     Prepared operands carry the value from their preparation's scaling scan
     (free); raw sides pay one ``max(|X|)`` pass — the same scan the scaling
     phase performs, a negligible fraction of the conversion it feeds.
     """
-    if prep is not None:
-        if prep.max_abs is None:
-            raise ValidationError(
-                "auto moduli selection needs the operand's max-abs, but this "
-                "hand-constructed ResidueOperand carries no cached prescale "
-                "bounds; prepare it with repro.core.operand.prepare_a/"
-                "prepare_b or pass a fixed num_moduli"
-            )
-        return prep.max_abs
-    return float(np.max(np.abs(raw))) if raw.size else 0.0
-
-
-def _resolve_auto_moduli(
-    a: np.ndarray,
-    b: np.ndarray,
-    a_prep: Optional[PreparedOperand],
-    b_prep: Optional[PreparedOperand],
-    k: int,
-    config: Ozaki2Config,
-) -> "tuple[Ozaki2Config, Optional[PreparedOperand], Optional[PreparedOperand], AdaptiveSelection]":
-    """Resolve ``num_moduli="auto"`` for one call.
-
-    Returns ``(config, a_prep, b_prep, selection)``: a concrete
-    configuration at the selected count, prepared sides re-derived at that
-    count (:meth:`~repro.core.operand.ResidueOperand.resolve_for`, cached),
-    and the :class:`~repro.crt.adaptive.AdaptiveSelection` diagnostic.  The
-    resolved call is bit-identical to a fixed-``num_moduli`` call at the
-    selected count — auto selection chooses the configuration, never the
-    arithmetic.  ``config.selection_model`` picks between the rigorous
-    bound and the calibrated model (which falls back to rigorous whenever
-    its margin test fails; see :mod:`repro.crt.calibration`).
-    """
-    selection = select_num_moduli(
-        k,
-        _operand_max_abs(a, a_prep),
-        _operand_max_abs(b, b_prep),
-        64 if config.is_dgemm else 32,
-        target=config.target_accuracy,
-        mode=config.mode.value,
-        model=config.selection_model,
-    )
-    config = config.resolved(selection.num_moduli)
-    if a_prep is not None:
-        a_prep = a_prep.resolve_for(config.num_moduli)
-    if b_prep is not None:
-        b_prep = b_prep.resolve_for(config.num_moduli)
-    return config, a_prep, b_prep, selection
-
-
-def _check_prepared_a(a_prep: PreparedOperand, config: Ozaki2Config) -> None:
-    """Validate a prepared operand passed as the left operand.
-
-    Shared by the GEMM route and the residue-GEMV fast path
-    (:mod:`repro.core.gemv`), whose contract is exact error parity with
-    this route — one helper keeps the invariant structural.
-    """
-    if a_prep.side != "A":
+    if prep is None:
+        return float(np.max(np.abs(raw)))
+    if prep.max_abs is None:
         raise ValidationError(
-            "an operand prepared for the B side (per-column scales) "
-            "was passed as the left operand; use prepare_a for A"
+            "auto moduli selection needs the operand's max-abs, but this "
+            "hand-constructed ResidueOperand carries no cached prescale "
+            "bounds; prepare it with repro.core.operand.prepare_a/"
+            "prepare_b or pass a fixed num_moduli"
         )
-    a_prep.require_compatible(config)
-
-
-def _resolve_prepared_sides(
-    a: np.ndarray,
-    b: np.ndarray,
-    a_prep: Optional[PreparedOperand],
-    b_prep: Optional[PreparedOperand],
-    config: Ozaki2Config,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Validate a GEMM call in which at least one side is prepared.
-
-    Checks side orientation and configuration compatibility of the prepared
-    side(s), applies the usual per-operand validation to the raw side (if
-    any) and verifies the inner dimensions match.  Returns the coerced
-    ``(a, b)`` pair (prepared entries are passed through unchanged).
-    """
-    if a_prep is not None:
-        _check_prepared_a(a_prep, config)
-    if b_prep is not None:
-        if b_prep.side != "B":
-            raise ValidationError(
-                "an operand prepared for the A side (per-row scales) "
-                "was passed as the right operand; use prepare_b for B"
-            )
-        b_prep.require_compatible(config)
-
-    if a_prep is None:
-        a = check_operand(a, "A") if config.validate else np.asarray(a, dtype=np.float64)
-    if b_prep is None:
-        b = check_operand(b, "B") if config.validate else np.asarray(b, dtype=np.float64)
-
-    k_a = a_prep.inner_dim if a_prep is not None else a.shape[1]
-    k_b = b_prep.inner_dim if b_prep is not None else b.shape[0]
-    if k_a != k_b:
-        shape_a = a_prep.shape if a_prep is not None else a.shape
-        shape_b = b_prep.shape if b_prep is not None else b.shape
-        raise ValidationError(
-            f"inner dimensions do not match: A is {tuple(shape_a)}, "
-            f"B is {tuple(shape_b)}"
-        )
-    return a, b
+    return prep.max_abs
 
 
 def ozaki2_gemm(
@@ -203,7 +258,7 @@ def ozaki2_gemm(
         INT8 matrix engine to use; defaults to a fresh
         :class:`~repro.engines.Int8MatrixEngine`.
     return_details:
-        When True, return an :class:`Ozaki2Result` instead of just the
+        When True, return a :class:`GemmResult` instead of just the
         product matrix.
     constant_table:
         Precomputed constant table (otherwise built/cached from the config).
@@ -215,115 +270,57 @@ def ozaki2_gemm(
 
     Returns
     -------
-    ``C`` (ndarray) or :class:`Ozaki2Result`.
+    ``C`` (ndarray) or :class:`GemmResult`.
     """
-    # Imported lazily: repro.runtime imports this module for Ozaki2Result.
+    # Imported lazily: repro.runtime imports this module.
     from ..runtime.plan import plan_for_config
     from ..runtime.scheduler import Scheduler, execute_plan
 
     config = config or Ozaki2Config()
     out_dtype = result_dtype(config.precision)
-
-    a_prep = a if isinstance(a, PreparedOperand) else None
-    b_prep = b if isinstance(b, PreparedOperand) else None
-    if a_prep is None and b_prep is None:
-        if config.validate:
-            a, b = check_gemm_operands(a, b, dtype=np.float64)
-        else:
-            a = np.asarray(a, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-    else:
-        a, b = _resolve_prepared_sides(a, b, a_prep, b_prep, config)
-
-    m, k = a_prep.shape if a_prep is not None else a.shape
-    n = (b_prep.shape if b_prep is not None else b.shape)[1]
-
-    # Accuracy-driven moduli selection: resolve "auto" to a concrete count
-    # (and re-derive prepared sides at it) before any table or plan exists.
-    # A caller-supplied table cannot be honoured under auto — the selection
-    # model is defined for the default moduli prefix — so it is rejected
-    # rather than silently replaced.
-    selection = None
-    if config.moduli_is_auto:
-        if constant_table is not None:
-            raise ConfigurationError(_AUTO_TABLE_RESTRICTION)
-        config, a_prep, b_prep, selection = _resolve_auto_moduli(
-            a, b, a_prep, b_prep, k, config
-        )
-    table = constant_table or build_constant_table(
-        config.num_moduli, 64 if config.is_dgemm else 32
-    )
-
-    # Raises OverflowRiskError when k > 2**17 with blocking disabled; the
-    # number of k-blocks reported below comes from the ranges actually used.
-    # The threshold is read from this module's global so tests can shrink it.
-    # The plan also records the call's route (executor="auto" picks threads
-    # or processes by the INT8 work N·m·k·n), which both conversions and
-    # the plan execution below follow.
-    plan = plan_for_config(m, k, n, config, max_block_k=MAX_K_WITHOUT_BLOCKING)
-
     own_scheduler = scheduler is None
+    if not own_scheduler:
+        engine = scheduler.engine
+    elif engine is None:
+        engine = Int8MatrixEngine()
+    times = PhaseTimes()
+    sides = _scaled_sides(a, b, config, constant_table, engine, times)
+    config, table = sides.config, sides.table
+
+    # The plan records the k-blocks (from MAX_K_WITHOUT_BLOCKING), the m/n
+    # tiles and the call's route (executor="auto" picks threads or
+    # processes by the INT8 work N·m·k·n), which both conversions and the
+    # plan execution below follow.
+    plan = plan_for_config(sides.m, sides.k, sides.n, config)
     scheduler = scheduler or Scheduler(
         parallelism=plan.parallelism,
         engine=engine,
         executor=config.executor,
         max_pool_rebuilds=config.max_pool_rebuilds,
     )
-    engine = scheduler.engine
-    times = PhaseTimes()
     a_slices = b_slices = None
 
     try:
-        # Line 1: scale vectors.  Fast mode derives each side's scales from
-        # that side alone, so a prepared operand simply contributes its
-        # cached vector; accurate mode finalises from the two sides'
-        # pre-scales (cached on AccurateOperands, computed here otherwise)
-        # through the coupled bound product.
-        with _PhaseTimer(times, "scale"):
-            if config.mode is ComputeMode.FAST:
-                mu = a_prep.scale if a_prep is not None else fast_mode_scale_a(a, table)
-                nu = b_prep.scale if b_prep is not None else fast_mode_scale_b(b, table)
-            else:
-                pa = (
-                    a_prep.prescale
-                    if isinstance(a_prep, AccurateOperand)
-                    else accurate_mode_prescale(a, axis=1)
-                )
-                pb = (
-                    b_prep.prescale
-                    if isinstance(b_prep, AccurateOperand)
-                    else accurate_mode_prescale(b, axis=0)
-                )
-                mu, nu, _ = accurate_scales_from_prescale(
-                    pa, pb, table, engine, MAX_K_WITHOUT_BLOCKING
-                )
-
-        # Lines 2 and 4: A' and its residues (skipped when A carries a
-        # fast-mode residue stack; an accurate prepared operand converts
-        # from its retained source — the scales are partner-coupled).
-        # Conversion routes through the scheduler so a process-routed call
-        # can band the rows across workers (bit-identical to the inline
-        # path, which serial/thread-routed calls run unchanged).
-        if isinstance(a_prep, ResidueOperand):
-            a_slices = a_prep.slices
-            times.add("convert_A", 0.0)
-        else:
-            a_src = a_prep.source if a_prep is not None else a
+        # Lines 2-5: A', B' and their residues, skipped for a side that
+        # carries a fast-mode residue stack.  Conversion routes through the
+        # scheduler so a process-routed call can band the rows across
+        # workers (bit-identical to the inline path, which serial/thread-
+        # routed calls run unchanged).
+        a_slices, b_slices = sides.a_slices, sides.b_slices
+        if a_slices is None:
             with _PhaseTimer(times, "convert_A"):
                 a_slices = scheduler.convert_residues(
-                    a_src, mu, "left", table, config, plan
+                    sides.a_source, sides.mu, "left", table, config, plan
                 )
-
-        # Lines 3 and 5: B' and its residues (skipped when B is prepared).
-        if isinstance(b_prep, ResidueOperand):
-            b_slices = b_prep.slices
-            times.add("convert_B", 0.0)
         else:
-            b_src = b_prep.source if b_prep is not None else b
+            times.add("convert_A", 0.0)
+        if b_slices is None:
             with _PhaseTimer(times, "convert_B"):
                 b_slices = scheduler.convert_residues(
-                    b_src, nu, "right", table, config, plan
+                    sides.b_source, sides.nu, "right", table, config, plan
                 )
+        else:
+            times.add("convert_B", 0.0)
 
         # Lines 6-11: the N INT8 GEMMs (fanned out over the scheduler's
         # workers, blocked over k and tiled over m/n per the plan) and the
@@ -339,7 +336,7 @@ def ozaki2_gemm(
 
         # Line 12: inverse scaling.
         with _PhaseTimer(times, "unscale"):
-            c = unscale(c_pp, mu, nu, out_dtype=out_dtype)
+            c = unscale(c_pp, sides.mu, sides.nu, out_dtype=out_dtype)
     finally:
         if own_scheduler:
             scheduler.close()
@@ -355,12 +352,12 @@ def ozaki2_gemm(
     return GemmResult(
         value=c,
         config=config,
-        mu=mu,
-        nu=nu,
+        mu=sides.mu,
+        nu=sides.nu,
         phase_times=times,
         ledger=engine.counter,
         num_k_blocks=plan.num_k_blocks,
-        moduli_selection=selection,
+        moduli_selection=sides.selection,
         moduli_history=[config.num_moduli],
     )
 

@@ -9,7 +9,11 @@ tiling — and, worse, the engine's SGEMM product promotes the whole
 ``(N, m, k)`` INT8 residue stack to float32 on every iteration (4x the
 stack's memory traffic for a product that performs only ``N·m·k`` MACs).
 
-:func:`prepared_gemv` is the ``n = 1`` specialisation that skips all of it:
+:func:`prepared_gemv` is the ``n = 1`` specialisation that skips all of it.
+Lines 1–5 up to conversion (validation, moduli selection, scales) go
+through the GEMM's own front end, :func:`repro.core.gemm._scaled_sides`,
+with the vector as the ``(k, 1)`` column the GEMM route would see; what
+this module adds is the execution strategy:
 
 * the vector converts in a single vector-shaped pass
   (:func:`repro.crt.residues.residues_to_int8` on the 1-D ``x'``),
@@ -35,29 +39,22 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import ComputeMode, MAX_K_WITHOUT_BLOCKING, Ozaki2Config, ResidueKernel
-from ..crt.constants import CRTConstantTable, build_constant_table
-from ..engines.base import MatrixEngine, OpCounter
+from ..config import Ozaki2Config, ResidueKernel
+from ..crt.constants import CRTConstantTable
+from ..engines.base import MatrixEngine
 from ..engines.int8 import Int8MatrixEngine
-from ..errors import ConfigurationError, OverflowRiskError, ValidationError
+from ..errors import ValidationError
 from ..result import PhaseTimes, Result, _PhaseTimer
 from ..types import result_dtype
-from ..utils.validation import check_operand
+from . import gemm as _gemm
 from .accumulation import accumulate_residue_products, reconstruct_crt, unscale
 from .blocking import k_block_ranges
 from .conversion import residue_slices, truncate_scaled
-from .gemm import (
-    _AUTO_TABLE_RESTRICTION,
-    _check_prepared_a,
-    _resolve_auto_moduli,
-)
-from .operand import AccurateOperand, PreparedOperand, ResidueOperand
-from .scaling import (
-    accurate_mode_prescale,
-    accurate_scales_from_prescale,
-    fast_mode_scale_a,
-    fast_mode_scale_b,
-)
+from .operand import PreparedOperand
+# Scaling runs in core.gemm._scaled_sides; these names stay importable here
+# because perfbench's span tracer looks them up in this module.
+from .scaling import accurate_mode_prescale, accurate_scales_from_prescale  # noqa: F401
+from .scaling import fast_mode_scale_a, fast_mode_scale_b  # noqa: F401
 
 __all__ = ["GemvResult", "prepared_gemv"]
 
@@ -70,8 +67,7 @@ class GemvResult(Result):
     ----------
     value:
         The emulated product ``A @ x`` as a 1-D vector in the target
-        precision's dtype (also reachable under the historical name
-        :attr:`c`).
+        precision's dtype.
     config:
         The configuration used.
     mu / nu:
@@ -83,8 +79,7 @@ class GemvResult(Result):
         compare directly.
     ledger:
         Operation ledger of the INT8 engine — identical to what the
-        ``n = 1`` GEMM route records for the same product (also reachable
-        under the historical name :attr:`int8_counter`).
+        ``n = 1`` GEMM route records for the same product.
     moduli_selection:
         :class:`~repro.crt.adaptive.AdaptiveSelection` diagnostic for
         ``num_moduli="auto"`` runs; ``None`` for fixed counts.
@@ -93,28 +88,6 @@ class GemvResult(Result):
     mu: Optional[np.ndarray] = None
     nu: Optional[np.ndarray] = None
     moduli_selection: object = None
-
-    @property
-    def c(self) -> np.ndarray:
-        """The emulated product (historical alias of :attr:`value`)."""
-        return self.value
-
-    @property
-    def int8_counter(self) -> OpCounter:
-        """The engine's op ledger (historical alias of :attr:`ledger`)."""
-        return self.ledger
-
-
-def _resolve_a_side(
-    a: np.ndarray,
-    a_prep: Optional[PreparedOperand],
-    config: Ozaki2Config,
-) -> Optional[np.ndarray]:
-    """Validate the left operand (prepared or raw) exactly as the GEMM route."""
-    if a_prep is not None:
-        _check_prepared_a(a_prep, config)
-        return None
-    return check_operand(a, "A") if config.validate else np.asarray(a, dtype=np.float64)
 
 
 def prepared_gemv(
@@ -175,97 +148,42 @@ def prepared_gemv(
     engine = engine or Int8MatrixEngine()
     times = PhaseTimes()
 
-    a_mat = _resolve_a_side(a, a_prep, config)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValidationError(f"prepared_gemv expects a 1-D vector, got shape {x.shape}")
-    # Validate the vector exactly as the GEMM route validates the (k, 1)
-    # column it would see — same messages, same contiguous copy for strided
-    # input, same rejection of empty and non-finite vectors.
-    if config.validate:
-        x_col = check_operand(x[:, None], "B")
-    else:
-        x_col = np.ascontiguousarray(x)[:, None]
-
-    m, k = a_prep.shape if a_prep is not None else a_mat.shape
-    if k != x_col.shape[0]:
-        shape_a = a_prep.shape if a_prep is not None else a_mat.shape
-        raise ValidationError(
-            f"inner dimensions do not match: A is {tuple(shape_a)}, "
-            f"B is {tuple(x_col.shape)}"
-        )
-    if k > MAX_K_WITHOUT_BLOCKING and not config.block_k:
-        raise OverflowRiskError(
-            f"k={k} exceeds {MAX_K_WITHOUT_BLOCKING} and k-blocking is "
-            "disabled in the config"
-        )
-
-    # Accuracy-driven moduli selection, exactly as the GEMM route resolves
-    # it: concrete count, prepared side re-derived (cached), bit-identical
-    # to the fixed-count run at the selected count.  A caller-supplied
-    # table is rejected under auto, as on the GEMM route.
-    selection = None
-    if config.moduli_is_auto:
-        if constant_table is not None:
-            raise ConfigurationError(_AUTO_TABLE_RESTRICTION)
-        config, a_prep, _, selection = _resolve_auto_moduli(
-            a_mat, x_col, a_prep, None, k, config
-        )
-    table = constant_table or build_constant_table(
-        config.num_moduli, 64 if config.is_dgemm else 32
-    )
-
-    # Line 1: scale vectors.  A fast prepared operand contributes its cached
-    # μ; accurate mode finalises from the matrix side's pre-scale (cached on
-    # an AccurateOperand, computed here otherwise) and the vector's, through
-    # the coupled bound product — exactly the GEMM route's arithmetic.
-    with _PhaseTimer(times, "scale"):
-        if config.mode is ComputeMode.FAST:
-            mu = a_prep.scale if a_prep is not None else fast_mode_scale_a(a_mat, table)
-            nu = fast_mode_scale_b(x_col, table)
-        else:
-            pa = (
-                a_prep.prescale
-                if isinstance(a_prep, AccurateOperand)
-                else accurate_mode_prescale(a_mat, axis=1)
-            )
-            pb = accurate_mode_prescale(x_col, axis=0)
-            mu, nu, _ = accurate_scales_from_prescale(
-                pa, pb, table, engine, MAX_K_WITHOUT_BLOCKING
-            )
+    # Lines 1-5 up to conversion through the GEMM front end, with the vector
+    # as the (k, 1) column the GEMM route would see: same validation, same
+    # moduli selection, same scales.
+    sides = _gemm._scaled_sides(a, x[:, None], config, constant_table, engine, times)
+    config, table = sides.config, sides.table
 
     # Lines 2 and 4: A' and its residues (skipped when A carries a fast-mode
     # residue stack; an accurate prepared operand converts from its retained
     # source under the partner-coupled scales).
-    if isinstance(a_prep, ResidueOperand):
-        a_slices = a_prep.slices
-        times.add("convert_A", 0.0)
-    else:
-        a_conv_src = a_prep.source if a_prep is not None else a_mat
+    a_slices = sides.a_slices
+    if a_slices is None:
         with _PhaseTimer(times, "convert_A"):
-            a_prime = truncate_scaled(a_conv_src, mu, side="left")
+            a_prime = truncate_scaled(sides.a_source, sides.mu, side="left")
             a_slices = residue_slices(a_prime, table, config.residue_kernel)
+    else:
+        times.add("convert_A", 0.0)
 
     # Lines 3 and 5: x' and its residues, converted vector-shaped — the
     # kernels are element-wise, so the 1-D pass is bit-identical to
     # converting the (k, 1) column (see crt.residues.residues_to_int8).
     with _PhaseTimer(times, "convert_B"):
-        x_prime = truncate_scaled(x_col, nu, side="right").ravel()
+        x_prime = truncate_scaled(sides.b_source, sides.nu, side="right").ravel()
         x_slices = residue_slices(x_prime, table, config.residue_kernel)
 
     # Line 6: the N residue GEMVs — one stacked engine call per k-block, no
     # plan, no scheduler, no tiling.  Multiple k-blocks accumulate the exact
     # INT32 partials in INT64, exactly as the blocked GEMM route does.
     with _PhaseTimer(times, "matmul"):
-        blocks = (
-            list(k_block_ranges(k, MAX_K_WITHOUT_BLOCKING))
-            if config.block_k
-            else [(0, k)]
-        )
+        blocks = list(k_block_ranges(sides.k, _gemm.MAX_K_WITHOUT_BLOCKING))
         if len(blocks) == 1:
             c_stack = engine.matvec_stack(a_slices, x_slices, trusted=True)
         else:
-            c_stack = np.zeros((table.num_moduli, m), dtype=np.int64)
+            c_stack = np.zeros((table.num_moduli, sides.m), dtype=np.int64)
             for start, stop in blocks:
                 c_stack += engine.matvec_stack(
                     a_slices[:, :, start:stop], x_slices[:, start:stop], trusted=True
@@ -289,17 +207,17 @@ def prepared_gemv(
 
     # Line 12: inverse scaling, then drop the dead column axis.
     with _PhaseTimer(times, "unscale"):
-        c = unscale(c_pp, mu, nu, out_dtype=out_dtype)[:, 0]
+        c = unscale(c_pp, sides.mu, sides.nu, out_dtype=out_dtype)[:, 0]
 
     if not return_details:
         return c
     return GemvResult(
         value=c,
         config=config,
-        mu=mu,
-        nu=nu,
+        mu=sides.mu,
+        nu=sides.nu,
         phase_times=times,
         ledger=engine.counter,
-        moduli_selection=selection,
+        moduli_selection=sides.selection,
         moduli_history=[config.num_moduli],
     )

@@ -29,17 +29,23 @@ alone, so caching reorders no floating-point operation.
 
 Adaptive moduli selection (``num_moduli="auto"``)
 -------------------------------------------------
-Preparing under an auto configuration resolves the moduli count *at
-preparation time* from the operand's own ``(k, max|X|)`` — the relative
-error model of :mod:`repro.crt.adaptive` is magnitude-invariant, so this is
-exactly the count every partner's multiplication selects under the same
+:func:`resolve_moduli` is the library's one selector: the GEMM front end
+(:func:`repro.core.gemm._scaled_sides`, behind GEMM, GEMV and every batched
+item), in-core preparation and the out-of-core
+:class:`~repro.runtime.tilesource.TileSource` all resolve through it, under
+the configuration's mode and selection model.  Preparing under an auto
+configuration resolves the moduli count *at preparation time* from the
+operand's own ``(k, max|X|)`` — the relative error model of
+:mod:`repro.crt.adaptive` is magnitude-invariant, so this is exactly the
+count every partner's multiplication selects under the same
 ``target_accuracy``; reuse therefore stays valid with no partner-dependent
 re-selection.  A partner multiplying under a *different* target (or a fixed
 count, e.g. the progressive-precision solvers escalating through a moduli
 ladder) calls :meth:`ResidueOperand.resolve_for`, which re-derives the
 operand at the requested count — bit-identical to a fresh preparation at
-that count — and caches the result, so solvers escalating through a ladder
-pay each stage's conversion once.
+that count, through the same fast-side finalisation preparation uses — and
+caches the result, so solvers escalating through a ladder pay each stage's
+conversion once.
 
 Accurate mode is different — its scale determination couples the two sides
 through the bound matrix ``C̄ = Ā·B̄`` (Section 4.2), so *residues* cannot
@@ -53,8 +59,9 @@ to the unprepared call, because the one-shot path is *implemented as* the
 same two-phase split.  The coupled half — the ``C̄`` product, truncation
 and residues — still runs per partner; :class:`ResidueOperand` (fast mode)
 and :class:`AccurateOperand` (accurate mode) share the
-:class:`PreparedOperand` interface so entry points, the service-layer
-operand cache and the solvers treat both uniformly.
+:class:`PreparedOperand` interface, including the one
+:meth:`~PreparedOperand.require_compatible` check, so entry points, the
+service-layer operand cache and the solvers treat both uniformly.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..config import ComputeMode, Ozaki2Config
-from ..crt.adaptive import select_num_moduli
+from ..crt.adaptive import AdaptiveSelection, select_num_moduli
 from ..crt.constants import CRTConstantTable, build_constant_table
 from ..errors import ConfigurationError
 from ..utils.validation import check_operand
@@ -89,6 +96,7 @@ __all__ = [
     "matrix_fingerprint",
     "prepare_a",
     "prepare_b",
+    "resolve_moduli",
 ]
 
 #: Maximum number of re-derived moduli counts a prepared operand keeps
@@ -140,6 +148,45 @@ _MODE_MISMATCH = (
     "configuration with the matching mode"
 )
 
+#: Why num_moduli="auto" rejects a caller-supplied constant table.
+AUTO_TABLE_RESTRICTION = (
+    "num_moduli='auto' selects the count (and with it the moduli prefix) "
+    "per call from the default table, so a caller-supplied constant_table "
+    "cannot be honoured; pass a fixed num_moduli to use a custom table"
+)
+
+
+def table_for(config: Ozaki2Config) -> CRTConstantTable:
+    """The (cached) constant table of a concrete configuration."""
+    return build_constant_table(config.num_moduli, 64 if config.is_dgemm else 32)
+
+
+def resolve_moduli(
+    config: Ozaki2Config, k: int, max_a: float, max_b: float
+) -> "tuple[Ozaki2Config, AdaptiveSelection]":
+    """Resolve ``num_moduli="auto"`` for a product of inner dimension ``k``.
+
+    The one place the library selects ``N``: every entry point (GEMM, GEMV,
+    batched items, in-core and out-of-core preparation) calls it, so they
+    all select under the same ``mode`` and ``selection_model``.  Returns the
+    concrete configuration at the selected count and the
+    :class:`~repro.crt.adaptive.AdaptiveSelection` diagnostic.  The error
+    model is magnitude-invariant, so a preparation resolving from its own
+    ``max|X|`` on both sides selects the count every same-target partner
+    will; the resolved run is bit-identical to a fixed-``N`` run at the
+    selected count.
+    """
+    selection = select_num_moduli(
+        k,
+        max_a,
+        max_b,
+        64 if config.is_dgemm else 32,
+        target=config.target_accuracy,
+        mode=config.mode.value,
+        model=config.selection_model,
+    )
+    return config.resolved(selection.num_moduli), selection
+
 
 class PreparedOperand:
     """Common interface of prepared one-side operands (fast or accurate).
@@ -151,11 +198,54 @@ class PreparedOperand:
     (accurate mode: the ``N``-independent pre-scale half of the coupled
     scale construction).  Subclasses provide ``side``, ``config``,
     ``source``, ``shape``, ``num_moduli``, ``max_abs``, ``nbytes``,
-    ``convert_seconds``, ``require_compatible`` and ``resolve_for``.
+    ``convert_seconds`` and ``resolve_for``, plus the class attributes
+    ``mode`` (the one mode whose multiplications they serve) and
+    ``carries`` (what they cache, for error messages).
     """
 
     side: str
+    config: Ozaki2Config
     source: Optional[np.ndarray]
+    mode: ComputeMode
+    carries: str
+
+    def require_compatible(self, config: Ozaki2Config) -> None:
+        """Raise :class:`ConfigurationError` unless ``config`` can reuse this.
+
+        The cached state is a function of the preparing configuration's
+        mode, precision (constant-table bit width), moduli count and
+        residue kernel; a multiplication under a configuration that differs
+        in any of those would silently change the result, so it is rejected
+        instead.  Runtime knobs (``parallelism``, ``executor``,
+        ``max_pool_rebuilds``, ``memory_budget_mb``) may differ freely.  An
+        **auto** ``config`` skips the moduli-count comparison: the entry
+        points resolve the selection and re-derive the operand
+        (:meth:`resolve_for`) before executing, so the count is checked on
+        the resolved pair.
+        """
+        if config.mode is not self.mode:
+            raise ConfigurationError(
+                f"prepared operand ({self.side} side) carries {self.carries} "
+                f"but the multiplication requests {config.mode.value!r} mode: "
+                f"{_MODE_MISMATCH}"
+            )
+        checks = [
+            ("precision", self.config.precision.name, config.precision.name),
+            ("residue_kernel", self.config.residue_kernel.value,
+             config.residue_kernel.value),
+        ]
+        if not config.moduli_is_auto:
+            checks.insert(1, ("num_moduli", self.config.num_moduli, config.num_moduli))
+        mismatches = [
+            f"{name}: prepared with {ours!r}, multiplication requests {theirs!r}"
+            for name, ours, theirs in checks
+            if ours != theirs
+        ]
+        if mismatches:
+            raise ConfigurationError(
+                "prepared operand is incompatible with this configuration — "
+                + "; ".join(mismatches)
+            )
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -208,10 +298,9 @@ class ResidueOperand(PreparedOperand):
         configuration at the selected count.  Multiplications must use a
         configuration with the same precision, moduli count, mode and
         residue kernel (runtime knobs — ``parallelism``, ``executor``,
-        ``max_pool_rebuilds``, ``memory_budget_mb``, ``block_k``,
-        ``validate`` — may differ freely; they do not affect the
-        residues).  A different moduli count is reachable through
-        :meth:`resolve_for` instead of re-preparation.
+        ``max_pool_rebuilds``, ``memory_budget_mb`` — may differ freely;
+        they do not affect the residues).  A different moduli count is
+        reachable through :meth:`resolve_for` instead of re-preparation.
     convert_seconds:
         One-time wall-clock cost of the preparation (scale + truncate +
         residues); the amortisation baseline reported by
@@ -237,6 +326,9 @@ class ResidueOperand(PreparedOperand):
     _resolved_cache: "OrderedDict[int, ResidueOperand]" = dataclasses.field(
         default_factory=OrderedDict, repr=False, compare=False
     )
+
+    mode = ComputeMode.FAST
+    carries = "fast-mode residues"
 
     def __post_init__(self) -> None:
         if self.side not in ("A", "B"):
@@ -287,42 +379,6 @@ class ResidueOperand(PreparedOperand):
             total += int(self.source.nbytes)
         return total
 
-    def require_compatible(self, config: Ozaki2Config) -> None:
-        """Raise :class:`ConfigurationError` unless ``config`` can reuse this.
-
-        The cached scale and residues are a function of the preparing
-        configuration's precision (constant-table bit width), moduli count,
-        mode and residue kernel; a multiplication under a configuration that
-        differs in any of those would silently change the result, so it is
-        rejected instead.  An **auto** ``config`` skips the moduli-count
-        comparison: the entry points resolve the selection and re-derive
-        the operand (:meth:`resolve_for`) before executing, so the count is
-        checked on the resolved pair.
-        """
-        if config.mode is not ComputeMode.FAST:
-            raise ConfigurationError(
-                f"prepared operand ({self.side} side) carries fast-mode "
-                f"residues but the multiplication requests "
-                f"{config.mode.value!r} mode: {_MODE_MISMATCH}"
-            )
-        checks = [
-            ("precision", self.config.precision.name, config.precision.name),
-            ("residue_kernel", self.config.residue_kernel.value,
-             config.residue_kernel.value),
-        ]
-        if not config.moduli_is_auto:
-            checks.insert(1, ("num_moduli", self.config.num_moduli, config.num_moduli))
-        mismatches = [
-            f"{name}: prepared with {ours!r}, multiplication requests {theirs!r}"
-            for name, ours, theirs in checks
-            if ours != theirs
-        ]
-        if mismatches:
-            raise ConfigurationError(
-                "prepared operand is incompatible with this configuration — "
-                + "; ".join(mismatches)
-            )
-
     def resolve_for(self, num_moduli: int) -> "ResidueOperand":
         """Return this operand re-derived at another moduli count.
 
@@ -356,27 +412,13 @@ class ResidueOperand(PreparedOperand):
                 f"num_moduli={num_moduli}; prepare it again with the "
                 "requested configuration"
             )
-        config = self.config.resolved(num_moduli)
-        table = build_constant_table(
-            num_moduli, 64 if config.is_dgemm else 32
-        )
-        start = time.perf_counter()
-        scale = scale_from_prescale(
-            self.prescale, scale_exponent_budget(table, "fast")
-        )
-        x_prime = truncate_scaled(
-            self.source, scale, side="left" if self.side == "A" else "right"
-        )
-        slices = residue_slices(x_prime, table, config.residue_kernel)
-        derived = ResidueOperand(
-            side=self.side,
-            scale=scale,
-            slices=slices,
-            config=config,
-            convert_seconds=time.perf_counter() - start,
-            prescale=self.prescale,
-            source=self.source,
-            _resolved_cache=self._resolved_cache,
+        derived = _fast_operand(
+            self.side,
+            self.prescale,
+            self.source,
+            self.config.resolved(num_moduli),
+            start=time.perf_counter(),
+            resolved_cache=self._resolved_cache,
         )
         self._resolved_cache[num_moduli] = derived
         while len(self._resolved_cache) > _RESOLVE_CACHE_ENTRIES:
@@ -424,6 +466,9 @@ class AccurateOperand(PreparedOperand):
     source: np.ndarray
     convert_seconds: float = 0.0
 
+    mode = ComputeMode.ACCURATE
+    carries = "accurate-mode pre-scales"
+
     def __post_init__(self) -> None:
         if self.side not in ("A", "B"):
             raise ConfigurationError(
@@ -465,37 +510,6 @@ class AccurateOperand(PreparedOperand):
         total += int(self.source.nbytes)
         return total
 
-    def require_compatible(self, config: Ozaki2Config) -> None:
-        """Raise :class:`ConfigurationError` unless ``config`` can reuse this.
-
-        Mirrors :meth:`ResidueOperand.require_compatible`: mode, precision,
-        residue kernel and (for concrete configurations) moduli count must
-        match; runtime knobs may differ freely.
-        """
-        if config.mode is not ComputeMode.ACCURATE:
-            raise ConfigurationError(
-                f"prepared operand ({self.side} side) carries accurate-mode "
-                f"pre-scales but the multiplication requests "
-                f"{config.mode.value!r} mode: {_MODE_MISMATCH}"
-            )
-        checks = [
-            ("precision", self.config.precision.name, config.precision.name),
-            ("residue_kernel", self.config.residue_kernel.value,
-             config.residue_kernel.value),
-        ]
-        if not config.moduli_is_auto:
-            checks.insert(1, ("num_moduli", self.config.num_moduli, config.num_moduli))
-        mismatches = [
-            f"{name}: prepared with {ours!r}, multiplication requests {theirs!r}"
-            for name, ours, theirs in checks
-            if ours != theirs
-        ]
-        if mismatches:
-            raise ConfigurationError(
-                "prepared operand is incompatible with this configuration — "
-                + "; ".join(mismatches)
-            )
-
     def resolve_for(self, num_moduli: int) -> "AccurateOperand":
         """Return this operand re-targeted at another moduli count.
 
@@ -510,6 +524,39 @@ class AccurateOperand(PreparedOperand):
         return dataclasses.replace(self, config=self.config.resolved(num_moduli))
 
 
+def _fast_operand(
+    side: str,
+    prescale: PrescaleBounds,
+    source: np.ndarray,
+    config: Ozaki2Config,
+    start: float,
+    table: Optional[CRTConstantTable] = None,
+    resolved_cache: "Optional[OrderedDict[int, ResidueOperand]]" = None,
+) -> ResidueOperand:
+    """Finalise one fast-mode side from its pre-scale bounds.
+
+    Lines 1, 2/3 and 4/5 of Algorithm 1 for a concrete ``config``: the
+    scale vector from the cached bounds (the arithmetic of
+    :func:`~repro.core.scaling.fast_mode_scale_a`, see
+    :func:`~repro.core.scaling.scale_from_prescale`), truncation and the
+    INT8 residues.  Shared by preparation and :meth:`ResidueOperand.resolve_for`,
+    so a re-derived operand is a fresh preparation at the other count.
+    """
+    table = table or table_for(config)
+    scale = scale_from_prescale(prescale, scale_exponent_budget(table, "fast"))
+    x_prime = truncate_scaled(source, scale, side="left" if side == "A" else "right")
+    return ResidueOperand(
+        side=side,
+        scale=scale,
+        slices=residue_slices(x_prime, table, config.residue_kernel),
+        config=config,
+        convert_seconds=time.perf_counter() - start,
+        prescale=prescale,
+        source=source,
+        _resolved_cache=OrderedDict() if resolved_cache is None else resolved_cache,
+    )
+
+
 def _prepare(
     x: np.ndarray,
     side: str,
@@ -518,90 +565,30 @@ def _prepare(
 ) -> "ResidueOperand | AccurateOperand":
     config = config or Ozaki2Config()
     if config.moduli_is_auto and constant_table is not None:
-        raise ConfigurationError(
-            "num_moduli='auto' selects the count (and with it the moduli "
-            "prefix) per call from the default table, so a caller-supplied "
-            "constant_table cannot be honoured; pass a fixed num_moduli to "
-            "use a custom table"
-        )
-    if config.validate:
-        x = check_operand(x, side, dtype=np.float64)
-    else:
-        x = np.asarray(x, dtype=np.float64)
-    if config.mode is ComputeMode.ACCURATE:
-        return _prepare_accurate(x, side, config)
-
+        raise ConfigurationError(AUTO_TABLE_RESTRICTION)
+    x = check_operand(x, side, dtype=np.float64)
     start = time.perf_counter()
-    prescale = fast_mode_prescale(x, axis=1 if side == "A" else 0)
-    if config.moduli_is_auto:
-        # Resolve the selection from the operand's own max-abs scan (just
-        # performed by the prescale pass).  The relative error model is
-        # magnitude-invariant, so the partner's magnitudes cannot change the
-        # selected count — this is the count every same-target
-        # multiplication will request.
-        inner = x.shape[1] if side == "A" else x.shape[0]
-        selection = select_num_moduli(
-            inner,
-            prescale.global_max_abs,
-            prescale.global_max_abs,
-            64 if config.is_dgemm else 32,
-            target=config.target_accuracy,
-            mode=config.mode.value,
-            model=config.selection_model,
-        )
-        config = config.resolved(selection.num_moduli)
-        table = build_constant_table(
-            config.num_moduli, 64 if config.is_dgemm else 32
-        )
-    else:
-        table = constant_table or build_constant_table(
-            config.num_moduli, 64 if config.is_dgemm else 32
-        )
-    scale = scale_from_prescale(prescale, scale_exponent_budget(table, "fast"))
-    x_prime = truncate_scaled(x, scale, side="left" if side == "A" else "right")
-    slices = residue_slices(x_prime, table, config.residue_kernel)
-    elapsed = time.perf_counter() - start
-
-    return ResidueOperand(
-        side=side,
-        scale=scale,
-        slices=slices,
-        config=config,
-        convert_seconds=elapsed,
-        prescale=prescale,
-        source=x,
+    axis = 1 if side == "A" else 0
+    prescale: "PrescaleBounds | AccuratePrescale" = (
+        accurate_mode_prescale(x, axis=axis)
+        if config.mode is ComputeMode.ACCURATE
+        else fast_mode_prescale(x, axis=axis)
     )
-
-
-def _prepare_accurate(
-    x: np.ndarray, side: str, config: Ozaki2Config
-) -> AccurateOperand:
-    """Accurate-mode preparation: cache the ``N``-independent pre-scale half."""
-    start = time.perf_counter()
-    prescale = accurate_mode_prescale(x, axis=1 if side == "A" else 0)
     if config.moduli_is_auto:
-        # Same resolution as the fast path: the relative model is
-        # magnitude-invariant, so the operand's own scan decides the count
-        # every same-target multiplication will request.
-        inner = x.shape[1] if side == "A" else x.shape[0]
-        selection = select_num_moduli(
-            inner,
-            prescale.global_max_abs,
-            prescale.global_max_abs,
-            64 if config.is_dgemm else 32,
-            target=config.target_accuracy,
-            mode=config.mode.value,
-            model=config.selection_model,
+        # The operand's own max-abs scan (just performed by the prescale
+        # pass) decides the count every same-target multiplication requests.
+        config, _ = resolve_moduli(
+            config, x.shape[axis], prescale.global_max_abs, prescale.global_max_abs
         )
-        config = config.resolved(selection.num_moduli)
-    elapsed = time.perf_counter() - start
-    return AccurateOperand(
-        side=side,
-        prescale=prescale,
-        config=config,
-        source=x,
-        convert_seconds=elapsed,
-    )
+    if isinstance(prescale, AccuratePrescale):
+        return AccurateOperand(
+            side=side,
+            prescale=prescale,
+            config=config,
+            source=x,
+            convert_seconds=time.perf_counter() - start,
+        )
+    return _fast_operand(side, prescale, x, config, start, constant_table)
 
 
 def prepare_a(

@@ -318,9 +318,9 @@ def process_scaling_sweep(
                 "workers": int(count),
                 "seconds": best,
                 "speedup_vs_serial": serial_seconds / best,
-                "bit_identical": bool(np.array_equal(result.c, serial_result.c)),
-                "ledger_equal": result.int8_counter.as_dict()
-                == serial_result.int8_counter.as_dict(),
+                "bit_identical": bool(np.array_equal(result.value, serial_result.value)),
+                "ledger_equal": result.ledger.as_dict()
+                == serial_result.ledger.as_dict(),
             }
             for key, value in result.phase_times.seconds.items():
                 row[f"phase_{key}"] = value
@@ -413,7 +413,7 @@ def gemv_route_sweep(
         prep, v0, config=config, engine=gemv_engine, return_details=True
     )
     ledger_equal = (
-        gemm_details.int8_counter.as_dict() == gemv_details.int8_counter.as_dict()
+        gemm_details.ledger.as_dict() == gemv_details.ledger.as_dict()
     )
 
     details = {"gemm-n1": gemm_details, "gemv-fast": gemv_details}
@@ -696,7 +696,7 @@ def adaptive_moduli_sweep(
         selection = auto.moduli_selection
         comparator = ozaki2_gemm(a, b, config=fixed_cfg.replace(num_moduli=auto.config.num_moduli))
         reference = reference_gemm(a, b)
-        measured_error = float(np.max(np.abs(auto.c.astype(np.float64) - reference)))
+        measured_error = float(np.max(np.abs(auto.value.astype(np.float64) - reference)))
         predicted = adaptive_moduli_savings(
             m, k, n, n_fixed, auto.config.num_moduli, target=fmt
         )
@@ -722,7 +722,7 @@ def adaptive_moduli_sweep(
                 "max_error": measured_error,
                 "error_bound": float(selection.bound),
                 "within_bound": bool(measured_error <= selection.bound),
-                "bit_identical": bool(np.array_equal(auto.c, comparator)),
+                "bit_identical": bool(np.array_equal(auto.value, comparator)),
             }
         )
     return rows

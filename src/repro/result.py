@@ -5,10 +5,9 @@ fast path, an iterative solve — answers with the same four ingredients: the
 computed **value**, the resolved **configuration**, the wall-clock **phase
 times** of Algorithm 1, and the INT8 engine's operation **ledger**.  Before
 the :class:`~repro.session.Session` redesign each entry point carried its
-own result dataclass duplicating those fields under private names
-(``Ozaki2Result.c`` / ``GemvResult.c`` / ``SolveResult.x``,
-``int8_counter`` vs. an absent solver ledger, …).  :class:`Result` is the
-shared base:
+own result dataclass duplicating those fields under its own names.
+:class:`Result` is the shared base, and its field names are the only
+spelling:
 
 * ``value`` — the computed array (product matrix, product vector, or
   solution vector),
@@ -22,11 +21,9 @@ shared base:
   one entry per emulated product for solves (the progressive ladder), a
   single entry for one-shot products.
 
-The concrete classes — :class:`GemmResult` (née ``Ozaki2Result``, which
-remains as an alias), :class:`~repro.core.gemv.GemvResult`,
-:class:`~repro.apps.solvers.SolveResult` — keep their historical attribute
-names (``c``, ``x``, ``int8_counter``) as read-only properties, so existing
-callers and tests run unchanged.
+The concrete classes are :class:`GemmResult`,
+:class:`~repro.core.gemv.GemvResult` and
+:class:`~repro.apps.solvers.SolveResult`.
 
 The per-phase timing keys follow the line grouping used by the paper's time
 breakdown (Figures 6 and 7):
@@ -61,7 +58,6 @@ __all__ = [
     "PhaseTimes",
     "Result",
     "GemmResult",
-    "Ozaki2Result",
 ]
 
 #: Ordered list of phase keys (matches the breakdown figures).
@@ -206,13 +202,12 @@ class Result:
 
 @dataclasses.dataclass
 class GemmResult(Result):
-    """Full result of one emulated GEMM (historically ``Ozaki2Result``).
+    """Full result of one emulated GEMM.
 
     Attributes
     ----------
     value:
-        The emulated product, in the target precision's dtype (also
-        reachable under the historical name :attr:`c`).
+        The emulated product, in the target precision's dtype.
     config:
         The configuration used.
     mu / nu:
@@ -222,12 +217,10 @@ class GemmResult(Result):
         wall-clock benchmark, *not* a GPU prediction — that is the job of
         :mod:`repro.perfmodel`).
     ledger:
-        Operation ledger of the INT8 engine (GEMM calls, MACs, bytes; also
-        reachable under the historical name :attr:`int8_counter`).
+        Operation ledger of the INT8 engine (GEMM calls, MACs, bytes).
     num_k_blocks:
         Number of inner-dimension blocks actually used, derived from the
-        execution plan's block ranges (1 unless k-blocking was enabled and
-        required, i.e. ``k > 2^17``).
+        execution plan's block ranges (1 unless ``k > 2^17``).
     moduli_selection:
         The :class:`~repro.crt.adaptive.AdaptiveSelection` diagnostic when
         the call ran with ``num_moduli="auto"`` (selected count, guaranteed
@@ -239,18 +232,3 @@ class GemmResult(Result):
     nu: Optional[np.ndarray] = None
     num_k_blocks: int = 1
     moduli_selection: object = None
-
-    @property
-    def c(self) -> np.ndarray:
-        """The emulated product (historical alias of :attr:`value`)."""
-        return self.value
-
-    @property
-    def int8_counter(self) -> OpCounter:
-        """The engine's op ledger (historical alias of :attr:`ledger`)."""
-        return self.ledger
-
-
-#: Historical name of :class:`GemmResult`, kept as a full alias (class
-#: identity included) so ``isinstance`` checks and imports keep working.
-Ozaki2Result = GemmResult

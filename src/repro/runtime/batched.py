@@ -11,13 +11,16 @@ individual item's values:
   have their truncated operands stacked and pushed through the ``rmod``
   kernels in a single NumPy call per modulus, instead of one call per item,
 * one conversion per *distinct matrix*: items that pass the same array
-  object (or the same precomputed
-  :class:`~repro.core.operand.ResidueOperand`) on a side share a single
-  scale/truncate/residue pass in fast mode — the exact situation of LU
-  trailing updates and iterative solvers reusing one system matrix.
+  object on a side share a single truncate/residue pass in fast mode (a
+  precomputed :class:`~repro.core.operand.ResidueOperand` converts no
+  more at all) — the exact situation of LU trailing updates and iterative
+  solvers reusing one system matrix.
 
-Each item's tasks still fan out over the pool, and items are retired one at
-a time so per-item op ledgers stay exact.  Results are bit-identical to
+Everything before conversion is per item and goes through the GEMM's own
+front end, :func:`repro.core.gemm._scaled_sides`: validation, the item's
+own ``num_moduli="auto"`` selection, and its scales.  Each item's tasks
+still fan out over the pool, and items are retired one at a time so
+per-item op ledgers stay exact.  Results are bit-identical to
 looping :func:`~repro.core.gemm.ozaki2_gemm` over the batch — the batched
 path reorders no floating-point operation, it only amortises fixed costs.
 (Shared conversions are charged to the first item that uses them; later
@@ -34,24 +37,16 @@ import numpy as np
 from ..config import ComputeMode, Ozaki2Config
 from ..core.accumulation import unscale
 from ..core.conversion import residue_slices, truncate_scaled
-from ..core.gemm import (
-    _AUTO_TABLE_RESTRICTION,
-    _resolve_auto_moduli,
-    _resolve_prepared_sides,
-)
-from ..result import GemmResult, PhaseTimes
-from ..core.operand import AccurateOperand, PreparedOperand, ResidueOperand
-from ..core.scaling import (
-    accurate_mode_prescale,
-    accurate_scales_from_prescale,
-    fast_mode_scale_a,
-    fast_mode_scale_b,
-)
-from ..crt.constants import CRTConstantTable, build_constant_table
+from ..core.gemm import _scaled_sides
+from ..core.operand import PreparedOperand
+# Scaling runs in core.gemm._scaled_sides; these names stay importable here
+# because perfbench's span tracer looks them up in this module.
+from ..core.scaling import accurate_mode_prescale, accurate_scales_from_prescale  # noqa: F401
+from ..core.scaling import fast_mode_scale_a, fast_mode_scale_b  # noqa: F401
+from ..crt.constants import CRTConstantTable
 from ..engines.base import MatrixEngine
-from ..errors import ConfigurationError
+from ..result import GemmResult, PhaseTimes
 from ..types import result_dtype
-from ..utils.validation import check_gemm_operands
 from .plan import ExecutionPlan, plan_for_config
 from .scheduler import Scheduler, execute_plan
 
@@ -88,7 +83,7 @@ def ozaki2_gemm_batched(
         Primary INT8 engine; defaults to a fresh one.  Its ledger ends up
         holding the whole batch's operations.
     return_details:
-        When True, return a list of :class:`~repro.core.gemm.Ozaki2Result`
+        When True, return a list of :class:`~repro.result.GemmResult`
         (with per-item op-counter deltas) instead of plain matrices.
     constant_table:
         Precomputed constant table (otherwise built/cached from the config).
@@ -106,7 +101,7 @@ def ozaki2_gemm_batched(
 
     Returns
     -------
-    List of ``C`` matrices, or list of :class:`Ozaki2Result` when
+    List of ``C`` matrices, or list of :class:`~repro.result.GemmResult` when
     ``return_details`` is true, in batch order.
     """
     if len(As) != len(Bs):
@@ -122,18 +117,6 @@ def ozaki2_gemm_batched(
         # conversion state is set up, and `[]` is returned for both the
         # plain and the return_details flavours.
         return []
-    if config.moduli_is_auto:
-        # Auto selection is per item (each item's k and magnitudes pick its
-        # own count); tables are built per resolved item inside the batch,
-        # and a caller-supplied table is rejected exactly as on the single
-        # GEMM route.
-        if constant_table is not None:
-            raise ConfigurationError(_AUTO_TABLE_RESTRICTION)
-        table = None
-    else:
-        table = constant_table or build_constant_table(
-            config.num_moduli, 64 if config.is_dgemm else 32
-        )
     out_dtype = result_dtype(config.precision)
 
     own_scheduler = scheduler is None
@@ -145,7 +128,8 @@ def ozaki2_gemm_batched(
     )
     try:
         return _run_batch(
-            As, Bs, config, table, out_dtype, sched, return_details, memory_budgets_mb
+            As, Bs, config, constant_table, out_dtype, sched, return_details,
+            memory_budgets_mb,
         )
     finally:
         if own_scheduler:
@@ -156,7 +140,7 @@ def _run_batch(
     As: Sequence[np.ndarray],
     Bs: Sequence[np.ndarray],
     config: Ozaki2Config,
-    table: CRTConstantTable,
+    constant_table: Optional[CRTConstantTable],
     out_dtype,
     sched: Scheduler,
     return_details: bool,
@@ -165,136 +149,55 @@ def _run_batch(
     batch = len(As)
     engine = sched.engine
     fast = config.mode is ComputeMode.FAST
-    auto = config.moduli_is_auto
     times: List[PhaseTimes] = [PhaseTimes() for _ in range(batch)]
 
-    # -- per-item scaling + truncation (value-dependent, cheap) --------------
-    # ``a_primes[j] is None`` means item j needs no residue conversion of its
-    # own: the side is prepared, or it aliases (``a_src[j]``) an earlier item
-    # that passed the very same array object (fast mode derives each side's
-    # scales from that side alone, so identical inputs convert identically).
+    # -- per item: lines 1-5 up to conversion, then truncation ----------------
+    # Each item goes through the GEMM front end (validation, per-item auto N,
+    # scales).  ``a_primes[j] is None`` means item j needs no residue
+    # conversion of its own: the side carries a residue stack, or it
+    # aliases (``a_src[j]``) an earlier item that passed the very same array
+    # object at the same count (fast mode derives each side's scales from
+    # that side alone, so identical inputs convert identically).
+    sides = []
     a_primes: List[Optional[np.ndarray]] = [None] * batch
     b_primes: List[Optional[np.ndarray]] = [None] * batch
-    a_preps: List[Optional[PreparedOperand]] = [None] * batch
-    b_preps: List[Optional[PreparedOperand]] = [None] * batch
     a_src = list(range(batch))
     b_src = list(range(batch))
-    mus: List[np.ndarray] = [None] * batch  # type: ignore[list-item]
-    nus: List[np.ndarray] = [None] * batch  # type: ignore[list-item]
-    configs: List[Ozaki2Config] = [None] * batch  # type: ignore[list-item]
-    tables: List[CRTConstantTable] = [None] * batch  # type: ignore[list-item]
-    selections = [None] * batch
     plans = []
     scale_counters = []
-    seen_a: Dict[int, int] = {}
-    seen_b: Dict[int, int] = {}
+    seen_a: Dict[Tuple[int, int], int] = {}
+    seen_b: Dict[Tuple[int, int], int] = {}
     for j in range(batch):
-        a_in, b_in = As[j], Bs[j]
-        a_prep = a_in if isinstance(a_in, PreparedOperand) else None
-        b_prep = b_in if isinstance(b_in, PreparedOperand) else None
-
-        if a_prep is not None or b_prep is not None:
-            a, b = _resolve_prepared_sides(a_in, b_in, a_prep, b_prep, config)
-        elif config.validate:
-            a, b = check_gemm_operands(a_in, b_in, dtype=np.float64)
-        else:
-            a = np.asarray(a_in, dtype=np.float64)
-            b = np.asarray(b_in, dtype=np.float64)
-
-        m, k = a_prep.shape if a_prep is not None else a.shape
-        n = (b_prep.shape if b_prep is not None else b.shape)[1]
-
-        # Per-item auto-N: each item's (k, magnitudes) selects its own
-        # count; prepared sides are re-derived at it (cached on the
-        # operand, so repeated batch items pay each count once).
-        if auto:
-            configs[j], a_prep, b_prep, selections[j] = _resolve_auto_moduli(
-                a, b, a_prep, b_prep, k, config
-            )
-        else:
-            configs[j] = config
-        if table is not None and table.num_moduli == configs[j].num_moduli:
-            tables[j] = table
-        else:
-            tables[j] = build_constant_table(
-                configs[j].num_moduli, 64 if config.is_dgemm else 32
-            )
-        a_preps[j], b_preps[j] = a_prep, b_prep
-        # Same-object aliasing requires the same resolved count: equal
-        # arrays under one batch config always select equally (the model is
-        # deterministic), so the guard only matters defensively.
-        alias_a = (
-            fast and a_prep is None and id(a_in) in seen_a
-            and configs[seen_a[id(a_in)]].num_moduli == configs[j].num_moduli
-        )
-        alias_b = (
-            fast and b_prep is None and id(b_in) in seen_b
-            and configs[seen_b[id(b_in)]].num_moduli == configs[j].num_moduli
-        )
-        # Per-item memory budget: override the config's cap before the plan
-        # is built, so mixed-size batches tile each item to its own budget.
-        if memory_budgets_mb is not None and memory_budgets_mb[j] is not None:
-            configs[j] = configs[j].replace(memory_budget_mb=memory_budgets_mb[j])
-        plans.append(plan_for_config(m, k, n, configs[j]))
-
         # Accurate mode issues engine GEMMs during scaling; snapshot the
         # ledger so those calls are attributed to this item's counter.
         counter_before = engine.counter.copy()
-        t0 = time.perf_counter()
-        if not fast:
-            pa = (
-                a_prep.prescale
-                if isinstance(a_prep, AccurateOperand)
-                else accurate_mode_prescale(a, axis=1)
-            )
-            pb = (
-                b_prep.prescale
-                if isinstance(b_prep, AccurateOperand)
-                else accurate_mode_prescale(b, axis=0)
-            )
-            mu, nu = accurate_scales_from_prescale(pa, pb, tables[j], engine)[:2]
-        else:
-            if a_prep is not None:
-                mu = a_prep.scale
-            elif alias_a:
-                mu = mus[seen_a[id(a_in)]]
-            else:
-                mu = fast_mode_scale_a(a, tables[j])
-            if b_prep is not None:
-                nu = b_prep.scale
-            elif alias_b:
-                nu = nus[seen_b[id(b_in)]]
-            else:
-                nu = fast_mode_scale_b(b, tables[j])
-        times[j].add("scale", time.perf_counter() - t0)
+        item = _scaled_sides(As[j], Bs[j], config, constant_table, engine, times[j])
         scale_counters.append(engine.counter.difference(counter_before))
-        mus[j], nus[j] = mu, nu
+        sides.append(item)
+        # Per-item memory budget: override the config's cap before the plan
+        # is built, so mixed-size batches tile each item to its own budget.
+        if memory_budgets_mb is not None and memory_budgets_mb[j] is not None:
+            item.config = item.config.replace(memory_budget_mb=memory_budgets_mb[j])
+        plans.append(plan_for_config(item.m, item.k, item.n, item.config))
 
-        # Fast-mode ResidueOperands skip truncation entirely (their residues
-        # are cached); accurate prepared operands truncate from their
-        # retained source — the scales above are partner-coupled.
-        if isinstance(a_prep, ResidueOperand) or alias_a:
-            times[j].add("convert_A", 0.0)
-            if alias_a:
-                a_src[j] = a_src[seen_a[id(a_in)]]
-        else:
-            a_arr = a_prep.source if a_prep is not None else a
+        per_side = (
+            (As[j], item.a_source, item.mu, "left", "convert_A", a_primes, a_src, seen_a),
+            (Bs[j], item.b_source, item.nu, "right", "convert_B", b_primes, b_src, seen_b),
+        )
+        for x_in, source, scale, side, key, primes, src, seen in per_side:
+            if source is None:  # the side carries its residue stack
+                times[j].add(key, 0.0)
+                continue
+            if fast and not isinstance(x_in, PreparedOperand):
+                alias = (id(x_in), item.config.num_moduli)
+                if alias in seen:
+                    src[j] = src[seen[alias]]
+                    times[j].add(key, 0.0)
+                    continue
+                seen[alias] = j
             t0 = time.perf_counter()
-            a_primes[j] = truncate_scaled(a_arr, mu, side="left")
-            times[j].add("convert_A", time.perf_counter() - t0)
-            if fast and a_prep is None:
-                seen_a[id(a_in)] = j
-        if isinstance(b_prep, ResidueOperand) or alias_b:
-            times[j].add("convert_B", 0.0)
-            if alias_b:
-                b_src[j] = b_src[seen_b[id(b_in)]]
-        else:
-            b_arr = b_prep.source if b_prep is not None else b
-            t0 = time.perf_counter()
-            b_primes[j] = truncate_scaled(b_arr, nu, side="right")
-            times[j].add("convert_B", time.perf_counter() - t0)
-            if fast and b_prep is None:
-                seen_b[id(b_in)] = j
+            primes[j] = truncate_scaled(source, scale, side=side)
+            times[j].add(key, time.perf_counter() - t0)
 
     # -- shared residue conversion -------------------------------------------
     # Each item converts on its plan's route.  Thread-path items (every item
@@ -305,6 +208,7 @@ def _run_batch(
     # non-contiguous per-item views no worker can attach), the rows band
     # across the worker processes, and the result is bit-identical (residue
     # conversion is elementwise).
+    tables = [item.table for item in sides]
     a_slices = b_slices = None
     # Recoveries during the shared conversion phase (shm fallbacks, pool
     # rebuilds, degradation) belong to the whole batch, not any one item's
@@ -318,13 +222,13 @@ def _run_batch(
         b_slices = _residue_slices(
             b_primes, tables, plans, config, times, "convert_B", sched
         )
-        for j in range(batch):
-            if isinstance(a_preps[j], ResidueOperand):
-                a_slices[j] = a_preps[j].slices
+        for j, item in enumerate(sides):
+            if item.a_slices is not None:
+                a_slices[j] = item.a_slices
             elif a_slices[j] is None:
                 a_slices[j] = a_slices[a_src[j]]
-            if isinstance(b_preps[j], ResidueOperand):
-                b_slices[j] = b_preps[j].slices
+            if item.b_slices is not None:
+                b_slices[j] = item.b_slices
             elif b_slices[j] is None:
                 b_slices[j] = b_slices[b_src[j]]
 
@@ -334,21 +238,21 @@ def _run_batch(
 
         # -- execution: items retired in order, tasks fanned out per item ----
         results = []
-        for j in range(batch):
+        for j, item in enumerate(sides):
             counter_before = engine.counter.copy()
             c_pp = execute_plan(
                 sched,
                 plans[j],
                 a_slices[j],
                 b_slices[j],
-                tables[j],
-                configs[j],
+                item.table,
+                item.config,
                 times=times[j],
                 trusted=True,
             )
-            engine.counter.record_emulated(configs[j].num_moduli)
+            engine.counter.record_emulated(item.config.num_moduli)
             t0 = time.perf_counter()
-            c = unscale(c_pp, mus[j], nus[j], out_dtype=out_dtype)
+            c = unscale(c_pp, item.mu, item.nu, out_dtype=out_dtype)
             times[j].add("unscale", time.perf_counter() - t0)
             if not return_details:
                 results.append(c)
@@ -361,14 +265,14 @@ def _run_batch(
             results.append(
                 GemmResult(
                     value=c,
-                    config=configs[j],
-                    mu=mus[j],
-                    nu=nus[j],
+                    config=item.config,
+                    mu=item.mu,
+                    nu=item.nu,
                     phase_times=times[j],
                     ledger=item_counter,
                     num_k_blocks=plans[j].num_k_blocks,
-                    moduli_selection=selections[j],
-                    moduli_history=[configs[j].num_moduli],
+                    moduli_selection=item.selection,
+                    moduli_history=[item.config.num_moduli],
                 )
             )
         return results

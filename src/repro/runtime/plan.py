@@ -6,10 +6,10 @@ output tiling each residue further splits into independent
 ``(k-block, m/n-tile)`` pieces.  An :class:`ExecutionPlan` enumerates that
 decomposition for one problem:
 
-* ``k_ranges`` — the inner-dimension blocks actually used.  The number of
-  blocks is derived from these ranges (not from the global
-  ``MAX_K_WITHOUT_BLOCKING`` constant), so a plan with blocking disabled
-  always reports exactly one block.
+* ``k_ranges`` — the inner-dimension blocks actually used (blocks of at
+  most ``max_block_k``; :func:`plan_for_config` reads the limit from
+  :data:`repro.core.gemm.MAX_K_WITHOUT_BLOCKING`).  The number of blocks
+  is derived from these ranges.
 * ``m_tiles`` / ``n_tiles`` — output tiles sized so the transient residue
   stack ``(N, m_tile, n_tile)`` respects an optional memory budget.
 * ``parallelism`` — the resolved worker count for the scheduler.
@@ -38,8 +38,8 @@ import os
 from typing import Iterator, Optional, Tuple
 
 from ..config import MAX_K_WITHOUT_BLOCKING, Ozaki2Config
+from ..core import gemm as _gemm
 from ..core.blocking import k_block_ranges
-from ..errors import OverflowRiskError
 
 __all__ = [
     "PROCESS_MIN_MACS",
@@ -272,7 +272,6 @@ def build_plan(
     n: int,
     num_moduli: int,
     *,
-    block_k: bool = True,
     max_block_k: int = MAX_K_WITHOUT_BLOCKING,
     memory_budget_mb: Optional[float] = None,
     parallelism: Optional[int] = 1,
@@ -286,11 +285,6 @@ def build_plan(
         Problem dimensions (all positive).
     num_moduli:
         Number of residue GEMMs ``N``.
-    block_k:
-        Whether k-blocking is permitted.  When False, an inner dimension
-        beyond ``max_block_k`` raises
-        :class:`~repro.errors.OverflowRiskError` (matching
-        ``Ozaki2Config.block_k``) and the plan always has one k-block.
     max_block_k:
         Largest inner dimension per engine call (``2**17`` per Section 4.3;
         overridable so tests can exercise blocking on small problems).
@@ -307,14 +301,7 @@ def build_plan(
     if int(max_block_k) <= 0:
         raise ValueError(f"max_block_k must be positive, got {max_block_k}")
 
-    if k > max_block_k and not block_k:
-        raise OverflowRiskError(
-            f"k={k} exceeds {max_block_k} and k-blocking is disabled in the config"
-        )
-    if block_k:
-        k_ranges = tuple(k_block_ranges(k, max_block_k))
-    else:
-        k_ranges = ((0, k),)
+    k_ranges = tuple(k_block_ranges(k, max_block_k))
 
     if memory_budget_mb is None:
         m_tiles: Tuple[Range, ...] = ((0, m),)
@@ -337,21 +324,19 @@ def build_plan(
     )
 
 
-def plan_for_config(
-    m: int,
-    k: int,
-    n: int,
-    config: Ozaki2Config,
-    max_block_k: int = MAX_K_WITHOUT_BLOCKING,
-) -> ExecutionPlan:
-    """Build the plan implied by an :class:`~repro.config.Ozaki2Config`."""
+def plan_for_config(m: int, k: int, n: int, config: Ozaki2Config) -> ExecutionPlan:
+    """Build the plan implied by an :class:`~repro.config.Ozaki2Config`.
+
+    The k-block limit is read from
+    :data:`repro.core.gemm.MAX_K_WITHOUT_BLOCKING` at call time, the one
+    global every route blocks by.
+    """
     return build_plan(
         m,
         k,
         n,
         config.num_moduli,
-        block_k=config.block_k,
-        max_block_k=max_block_k,
+        max_block_k=_gemm.MAX_K_WITHOUT_BLOCKING,
         memory_budget_mb=config.memory_budget_mb,
         parallelism=config.parallelism,
         executor=config.executor,

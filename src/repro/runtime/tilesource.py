@@ -45,15 +45,13 @@ import numpy as np
 from .. import faults
 from ..config import ComputeMode, Ozaki2Config
 from ..core.conversion import residue_slices, truncate_scaled
-from ..core.operand import ResidueOperand
+from ..core.operand import ResidueOperand, resolve_moduli, table_for
 from ..core.scaling import (
     PrescaleBounds,
     fast_mode_prescale,
     scale_exponent_budget,
     scale_from_prescale,
 )
-from ..crt.adaptive import select_num_moduli
-from ..crt.constants import build_constant_table
 from ..errors import ConfigurationError
 
 __all__ = ["TileSource"]
@@ -194,21 +192,16 @@ class TileSource:
         prescale = _concat_prescale(parts, axis)
 
         if config.moduli_is_auto:
-            # Same resolution rule as in-core preparation: the operand's own
-            # max-abs (just scanned) selects the count.
-            inner = cols if side == "A" else rows
-            selection = select_num_moduli(
-                inner,
+            # The in-core preparation's resolver and rule: the operand's own
+            # max-abs (just scanned) selects the count, under the config's
+            # selection model.
+            config, _ = resolve_moduli(
+                config,
+                cols if side == "A" else rows,
                 prescale.global_max_abs,
                 prescale.global_max_abs,
-                64 if config.is_dgemm else 32,
-                target=config.target_accuracy,
-                mode=config.mode.value,
             )
-            config = config.resolved(selection.num_moduli)
-        table = build_constant_table(
-            config.num_moduli, 64 if config.is_dgemm else 32
-        )
+        table = table_for(config)
         scale = scale_from_prescale(prescale, scale_exponent_budget(table, "fast"))
 
         # Pass 2 — truncate + residue-convert strip by strip, writing the

@@ -65,7 +65,7 @@ def cache_key(side: str, fingerprint: str, config: Ozaki2Config) -> Tuple:
     under the same target and model always resolve alike and may share an
     entry; the calibrated and rigorous models can resolve different counts
     from identical inputs, so they must not).  Runtime knobs (parallelism,
-    blocking, validation) do not affect the cached state and are
+    executor, memory budget) do not affect the cached state and are
     deliberately absent: sessions differing only in those share entries.
     """
     moduli: object

@@ -80,8 +80,7 @@ class RemoteResult(Result):
 
     ``value`` holds the computed array; :attr:`meta` the JSON result
     document (method name, moduli history, phase seconds, solver
-    diagnostics — whatever the endpoint reports).  The historical ``c`` /
-    ``x`` spellings work here too.
+    diagnostics — whatever the endpoint reports).
     """
 
     def __init__(self, value: np.ndarray, meta: Dict[str, object]) -> None:
@@ -89,16 +88,6 @@ class RemoteResult(Result):
             int(n) for n in meta.get("moduli_history", [])
         ])
         self.meta = meta
-
-    @property
-    def c(self) -> np.ndarray:
-        """The product array (GEMM/GEMV spelling)."""
-        return self.value
-
-    @property
-    def x(self) -> np.ndarray:
-        """The solution vector (solver spelling)."""
-        return self.value
 
     @property
     def method_name(self) -> str:

@@ -86,21 +86,16 @@ def _apply_config_overrides(config: Ozaki2Config, overrides: Dict) -> Ozaki2Conf
     overrides = dict(overrides)
     precision = overrides.pop("precision", None)
     if precision is not None:
-        maker = {
-            "fp64": Ozaki2Config.for_dgemm,
-            "fp32": Ozaki2Config.for_sgemm,
-        }.get(str(precision).lower())
-        if maker is None:
+        # Only the precision changes; every other session field (selection
+        # model, target, kernel, runtime knobs) is kept.
+        if str(precision).lower() not in ("fp64", "fp32"):
             raise ValidationError(
                 f"unknown precision {precision!r}; expected 'fp64' or 'fp32'"
             )
-        config = maker(
-            num_moduli=overrides.pop("num_moduli", config.num_moduli),
-            mode=overrides.pop("mode", config.mode),
-        )
+        overrides["precision"] = str(precision).lower()
     if "mode" in overrides:
         overrides["mode"] = ComputeMode(str(overrides["mode"]).lower())
-    return config.replace(**overrides) if overrides else config
+    return config.replace(**overrides)
 
 
 class ReproServer:
@@ -447,7 +442,7 @@ class ReproServer:
             "moduli_history": [int(n) for n in result.moduli_history],
         }
         return encode_frame(
-            {"ok": True, "learned": learned, "result": meta}, {"value": result.x}
+            {"ok": True, "learned": learned, "result": meta}, {"value": result.value}
         )
 
     def _handle_prepare(self, header: Dict, arrays: Dict[str, np.ndarray]) -> bytes:

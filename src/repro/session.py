@@ -29,15 +29,15 @@ Every operation returns a :class:`~repro.result.Result` subclass —
 :class:`~repro.apps.solvers.SolveResult` — sharing ``value`` / ``config`` /
 ``phase_times`` / ``ledger`` / ``moduli_history``.
 
-Migration from the free functions::
+Each method wraps one low-level function of a defining submodule::
 
-    ozaki2_gemm(a, b, config=cfg)            -> Session(cfg).gemm(a, b).value
-    prepared_gemv(prep, x, config=cfg)       -> session.gemv(a, x).value
-    ozaki2_gemm_batched(As, Bs, config=cfg)  -> session.gemm_batched(As, Bs)
-    prepare_a(a, config=cfg)                 -> session.prepare(a, side="A")
-    cg_solve(a, b, config=cfg)               -> session.solve(a, b, method="cg")
+    repro.core.gemm.ozaki2_gemm(a, b, config=cfg)        -> session.gemm(a, b)
+    repro.core.gemv.prepared_gemv(prep, x, config=cfg)   -> session.gemv(a, x)
+    repro.runtime.batched.ozaki2_gemm_batched(As, Bs)    -> session.gemm_batched(As, Bs)
+    repro.core.operand.prepare_a(a, config=cfg)          -> session.prepare(a, side="A")
+    repro.apps.solvers.cg_solve(a, b, config=cfg)        -> session.solve(a, b, method="cg")
 
-The free functions keep working (with a deprecation pointer at this class);
+Those functions stay the low-level spelling (no top-level aliases);
 :mod:`repro.service` is this class behind a socket.
 """
 

@@ -2,8 +2,8 @@
 
 This is the runtime counterpart of the static lock rules and the gate for
 the process-parallel scheduler refactor (ROADMAP item 2): driving the
-parallel runtime (both executor backends), the serve stack and the
-deprecation shims under :func:`track_lock_order` must visit every
+parallel runtime (both executor backends) and the serve stack under
+:func:`track_lock_order` must visit every
 ``named_lock`` site, and the observed acquisition-order graph must be
 acyclic — proof that no exercised nesting can deadlock.
 """
@@ -31,7 +31,6 @@ ALL_LOCKS = {
     "service.coalescer._lock",
     "service.client._lock",
     "service.server._requests_lock",
-    "_compat._LOCK",
 }
 
 
@@ -63,12 +62,6 @@ def test_all_lock_sites_observed_and_acyclic():
                 client.gemm(a, b)
                 client.gemm(a, b)  # second call exercises the fingerprint path
                 server.stats()
-
-        # _compat lock: a deprecated free-function shim warns (once) under it
-        repro.reset_deprecation_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            repro.ozaki2_gemm(a, b)
 
     assert tracker.observed_locks >= ALL_LOCKS, (
         f"missing lock sites: {sorted(ALL_LOCKS - tracker.observed_locks)}"

@@ -57,7 +57,7 @@ def test_pcg_converges_across_the_grid(kind, precond, precision):
     # ill-conditioned family within the cond-amplified tolerance.
     scale = float(np.max(np.abs(x_true)))
     budget = tol * COND * 10.0 if kind == "ill_spd" else max(tol, 1e-6) * 100.0
-    assert float(np.max(np.abs(result.x - x_true))) <= budget * max(scale, 1.0)
+    assert float(np.max(np.abs(result.value - x_true))) <= budget * max(scale, 1.0)
 
 
 @pytest.mark.parametrize("precision", sorted(PRECISIONS))
@@ -134,6 +134,6 @@ def test_pcg_with_identity_matches_cg_bitwise():
     cg = cg_solve(a, b, config=config, tol=tol)
     pcg = pcg_solve(a, b, config=config, tol=tol, precond="none")
     assert cg.iterations == pcg.iterations
-    np.testing.assert_array_equal(cg.x, pcg.x)
+    np.testing.assert_array_equal(cg.value, pcg.value)
     assert cg.method.startswith("cg(")
     assert pcg.method.startswith("pcg(")

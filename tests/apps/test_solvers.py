@@ -73,7 +73,7 @@ class TestJacobi:
         result = jacobi_solve(a, b, config=CONFIG, tol=1e-12)
         assert result.converged
         assert result.residual_norm <= 1e-12
-        assert np.max(np.abs(result.x - x_true)) < 1e-9
+        assert np.max(np.abs(result.value - x_true)) < 1e-9
         assert result.iterations == len(result.residual_history)
         assert result.prepare_seconds > 0.0
         assert result.method == "jacobi(OS II-fast-15)"
@@ -123,11 +123,11 @@ class TestJacobi:
         config = Ozaki2Config.for_dgemm(15, mode="accurate")
         plain = jacobi_solve(a, b, config=config)
         assert plain.converged
-        assert np.max(np.abs(plain.x - x_true)) < 1e-8
+        assert np.max(np.abs(plain.value - x_true)) < 1e-8
         prepared = jacobi_solve(
             a, b, config=config, prepared=prepare_a(a, config=config)
         )
-        assert np.array_equal(plain.x, prepared.x)
+        assert np.array_equal(plain.value, prepared.value)
 
     def test_fast_prepared_rejected_for_accurate_solve(self):
         a, b, _ = linear_system(8, seed=0)
@@ -145,7 +145,7 @@ class TestConjugateGradients:
         a, b, x_true = linear_system(40, kind="spd", seed=7)
         result = cg_solve(a, b, config=CONFIG, tol=1e-11)
         assert result.converged
-        assert np.max(np.abs(result.x - x_true)) < 1e-6
+        assert np.max(np.abs(result.value - x_true)) < 1e-6
         assert result.method == "cg(OS II-fast-15)"
 
     def test_warm_start(self):
@@ -166,7 +166,7 @@ class TestIterativeRefinement:
         result = iterative_refinement_solve(a, b, config=CONFIG)
         assert result.converged
         assert result.residual_norm <= 1e-13
-        assert np.max(np.abs(result.x - x_true)) < 1e-10
+        assert np.max(np.abs(result.value - x_true)) < 1e-10
 
     def test_emulated_factorization(self):
         a, b, _ = linear_system(36, seed=11)

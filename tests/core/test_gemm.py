@@ -9,14 +9,14 @@ from repro.accuracy import max_relative_error, reference_gemm
 from repro.config import ComputeMode, Ozaki2Config
 from repro.core.gemm import (
     PHASE_KEYS,
-    Ozaki2Result,
+    GemmResult,
     PhaseTimes,
     emulated_dgemm,
     emulated_sgemm,
     ozaki2_gemm,
 )
 from repro.engines.int8 import Int8MatrixEngine
-from repro.errors import OverflowRiskError, ValidationError
+from repro.errors import ValidationError
 from repro.workloads import phi_pair
 
 
@@ -110,12 +110,12 @@ class TestConfigurationPaths:
     def test_return_details(self, small_pair):
         a, b = small_pair
         result = ozaki2_gemm(a, b, return_details=True)
-        assert isinstance(result, Ozaki2Result)
-        assert result.c.shape == (a.shape[0], b.shape[1])
+        assert isinstance(result, GemmResult)
+        assert result.value.shape == (a.shape[0], b.shape[1])
         assert result.mu.shape == (a.shape[0],)
         assert result.nu.shape == (b.shape[1],)
         assert result.num_k_blocks == 1
-        assert result.int8_counter.matmul_calls == result.config.num_moduli
+        assert result.ledger.matmul_calls == result.config.num_moduli
         assert set(result.phase_times.seconds) == set(PHASE_KEYS)
         assert result.method_name.startswith("OS II-")
 
@@ -124,7 +124,7 @@ class TestConfigurationPaths:
         result = ozaki2_gemm(
             a, b, config=Ozaki2Config.for_dgemm(10, mode="accurate"), return_details=True
         )
-        assert result.int8_counter.matmul_calls == 11  # N residue GEMMs + 1 for C-bar
+        assert result.ledger.matmul_calls == 11  # N residue GEMMs + 1 for C-bar
 
     def test_custom_engine_is_used(self, small_pair):
         a, b = small_pair
@@ -141,13 +141,6 @@ class TestConfigurationPaths:
         a[0, 0] = np.nan
         with pytest.raises(ValidationError):
             emulated_dgemm(a, np.ones((3, 3)))
-
-    def test_block_k_disabled_raises_for_huge_k(self):
-        config = Ozaki2Config.for_dgemm(8, block_k=False)
-        a = np.zeros((1, 2**17 + 4))
-        b = np.zeros((2**17 + 4, 1))
-        with pytest.raises(OverflowRiskError):
-            ozaki2_gemm(a, b, config=config)
 
     def test_mode_strings_accepted(self, small_pair):
         a, b = small_pair
@@ -175,14 +168,16 @@ class TestNumKBlocksRegression:
     """``num_k_blocks`` must reflect the block ranges actually executed.
 
     Regression for a bug where it was derived from the global
-    ``MAX_K_WITHOUT_BLOCKING`` constant regardless of whether blocking was
-    enabled or what ranges the runtime really used.
+    ``MAX_K_WITHOUT_BLOCKING`` constant instead of the ranges the runtime
+    really used.
     """
 
     def test_blocking_disabled_reports_single_block(self, small_pair):
+        """k within the limit runs unblocked (blocking is not engaged):
+        one block, one engine call per modulus."""
         a, b = small_pair
         engine = Int8MatrixEngine()
-        config = Ozaki2Config.for_dgemm(8, block_k=False)
+        config = Ozaki2Config.for_dgemm(8)
         result = ozaki2_gemm(a, b, config=config, engine=engine, return_details=True)
         assert result.num_k_blocks == 1
         # One engine call per modulus and nothing else: the reported block
@@ -199,17 +194,6 @@ class TestNumKBlocksRegression:
         result = ozaki2_gemm(a, b, config=config, engine=engine, return_details=True)
         assert result.num_k_blocks == 3  # ceil(300 / 128)
         assert engine.counter.matmul_calls == config.num_moduli * result.num_k_blocks
-
-    def test_blocking_disabled_with_shrunk_threshold(self, monkeypatch):
-        """Even when k exceeds a (shrunk) threshold, disabling blocking must
-        never report phantom blocks — it raises instead."""
-        import repro.core.gemm as gemm_mod
-
-        monkeypatch.setattr(gemm_mod, "MAX_K_WITHOUT_BLOCKING", 64)
-        a, b = phi_pair(8, 100, 8, phi=0.5, seed=7)
-        config = Ozaki2Config.for_dgemm(8, block_k=False)
-        with pytest.raises(OverflowRiskError):
-            ozaki2_gemm(a, b, config=config)
 
     def test_blocked_result_matches_unblocked_bitwise(self, monkeypatch):
         import repro.core.gemm as gemm_mod

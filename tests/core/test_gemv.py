@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 import repro.core.gemm as gemm_mod
-import repro.core.gemv as gemv_mod
 from repro.config import Ozaki2Config
 from repro.core.gemm import PHASE_KEYS, ozaki2_gemm
 from repro.core.gemv import GemvResult, prepared_gemv
 from repro.core.operand import prepare_a, prepare_b
 from repro.engines.int8 import Int8MatrixEngine
-from repro.errors import ConfigurationError, OverflowRiskError, ValidationError
+from repro.errors import ConfigurationError, ValidationError
 from repro.workloads import phi_pair
 
 
@@ -52,17 +51,10 @@ class TestBitIdentityWithGemmRoute:
 
     def test_k_blocked_path(self, monkeypatch):
         monkeypatch.setattr(gemm_mod, "MAX_K_WITHOUT_BLOCKING", 16)
-        monkeypatch.setattr(gemv_mod, "MAX_K_WITHOUT_BLOCKING", 16)
         a, v = _problem(m=9, k=50, seed=11)
         np.testing.assert_array_equal(
             prepared_gemv(a, v), ozaki2_gemm(a, v[:, None]).ravel()
         )
-
-    def test_block_k_disabled_raises_like_the_plan(self, monkeypatch):
-        monkeypatch.setattr(gemv_mod, "MAX_K_WITHOUT_BLOCKING", 16)
-        a, v = _problem(m=5, k=50, seed=13)
-        with pytest.raises(OverflowRiskError, match="k-blocking is disabled"):
-            prepared_gemv(a, v, config=Ozaki2Config(block_k=False))
 
 
 class TestOpLedger:
@@ -85,13 +77,13 @@ class TestGemvResult:
         result = prepared_gemv(prep, v, config=config, return_details=True)
         assert isinstance(result, GemvResult)
         assert result.method_name == "OS II-fast-15"
-        assert result.c.shape == (a.shape[0],)
+        assert result.value.shape == (a.shape[0],)
         assert result.nu.shape == (1,)
         np.testing.assert_array_equal(result.mu, prep.scale)
         assert set(result.phase_times.seconds) == set(PHASE_KEYS)
         # Prepared A skips its convert phase; the engine performed N GEMVs.
         assert result.phase_times.seconds["convert_A"] == 0.0
-        assert result.int8_counter.matmul_calls == 15
+        assert result.ledger.matmul_calls == 15
 
     def test_default_config_comes_from_operand(self):
         a, v = _problem(seed=23)

@@ -174,7 +174,7 @@ class TestBitIdentity:
         reference = ozaki2_gemm(a, b, config=config, return_details=True)
         assert reference.num_k_blocks == 3
         c = ozaki2_gemm(prepare_a(a, config), b, config=config)
-        np.testing.assert_array_equal(c, reference.c)
+        np.testing.assert_array_equal(c, reference.value)
 
 
 class TestResolveCache:

@@ -98,17 +98,18 @@ class TestPhaseNamingConsistency:
 
 class TestOzaki2ResultDiagnostics:
     def test_counters_scale_linearly_with_moduli(self, rng):
-        from repro import Ozaki2Config, ozaki2_gemm
+        from repro import Ozaki2Config
+        from repro.core.gemm import ozaki2_gemm
 
         a = rng.standard_normal((24, 40))
         b = rng.standard_normal((40, 16))
         small = ozaki2_gemm(a, b, config=Ozaki2Config.for_dgemm(8), return_details=True)
         large = ozaki2_gemm(a, b, config=Ozaki2Config.for_dgemm(16), return_details=True)
-        assert large.int8_counter.mac_ops == 2 * small.int8_counter.mac_ops
-        assert large.int8_counter.matmul_calls == 2 * small.int8_counter.matmul_calls
+        assert large.ledger.mac_ops == 2 * small.ledger.mac_ops
+        assert large.ledger.matmul_calls == 2 * small.ledger.matmul_calls
 
     def test_mu_nu_are_powers_of_two(self, rng):
-        from repro import ozaki2_gemm
+        from repro.core.gemm import ozaki2_gemm
 
         a = rng.standard_normal((12, 20)) * 1e5
         b = rng.standard_normal((20, 8)) * 1e-5

@@ -50,15 +50,15 @@ class TestBatchedAuto:
         # Each item must be bitwise the fixed-count run at its own count.
         for (a, b), result in zip([(a1, b1), (a2, b2)], results, strict=True):
             fixed = ozaki2_gemm(a, b, Ozaki2Config(num_moduli=result.config.num_moduli))
-            assert np.array_equal(result.c, fixed)
+            assert np.array_equal(result.value, fixed)
         # Per-item ledgers carry the per-call count histogram.
         for result in results:
-            assert result.int8_counter.emulated_calls == {result.config.num_moduli: 1}
+            assert result.ledger.emulated_calls == {result.config.num_moduli: 1}
 
     def test_same_object_aliasing_still_shares_conversion(self):
         a, b = phi_pair(40, 24, 40, phi=0.5, seed=2)
         results = ozaki2_gemm_batched([a, a], [b, b], config=AUTO, return_details=True)
-        assert np.array_equal(results[0].c, results[1].c)
+        assert np.array_equal(results[0].value, results[1].value)
         # The aliased item reports a zero-cost convert phase.
         assert results[1].phase_times.seconds["convert_A"] == 0.0
 
@@ -121,7 +121,7 @@ class TestProgressiveSolvers:
         a, b, x_true = linear_system(64, kind="diag_dominant", seed=1)
         jac = jacobi_solve(a, b, tol=1e-10, progressive=True)
         assert jac.converged and jac.moduli_history[-1] == 15
-        assert np.allclose(jac.x, x_true, atol=1e-6)
+        assert np.allclose(jac.value, x_true, atol=1e-6)
         ir = iterative_refinement_solve(a, b, progressive=True)
         assert ir.converged and ir.moduli_history[-1] == 15
 

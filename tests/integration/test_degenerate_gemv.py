@@ -81,10 +81,10 @@ class TestOneByOneSystem:
         b = np.array([8.0])
         jac = jacobi_solve(a, b, config=CONFIG, tol=1e-12, precond=precond)
         assert jac.converged
-        np.testing.assert_allclose(jac.x, [2.0], rtol=1e-10)
+        np.testing.assert_allclose(jac.value, [2.0], rtol=1e-10)
         pcg = pcg_solve(a, b, config=CONFIG, tol=1e-12, precond=precond)
         assert pcg.converged
-        np.testing.assert_allclose(pcg.x, [2.0], rtol=1e-10)
+        np.testing.assert_allclose(pcg.value, [2.0], rtol=1e-10)
 
 
 class TestStridedVector:

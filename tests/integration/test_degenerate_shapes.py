@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ozaki2_gemm, ozaki2_gemm_batched, prepare_a, prepare_b
+from repro.core.gemm import ozaki2_gemm
+from repro.core.operand import prepare_a, prepare_b
+from repro.runtime.batched import ozaki2_gemm_batched
 from repro.baselines.registry import get_method
 from repro.errors import ValidationError
 

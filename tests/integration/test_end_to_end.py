@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Ozaki2Config, emulated_dgemm, emulated_sgemm, ozaki2_gemm
+from repro import Ozaki2Config, emulated_dgemm, emulated_sgemm
+from repro.core.gemm import ozaki2_gemm
 from repro.accuracy import max_relative_error, reference_gemm, summarize_errors
 from repro.baselines import (
     bf16x9_gemm,

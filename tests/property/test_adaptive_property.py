@@ -70,7 +70,7 @@ def test_auto_is_bitwise_fixed_at_selected_count_and_within_bound(
     fixed = ozaki2_gemm(
         a, b, config=Ozaki2Config(precision=precision, num_moduli=selected, mode=mode)
     )
-    assert np.array_equal(result.c, fixed)
+    assert np.array_equal(result.value, fixed)
 
     # Accuracy: |auto - fixed15| is bounded by the sum of both bounds
     # (each is within its own bound of the true product).
@@ -84,7 +84,7 @@ def test_auto_is_bitwise_fixed_at_selected_count_and_within_bound(
     allowance = elementwise_error_bound(
         k, max_a, max_b, selected, bits, mode=mode.value
     ) + elementwise_error_bound(k, max_a, max_b, n15, bits, mode=mode.value)
-    diff = float(np.max(np.abs(result.c.astype(np.float64) - fixed15.astype(np.float64))))
+    diff = float(np.max(np.abs(result.value.astype(np.float64) - fixed15.astype(np.float64))))
     assert diff <= allowance
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import Ozaki2Config
-from repro.core.gemm import Ozaki2Result, ozaki2_gemm
+from repro.core.gemm import GemmResult, ozaki2_gemm
 from repro.engines.int8 import Int8MatrixEngine
 from repro.runtime import Scheduler, ozaki2_gemm_batched
 from repro.workloads import phi_pair
@@ -78,17 +78,33 @@ class TestBatchedEquivalence:
             np.testing.assert_array_equal(c, ozaki2_gemm(a, b, config=reference_cfg))
 
 
+    @pytest.mark.parametrize("mode", ["fast", "accurate"])
+    def test_items_block_k_by_the_gemm_module_limit(self, mode, monkeypatch):
+        """Batched items read the same k-block limit as ozaki2_gemm."""
+        import repro.core.gemm as gemm_mod
+
+        monkeypatch.setattr(gemm_mod, "MAX_K_WITHOUT_BLOCKING", 16)
+        As, Bs = _mixed_batch(seed=7)
+        config = Ozaki2Config.for_dgemm(9, mode=mode)
+        results = ozaki2_gemm_batched(As, Bs, config=config, return_details=True)
+        for a, b, r in zip(As, Bs, results, strict=True):
+            loop = ozaki2_gemm(a, b, config=config, return_details=True)
+            assert r.num_k_blocks == loop.num_k_blocks == -(-a.shape[1] // 16)
+            np.testing.assert_array_equal(r.value, loop.value)
+            assert r.ledger.as_dict() == loop.ledger.as_dict()
+
+
 class TestBatchedDetails:
     def test_per_item_results_and_counters(self):
         As, Bs = _mixed_batch(seed=9)
         config = Ozaki2Config.for_dgemm(9, parallelism=2)
         results = ozaki2_gemm_batched(As, Bs, config=config, return_details=True)
-        assert all(isinstance(r, Ozaki2Result) for r in results)
+        assert all(isinstance(r, GemmResult) for r in results)
         for a, b, r in zip(As, Bs, results, strict=True):
-            assert r.c.shape == (a.shape[0], b.shape[1])
+            assert r.value.shape == (a.shape[0], b.shape[1])
             # Fast mode, no k-blocking: exactly N INT8 GEMMs per item.
-            assert r.int8_counter.matmul_calls == 9
-            assert r.int8_counter.mac_ops == 9 * a.shape[0] * a.shape[1] * b.shape[1]
+            assert r.ledger.matmul_calls == 9
+            assert r.ledger.mac_ops == 9 * a.shape[0] * a.shape[1] * b.shape[1]
             assert r.num_k_blocks == 1
             assert r.method_name == "OS II-fast-9"
 
@@ -101,8 +117,8 @@ class TestBatchedDetails:
         batched = ozaki2_gemm_batched(As, Bs, config=config, return_details=True)
         for a, b, r in zip(As, Bs, batched, strict=True):
             loop = ozaki2_gemm(a, b, config=config, return_details=True)
-            assert r.int8_counter.as_dict() == loop.int8_counter.as_dict()
-            assert r.int8_counter.matmul_calls == 9  # N GEMMs + 1 scale GEMM
+            assert r.ledger.as_dict() == loop.ledger.as_dict()
+            assert r.ledger.matmul_calls == 9  # N GEMMs + 1 scale GEMM
 
     def test_batch_ledger_lands_on_primary_engine(self):
         As, Bs = _mixed_batch(seed=3)
@@ -146,7 +162,7 @@ class TestBatchedPrepared:
         )
         assert results[0].phase_times.seconds["convert_A"] == 0.0
         assert results[1].phase_times.seconds["convert_A"] > 0.0
-        np.testing.assert_array_equal(results[0].c, results[1].c)
+        np.testing.assert_array_equal(results[0].value, results[1].value)
 
     def test_shared_matrix_object_converted_once(self, monkeypatch):
         """Items passing the same array object share one conversion pass."""
@@ -225,8 +241,8 @@ class TestBatchedValidation:
             single = ozaki2_gemm_batched([a], [b], config=config, return_details=True)
             assert len(single) == 1
             loop = ozaki2_gemm(a, b, config=config, return_details=True)
-            np.testing.assert_array_equal(single[0].c, loop.c)
-            assert single[0].int8_counter.as_dict() == loop.int8_counter.as_dict()
+            np.testing.assert_array_equal(single[0].value, loop.value)
+            assert single[0].ledger.as_dict() == loop.ledger.as_dict()
             assert single[0].num_k_blocks == loop.num_k_blocks
 
     def test_length_mismatch(self):

@@ -106,7 +106,7 @@ def test_chaos_scenarios_stay_bit_identical(name, spec, expected, executor):
         with faults.inject(spec, seed=13):
             result = ozaki2_gemm(a, b, config=config, return_details=True)
 
-    np.testing.assert_array_equal(result.c, serial.c)
+    np.testing.assert_array_equal(result.value, serial.value)
     assert _work(result.ledger.as_dict()) == _work(serial.ledger.as_dict()), (
         f"work counters diverged for scenario={name} executor={executor}"
     )
@@ -141,7 +141,7 @@ def test_tile_read_fault_is_retried_out_of_core():
         ob = tiles.prepare_b(b, config)
         with faults.inject("tile.read:times=1", seed=5):
             result = ozaki2_gemm(oa, ob, config=config, return_details=True)
-    np.testing.assert_array_equal(result.c, serial.c)
+    np.testing.assert_array_equal(result.value, serial.value)
     assert result.fault_events.get("task_retry", 0) >= 1
     assert _work(result.ledger.as_dict()) == _work(serial.ledger.as_dict())
     assert live_segment_names() == ()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.config import Ozaki2Config
-from repro.errors import OverflowRiskError
 from repro.runtime.plan import (
     ExecutionPlan,
     build_plan,
@@ -41,14 +40,6 @@ class TestKBlocks:
         plan = build_plan(8, 300, 8, 4, max_block_k=128)
         assert plan.k_ranges == ((0, 128), (128, 256), (256, 300))
         assert plan.num_k_blocks == 3
-
-    def test_block_k_disabled_raises_beyond_threshold(self):
-        with pytest.raises(OverflowRiskError):
-            build_plan(8, 300, 8, 4, block_k=False, max_block_k=128)
-
-    def test_block_k_disabled_single_range_below_threshold(self):
-        plan = build_plan(8, 100, 8, 4, block_k=False, max_block_k=128)
-        assert plan.k_ranges == ((0, 100),)
 
     def test_task_counts(self):
         plan = build_plan(8, 300, 8, 5, max_block_k=128)

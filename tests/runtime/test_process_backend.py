@@ -77,7 +77,7 @@ def test_executors_bit_identical_with_equal_ledgers(
     want, ledger = oracle.gemm(a, b, base)
     result = ozaki2_gemm(*operands, config=config, return_details=True)
 
-    np.testing.assert_array_equal(result.c.view(np.uint8), want.view(np.uint8))
+    np.testing.assert_array_equal(result.value.view(np.uint8), want.view(np.uint8))
     assert result.ledger.as_dict() == ledger.as_dict(), (
         f"op ledger diverged for executor={executor} "
         f"parallelism={parallelism} prepared={prepared}"
@@ -113,14 +113,32 @@ def test_out_of_core_streams_past_the_memory_budget():
     assert live_segment_names() == ()
 
 
-def test_tilesource_preparation_is_bit_identical_to_in_core():
+def _check_staged_matches_in_core(config):
     a = phi_matrix(90, 70, phi=0.5, seed=9)
-    config = Ozaki2Config(num_moduli=15)
+    b = phi_matrix(70, 40, phi=0.5, seed=10)
     in_core = prepare_a(a, config)
     with TileSource(strip_elements=512) as tiles:  # many strips
         staged = tiles.prepare_a(a, config)
+        assert staged.config == in_core.config
         np.testing.assert_array_equal(np.asarray(staged.slices), in_core.slices)
         np.testing.assert_array_equal(staged.scale, in_core.scale)
+        # The staged operand keeps no source, so it multiplies only at the
+        # count it was staged at: the one every in-core route selects.
+        product = ozaki2_gemm(staged, b, config=config, return_details=True)
+    want = ozaki2_gemm(a, b, config=config, return_details=True)
+    assert product.config.num_moduli == want.config.num_moduli
+    np.testing.assert_array_equal(product.value, want.value)
+
+
+def test_tilesource_preparation_is_bit_identical_to_in_core():
+    _check_staged_matches_in_core(Ozaki2Config(num_moduli=15))
+
+
+@pytest.mark.parametrize("model", ["calibrated", "rigorous"])
+def test_tilesource_auto_preparation_is_bit_identical_to_in_core(model):
+    # Staging resolves auto N through the in-core resolver, under the
+    # config's selection model.
+    _check_staged_matches_in_core(Ozaki2Config(num_moduli="auto", selection_model=model))
 
 
 def test_tilesource_rejects_accurate_mode_and_bad_operands():
@@ -174,7 +192,7 @@ def test_dead_workers_are_survived_by_a_rebuilt_pool():
             proc.join()
         again = ozaki2_gemm(a, b, config=config, scheduler=sched, return_details=True)
         health = sched.health()
-    np.testing.assert_array_equal(again.c, serial.c)
+    np.testing.assert_array_equal(again.value, serial.value)
     assert again.fault_events["pool_failure"] == 1
     assert again.fault_events["wave_retry"] == 1
     assert not again.degraded and not health["degraded"]
@@ -208,7 +226,7 @@ def test_repeated_pool_failures_degrade_to_thread_path_recorded():
         again = ozaki2_gemm(a, b, config=config, scheduler=sched, return_details=True)
         assert sched.degraded and not sched.uses_processes
         assert sched.health()["degraded_reason"]
-    np.testing.assert_array_equal(again.c, serial)
+    np.testing.assert_array_equal(again.value, serial)
     assert again.degraded
     assert again.fault_events["degraded_to_thread"] == 1
     assert live_segment_names() == ()

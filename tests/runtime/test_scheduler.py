@@ -181,7 +181,7 @@ class TestGemmLevelParallelism:
             a, b, config=Ozaki2Config.for_dgemm(9, parallelism=4), return_details=True
         )
         assert (
-            parallel.int8_counter.as_dict() == serial.int8_counter.as_dict()
+            parallel.ledger.as_dict() == serial.ledger.as_dict()
         )
 
     def test_external_scheduler_reuse(self):

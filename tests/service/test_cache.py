@@ -90,9 +90,9 @@ class TestKeying:
     def test_auto_configs_share_by_target(self, cfg):
         fp = "f" * 32
         auto = cfg.replace(num_moduli="auto")
-        # Runtime knobs (blocking here) never enter the key.
+        # Runtime knobs (the memory budget here) never enter the key.
         assert cache_key("A", fp, auto) == cache_key(
-            "A", fp, auto.replace(block_k=64)
+            "A", fp, auto.replace(memory_budget_mb=64)
         )
         assert cache_key("A", fp, auto) != cache_key("A", fp, cfg)
 

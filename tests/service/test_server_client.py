@@ -59,7 +59,6 @@ class TestRoundTrips:
 
         assert np.array_equal(cold.value, reference)
         assert np.array_equal(warm.value, reference)
-        assert cold.c is cold.value
         assert warm.method_name == CFG.method_name
 
     def test_gemv_round_trip(self, server, client, rng):
@@ -81,7 +80,6 @@ class TestRoundTrips:
         warm = client.solve(a, b, method="cg", tol=1e-10)
         assert np.array_equal(cold.value, reference.value)
         assert np.array_equal(warm.value, reference.value)
-        assert cold.x is cold.value
         assert bool(warm.meta["converged"])
         # The warm request referenced the cached conversion: zero prep.
         assert warm.meta["prepare_seconds"] == 0.0
@@ -107,6 +105,28 @@ class TestRoundTrips:
         assert "13" in result.method_name
         reference = ozaki2_gemm(a, b, config=CFG.replace(num_moduli=13))
         assert np.array_equal(result.value, reference)
+
+    @pytest.mark.parametrize(
+        "session_config",
+        [
+            Ozaki2Config.for_dgemm(num_moduli="auto", selection_model="rigorous"),
+            Ozaki2Config.for_dgemm(num_moduli="auto", target_accuracy=1e-6),
+        ],
+        ids=["rigorous", "target-1e-6"],
+    )
+    def test_precision_override_keeps_the_session_config(self, session_config, rng):
+        """A precision override replaces the precision only: the session's
+        selection model and accuracy target still decide N."""
+        a = rng.standard_normal((32, 128))
+        b = rng.standard_normal((128, 16))
+        reference = ozaki2_gemm(a, b, config=session_config, return_details=True)
+        with ReproServer(config=session_config, port=0).start() as srv:
+            with ServiceClient(port=srv.port) as cli:
+                plain = cli.gemm(a, b)
+                same = cli.gemm(a, b, config={"precision": "fp64"})
+        want = reference.config.num_moduli
+        assert plain.meta["num_moduli"] == same.meta["num_moduli"] == want
+        assert np.array_equal(same.value, reference.value)
 
     def test_health_and_stats_documents(self, server, client, rng):
         health = client.health()

@@ -15,7 +15,6 @@ import pytest
 
 import algorithm1_oracle as oracle
 import repro.core.gemm as gemm_mod
-import repro.core.gemv as gemv_mod
 import repro.runtime.plan as plan_mod
 from repro.apps.solvers import prepared_matvec
 from repro.config import MAX_K_WITHOUT_BLOCKING, Ozaki2Config
@@ -98,7 +97,7 @@ def test_k_blocked_and_tiled(executor, budget, monkeypatch):
 @pytest.mark.parametrize("block", [MAX_K_WITHOUT_BLOCKING, 16])
 @pytest.mark.parametrize("config", CONFIGS, ids=IDS)
 def test_gemv(config, block, monkeypatch):
-    monkeypatch.setattr(gemv_mod, "MAX_K_WITHOUT_BLOCKING", block)
+    monkeypatch.setattr(gemm_mod, "MAX_K_WITHOUT_BLOCKING", block)
     a, b = _pair(config, shape=(45, 50, 1), seed=7)
     v = b[:, 0]
     want, ledger = oracle.gemm(a, b, config, block=block)

@@ -73,11 +73,3 @@ def test_service_lazy_names_resolve():
     for export in service.__all__:
         assert getattr(service, export) is not None
     assert set(service.__all__) <= set(dir(service))
-
-
-def test_deprecated_shims_are_marked_and_forward():
-    for name in ("ozaki2_gemm", "prepared_gemv", "ozaki2_gemm_batched",
-                 "prepare_a", "prepare_b"):
-        shim = getattr(repro, name)
-        assert getattr(shim, "__deprecated_alias__", None) == name
-        assert name in repro.__all__

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
@@ -55,8 +57,9 @@ class TestOzaki2Config:
         assert cfg.num_moduli == DEFAULT_MODULI_DGEMM
         assert cfg.mode is ComputeMode.FAST
         assert cfg.residue_kernel is ResidueKernel.EXACT
-        assert cfg.block_k is True
         assert cfg.is_dgemm and not cfg.is_sgemm
+        # Validation and k-blocking are unconditional, not knobs.
+        assert len(dataclasses.fields(Ozaki2Config)) == 10
 
     def test_for_dgemm_and_sgemm(self):
         d = Ozaki2Config.for_dgemm()

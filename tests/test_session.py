@@ -1,4 +1,4 @@
-"""Session facade: transparent caching, bit-identity, unified results, shims.
+"""Session facade: transparent caching, bit-identity, unified results.
 
 The contract under test is the redesign's core promise: routing a call
 through :class:`repro.Session` — cache hit or miss — changes **no bit** of
@@ -7,8 +7,6 @@ ledger observably records the caching.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -165,49 +163,25 @@ class TestResultUnification:
         assert issubclass(GemmResult, Result)
         assert issubclass(GemvResult, Result)
         assert issubclass(SolveResult, Result)
-        assert repro.Ozaki2Result is GemmResult
 
     def test_gemm_result_aliases(self, cfg, pair):
+        """``value``/``ledger`` are the one spelling: the historical aliases
+        (``Ozaki2Result``, ``.c``, ``.int8_counter``) are gone."""
         a, b = pair
         with repro.Session(cfg) as session:
             result = session.gemm(a, b)
-        assert result.c is result.value
+        assert result.value.shape == (a.shape[0], b.shape[1])
+        assert not hasattr(result, "c") and not hasattr(result, "int8_counter")
+        assert not hasattr(repro, "Ozaki2Result")
         assert result.method_name == cfg.method_name
         assert set(result.phase_times.seconds) >= {"convert_A", "convert_B"}
 
     def test_solve_result_alias(self, cfg, rng):
+        """The solution is ``value``; the historical ``.x`` alias is gone."""
         n = 12
         q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         a = q @ np.diag(np.linspace(1.0, 3.0, n)) @ q.T
         with repro.Session(cfg) as session:
             result = session.solve(a, rng.standard_normal(n), method="jacobi")
-        assert result.x is result.value
-
-
-class TestDeprecatedShims:
-    def test_warns_once_then_stays_quiet(self, cfg, pair):
-        a, b = pair
-        repro.reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.ozaki2_gemm(a, b, config=cfg)
-            repro.ozaki2_gemm(a, b, config=cfg)
-        relevant = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(relevant) == 1
-        assert "Session" in str(relevant[0].message)
-
-    def test_shim_bit_identical_to_session_and_module(self, cfg, pair):
-        a, b = pair
-        repro.reset_deprecation_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = repro.ozaki2_gemm(a, b, config=cfg)
-            prep = repro.prepare_a(np.ascontiguousarray(a), config=cfg)
-        direct = ozaki2_gemm(a, b, config=cfg)
-        with repro.Session(cfg) as session:
-            via_session = session.gemm(a, b)
-        assert np.array_equal(shimmed, direct)
-        assert np.array_equal(via_session.value, direct)
-        assert prep.fingerprint == repro.matrix_fingerprint(
-            np.ascontiguousarray(a)
-        )
+        assert result.value.shape == (n,)
+        assert not hasattr(result, "x")
