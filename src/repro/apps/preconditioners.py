@@ -29,6 +29,16 @@ Two classic factorisations are provided, plus the identity:
 Preconditioner *applications* run in exact float64 NumPy — they steer the
 iteration; only the matrix–vector products against the system matrix go
 through the emulated GEMV/GEMM.
+
+A factored preconditioner is reusable across solves exactly like a prepared
+operand: :meth:`repro.session.Session.solve` keeps it in the session's
+:class:`~repro.service.cache.OperandCache` (accounted at :attr:`Preconditioner.
+nbytes`), so repeated solves against one matrix factor it once.  The ILU(0)
+factorisation itself applies each step's rank-1 update in place, one row
+block at a time, masked to the pattern through the ufunc's ``where=``; every
+entry sees the same ``fl(a − fl(l·u))`` sequence, in the same step order, as
+the textbook masked outer-product loop, so the factors are bit-identical to
+it.
 """
 
 from __future__ import annotations
@@ -52,6 +62,10 @@ __all__ = [
 #: Preconditioner kinds accepted by :func:`make_preconditioner` and the CLI.
 PRECONDITIONER_KINDS = ("none", "ilu0", "ssor")
 
+#: Rows per in-place ILU(0) update block: the block's products stay
+#: cache-resident between the multiply and the subtract.
+_ROW_BLOCK = 64
+
 
 class Preconditioner:
     """Base class: a factored ``M ≈ A`` with an ``apply`` solve.
@@ -74,6 +88,11 @@ class Preconditioner:
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Return ``z = M⁻¹ r`` (must not modify ``r``)."""
         raise NotImplementedError
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the factorisation retains (its cache size)."""
+        return sum(int(v.nbytes) for v in vars(self).values() if isinstance(v, np.ndarray))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} kind={self.kind!r}>"
@@ -102,7 +121,11 @@ class ILU0Preconditioner(Preconditioner):
 
     Runs right-looking Gaussian elimination without pivoting, but keeps
     every entry *outside* the sparsity pattern of ``A`` at exactly zero
-    (zero fill-in).  The triangular factors are **inverted once** at
+    (zero fill-in).  Each step's rank-1 update is applied in place, row
+    block by row block, through one preallocated product buffer; the
+    pattern mask goes to the ufuncs as ``where=`` (dropped when ``A`` is
+    structurally dense), so no full trailing-block temporary is ever
+    materialised.  The triangular factors are **inverted once** at
     construction — the whole point of a factored-once preconditioner is
     that the per-iteration ``apply`` must be cheap, so the O(n³) work is
     paid up front and ``z = U⁻¹ (L⁻¹ r)`` is two O(n²) BLAS matvecs per
@@ -124,7 +147,9 @@ class ILU0Preconditioner(Preconditioner):
         start = time.perf_counter()
         n = a.shape[0]
         pattern = a != 0.0
+        dense = bool(pattern.all())
         lu = a.copy()
+        products = np.empty(min(_ROW_BLOCK, n - 1) * (n - 1))
         for kk in range(n - 1):
             pivot = lu[kk, kk]
             if pivot == 0.0:
@@ -135,11 +160,18 @@ class ILU0Preconditioner(Preconditioner):
             # Multipliers for rows below the pivot, only inside the pattern.
             col = np.where(pattern[kk + 1 :, kk], lu[kk + 1 :, kk] / pivot, 0.0)
             lu[kk + 1 :, kk] = col
-            # Schur-complement update, masked to the pattern (zero fill-in).
-            update = np.outer(col, lu[kk, kk + 1 :])
-            lu[kk + 1 :, kk + 1 :] -= np.where(
-                pattern[kk + 1 :, kk + 1 :], update, 0.0
-            )
+            # Schur-complement update in place, masked to the pattern (zero
+            # fill-in): outside it an entry keeps its value, which is what
+            # subtracting a masked-out +0.0 would leave.
+            row = lu[kk, kk + 1 :]
+            width = n - 1 - kk
+            for r0 in range(kk + 1, n, _ROW_BLOCK):
+                r1 = min(r0 + _ROW_BLOCK, n)
+                inside = True if dense else pattern[r0:r1, kk + 1 :]
+                block = products[: (r1 - r0) * width].reshape(r1 - r0, width)
+                np.multiply(col[r0 - kk - 1 : r1 - kk - 1, None], row, out=block, where=inside)
+                target = lu[r0:r1, kk + 1 :]
+                np.subtract(target, block, out=target, where=inside)
         if lu[n - 1, n - 1] == 0.0:
             raise ValidationError(
                 f"ILU(0) hit a zero pivot at position {n - 1}; the matrix "

@@ -232,8 +232,11 @@ class SolveResult(Result):
         Preconditioner kind actually applied (``"none"`` when the solver
         ran unpreconditioned).
     precond_seconds:
-        One-time cost of factoring the preconditioner (0 for ``"none"``) —
-        amortised over the iterations exactly like ``prepare_seconds``.
+        One-time cost of factoring the preconditioner, reported by the
+        solve that paid it: ``0.0`` for ``"none"`` and for a solve that
+        reused factors — an already-factored instance passed as
+        ``precond``, or a :class:`~repro.session.Session` cache hit — like
+        ``prepare_seconds`` for a reused system matrix.
     moduli_history:
         Moduli count each iteration's emulated products ran with (aligned
         with ``residual_history``).  Constant for plain solves; a
@@ -297,6 +300,11 @@ def _check_max_iter(max_iter: int) -> int:
     if max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     return max_iter
+
+
+def _paid_factor_seconds(m_inv: Preconditioner, precond: object) -> float:
+    """The factorisation cost this solve paid: none for a reused instance."""
+    return 0.0 if m_inv is precond else m_inv.factor_seconds
 
 
 def _adopt_prepared(
@@ -386,7 +394,7 @@ def jacobi_solve(
         candidate = make_preconditioner(a, precond, omega=omega)
         if candidate.kind != "none":
             m_inv, kind = candidate, candidate.kind
-            precond_seconds = candidate.factor_seconds
+            precond_seconds = _paid_factor_seconds(candidate, precond)
     if m_inv is None:
         diag = np.diag(a).copy()
         if np.any(diag == 0.0):
@@ -557,10 +565,8 @@ def pcg_solve(
     start = time.perf_counter()
     # Factor the preconditioner before the (expensive) operand preparation,
     # so invalid precond arguments fail before any residue conversion runs.
-    # The one-time factor cost is recorded where it happens (an
-    # already-factored instance passed in reports its original cost).
     m_inv = make_preconditioner(a, precond, omega=omega)
-    precond_seconds = m_inv.factor_seconds
+    precond_seconds = _paid_factor_seconds(m_inv, precond)
 
     if prepared is not None:
         prep, config = _adopt_prepared(a, config, prepared)

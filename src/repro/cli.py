@@ -812,6 +812,28 @@ def _cmd_selfcheck(args) -> int:
         )
     )
 
+    from .session import Session
+    from .workloads import ill_conditioned_spd_matrix
+
+    spd = ill_conditioned_spd_matrix(48, cond=1e3, seed=0)
+    rhs = spd @ np.ones(48)
+    with Session(Ozaki2Config()) as session:
+        cold = session.solve(spd, rhs, method="pcg", precond="ilu0")
+        warm = session.solve(spd, rhs, method="pcg", precond="ilu0")
+        misses = session.cache.stats()["misses"]
+    checks.append(
+        (
+            "session preconditioner cache: warm PCG+ILU(0) bit-identical to "
+            "cold, factored once",
+            bool(np.array_equal(cold.value, warm.value))
+            and cold.residual_history == warm.residual_history
+            and cold.precond_seconds > 0.0
+            and warm.precond_seconds == 0.0
+            and misses == 2,  # the operand and the factors, on the cold solve
+            "",
+        )
+    )
+
     from pathlib import Path
 
     from .analysis import run_lint

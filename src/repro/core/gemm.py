@@ -24,7 +24,7 @@ here; see that module for the phase-key table.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -123,6 +123,7 @@ def _scaled_sides(
     constant_table: Optional[CRTConstantTable],
     engine: MatrixEngine,
     times: PhaseTimes,
+    scale_memo: Optional[Dict[tuple, np.ndarray]] = None,
 ) -> _ScaledSides:
     """Lines 1–5 of Algorithm 1 up to conversion, for raw or prepared sides.
 
@@ -138,7 +139,13 @@ def _scaled_sides(
     computed here otherwise) through the coupled bound product on
     ``engine``.  Every entry point calls this, so a prepared, raw, vector or
     batched side is scaled by the same arithmetic.
+
+    ``scale_memo`` (a batch's shared dict) keeps fast-mode scale vectors
+    by ``(side, id(array), N)``, so an array object that recurs in one
+    batch is scaled once; the vector is a function of the array and the
+    count alone, so the bits do not change.
     """
+    a_id, b_id = id(a), id(b)
     a_prep, a = _side(a, "A")
     b_prep, b = _side(b, "B")
     for prep in (a_prep, b_prep):
@@ -177,8 +184,13 @@ def _scaled_sides(
 
     with _PhaseTimer(times, "scale"):
         if config.mode is ComputeMode.FAST:
-            mu = a_prep.scale if a_prep is not None else fast_mode_scale_a(a, table)
-            nu = b_prep.scale if b_prep is not None else fast_mode_scale_b(b, table)
+            n_mod = config.num_moduli
+            mu = a_prep.scale if a_prep is not None else _memo_scale(
+                scale_memo, ("A", a_id, n_mod), fast_mode_scale_a, a, table
+            )
+            nu = b_prep.scale if b_prep is not None else _memo_scale(
+                scale_memo, ("B", b_id, n_mod), fast_mode_scale_b, b, table
+            )
         else:
             pa = a_prep.prescale if a_prep is not None else accurate_mode_prescale(a, axis=1)
             pb = b_prep.prescale if b_prep is not None else accurate_mode_prescale(b, axis=0)
@@ -193,6 +205,21 @@ def _scaled_sides(
     return _ScaledSides(
         config, table, selection, m, k, n, mu, nu, a_slices, a_source, b_slices, b_source
     )
+
+
+def _memo_scale(
+    memo: Optional[Dict[tuple, np.ndarray]],
+    key: tuple,
+    scale: Callable[[np.ndarray, CRTConstantTable], np.ndarray],
+    x: np.ndarray,
+    table: CRTConstantTable,
+) -> np.ndarray:
+    """``scale(x, table)``, computed once per ``key`` when a memo is given."""
+    if memo is None:
+        return scale(x, table)
+    if key not in memo:
+        memo[key] = scale(x, table)
+    return memo[key]
 
 
 def _pending(

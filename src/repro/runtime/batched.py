@@ -18,7 +18,8 @@ individual item's values:
 
 Everything before conversion is per item and goes through the GEMM's own
 front end, :func:`repro.core.gemm._scaled_sides`: validation, the item's
-own ``num_moduli="auto"`` selection, and its scales.  Each item's tasks
+own ``num_moduli="auto"`` selection, and its scales (in fast mode an array
+object that recurs in the batch is scaled once per count).  Each item's tasks
 still fan out over the pool, and items are retired one at a time so
 per-item op ledgers stay exact.  Results are bit-identical to
 looping :func:`~repro.core.gemm.ozaki2_gemm` over the batch — the batched
@@ -167,11 +168,14 @@ def _run_batch(
     scale_counters = []
     seen_a: Dict[Tuple[int, int], int] = {}
     seen_b: Dict[Tuple[int, int], int] = {}
+    scale_memo: Dict[tuple, np.ndarray] = {}
     for j in range(batch):
         # Accurate mode issues engine GEMMs during scaling; snapshot the
         # ledger so those calls are attributed to this item's counter.
         counter_before = engine.counter.copy()
-        item = _scaled_sides(As[j], Bs[j], config, constant_table, engine, times[j])
+        item = _scaled_sides(
+            As[j], Bs[j], config, constant_table, engine, times[j], scale_memo
+        )
         scale_counters.append(engine.counter.difference(counter_before))
         sides.append(item)
         # Per-item memory budget: override the config's cap before the plan

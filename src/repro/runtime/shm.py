@@ -21,7 +21,10 @@ Lifecycle guarantees (the part that is easy to get wrong):
   Python version the tracker registers attachments exactly like creations
   (the well-known bpo-38119 behaviour), and without the unregister every
   worker exit would warn about (and attempt to destroy) segments the
-  parent still owns.  Ownership stays with the creating process only.
+  parent still owns.  Ownership stays with the creating process only, so
+  a process attaching a segment it created itself (the scheduler's
+  degraded inline path) keeps its registration: dropping it would make
+  the later unlink's own unregister fail inside the tracker.
 """
 
 from __future__ import annotations
@@ -181,12 +184,16 @@ def attach_view(descriptor: ShmDescriptor) -> Iterator[np.ndarray]:
     Attaching registers the segment with *this* process's resource tracker
     (see the module docstring); the registration is dropped immediately so
     the owning parent keeps sole responsibility for the unlink and worker
-    exits stay warning-free.
+    exits stay warning-free.  A segment this process created keeps its
+    registration: that one belongs to the owner's unlink.
     """
     name, shape, dtype_str = descriptor
     shm = shared_memory.SharedMemory(name=name)
     if _ATTACH_UNREGISTERS:
-        _tracker_unregister(name)
+        with _LIVE_LOCK:
+            created_here = name in _LIVE
+        if not created_here:
+            _tracker_unregister(name)
     try:
         yield np.ndarray(tuple(shape), dtype=np.dtype(dtype_str), buffer=shm.buf)
     finally:

@@ -1,4 +1,4 @@
-"""Bounded LRU cache of prepared residue operands, keyed by content.
+"""Bounded LRU cache of prepared operands and factored preconditioners.
 
 The convert-once/multiply-many machinery of :mod:`repro.core.operand` asks
 the *caller* to hold on to the :class:`~repro.core.operand.ResidueOperand`.
@@ -23,29 +23,43 @@ returning operand by *value*.  :class:`OperandCache` provides that:
   work, so ``repro serve --stats`` reads one ledger for compute *and*
   caching.
 
+The same store holds the factored preconditioners of
+:mod:`repro.apps.preconditioners` (:meth:`OperandCache.get_or_factor`),
+keyed by :func:`precond_key` — the matrix fingerprint, the kind, and ``ω``
+for SSOR — and accounted at
+:attr:`~repro.apps.preconditioners.Preconditioner.nbytes`.  They share the
+budget, the LRU order, the in-flight latch and the counters with the
+operands: a preconditioner lookup is a cache hit or miss like any other.
+
 Thread safety: lookups, insertions and evictions hold one internal lock;
 conversions (the expensive part) run outside it.  Concurrent misses on the
 *same* key are collapsed — the first requester converts, the others wait on
 a per-key in-flight latch and then take the hit path — so a burst of
-identical requests against a cold cache pays exactly one conversion.
+identical requests against a cold cache pays exactly one conversion (or
+factorisation).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, TypeVar, Union, cast
 
 import numpy as np
 
 from .. import faults
 from ..analysis.lockorder import named_lock
+from ..apps.preconditioners import Preconditioner, make_preconditioner
 from ..config import Ozaki2Config
 from ..core.operand import PreparedOperand, matrix_fingerprint, prepare_a, prepare_b
 from ..engines.base import OpCounter
 from ..errors import ValidationError
 
-__all__ = ["OperandCache", "DEFAULT_CAPACITY_BYTES", "cache_key"]
+__all__ = ["OperandCache", "DEFAULT_CAPACITY_BYTES", "cache_key", "precond_key"]
+
+#: What the cache stores: anything accounted by an ``nbytes``.
+Entry = Union[PreparedOperand, Preconditioner]
+_E = TypeVar("_E", bound=Entry)
 
 #: Default byte budget (256 MiB) — roughly thirty prepared 2048x2048 fp64
 #: operands at the default moduli count.
@@ -83,15 +97,28 @@ def cache_key(side: str, fingerprint: str, config: Ozaki2Config) -> Tuple:
     )
 
 
+def precond_key(fingerprint: str, kind: str, omega: float = 1.0) -> Tuple:
+    """Cache key of one factored preconditioner of the matrix ``fingerprint``.
+
+    Factoring is exact float64 work on the matrix alone, so no emulation
+    setting (moduli count, precision, mode) takes part; ``omega`` shapes
+    SSOR only and is left out of the other kinds' keys.  The leading kind
+    keeps these keys apart from the operand keys of :func:`cache_key`.
+    """
+    if kind == "ssor":
+        return (kind, fingerprint, float(omega))
+    return (kind, fingerprint)
+
+
 class OperandCache:
     """Thread-safe bounded LRU of prepared operands (see module docstring).
 
     Parameters
     ----------
     capacity_bytes:
-        Byte budget.  Entries are accounted at ``operand.nbytes``; inserting
+        Byte budget.  Entries are accounted at their ``nbytes``; inserting
         past the budget evicts least-recently-used entries first.  An
-        operand larger than the whole budget is returned to the caller but
+        entry larger than the whole budget is returned to the caller but
         never stored (storing it would evict everything for a single-use
         entry).  ``0`` disables caching entirely — every lookup converts and
         counts as a miss.
@@ -112,7 +139,7 @@ class OperandCache:
                 f"capacity_bytes must be non-negative, got {capacity_bytes}"
             )
         self.capacity_bytes = capacity_bytes
-        self._entries: "OrderedDict[Tuple, PreparedOperand]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, Entry]" = OrderedDict()
         self._sizes: Dict[Tuple, int] = {}
         self._current_bytes = 0
         self._lock = named_lock("service.cache._lock")
@@ -138,8 +165,8 @@ class OperandCache:
             ledger.record_cache_eviction(nbytes)
 
     # -- core lookup ---------------------------------------------------------
-    def get(self, key: Tuple) -> Optional[PreparedOperand]:
-        """Return the cached operand for ``key`` (refreshing recency), or None.
+    def get(self, key: Tuple) -> Optional[Entry]:
+        """Return the cached entry for ``key`` (refreshing recency), or None.
 
         Counts a hit or a miss; callers that convert on a miss should insert
         the result with :meth:`put` (which does *not* recount).
@@ -158,12 +185,12 @@ class OperandCache:
             self._miss()
             return None
 
-    def peek(self, key: Tuple) -> Optional[PreparedOperand]:
+    def peek(self, key: Tuple) -> Optional[Entry]:
         """Like :meth:`get` but counts nothing and keeps recency untouched."""
         with self._lock:
             return self._entries.get(key)
 
-    def put(self, key: Tuple, operand: PreparedOperand) -> None:
+    def put(self, key: Tuple, operand: Entry) -> None:
         """Insert ``operand`` under ``key``, evicting LRU entries past budget."""
         nbytes = operand.nbytes
         if nbytes > self.capacity_bytes:
@@ -184,6 +211,36 @@ class OperandCache:
                 self._current_bytes -= freed
                 self._evicted(freed)
 
+    def _get_or_build(self, key: Tuple, build: Callable[[], _E]) -> Tuple[_E, bool]:
+        """``(entry, built_here)``: the entry under ``key``, built on a miss.
+
+        Concurrent misses on the same key wait for the first build instead
+        of duplicating it, then take the hit path.  A key names one kind of
+        entry (operand or preconditioner), so a hit is what ``build`` makes.
+        """
+        while True:
+            with self._lock:
+                cached = self._entries.get(key)
+                if cached is not None:
+                    self._entries.move_to_end(key)
+                    self._hit()
+                    return cast(_E, cached), False
+                latch = self._pending.get(key)
+                if latch is None:
+                    self._pending[key] = threading.Event()
+                    self._miss()
+                    break  # this thread builds
+            # Another thread is building this very key: wait, then retry
+            # the lookup (a hit unless the entry was instantly evicted).
+            latch.wait()
+        try:
+            entry = build()
+            self.put(key, entry)
+            return entry, True
+        finally:
+            with self._lock:
+                self._pending.pop(key).set()
+
     def get_or_prepare(
         self, x: np.ndarray, side: str, config: Ozaki2Config
     ) -> PreparedOperand:
@@ -195,34 +252,39 @@ class OperandCache:
         (bit-identical to converting ``x`` afresh); a miss converts via
         :func:`~repro.core.operand.prepare_a` / ``prepare_b`` and inserts.
         Concurrent misses on the same key wait for the first conversion
-        instead of duplicating it.
+        instead of duplicating it.  The operand keeps the fingerprint hashed
+        for the key, so its ``fingerprint`` costs no second pass.
         """
         if faults.should_fire("cache.evict_storm"):
             self.clear()
-        key = cache_key(side, matrix_fingerprint(x), config)
-        while True:
-            with self._lock:
-                operand = self._entries.get(key)
-                if operand is not None:
-                    self._entries.move_to_end(key)
-                    self._hit()
-                    return operand
-                latch = self._pending.get(key)
-                if latch is None:
-                    self._pending[key] = threading.Event()
-                    self._miss()
-                    break  # this thread converts
-            # Another thread is converting this very key: wait, then retry
-            # the lookup (a hit unless the entry was instantly evicted).
-            latch.wait()
-        try:
-            prepare = prepare_a if side == "A" else prepare_b
-            operand = prepare(np.ascontiguousarray(x, dtype=np.float64), config=config)
-            self.put(key, operand)
+        fingerprint = matrix_fingerprint(x)
+
+        def prepare() -> PreparedOperand:
+            source = np.ascontiguousarray(x, dtype=np.float64)
+            operand = (prepare_a if side == "A" else prepare_b)(source, config=config)
+            if np.asarray(x).dtype == source.dtype:  # the key hashed the source
+                object.__setattr__(operand, "_fingerprint", fingerprint)
             return operand
-        finally:
-            with self._lock:
-                self._pending.pop(key).set()
+
+        operand, _ = self._get_or_build(cache_key(side, fingerprint, config), prepare)
+        return operand
+
+    def get_or_factor(
+        self, fingerprint: str, a: np.ndarray, kind: str, omega: float = 1.0
+    ) -> Tuple[Preconditioner, bool]:
+        """``(preconditioner, factored_here)`` of kind ``kind`` for matrix ``a``.
+
+        ``fingerprint`` is ``a``'s content fingerprint (the caller usually
+        holds it already, memoised on the prepared operand).  A hit returns
+        the very object a miss factored
+        (:func:`~repro.apps.preconditioners.make_preconditioner`), so its
+        applications are bit-identical; ``factored_here`` tells the caller
+        whether this lookup paid the factorisation.
+        """
+        return self._get_or_build(
+            precond_key(fingerprint, kind, omega),
+            lambda: make_preconditioner(a, kind, omega=omega),
+        )
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:

@@ -22,7 +22,11 @@ services multiplying *recurring* operands under *one* configuration.
   state reused across calls — fast mode caches residue conversions,
   accurate mode the ``N``-independent pre-scale half — bit-identical to
   converting afresh, so ``session.gemm(a, b)`` equals ``ozaki2_gemm(a, b)``
-  bitwise whether the cache hit or missed.
+  bitwise whether the cache hit or missed,
+* the factored preconditioners of :meth:`Session.solve` in that same cache,
+  keyed by the system matrix's fingerprint, the kind and (SSOR only) ``ω``:
+  a PCG+ILU(0) solve factors its matrix once per session, and every later
+  solve applies the very same factors.
 
 Every operation returns a :class:`~repro.result.Result` subclass —
 :class:`~repro.result.GemmResult`, :class:`~repro.core.gemv.GemvResult`,
@@ -51,7 +55,7 @@ import numpy as np
 from .config import Ozaki2Config
 from .core.gemm import ozaki2_gemm
 from .core.gemv import GemvResult, prepared_gemv
-from .core.operand import PreparedOperand
+from .core.operand import PreparedOperand, matrix_fingerprint
 from .engines.base import MatrixEngine, OpCounter
 from .engines.int8 import Int8MatrixEngine
 from .errors import ValidationError
@@ -64,6 +68,23 @@ __all__ = ["Session", "SOLVE_METHODS"]
 
 #: Solver names accepted by :meth:`Session.solve`.
 SOLVE_METHODS = ("cg", "pcg", "jacobi", "ir")
+
+
+def _factor_kind(method: str, kwargs: Dict) -> Optional[str]:
+    """The preconditioner kind a solve would factor from its matrix, if any.
+
+    Only kinds named by string are factored (``pcg_solve`` defaults to
+    ``"ilu0"``); ``"none"``, a caller's factored instance, an unknown
+    name (the solver reports it) and the refinement solver, which takes
+    no preconditioner, leave the call as it is.
+    """
+    if method == "ir":
+        return None
+    precond = kwargs.get("precond", "ilu0" if method == "pcg" else None)
+    if not isinstance(precond, str):
+        return None
+    kind = precond.strip().lower()
+    return kind if kind in ("ilu0", "ssor") else None
 
 
 class Session:
@@ -256,6 +277,16 @@ class Session:
         goes through the session cache, so repeated solves against one
         matrix — or a solve after a :meth:`gemm` with the same left
         operand — skip the preparation.
+
+        A preconditioner named by kind (``"ilu0"``, ``"ssor"``; pcg's
+        default ``"ilu0"`` included) is looked up in the same cache under
+        the matrix fingerprint, the kind and — for SSOR — ``omega``, and
+        factored only on a miss, on the raw-matrix and the ``prepared=``
+        route alike.  The solve that factors reports the cost in
+        ``precond_seconds``; one that reuses the factors reports ``0.0``,
+        as does a solve handed an already-factored
+        :class:`~repro.apps.preconditioners.Preconditioner` (which bypasses
+        the cache).  With ``cache_bytes=0`` every solve factors afresh.
         """
         from .apps import solvers
 
@@ -272,11 +303,39 @@ class Session:
             raise ValidationError(
                 f"unknown solve method {method!r}; expected one of {SOLVE_METHODS}"
             )
-        if "prepared" not in kwargs and self._cache.capacity_bytes > 0:
-            arr = np.asarray(a)
-            if arr.ndim == 2 and arr.shape[0] == arr.shape[1] and arr.shape[0] >= 2:
+        factored = None
+        arr = np.asarray(a)
+        if (
+            self._cache.capacity_bytes > 0
+            and arr.ndim == 2
+            and arr.shape[0] == arr.shape[1]
+            and arr.shape[0] >= 2
+        ):
+            injected = "prepared" not in kwargs
+            if injected:
                 kwargs["prepared"] = self._cache.get_or_prepare(arr, "A", config)
-        return dispatch[method](a, b, config=config, **kwargs)
+            kind = _factor_kind(method, kwargs)
+            if kind is not None:
+                prepared = kwargs["prepared"]
+                # An operand of this matrix (the cache's, keyed by arr's
+                # content, or one prepared from arr itself) memoises the
+                # fingerprint: the solve hashes the matrix at most once.
+                if injected or (prepared is not None and prepared.source is arr):
+                    fingerprint = prepared.fingerprint
+                else:
+                    fingerprint = matrix_fingerprint(np.asarray(arr, dtype=np.float64))
+                precond, built = self._cache.get_or_factor(
+                    fingerprint, arr, kind, kwargs.get("omega", 1.0)
+                )
+                kwargs["precond"] = precond
+                factored = precond if built else None
+        result = dispatch[method](a, b, config=config, **kwargs)
+        if factored is not None:
+            # The solver saw a factored instance (reported as reuse); this
+            # call paid for the factorisation, so it reports the cost.
+            result.precond_seconds = factored.factor_seconds
+            result.seconds += factored.factor_seconds
+        return result
 
     # -- introspection -------------------------------------------------------
     @property

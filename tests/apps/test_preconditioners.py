@@ -20,6 +20,55 @@ from repro.workloads import (
 )
 
 
+def masked_ilu0_oracle(a: np.ndarray):
+    """The textbook masked ILU(0) loop, literally: ``(L⁻¹, U⁻¹)``.
+
+    Each step forms the whole outer product of the multipliers and the
+    pivot row and subtracts it through a pattern mask; the production
+    factorisation must reproduce its bytes.
+    """
+    n = a.shape[0]
+    pattern = a != 0.0
+    lu = a.copy()
+    for kk in range(n - 1):
+        col = np.where(pattern[kk + 1 :, kk], lu[kk + 1 :, kk] / lu[kk, kk], 0.0)
+        lu[kk + 1 :, kk] = col
+        update = np.outer(col, lu[kk, kk + 1 :])
+        lu[kk + 1 :, kk + 1 :] -= np.where(pattern[kk + 1 :, kk + 1 :], update, 0.0)
+    return np.linalg.inv(np.tril(lu, -1) + np.eye(n)), np.linalg.inv(np.triu(lu))
+
+
+def _banded_with_inner_zero(n: int = 300, half_width: int = 3) -> np.ndarray:
+    """Diagonally dominant band matrix with an explicit zero (and a -0.0) inside the band."""
+    rng = np.random.default_rng(11)
+    a = np.zeros((n, n))
+    for offset in range(-half_width, half_width + 1):
+        a += np.diag(rng.standard_normal(n - abs(offset)), offset)
+    a += np.diag(np.full(n, 4.0 * half_width))
+    a[50, 51] = 0.0
+    a[52, 50] = -0.0
+    return a
+
+
+def _arrow_with_masked_fill(n: int = 96) -> np.ndarray:
+    """Arrow head at the top-left: eliminating column 0 would fill the whole
+    trailing block, all of it outside the pattern."""
+    rng = np.random.default_rng(12)
+    a = np.diag(np.full(n, 4.0 * n))
+    a[0, :] = rng.standard_normal(n)
+    a[:, 0] = rng.standard_normal(n)
+    a[0, 0] = 4.0 * n
+    a[np.arange(1, n - 1), np.arange(2, n)] = 1.0
+    return a
+
+
+ORACLE_MATRICES = {
+    "dense_spd": lambda: ill_conditioned_spd_matrix(256, cond=1e3, seed=13),
+    "banded_inner_zero": _banded_with_inner_zero,
+    "masked_fill": _arrow_with_masked_fill,
+}
+
+
 class TestIdentity:
     def test_apply_is_a_no_op(self):
         r = np.arange(5.0)
@@ -74,6 +123,17 @@ class TestILU0:
         # approximation: the apply must NOT equal the exact solve.
         assert not np.allclose(precond.apply(r), np.linalg.solve(a, r), rtol=1e-6)
 
+    @pytest.mark.parametrize("name", list(ORACLE_MATRICES))
+    def test_factors_byte_equal_to_masked_oracle(self, name):
+        a = ORACLE_MATRICES[name]()
+        lower_inv, upper_inv = masked_ilu0_oracle(a)
+        precond = ILU0Preconditioner(a)
+        assert precond._lower_inv.tobytes() == lower_inv.tobytes()
+        assert precond._upper_inv.tobytes() == upper_inv.tobytes()
+
+    def test_nbytes_counts_the_two_inverses(self):
+        assert ILU0Preconditioner(spd_matrix(12, seed=4)).nbytes == 2 * 12 * 12 * 8
+
     def test_zero_pivot_raises_at_construction(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValidationError, match="zero pivot"):
@@ -117,6 +177,9 @@ class TestSSOR:
     def test_rejects_omega_outside_open_interval(self, omega):
         with pytest.raises(ValidationError, match="omega"):
             SSORPreconditioner(spd_matrix(8, seed=6), omega=omega)
+
+    def test_nbytes_counts_the_inverses_and_the_diagonal(self):
+        assert SSORPreconditioner(spd_matrix(12, seed=4)).nbytes == 2 * 12 * 12 * 8 + 12 * 8
 
     def test_rejects_zero_diagonal(self):
         a = np.array([[0.0, 1.0], [1.0, 1.0]])

@@ -8,8 +8,6 @@ hardware substitution).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import emulated_dgemm, emulated_sgemm
 from repro.accuracy import reference_gemm, summarize_errors
 from repro.baselines import native_sgemm, tf32_gemm

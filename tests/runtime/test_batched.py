@@ -185,6 +185,31 @@ class TestBatchedPrepared:
         assert calls.count("left") == 1
         assert calls.count("right") == 2
 
+    def test_recurring_array_scaled_once(self, monkeypatch):
+        """A fast-mode array that recurs in a batch is scaled once, same bits."""
+        import repro.core.gemm as gemm_mod
+
+        calls = {"A": 0, "B": 0}
+        originals = {"A": gemm_mod.fast_mode_scale_a, "B": gemm_mod.fast_mode_scale_b}
+
+        def counting(side):
+            def scale(x, table):
+                calls[side] += 1
+                return originals[side](x, table)
+
+            return scale
+
+        monkeypatch.setattr(gemm_mod, "fast_mode_scale_a", counting("A"))
+        monkeypatch.setattr(gemm_mod, "fast_mode_scale_b", counting("B"))
+        config = Ozaki2Config.for_dgemm(8)
+        a, b = phi_pair(16, 24, 12, phi=0.5, seed=47)
+        bs = [b, phi_pair(16, 24, 12, phi=0.5, seed=48)[1], b, b]
+        batched = ozaki2_gemm_batched([a] * 4, bs, config=config)
+        assert calls == {"A": 1, "B": 2}
+        monkeypatch.undo()
+        for got, rhs in zip(batched, bs, strict=True):
+            assert np.array_equal(got, ozaki2_gemm(a, rhs, config=config))
+
     def test_shared_matrix_bit_identical_to_loop(self):
         config = Ozaki2Config.for_dgemm(9)
         a, b = phi_pair(20, 28, 16, phi=0.5, seed=45)

@@ -358,6 +358,37 @@ def test_workers_started_before_any_segment_leave_no_tracker_warnings():
     assert "resource_tracker" not in out.stderr, out.stderr
 
 
+def test_degraded_inline_run_keeps_the_parents_tracker_registrations():
+    """The degraded path attaches the parent's own segments in the parent.
+
+    Dropping the creator's tracker registration there made each later
+    unlink's unregister fail inside the tracker (a ``KeyError`` traceback
+    on stderr); the bits must not change either way.
+    """
+    script = (
+        "import numpy as np\n"
+        "from repro import faults\n"
+        "from repro.config import Ozaki2Config\n"
+        "from repro.core.gemm import ozaki2_gemm\n"
+        "rng = np.random.default_rng(0)\n"
+        "a, b = rng.standard_normal((64, 64)), rng.standard_normal((64, 64))\n"
+        "config = Ozaki2Config(parallelism=2, executor='process', max_pool_rebuilds=0)\n"
+        "with faults.inject('pool.spawn:times=99', seed=7):\n"
+        "    got = ozaki2_gemm(a, b, config=config, return_details=True)\n"
+        "assert got.degraded\n"
+        "assert np.array_equal(got.value, ozaki2_gemm(a, b))\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "KeyError" not in out.stderr, out.stderr
+
+
 def test_session_pool_start_failure_degrades_instead_of_raising():
     config = Ozaki2Config(num_moduli=15, parallelism=2, executor="auto")
     with faults.inject("pool.spawn:times=99"):

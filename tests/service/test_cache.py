@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 from repro.config import Ozaki2Config
 from repro.core.operand import matrix_fingerprint, prepare_a
 from repro.errors import ValidationError
-from repro.service.cache import OperandCache, cache_key
+from repro.service import cache as cache_module
+from repro.service.cache import OperandCache, cache_key, precond_key
+from repro.workloads import spd_matrix
 
 
 @pytest.fixture
@@ -206,3 +209,71 @@ class TestConcurrency:
         assert cache.counter.cache_misses == 1
         assert cache.counter.cache_hits == 3
         assert all(op is results[0] for op in results)
+
+    def test_concurrent_same_key_factorisations_collapse(self, monkeypatch):
+        cache = OperandCache(capacity_bytes=1 << 24)
+        a = spd_matrix(128, seed=31)
+        fingerprint = matrix_fingerprint(a)
+        factored = []
+        real = cache_module.make_preconditioner
+
+        def spy(*args, **kwargs):
+            factored.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "make_preconditioner", spy)
+        barrier = threading.Barrier(6)
+        results = []
+
+        def worker() -> None:
+            barrier.wait()
+            results.append(cache.get_or_factor(fingerprint, a, "ilu0"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert factored == ["ilu0"]
+        assert [built for _, built in results].count(True) == 1
+        assert all(precond is results[0][0] for precond, _ in results)
+        assert cache.counter.cache_misses == 1
+        assert cache.counter.cache_hits == 5
+
+
+class TestPreconditioners:
+    def test_key_carries_omega_for_ssor_only(self):
+        fp = matrix_fingerprint(_matrix(40))
+        assert precond_key(fp, "ssor", 1.0) != precond_key(fp, "ssor", 1.5)
+        assert precond_key(fp, "ilu0", 1.0) == precond_key(fp, "ilu0", 1.5)
+        assert precond_key(fp, "ilu0") != precond_key(fp, "ssor")
+
+    def test_factors_share_the_budget_and_the_lru(self, cfg):
+        a = spd_matrix(16, seed=41)
+        fp = matrix_fingerprint(a)
+        precond, built = OperandCache(capacity_bytes=1 << 20).get_or_factor(fp, a, "ssor")
+        assert built
+        # Room for exactly one set of factors: the second kind evicts the first.
+        cache = OperandCache(capacity_bytes=precond.nbytes)
+        cache.get_or_factor(fp, a, "ssor")
+        cache.get_or_factor(fp, a, "ssor", omega=1.5)
+        assert precond_key(fp, "ssor", 1.0) not in cache
+        assert precond_key(fp, "ssor", 1.5) in cache
+        assert cache.current_bytes == precond.nbytes
+        assert cache.counter.cache_evictions == 1
+
+    def test_get_or_prepare_memoises_the_key_fingerprint(self, cfg, monkeypatch):
+        cache = OperandCache(capacity_bytes=1 << 20)
+        a = _matrix(42)
+        operand = cache.get_or_prepare(a, "A", cfg)
+        monkeypatch.setattr(
+            "repro.core.operand.matrix_fingerprint",
+            lambda x: pytest.fail("the operand hashed its source again"),
+        )
+        assert operand.fingerprint == cache_module.matrix_fingerprint(a)

@@ -13,7 +13,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.apps.solvers import cg_solve
+from repro.apps.solvers import cg_solve, pcg_solve
+from repro.service import cache as cache_module
 from repro.config import Ozaki2Config
 from repro.core.gemm import ozaki2_gemm
 from repro.core.gemv import prepared_gemv
@@ -83,6 +84,27 @@ class TestRoundTrips:
         assert bool(warm.meta["converged"])
         # The warm request referenced the cached conversion: zero prep.
         assert warm.meta["prepare_seconds"] == 0.0
+
+    def test_pcg_ilu0_solves_factor_once_per_fingerprint(
+        self, server, client, rng, monkeypatch
+    ):
+        factored = []
+        real = cache_module.make_preconditioner
+
+        def spy(a, kind, omega=1.0):
+            factored.append(kind)
+            return real(a, kind, omega=omega)
+
+        monkeypatch.setattr(cache_module, "make_preconditioner", spy)
+        a = _spd(rng, 20)
+        b = rng.standard_normal(20)
+        cold = client.solve(a, b, method="pcg", precond="ilu0", tol=1e-10)
+        warm = client.solve(a, b, method="pcg", precond="ilu0", tol=1e-10)
+        assert factored == ["ilu0"]
+        assert warm.value.tobytes() == cold.value.tobytes()
+        assert warm.meta["residual_norm"] == cold.meta["residual_norm"]
+        reference = pcg_solve(a, b, config=CFG, precond="ilu0", tol=1e-10)
+        assert cold.value.tobytes() == reference.value.tobytes()
 
     def test_prepare_warms_the_cache_for_gemm(self, server, client, rng):
         a = rng.standard_normal((24, 24))

@@ -12,17 +12,52 @@ import numpy as np
 import pytest
 
 import repro
+from repro.apps import preconditioners, solvers
+from repro.apps.preconditioners import SSORPreconditioner
 from repro.apps.solvers import SolveResult, cg_solve
 from repro.config import Ozaki2Config
 from repro.core.gemm import ozaki2_gemm
 from repro.core.gemv import GemvResult, prepared_gemv
 from repro.errors import ValidationError
 from repro.result import GemmResult, Result
+from repro.service import cache as cache_module
+from repro.workloads import ill_conditioned_spd_matrix
 
 
 @pytest.fixture
 def cfg():
     return Ozaki2Config.for_dgemm(num_moduli=12)
+
+
+@pytest.fixture
+def system():
+    a = ill_conditioned_spd_matrix(24, cond=1e3, seed=3)
+    return a, a @ np.linspace(-1.0, 1.0, 24)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Every ``(kind, omega)`` factorisation requested by name, solver or session."""
+    calls = []
+    real = preconditioners.make_preconditioner
+
+    def spy(a, kind="none", omega=1.0):
+        if isinstance(kind, str) and kind.strip().lower() not in ("none", ""):
+            calls.append((kind, omega))
+        return real(a, kind, omega=omega)
+
+    for module in (solvers, cache_module):
+        monkeypatch.setattr(module, "make_preconditioner", spy)
+    return calls
+
+
+#: Preconditioned solves whose factors a session reuses: (method, options).
+PRECONDITIONED_SOLVES = {
+    "pcg+ilu0": ("pcg", {"precond": "ilu0"}),
+    "pcg+ssor-w1.0": ("pcg", {"precond": "ssor", "omega": 1.0}),
+    "pcg+ssor-w1.5": ("pcg", {"precond": "ssor", "omega": 1.5}),
+    "jacobi+ilu0": ("jacobi", {"precond": "ilu0"}),
+}
 
 
 @pytest.fixture
@@ -123,7 +158,71 @@ class TestSessionCaching:
         # preparation phase is exactly zero, and the answers are identical.
         assert second.prepare_seconds == 0.0
         assert first.iterations == second.iterations
+        assert first.residual_history == second.residual_history
         assert np.array_equal(first.value, second.value)
+
+    @pytest.mark.parametrize("case", list(PRECONDITIONED_SOLVES))
+    def test_solve_reuses_factored_preconditioner(self, cfg, system, factorizations, case):
+        method, options = PRECONDITIONED_SOLVES[case]
+        a, b = system
+        with repro.Session(cfg) as session:
+            cold = session.solve(a, b, method=method, tol=1e-10, **options)
+            hits = session.cache.stats()["hits"]
+            warm = session.solve(a, b, method=method, tol=1e-10, **options)
+            # The warm solve found the operand and the factors resident.
+            assert session.cache.stats()["hits"] == hits + 2
+        assert len(factorizations) == 1
+        assert cold.precond_seconds > 0.0
+        assert warm.precond_seconds == 0.0
+        assert warm.value.tobytes() == cold.value.tobytes()
+        assert warm.iterations == cold.iterations
+        assert warm.residual_history == cold.residual_history
+        solver = {"pcg": solvers.pcg_solve, "jacobi": solvers.jacobi_solve}[method]
+        direct = solver(a, b, config=cfg, tol=1e-10, **options)
+        assert direct.value.tobytes() == cold.value.tobytes()
+        assert direct.residual_history == cold.residual_history
+
+    def test_ssor_factors_once_per_omega(self, cfg, system, factorizations):
+        a, b = system
+        with repro.Session(cfg) as session:
+            for omega in (1.0, 1.5, 1.0, 1.5):
+                session.solve(a, b, method="pcg", precond="ssor", omega=omega)
+            # ILU(0) ignores omega, so its key leaves it out.
+            for omega in (1.0, 1.5):
+                session.solve(a, b, method="pcg", precond="ilu0", omega=omega)
+            assert len(session.cache) == 4  # the operand and three factorisations
+        assert factorizations == [("ssor", 1.0), ("ssor", 1.5), ("ilu0", 1.0)]
+
+    def test_caller_preconditioner_bypasses_the_cache(self, cfg, system, factorizations):
+        a, b = system
+        mine = SSORPreconditioner(a, omega=1.2)
+        with repro.Session(cfg) as session:
+            given = session.solve(a, b, method="pcg", precond=mine)
+            assert len(session.cache) == 1  # the operand only
+            named = session.solve(a, b, method="pcg", precond="ssor", omega=1.2)
+        assert given.precond_seconds == 0.0
+        assert factorizations == [("ssor", 1.2)]
+        assert given.value.tobytes() == named.value.tobytes()
+
+    def test_disabled_cache_factors_every_solve(self, cfg, system, factorizations):
+        a, b = system
+        with repro.Session(cfg, cache_bytes=0) as session:
+            first = session.solve(a, b, method="pcg", precond="ilu0")
+            second = session.solve(a, b, method="pcg", precond="ilu0")
+            assert len(session.cache) == 0
+        assert len(factorizations) == 2
+        assert first.precond_seconds > 0.0 and second.precond_seconds > 0.0
+        assert first.value.tobytes() == second.value.tobytes()
+
+    def test_prepared_route_reuses_the_factors(self, cfg, system, factorizations):
+        a, b = system
+        with repro.Session(cfg) as session:
+            operand = session.prepare(a)
+            cold = session.solve(operand.source, b, method="pcg", prepared=operand)
+            warm = session.solve(a.copy(), b, method="pcg", prepared=operand)
+        assert len(factorizations) == 1
+        assert warm.precond_seconds == 0.0
+        assert warm.value.tobytes() == cold.value.tobytes()
 
     def test_gemm_then_solve_shares_the_entry(self, cfg, rng):
         n = 20
