@@ -29,18 +29,28 @@ Four solvers are provided:
   trailing updates, see :mod:`repro.apps.lu`), then refinement steps whose
   residuals ``r = b − A·x`` run through the prepared emulated GEMM.
 
+They are front ends over one routine, ``_solve``, which validates the
+inputs, prepares (or adopts) ``A``, holds the engine and the moduli
+ladder, records every iteration and builds the :class:`SolveResult`.  Two
+kernels iterate: the Richardson loop ``x ← x + M⁻¹(b − A·x)`` (Jacobi
+with ``M = diag(A)``, Jacobi with a factored ``M``, and refinement with
+``M`` the LU solve, started from ``x₀ = M⁻¹b``) and the PCG loop (CG is
+PCG with ``M = I``).  :data:`SOLVERS` names them for
+:meth:`repro.session.Session.solve`, ``repro solve`` and ``/v1/solve``.
+
 Each solve runs its products on one
-:class:`~repro.engines.int8.Int8MatrixEngine`, whose op ledger counts every
-iteration's residue GEMVs.  The GEMV kernel is a single engine call, so
-``config.parallelism`` and ``config.executor`` play no part in a solve;
-only ``emulated_factorization``'s trailing updates run GEMMs through them.
+:class:`~repro.engines.int8.Int8MatrixEngine`, whose op ledger
+(``SolveResult.ledger``) counts every iteration's residue GEMVs.  The GEMV
+kernel is a single engine call, so ``config.parallelism`` and
+``config.executor`` play no part in a solve; only
+``emulated_factorization``'s trailing updates run GEMMs through them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -57,6 +67,8 @@ from .preconditioners import Preconditioner, make_preconditioner
 
 __all__ = [
     "SolveResult",
+    "SOLVERS",
+    "solver_for",
     "moduli_schedule_segments",
     "prepared_matvec",
     "jacobi_solve",
@@ -136,10 +148,6 @@ class _ModuliLadder:
             return current
         return min(self.n_full, max(want, current + _ESCALATION_STRIDE))
 
-    def next_stride(self, current: int) -> int:
-        """One forced escalation step (the stall guard's move)."""
-        return min(self.n_full, current + _ESCALATION_STRIDE)
-
     def advance(self, rel_residual: float, current: int) -> int:
         """Count for the next iteration: the stage rule plus the stall guard.
 
@@ -153,7 +161,7 @@ class _ModuliLadder:
         """
         want = self.moduli_for(rel_residual, current)
         if want == current and current < self.n_full and self.stalled(rel_residual):
-            want = self.next_stride(current)
+            want = min(self.n_full, current + _ESCALATION_STRIDE)
         if want > current:
             self.reset_window()
         return want
@@ -179,10 +187,6 @@ class _ModuliLadder:
     def reset_window(self) -> None:
         """Forget the progress window (call after every escalation)."""
         self._window.clear()
-
-    def initial(self) -> int:
-        """Starting count (the ladder entry for an unconverged residual)."""
-        return self.moduli_for(1.0, 0)
 
 
 #: Minimum escalation jump of the progressive ladder (see _ModuliLadder).
@@ -237,6 +241,9 @@ class SolveResult(Result):
         reused factors — an already-factored instance passed as
         ``precond``, or a :class:`~repro.session.Session` cache hit — like
         ``prepare_seconds`` for a reused system matrix.
+    ledger:
+        Op ledger of the solve's engine, which ran every emulated GEMV of
+        the iteration; its ``emulated_calls`` counts them by moduli count.
     moduli_history:
         Moduli count each iteration's emulated products ran with (aligned
         with ``residual_history``).  Constant for plain solves; a
@@ -290,21 +297,12 @@ def _check_system(a: np.ndarray, b: np.ndarray) -> tuple:
     return np.asarray(a, dtype=np.float64), b
 
 
-def _solver_config(config: Optional[Ozaki2Config]) -> Ozaki2Config:
-    return config or Ozaki2Config.for_dgemm()
-
-
-def _check_max_iter(max_iter: int) -> int:
-    """At least one iteration, so the reported residual is always measured."""
-    max_iter = int(max_iter)
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
-    return max_iter
-
-
-def _paid_factor_seconds(m_inv: Preconditioner, precond: object) -> float:
-    """The factorisation cost this solve paid: none for a reused instance."""
-    return 0.0 if m_inv is precond else m_inv.factor_seconds
+def _number(value, name: str, cast: type):
+    """``cast(value)``; a service request may carry any JSON value here."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
 
 
 def _adopt_prepared(
@@ -343,6 +341,191 @@ def _adopt_prepared(
     return prepared.resolve_for(config.num_moduli), config
 
 
+class _Iteration:
+    """What a kernel iterates against: the prepared ``A`` at the current
+    moduli count (full, or the ladder's stage), the engine whose ledger
+    counts every product, ``b`` with the stopping rule, and the records.
+    """
+
+    def __init__(self, prep, config, b, tol, max_iter, progressive) -> None:
+        self.prep, self.config = prep, config
+        self.b = b
+        self.b_norm = float(np.linalg.norm(b)) or 1.0
+        self.tol, self.max_iter = tol, max_iter
+        self.n_full = config.num_moduli
+        self.ladder = _ModuliLadder(prep.shape[1], config, tol) if progressive else None
+        self.engine = Int8MatrixEngine()
+        self.history: List[float] = []
+        self.moduli: List[int] = []
+        # A progressive solve starts at the ladder's entry for an unconverged residual.
+        self._use(self.ladder.moduli_for(1.0, 0) if progressive else self.n_full)
+
+    def _use(self, count: int) -> None:
+        self.count = count
+        self._prep = self.prep.resolve_for(count)
+        self._config = self.config.resolved(count)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Emulated ``A·v`` at the current count, on this solve's engine."""
+        return prepared_matvec(self._prep, v, self._config, self.engine)
+
+    def record(self, residual: np.ndarray) -> float:
+        """Record the relative norm of ``residual`` at the current count."""
+        rel = float(np.linalg.norm(residual)) / self.b_norm
+        self.history.append(rel)
+        self.moduli.append(self.count)
+        return rel
+
+    def escalate(self, rel_residual: float) -> bool:
+        """Take the ladder's next count when it is due; True if the count rose."""
+        if self.ladder is None:
+            return False
+        want = self.ladder.advance(rel_residual, self.count)
+        if want <= self.count:
+            return False
+        self._use(want)
+        return True
+
+    def to_full(self) -> bool:
+        """Jump to the full count; False when the solve already runs there."""
+        if self.count >= self.n_full:
+            return False
+        self.ladder.reset_window()
+        self._use(self.n_full)
+        return True
+
+
+def _richardson(it: _Iteration, apply_m: Callable, x: np.ndarray) -> tuple:
+    """Richardson iteration ``x ← x + M⁻¹(b − A·x)``; returns ``(x, converged)``."""
+    for _ in range(it.max_iter):
+        residual = it.b - it.matvec(x)
+        rel = it.record(residual)
+        if rel <= it.tol:
+            if not it.to_full():
+                return x, True
+            # A low-count residual met the tolerance: re-verify at the full
+            # count before claiming convergence (no sweep applied — x may
+            # already be converged).
+            continue
+        # An escalation takes effect for the *next* sweep; the residual in
+        # hand is still a valid stationary-iteration correction.
+        it.escalate(rel)
+        x = x + apply_m(residual)
+    return x, False
+
+
+def _pcg(it: _Iteration, apply_m: Callable, x: np.ndarray) -> tuple:
+    """Preconditioned CG; returns ``(x, converged)``.
+
+    Every escalation of the ladder restarts the recurrence from the current
+    iterate: CG assumes one fixed operator.
+    """
+
+    def restart():
+        """(Re)start the recurrence from x at the current count."""
+        r = it.b - it.matvec(x)
+        z = apply_m(r)
+        return r, z, z.copy(), float(r @ z)
+
+    r, z, p, rz = restart()
+    for _ in range(it.max_iter):
+        rel = it.record(r)
+        if rel <= it.tol and it.count == it.n_full:
+            return x, True
+        if it.escalate(rel):
+            r, z, p, rz = restart()
+            continue
+        # Breakdown: r·z vanished (alpha would be 0, beta undefined) or p·Ap
+        # lost positive-definiteness.  At the full count only a degenerate
+        # problem or preconditioner does this: stop rather than crash or
+        # diverge silently.  A reduced-count stage's larger matvec error is
+        # an artefact of the stage: escalate to the full count and restart.
+        ap = it.matvec(p) if rz != 0.0 else None
+        denom = 0.0 if ap is None else float(p @ ap)
+        if denom <= 0.0:
+            if it.to_full():
+                r, z, p, rz = restart()
+                continue
+            break
+        alpha = rz / denom
+        x = x + alpha * p
+        r = r - alpha * ap
+        z = apply_m(r)
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return x, False
+
+
+def _solve(kernel, name, a, b, config, tol, max_iter, budget, progressive, prepared,
+           x0=None, precond=None, omega=1.0, plain=None) -> SolveResult:
+    """The one set-up and result path behind the four solvers.
+
+    Validates the system, ``tol`` and ``max_iter`` (``budget(n)`` for an
+    ``n``-row system when ``None``); factors a preconditioner named by
+    ``precond`` before the expensive preparation, so invalid arguments fail
+    before any residue conversion runs; prepares or adopts ``A``; runs
+    ``kernel``; and builds the result, ledger included.  Both one-time
+    costs count towards the reported wall clock.
+
+    Without a preconditioner kind ``M`` is the identity, or what the front
+    end's ``plain(a, b, x, config) -> (apply_m, x)`` builds once ``A`` is
+    prepared: Jacobi's diagonal, or refinement's LU solve and its start
+    ``x₀ = M⁻¹b``.  A kind labels the run ``<jacobi|pcg>+<kind>`` by kernel.
+    """
+    config = config or Ozaki2Config.for_dgemm()
+    a, b = _check_system(a, b)
+    tol = _number(tol, "tol", float)
+    max_iter = budget(len(b)) if max_iter is None else _number(max_iter, "max_iter", int)
+    if max_iter < 1:  # at least one, so the reported residual is always measured
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    start = time.perf_counter()
+    m_inv = make_preconditioner(a, precond, omega=omega)
+
+    if prepared is not None:
+        prep, config = _adopt_prepared(a, config, prepared)
+        prepare_seconds = 0.0
+    else:
+        prep_start = time.perf_counter()
+        prep = prepare_a(a, config=config)
+        config = prep.config  # concrete under num_moduli="auto"
+        prepare_seconds = time.perf_counter() - prep_start
+
+    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    apply_m = m_inv.apply
+    if plain is not None and m_inv.kind == "none":
+        apply_m, x = plain(a, b, x, config)
+    it = _Iteration(prep, config, b, tol, max_iter, progressive)
+    x, converged = kernel(it, apply_m, x)
+
+    kind = m_inv.kind
+    label = name if kind == "none" else f"{'pcg' if kernel is _pcg else 'jacobi'}+{kind}"
+    return SolveResult(
+        value=x,
+        config=config,
+        converged=converged,
+        iterations=len(it.history),
+        residual_norm=it.history[-1],
+        residual_history=it.history,
+        method=f"{label}{'-prog' if progressive else ''}({config.method_name})",
+        prepare_seconds=prepare_seconds,
+        seconds=time.perf_counter() - start,
+        precond=kind,
+        # A factored instance the caller passed in was paid for elsewhere.
+        precond_seconds=0.0 if m_inv is precond else m_inv.factor_seconds,
+        ledger=it.engine.counter,
+        moduli_history=it.moduli,
+    )
+
+
+def _diagonal(a: np.ndarray, b: np.ndarray, x: np.ndarray, config: Ozaki2Config) -> tuple:
+    """Jacobi's ``M = diag(A)``, swept from ``x0``."""
+    diag = np.diag(a).copy()
+    if np.any(diag == 0.0):
+        raise ValidationError("Jacobi requires a zero-free diagonal")
+    return (lambda residual: residual / diag), x
+
+
 def jacobi_solve(
     a: np.ndarray,
     b: np.ndarray,
@@ -373,97 +556,12 @@ def jacobi_solve(
     (:class:`_ModuliLadder`); the stationary iteration tolerates the
     larger early matvec error, and convergence is only declared from a
     full-count residual check, so a converged answer passed exactly the
-    plain solve's criterion.
+    plain solve's criterion.  Its default budget carries 50% slack for the
+    ladder stages and full-count verification passes (300 sweeps, not 200).
     """
-    config = _solver_config(config)
-    a, b = _check_system(a, b)
-    # Progressive sweeps spend iterations on ladder stages and full-count
-    # verification passes, so their default budget carries 50% slack
-    # (matching pcg_solve's 3n-instead-of-2n default).
-    if max_iter is None:
-        max_iter = 300 if progressive else 200
-    else:
-        max_iter = _check_max_iter(max_iter)
-    # Both one-time costs count towards the reported total wall clock, so
-    # the timer starts before the preconditioner is factored.
-    start = time.perf_counter()
-    m_inv: Optional[Preconditioner] = None
-    precond_seconds = 0.0
-    kind = "none"
-    if precond is not None:
-        candidate = make_preconditioner(a, precond, omega=omega)
-        if candidate.kind != "none":
-            m_inv, kind = candidate, candidate.kind
-            precond_seconds = _paid_factor_seconds(candidate, precond)
-    if m_inv is None:
-        diag = np.diag(a).copy()
-        if np.any(diag == 0.0):
-            raise ValidationError("Jacobi requires a zero-free diagonal")
-    label = "jacobi" if m_inv is None else f"jacobi+{kind}"
-
-    if prepared is not None:
-        prep, config = _adopt_prepared(a, config, prepared)
-        prepare_seconds = 0.0
-    else:
-        prep_start = time.perf_counter()
-        prep = prepare_a(a, config=config)
-        config = prep.config  # concrete under num_moduli="auto"
-        prepare_seconds = time.perf_counter() - prep_start
-
-    n_full = config.num_moduli
-    ladder = _ModuliLadder(a.shape[1], config, tol) if progressive else None
-    cur_n = ladder.initial() if ladder is not None else n_full
-    prep_cur = prep.resolve_for(cur_n)
-    cfg_cur = config.resolved(cur_n)
-    if progressive:
-        label += "-prog"
-
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    b_norm = float(np.linalg.norm(b)) or 1.0
-    history: List[float] = []
-    moduli: List[int] = []
-    converged = False
-    engine = Int8MatrixEngine()
-    for _ in range(max_iter):
-        residual = b - prepared_matvec(prep_cur, x, cfg_cur, engine)
-        rel = float(np.linalg.norm(residual)) / b_norm
-        history.append(rel)
-        moduli.append(cur_n)
-        if rel <= tol:
-            if cur_n == n_full:
-                converged = True
-                break
-            # A low-count residual met the tolerance: re-verify at the
-            # full count before claiming convergence (no sweep applied
-            # — x may already be converged).
-            cur_n = n_full
-            prep_cur, cfg_cur = prep.resolve_for(cur_n), config.resolved(cur_n)
-            continue
-        if ladder is not None:
-            want = ladder.advance(rel, cur_n)
-            if want > cur_n:
-                # Escalate for the *next* sweep; the residual in hand is
-                # still a valid stationary-iteration correction.
-                cur_n = want
-                prep_cur, cfg_cur = prep.resolve_for(cur_n), config.resolved(cur_n)
-        if m_inv is None:
-            x = x + residual / diag
-        else:
-            x = x + m_inv.apply(residual)
-    return SolveResult(
-        value=x,
-        config=config,
-        converged=converged,
-        iterations=len(history),
-        residual_norm=history[-1] if history else float("nan"),
-        residual_history=history,
-        method=f"{label}({config.method_name})",
-        prepare_seconds=prepare_seconds,
-        seconds=time.perf_counter() - start,
-        precond=kind,
-        precond_seconds=precond_seconds,
-        moduli_history=moduli,
-    )
+    return _solve(_richardson, "jacobi", a, b, config, tol, max_iter,
+                  lambda n: 300 if progressive else 200, progressive, prepared,
+                  x0=x0, precond=precond, omega=omega, plain=_diagonal)
 
 
 def cg_solve(
@@ -490,28 +588,9 @@ def cg_solve(
     ``progressive`` enables the moduli-escalation ladder (see
     :func:`pcg_solve`).
     """
-    # Decide from the preconditioner *kind*, so a factored
-    # IdentityPreconditioner instance labels the run "cg" exactly like
-    # precond=None / "none" does.
-    if precond is None:
-        unpreconditioned = True
-    elif isinstance(precond, Preconditioner):
-        unpreconditioned = precond.kind == "none"
-    else:
-        unpreconditioned = str(precond).strip().lower() in ("none", "")
-    return pcg_solve(
-        a,
-        b,
-        config=config,
-        tol=tol,
-        max_iter=max_iter,
-        x0=x0,
-        precond="none" if unpreconditioned else precond,
-        omega=omega,
-        progressive=progressive,
-        prepared=prepared,
-        _method_label="cg" if unpreconditioned else None,
-    )
+    return _solve(_pcg, "cg", a, b, config, tol, max_iter,
+                  lambda n: (3 if progressive else 2) * n, progressive, prepared,
+                  x0=x0, precond=precond, omega=omega)
 
 
 def pcg_solve(
@@ -525,7 +604,6 @@ def pcg_solve(
     omega: float = 1.0,
     progressive: bool = False,
     prepared: Optional[PreparedOperand] = None,
-    _method_label: Optional[str] = None,
 ) -> SolveResult:
     """Preconditioned conjugate gradients with emulated ``A·p`` products.
 
@@ -550,133 +628,13 @@ def pcg_solve(
     so every escalation *restarts* the recurrence from the current iterate
     (a fresh residual, preconditioned direction and ``r·z`` at the new
     count); the endgame runs at the full count, so a converged answer
-    passed exactly the plain solve's residual check.
+    passed exactly the plain solve's residual check.  Progressive solves
+    spend iterations on ladder stages and restarts, so their default
+    budget is ``3n`` instead of ``2n``.
     """
-    config = _solver_config(config)
-    a, b = _check_system(a, b)
-    n = a.shape[0]
-    # Progressive solves spend iterations on ladder stages and restarts, so
-    # their default budget carries an extra n of slack.
-    if max_iter is None:
-        max_iter = (3 if progressive else 2) * n
-    else:
-        max_iter = _check_max_iter(max_iter)
-
-    start = time.perf_counter()
-    # Factor the preconditioner before the (expensive) operand preparation,
-    # so invalid precond arguments fail before any residue conversion runs.
-    m_inv = make_preconditioner(a, precond, omega=omega)
-    precond_seconds = _paid_factor_seconds(m_inv, precond)
-
-    if prepared is not None:
-        prep, config = _adopt_prepared(a, config, prepared)
-        prepare_seconds = 0.0
-    else:
-        prep_start = time.perf_counter()
-        prep = prepare_a(a, config=config)
-        config = prep.config  # concrete under num_moduli="auto"
-        prepare_seconds = time.perf_counter() - prep_start
-
-    if _method_label is None:
-        _method_label = "pcg" if m_inv.kind == "none" else f"pcg+{m_inv.kind}"
-    if progressive:
-        _method_label += "-prog"
-
-    n_full = config.num_moduli
-    ladder = _ModuliLadder(a.shape[1], config, tol) if progressive else None
-    cur_n = ladder.initial() if ladder is not None else n_full
-    prep_cur = prep.resolve_for(cur_n)
-    cfg_cur = config.resolved(cur_n)
-
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    b_norm = float(np.linalg.norm(b)) or 1.0
-    history: List[float] = []
-    moduli: List[int] = []
-    converged = False
-    engine = Int8MatrixEngine()
-
-    def _restart():
-        """(Re)start the recurrence from x at the current count."""
-        r = b - prepared_matvec(prep_cur, x, cfg_cur, engine)
-        z = m_inv.apply(r)
-        return r, z, z.copy(), float(r @ z)
-
-    def _recover_from_breakdown():
-        """Escalate to the full count after a low-count breakdown.
-
-        At a reduced count the emulated ``A·p`` carries the ladder's
-        deliberately larger error, which can destroy the recurrence's
-        positive-definiteness; that is an artefact of the stage, not
-        of the problem, so the progressive solve escalates straight
-        to the full count and restarts instead of aborting.
-        Returns True when a recovery restart was performed.
-        """
-        nonlocal cur_n, prep_cur, cfg_cur, r, z, p, rz
-        if ladder is None or cur_n >= n_full:
-            return False
-        cur_n = n_full
-        prep_cur = prep.resolve_for(cur_n)
-        cfg_cur = config.resolved(cur_n)
-        ladder.reset_window()
-        r, z, p, rz = _restart()
-        return True
-
-    r, z, p, rz = _restart()
-    for _ in range(max_iter):
-        rel = float(np.linalg.norm(r)) / b_norm
-        history.append(rel)
-        moduli.append(cur_n)
-        if rel <= tol and cur_n == n_full:
-            converged = True
-            break
-        if ladder is not None:
-            want = ladder.advance(rel, cur_n)
-            if want > cur_n:
-                cur_n = want
-                prep_cur = prep.resolve_for(cur_n)
-                cfg_cur = config.resolved(cur_n)
-                r, z, p, rz = _restart()
-                continue
-        if rz == 0.0:
-            # Breakdown: the preconditioned inner product vanished while
-            # the residual has not.  At the full count this is possible
-            # only for a degenerate user-supplied preconditioner — alpha
-            # would be 0 and the beta division undefined, so stop rather
-            # than crash.
-            if _recover_from_breakdown():
-                continue
-            break
-        ap = prepared_matvec(prep_cur, p, cfg_cur, engine)
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            # Loss of positive-definiteness in the emulated product (or
-            # an indefinite preconditioner) — stop rather than diverge
-            # silently, unless a reduced-count stage caused it.
-            if _recover_from_breakdown():
-                continue
-            break
-        alpha = rz / denom
-        x = x + alpha * p
-        r = r - alpha * ap
-        z = m_inv.apply(r)
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    return SolveResult(
-        value=x,
-        config=config,
-        converged=converged,
-        iterations=len(history),
-        residual_norm=history[-1] if history else float("nan"),
-        residual_history=history,
-        method=f"{_method_label}({config.method_name})",
-        prepare_seconds=prepare_seconds,
-        seconds=time.perf_counter() - start,
-        precond=m_inv.kind,
-        precond_seconds=precond_seconds,
-        ledger=engine.counter,
-        moduli_history=moduli,
-    )
+    return _solve(_pcg, "pcg", a, b, config, tol, max_iter,
+                  lambda n: (3 if progressive else 2) * n, progressive, prepared,
+                  x0=x0, precond=precond, omega=omega)
 
 
 def iterative_refinement_solve(
@@ -702,85 +660,43 @@ def iterative_refinement_solve(
     ``progressive`` computes the early residuals at a reduced moduli count
     (mixed-precision refinement's textbook move) and escalates along the
     adaptive ladder; the convergence check always happens at the full
-    count.
+    count.  It widens the default budget from 20 steps to 30.
     """
     from .lu import blocked_lu, prepared_update_gemm
 
-    config = _solver_config(config)
-    a, b = _check_system(a, b)
-    # Progressive refinement spends steps on ladder stages and full-count
-    # verification passes; widen the default budget accordingly.
-    if max_iter is None:
-        max_iter = 30 if progressive else 20
-    else:
-        max_iter = _check_max_iter(max_iter)
+    def lu_solve(a: np.ndarray, b: np.ndarray, x: np.ndarray, config: Ozaki2Config) -> tuple:
+        emulated = {}
+        if emulated_factorization:
+            # Convert-once trailing panels: L21 is prepared once per panel
+            # and reused across the U12 column strips.
+            emulated = dict(
+                gemm=prepared_update_gemm(config),
+                prepare_left=lambda l21: prepare_a(l21, config=config),
+                trail_cols=lu_block,
+            )
+        p, lower, upper = blocked_lu(a, block=lu_block, **emulated)
 
-    start = time.perf_counter()
-    if prepared is not None:
-        prep, config = _adopt_prepared(a, config, prepared)
-        prepare_seconds = 0.0
-    else:
-        prep = prepare_a(a, config=config)
-        config = prep.config  # concrete under num_moduli="auto"
-        prepare_seconds = time.perf_counter() - start
+        def correction(residual: np.ndarray) -> np.ndarray:
+            return np.linalg.solve(upper, np.linalg.solve(lower, p @ residual))
 
-    if emulated_factorization:
-        # Convert-once trailing panels: L21 is prepared once per panel and
-        # reused across the U12 column strips (see lu_with_prepared_updates).
-        p, lower, upper = blocked_lu(
-            a,
-            block=lu_block,
-            gemm=prepared_update_gemm(config),
-            prepare_left=lambda l21: prepare_a(l21, config=config),
-            trail_cols=lu_block,
-        )
-    else:
-        p, lower, upper = blocked_lu(a, block=lu_block)
+        return correction, correction(b)
 
-    def correction(residual: np.ndarray) -> np.ndarray:
-        y = np.linalg.solve(lower, p @ residual)
-        return np.linalg.solve(upper, y)
+    return _solve(_richardson, "ir", a, b, config, tol, max_iter,
+                  lambda n: 30 if progressive else 20, progressive, prepared, plain=lu_solve)
 
-    n_full = config.num_moduli
-    ladder = _ModuliLadder(a.shape[1], config, tol) if progressive else None
-    cur_n = ladder.initial() if ladder is not None else n_full
-    prep_cur = prep.resolve_for(cur_n)
-    cfg_cur = config.resolved(cur_n)
 
-    x = correction(b)
-    b_norm = float(np.linalg.norm(b)) or 1.0
-    history: List[float] = []
-    moduli: List[int] = []
-    converged = False
-    engine = Int8MatrixEngine()
-    for _ in range(max_iter):
-        residual = b - prepared_matvec(prep_cur, x, cfg_cur, engine)
-        rel = float(np.linalg.norm(residual)) / b_norm
-        history.append(rel)
-        moduli.append(cur_n)
-        if rel <= tol:
-            if cur_n == n_full:
-                converged = True
-                break
-            # Re-verify at the full count before claiming convergence.
-            cur_n = n_full
-            prep_cur, cfg_cur = prep.resolve_for(cur_n), config.resolved(cur_n)
-            continue
-        if ladder is not None:
-            want = ladder.advance(rel, cur_n)
-            if want > cur_n:
-                cur_n = want
-                prep_cur, cfg_cur = prep.resolve_for(cur_n), config.resolved(cur_n)
-        x = x + correction(residual)
-    return SolveResult(
-        value=x,
-        config=config,
-        converged=converged,
-        iterations=len(history),
-        residual_norm=history[-1] if history else float("nan"),
-        residual_history=history,
-        method=f"ir{'-prog' if progressive else ''}({config.method_name})",
-        prepare_seconds=prepare_seconds,
-        seconds=time.perf_counter() - start,
-        moduli_history=moduli,
-    )
+#: The solvers by method name: :meth:`~repro.session.Session.solve`,
+#: ``repro solve`` and ``/v1/solve`` all dispatch through this one table.
+SOLVERS: Dict[str, Callable[..., SolveResult]] = {
+    "cg": cg_solve,
+    "pcg": pcg_solve,
+    "jacobi": jacobi_solve,
+    "ir": iterative_refinement_solve,
+}
+
+
+def solver_for(method: str) -> Callable[..., SolveResult]:
+    """The solver :data:`SOLVERS` names ``method``; ValidationError otherwise."""
+    if method not in SOLVERS:
+        raise ValidationError(f"unknown solve method {method!r}; expected one of {tuple(SOLVERS)}")
+    return SOLVERS[method]

@@ -50,6 +50,7 @@ __all__ = ["main", "build_parser"]
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests and docs)."""
     from . import __version__
+    from .apps.solvers import SOLVERS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -107,15 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser(
         "solve", help="iterative solvers reusing a prepared system matrix"
     )
-    _SOLVERS = ["jacobi", "cg", "pcg", "ir"]
     solve.add_argument(
-        "solver_pos", nargs="?", default=None, choices=_SOLVERS, metavar="solver",
+        "solver_pos", nargs="?", default=None, choices=list(SOLVERS), metavar="solver",
         help="jacobi (diagonally dominant), cg (SPD), pcg (preconditioned CG "
         "on the ill-conditioned SPD family), ir (LU + refinement); "
         "default jacobi",
     )
     solve.add_argument(
-        "--solver", dest="solver_opt", default=None, choices=_SOLVERS,
+        "--solver", dest="solver_opt", default=None, choices=list(SOLVERS),
         help="alias for the positional solver argument",
     )
     solve.add_argument("--size", type=int, default=256, help="system dimension n")
@@ -449,7 +449,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .apps import cg_solve, iterative_refinement_solve, jacobi_solve, pcg_solve
+    from .apps.solvers import SOLVERS, moduli_schedule_segments
     from .workloads import linear_system
 
     if (
@@ -499,26 +499,10 @@ def _cmd_solve(args) -> int:
     precond = args.precond if args.precond is not None else (
         "ilu0" if solver == "pcg" else None
     )
-    solvers = {
-        "jacobi": lambda: jacobi_solve(
-            a, b, config=config, tol=tol, max_iter=args.max_iter,
-            precond=precond, omega=args.omega, progressive=args.progressive,
-        ),
-        "cg": lambda: cg_solve(
-            a, b, config=config, tol=tol, max_iter=args.max_iter,
-            precond=precond, omega=args.omega, progressive=args.progressive,
-        ),
-        "pcg": lambda: pcg_solve(
-            a, b, config=config, tol=tol, max_iter=args.max_iter,
-            precond=precond or "none", omega=args.omega,
-            progressive=args.progressive,
-        ),
-        "ir": lambda: iterative_refinement_solve(
-            a, b, config=config, tol=tol, max_iter=args.max_iter,
-            progressive=args.progressive,
-        ),
-    }
-    result = solvers[solver]()
+    options = {"tol": tol, "max_iter": args.max_iter, "progressive": args.progressive}
+    if solver != "ir":  # refinement corrects with its own LU factors
+        options.update(precond=precond, omega=args.omega)
+    result = SOLVERS[solver](a, b, config=config, **options)
 
     error = float(np.max(np.abs(result.value - x_true)))
     matvecs = max(1, result.iterations)
@@ -536,8 +520,6 @@ def _cmd_solve(args) -> int:
             f"({result.precond} factored before the iteration)"
         )
     if args.progressive and result.moduli_history:
-        from .apps.solvers import moduli_schedule_segments
-
         schedule = " -> ".join(
             f"N={c} x{i}" for c, i in moduli_schedule_segments(result.moduli_history)
         )

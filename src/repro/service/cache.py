@@ -243,17 +243,19 @@ class OperandCache:
 
     def get_or_prepare(
         self, x: np.ndarray, side: str, config: Ozaki2Config
-    ) -> PreparedOperand:
-        """The cache's main entry: return a prepared ``side`` operand for ``x``.
+    ) -> Tuple[PreparedOperand, bool]:
+        """``(operand, converted_here)``: the prepared ``side`` operand for ``x``.
 
-        A hit returns the cached operand — a fast-mode
-        :class:`~repro.core.operand.ResidueOperand` or an accurate-mode
-        :class:`~repro.core.operand.AccurateOperand`, per ``config.mode``
-        (bit-identical to converting ``x`` afresh); a miss converts via
-        :func:`~repro.core.operand.prepare_a` / ``prepare_b`` and inserts.
-        Concurrent misses on the same key wait for the first conversion
-        instead of duplicating it.  The operand keeps the fingerprint hashed
-        for the key, so its ``fingerprint`` costs no second pass.
+        The cache's main entry.  A hit returns the cached operand — a
+        fast-mode :class:`~repro.core.operand.ResidueOperand` or an
+        accurate-mode :class:`~repro.core.operand.AccurateOperand`, per
+        ``config.mode`` (bit-identical to converting ``x`` afresh); a miss
+        converts via :func:`~repro.core.operand.prepare_a` / ``prepare_b``
+        and inserts, and ``converted_here`` tells the caller that this
+        lookup paid the operand's ``convert_seconds``.  Concurrent misses on
+        the same key wait for the first conversion instead of duplicating
+        it.  The operand keeps the fingerprint hashed for the key, so its
+        ``fingerprint`` costs no second pass.
         """
         if faults.should_fire("cache.evict_storm"):
             self.clear()
@@ -266,8 +268,7 @@ class OperandCache:
                 object.__setattr__(operand, "_fingerprint", fingerprint)
             return operand
 
-        operand, _ = self._get_or_build(cache_key(side, fingerprint, config), prepare)
-        return operand
+        return self._get_or_build(cache_key(side, fingerprint, config), prepare)
 
     def get_or_factor(
         self, fingerprint: str, a: np.ndarray, kind: str, omega: float = 1.0

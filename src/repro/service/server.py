@@ -30,6 +30,7 @@ a cold miss by construction.
 
 from __future__ import annotations
 
+import inspect
 import json
 import logging
 import threading
@@ -42,11 +43,12 @@ import numpy as np
 
 from .. import __version__, faults
 from ..analysis.lockorder import named_lock
+from ..apps.solvers import solver_for
 from ..config import ComputeMode, Ozaki2Config
 from ..core.operand import ResidueOperand
 from ..errors import ReproError, ValidationError
 from ..result import Result
-from ..session import SOLVE_METHODS, Session
+from ..session import Session
 from .cache import DEFAULT_CAPACITY_BYTES, cache_key
 from .coalescer import RequestCoalescer
 from .protocol import (
@@ -273,7 +275,7 @@ class ReproServer:
             and config.mode is ComputeMode.FAST
             and self.session.cache.capacity_bytes > 0
         ):
-            operand = self.session.cache.get_or_prepare(array, side, config)
+            operand, _ = self.session.cache.get_or_prepare(array, side, config)
             learned[name] = operand.fingerprint
             return operand
         return array
@@ -411,15 +413,22 @@ class ReproServer:
         self._count("solve")
         config = self._request_config(header)
         method = str(header.get("method", "cg"))
-        if method not in SOLVE_METHODS:
+        solver = solver_for(method)
+        options = header.get("options") or {}
+        if not isinstance(options, dict):
+            raise ValidationError(f"solve options must be an object, got {options!r}")
+        # The options become the solver's keyword arguments: only its own
+        # parameters, less the system and what the server supplies itself.
+        accepted = set(inspect.signature(solver).parameters) - {"a", "b", "config", "prepared"}
+        unknown = sorted(set(options) - accepted)
+        if unknown:
             raise ValidationError(
-                f"unknown solve method {method!r}; expected one of {SOLVE_METHODS}"
+                f"unknown {method} solve options {unknown}; expected some of {sorted(accepted)}"
             )
         learned: Dict[str, str] = {}
         a = self._resolve_operand("a", "A", header, arrays, config, learned)
         if "b" not in arrays:
             raise ValidationError("solve request is missing the right-hand side 'b'")
-        options = dict(header.get("options") or {})
         if isinstance(a, np.ndarray):
             result = self.session.solve(a, arrays["b"], method=method,
                                         config=config, **options)
@@ -439,6 +448,7 @@ class ReproServer:
             "prepare_seconds": float(result.prepare_seconds),
             "seconds": float(result.seconds),
             "precond": result.precond,
+            "precond_seconds": float(result.precond_seconds),
             "moduli_history": [int(n) for n in result.moduli_history],
         }
         return encode_frame(

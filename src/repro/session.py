@@ -28,6 +28,13 @@ services multiplying *recurring* operands under *one* configuration.
   a PCG+ILU(0) solve factors its matrix once per session, and every later
   solve applies the very same factors.
 
+:meth:`Session.solve` dispatches through the one solver table,
+:data:`repro.apps.solvers.SOLVERS`, which ``repro solve`` and ``/v1/solve``
+use too.  Each solve's own ledger is absorbed into the session ledger, so
+the ledger counts solves like every other call, and the solve that paid a
+cache miss reports it: the conversion in ``prepare_seconds``, the
+factorisation in ``precond_seconds`` (both ``0.0`` on a hit).
+
 Every operation returns a :class:`~repro.result.Result` subclass —
 :class:`~repro.result.GemmResult`, :class:`~repro.core.gemv.GemvResult`,
 :class:`~repro.apps.solvers.SolveResult` — sharing ``value`` / ``config`` /
@@ -47,11 +54,13 @@ Those functions stay the low-level spelling (no top-level aliases);
 
 from __future__ import annotations
 
+import inspect
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .apps.solvers import SOLVERS, solver_for
 from .config import Ozaki2Config
 from .core.gemm import ozaki2_gemm
 from .core.gemv import GemvResult, prepared_gemv
@@ -66,21 +75,23 @@ from .service.cache import DEFAULT_CAPACITY_BYTES, OperandCache
 
 __all__ = ["Session", "SOLVE_METHODS"]
 
-#: Solver names accepted by :meth:`Session.solve`.
-SOLVE_METHODS = ("cg", "pcg", "jacobi", "ir")
+#: Solver names accepted by :meth:`Session.solve` (the keys of
+#: :data:`repro.apps.solvers.SOLVERS`).
+SOLVE_METHODS = tuple(SOLVERS)
 
 
-def _factor_kind(method: str, kwargs: Dict) -> Optional[str]:
+def _factor_kind(solver: Callable, kwargs: Dict) -> Optional[str]:
     """The preconditioner kind a solve would factor from its matrix, if any.
 
-    Only kinds named by string are factored (``pcg_solve`` defaults to
-    ``"ilu0"``); ``"none"``, a caller's factored instance, an unknown
-    name (the solver reports it) and the refinement solver, which takes
-    no preconditioner, leave the call as it is.
+    Only kinds named by string are factored, the solver's own default
+    included (``pcg_solve``'s ``"ilu0"``); ``"none"``, a caller's factored
+    instance, an unknown name (the solver reports it) and a solver without
+    a ``precond`` parameter (refinement) leave the call as it is.
     """
-    if method == "ir":
+    param = inspect.signature(solver).parameters.get("precond")
+    if param is None:
         return None
-    precond = kwargs.get("precond", "ilu0" if method == "pcg" else None)
+    precond = kwargs.get("precond", param.default)
     if not isinstance(precond, str):
         return None
     kind = precond.strip().lower()
@@ -171,7 +182,7 @@ class Session:
         arr = np.asarray(x)
         if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
             return x
-        return self._cache.get_or_prepare(arr, side, config)
+        return self._cache.get_or_prepare(arr, side, config)[0]
 
     def prepare(
         self, x: np.ndarray, side: str = "A", config: Optional[Ozaki2Config] = None
@@ -194,7 +205,7 @@ class Session:
 
             prepare = prepare_a if side == "A" else prepare_b
             return prepare(np.ascontiguousarray(arr, dtype=np.float64), config=config)
-        return self._cache.get_or_prepare(arr, side, config)
+        return self._cache.get_or_prepare(arr, side, config)[0]
 
     # -- operations ----------------------------------------------------------
     def gemm(
@@ -276,7 +287,9 @@ class Session:
         ``progressive``, …) pass through.  The system matrix's preparation
         goes through the session cache, so repeated solves against one
         matrix — or a solve after a :meth:`gemm` with the same left
-        operand — skip the preparation.
+        operand — skip the preparation; the solve that converted it on a
+        miss reports the cost in ``prepare_seconds`` (and in ``seconds``).
+        The solve's ledger is absorbed into the session ledger.
 
         A preconditioner named by kind (``"ilu0"``, ``"ssor"``; pcg's
         default ``"ilu0"`` included) is looked up in the same cache under
@@ -288,22 +301,12 @@ class Session:
         :class:`~repro.apps.preconditioners.Preconditioner` (which bypasses
         the cache).  With ``cache_bytes=0`` every solve factors afresh.
         """
-        from .apps import solvers
-
         self._require_open()
         self._requests += 1
         config = self._call_config(config)
-        dispatch = {
-            "cg": solvers.cg_solve,
-            "pcg": solvers.pcg_solve,
-            "jacobi": solvers.jacobi_solve,
-            "ir": solvers.iterative_refinement_solve,
-        }
-        if method not in dispatch:
-            raise ValidationError(
-                f"unknown solve method {method!r}; expected one of {SOLVE_METHODS}"
-            )
-        factored = None
+        solver = solver_for(method)
+        # One-time costs this call paid on a cache miss, by result field.
+        paid: Dict[str, float] = {}
         arr = np.asarray(a)
         if (
             self._cache.capacity_bytes > 0
@@ -313,8 +316,11 @@ class Session:
         ):
             injected = "prepared" not in kwargs
             if injected:
-                kwargs["prepared"] = self._cache.get_or_prepare(arr, "A", config)
-            kind = _factor_kind(method, kwargs)
+                operand, converted = self._cache.get_or_prepare(arr, "A", config)
+                kwargs["prepared"] = operand
+                if converted:
+                    paid["prepare_seconds"] = operand.convert_seconds
+            kind = _factor_kind(solver, kwargs)
             if kind is not None:
                 prepared = kwargs["prepared"]
                 # An operand of this matrix (the cache's, keyed by arr's
@@ -328,13 +334,15 @@ class Session:
                     fingerprint, arr, kind, kwargs.get("omega", 1.0)
                 )
                 kwargs["precond"] = precond
-                factored = precond if built else None
-        result = dispatch[method](a, b, config=config, **kwargs)
-        if factored is not None:
-            # The solver saw a factored instance (reported as reuse); this
-            # call paid for the factorisation, so it reports the cost.
-            result.precond_seconds = factored.factor_seconds
-            result.seconds += factored.factor_seconds
+                if built:
+                    paid["precond_seconds"] = precond.factor_seconds
+        result = solver(a, b, config=config, **kwargs)
+        # The solver saw a prepared operand and a factored instance, which it
+        # reports as reuse; a miss here paid for them, so this call reports it.
+        for field, seconds in paid.items():
+            setattr(result, field, seconds)
+            result.seconds += seconds
+        self._engine.counter.absorb(result.ledger)
         return result
 
     # -- introspection -------------------------------------------------------

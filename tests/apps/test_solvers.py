@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.apps import (
     lu_backward_error,
     lu_with_method,
     lu_with_prepared_updates,
+    pcg_solve,
     prepared_matvec,
 )
 from repro.config import Ozaki2Config
@@ -101,6 +104,15 @@ class TestJacobi:
         with pytest.raises(ValidationError, match="max_iter"):
             iterative_refinement_solve(a, b, max_iter=bad)
 
+    @pytest.mark.parametrize("setting", [{"tol": "abc"}, {"tol": None}, {"max_iter": "many"}])
+    def test_non_numeric_settings_rejected(self, setting):
+        """Service requests carry JSON values: a bad one is the caller's error."""
+        a, b, _ = linear_system(8, kind="spd", seed=0)
+        name = next(iter(setting))
+        for solver in (jacobi_solve, cg_solve, pcg_solve, iterative_refinement_solve):
+            with pytest.raises(ValidationError, match=f"{name} must be a number"):
+                solver(a, b, **setting)
+
     def test_zero_diagonal_rejected(self):
         a = np.eye(4)
         a[2, 2] = 0.0
@@ -175,6 +187,28 @@ class TestIterativeRefinement:
         )
         assert result.converged
         assert result.method == "ir(OS II-fast-15)"
+
+
+#: One solve of each kernel path: (solver, system kind, options).
+LEDGER_CASES = {
+    "jacobi": (jacobi_solve, "diag_dominant", {}),
+    "jacobi+ilu0": (jacobi_solve, "diag_dominant", {"precond": "ilu0"}),
+    "cg": (cg_solve, "spd", {}),
+    "pcg+ilu0": (pcg_solve, "spd", {"precond": "ilu0"}),
+    "ir": (iterative_refinement_solve, "diag_dominant", {}),
+}
+
+
+@pytest.mark.parametrize("progressive", [False, True])
+@pytest.mark.parametrize("case", list(LEDGER_CASES))
+def test_every_solve_carries_its_ledger(case, progressive):
+    """The ledger counts one emulated GEMV per recorded iteration, by count."""
+    solver, kind, options = LEDGER_CASES[case]
+    a, b, _ = linear_system(48, kind=kind, seed=12)
+    result = solver(a, b, config=CONFIG, progressive=progressive, **options)
+    assert result.converged
+    assert result.ledger.emulated_calls == Counter(result.moduli_history)
+    assert result.fault_events == {}
 
 
 class TestPreparedLU:

@@ -74,8 +74,8 @@ class TestFingerprint:
         a = _matrix(6, n=32)
         view = a[::2, ::2]
         cache = OperandCache(capacity_bytes=1 << 20)
-        cold = cache.get_or_prepare(view, "A", cfg)
-        warm = cache.get_or_prepare(view.copy(), "A", cfg)
+        cold, _ = cache.get_or_prepare(view, "A", cfg)
+        warm, _ = cache.get_or_prepare(view.copy(), "A", cfg)
         assert warm is cold
         direct = prepare_a(np.ascontiguousarray(view), config=cfg)
         assert np.array_equal(cold.slices, direct.slices)
@@ -118,10 +118,12 @@ class TestLRU:
     def test_hit_is_bit_identical_to_cold_miss(self, cfg):
         a = _matrix(13)
         cache = OperandCache(capacity_bytes=1 << 20)
-        cold = cache.get_or_prepare(a, "A", cfg)
-        warm = cache.get_or_prepare(a, "A", cfg)
+        cold, converted = cache.get_or_prepare(a, "A", cfg)
+        warm, reconverted = cache.get_or_prepare(a, "A", cfg)
         direct = prepare_a(np.ascontiguousarray(a), config=cfg)
         assert warm is cold  # the cached operand IS the cold conversion
+        # Only the miss reports that it paid the conversion.
+        assert converted and not reconverted
         assert np.array_equal(warm.slices, direct.slices)
         assert np.array_equal(warm.scale, direct.scale)
         assert cache.counter.cache_hits == 1
@@ -130,15 +132,15 @@ class TestLRU:
     def test_oversized_entry_is_served_but_not_stored(self, cfg):
         entry = _entry_bytes(cfg)
         cache = OperandCache(capacity_bytes=entry // 2)
-        operand = cache.get_or_prepare(_matrix(14), "A", cfg)
+        operand, _ = cache.get_or_prepare(_matrix(14), "A", cfg)
         assert operand.num_moduli == cfg.num_moduli
         assert len(cache) == 0
         assert cache.current_bytes == 0
 
     def test_zero_capacity_always_converts(self, cfg):
         cache = OperandCache(capacity_bytes=0)
-        first = cache.get_or_prepare(_matrix(15), "A", cfg)
-        second = cache.get_or_prepare(_matrix(15), "A", cfg)
+        first, _ = cache.get_or_prepare(_matrix(15), "A", cfg)
+        second, _ = cache.get_or_prepare(_matrix(15), "A", cfg)
         assert first is not second
         assert np.array_equal(first.slices, second.slices)
         assert cache.counter.cache_hits == 0
@@ -172,7 +174,7 @@ class TestConcurrency:
             try:
                 for i in range(16):
                     m = matrices[(offset + i) % len(matrices)]
-                    operand = cache.get_or_prepare(m, "A", cfg)
+                    operand, _ = cache.get_or_prepare(m, "A", cfg)
                     assert operand.num_moduli == cfg.num_moduli
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
@@ -198,7 +200,7 @@ class TestConcurrency:
 
         def worker() -> None:
             barrier.wait()
-            results.append(cache.get_or_prepare(a, "A", cfg))
+            results.append(cache.get_or_prepare(a, "A", cfg)[0])
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
@@ -271,7 +273,7 @@ class TestPreconditioners:
     def test_get_or_prepare_memoises_the_key_fingerprint(self, cfg, monkeypatch):
         cache = OperandCache(capacity_bytes=1 << 20)
         a = _matrix(42)
-        operand = cache.get_or_prepare(a, "A", cfg)
+        operand, _ = cache.get_or_prepare(a, "A", cfg)
         monkeypatch.setattr(
             "repro.core.operand.matrix_fingerprint",
             lambda x: pytest.fail("the operand hashed its source again"),

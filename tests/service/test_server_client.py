@@ -101,6 +101,9 @@ class TestRoundTrips:
         cold = client.solve(a, b, method="pcg", precond="ilu0", tol=1e-10)
         warm = client.solve(a, b, method="pcg", precond="ilu0", tol=1e-10)
         assert factored == ["ilu0"]
+        # The response says which request paid the factorisation.
+        assert cold.meta["precond_seconds"] > 0.0
+        assert warm.meta["precond_seconds"] == 0.0
         assert warm.value.tobytes() == cold.value.tobytes()
         assert warm.meta["residual_norm"] == cold.meta["residual_norm"]
         reference = pcg_solve(a, b, config=CFG, precond="ilu0", tol=1e-10)
@@ -219,6 +222,22 @@ class TestErrors:
     def test_unknown_solve_method(self, server, client, rng):
         with pytest.raises(ServiceError) as excinfo:
             client.solve(_spd(rng, 8), np.ones(8), method="gauss")
+        assert excinfo.value.code == ERROR_BAD_REQUEST
+
+    @pytest.mark.parametrize(
+        "method, options",
+        [
+            ("cg", {"foo": 1}),
+            ("ir", {"precond": "ilu0"}),
+            ("cg", {"max_iter": "many"}),
+            ("cg", {"tol": "abc"}),
+            ("cg", {"prepared": "mine"}),
+        ],
+    )
+    def test_malformed_solve_options(self, server, client, rng, method, options):
+        """Options a solver does not take, or cannot read, are the caller's error."""
+        with pytest.raises(ServiceError) as excinfo:
+            client.solve(_spd(rng, 8), np.ones(8), method=method, **options)
         assert excinfo.value.code == ERROR_BAD_REQUEST
 
     def test_unknown_config_override(self, server, client, rng):

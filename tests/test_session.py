@@ -154,9 +154,17 @@ class TestSessionCaching:
         with repro.Session(cfg) as session:
             first = session.solve(a, b, method="cg", tol=1e-10)
             second = session.solve(a, b, method="cg", tol=1e-10)
-        # The session injected the cached conversion: the warm solve's
-        # preparation phase is exactly zero, and the answers are identical.
+            ledger = session.ledger
+        # The cold solve paid the conversion and reports it; the session
+        # injected the cached conversion, so the warm solve's preparation is
+        # exactly zero, and the answers are identical.
+        assert first.prepare_seconds > 0.0
+        assert first.seconds >= first.prepare_seconds
         assert second.prepare_seconds == 0.0
+        # The session ledger counts both solves' GEMVs.
+        both = first.ledger.merge(second.ledger)
+        assert ledger.emulated_calls == both.emulated_calls
+        assert ledger.matmul_calls == both.matmul_calls > 0
         assert first.iterations == second.iterations
         assert first.residual_history == second.residual_history
         assert np.array_equal(first.value, second.value)
