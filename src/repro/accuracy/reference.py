@@ -34,7 +34,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..utils.doubledouble import dd_add
 from ..utils.fma import two_prod, two_sum
-from ..utils.fp import exponent_floor, pow2
+from ..utils.fp import ldexp_lines, ldexp_unscale, max_exponents
 from ..utils.validation import check_gemm_operands
 
 __all__ = ["reference_gemm", "exact_int_gemm"]
@@ -53,13 +53,6 @@ def _chunk_width(k: int) -> int:
     """
     head = 52 - int(math.ceil(math.log2(max(k, 2))))
     return max(8, head // 2)
-
-
-def _scales(x: np.ndarray, axis: int) -> np.ndarray:
-    """Power-of-two scales mapping each row/column max magnitude into [1/2, 1)."""
-    max_abs = np.max(np.abs(x), axis=axis)
-    exps = np.where(max_abs > 0, -(exponent_floor(max_abs) + 1), 0)
-    return pow2(exps.astype(np.int64))
 
 
 def _fixed_point_chunks(x_scaled: np.ndarray, num_chunks: int, width: int) -> List[np.ndarray]:
@@ -83,10 +76,11 @@ def _split_reference(a: np.ndarray, b: np.ndarray, num_chunks: int) -> np.ndarra
     n = b.shape[1]
     width = _chunk_width(k)
 
-    row_scale = _scales(a, axis=1)
-    col_scale = _scales(b, axis=0)
-    a_chunks = _fixed_point_chunks(a * row_scale[:, None], num_chunks, width)
-    b_chunks = _fixed_point_chunks(b * col_scale[None, :], num_chunks, width)
+    # Power-of-two scales mapping each row/column max magnitude into [1/2, 1).
+    row_exp = -1 - max_exponents(np.max(np.abs(a), axis=1))
+    col_exp = -1 - max_exponents(np.max(np.abs(b), axis=0))
+    a_chunks = _fixed_point_chunks(ldexp_lines(a, row_exp, 1), num_chunks, width)
+    b_chunks = _fixed_point_chunks(ldexp_lines(b, col_exp, 0), num_chunks, width)
 
     hi = np.zeros((m, n), dtype=np.float64)
     lo = np.zeros((m, n), dtype=np.float64)
@@ -101,8 +95,7 @@ def _split_reference(a: np.ndarray, b: np.ndarray, num_chunks: int) -> np.ndarra
         exact_product = a_chunks[s - 1] @ b_chunks[t - 1]  # exact by construction
         term = np.ldexp(exact_product, -width * (s + t))
         hi, lo = dd_add((hi, lo), (term, np.zeros_like(term)))
-    result = hi + lo
-    return result * (1.0 / row_scale)[:, None] * (1.0 / col_scale)[None, :]
+    return ldexp_unscale(hi + lo, row_exp, col_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +151,12 @@ def reference_gemm(
     algorithm:
         ``"split"`` (default, BLAS-speed error-free transformation) or
         ``"doubledouble"`` (direct compensated accumulation; slow, used for
-        cross-validation).
+        cross-validation).  ``"split"`` scales every row and column by a
+        power of two first, so it covers the whole exponent range,
+        subnormals included.  ``"doubledouble"`` has a limited range: its
+        Veltkamp split overflows for ``|x| ≳ 1e300``, and products of
+        subnormals are not error-free; compare extreme-range data against
+        ``"split"`` only.
     num_chunks:
         Number of fixed-point chunks per operand for the split algorithm.
         Six chunks retain well over 100 bits relative to each row/column

@@ -62,7 +62,7 @@ from ..engines.base import MatrixEngine
 from ..engines.int8 import Int8MatrixEngine
 from ..errors import ValidationError
 from ..result import Result
-from ..utils.validation import ensure_2d
+from ..utils.validation import as_number, ensure_2d
 from .preconditioners import Preconditioner, make_preconditioner
 
 __all__ = [
@@ -297,14 +297,6 @@ def _check_system(a: np.ndarray, b: np.ndarray) -> tuple:
     return np.asarray(a, dtype=np.float64), b
 
 
-def _number(value, name: str, cast: type):
-    """``cast(value)``; a service request may carry any JSON value here."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a number, got {value!r}") from None
-
-
 def _adopt_prepared(
     a: np.ndarray, config: Ozaki2Config, prepared: PreparedOperand
 ) -> tuple:
@@ -475,8 +467,11 @@ def _solve(kernel, name, a, b, config, tol, max_iter, budget, progressive, prepa
     """
     config = config or Ozaki2Config.for_dgemm()
     a, b = _check_system(a, b)
-    tol = _number(tol, "tol", float)
-    max_iter = budget(len(b)) if max_iter is None else _number(max_iter, "max_iter", int)
+    tol = as_number(tol, "tol", float)
+    max_iter = budget(len(b)) if max_iter is None else as_number(max_iter, "max_iter", int)
+    omega = as_number(omega, "omega", float)
+    if not isinstance(progressive, (bool, np.bool_)):
+        raise ValidationError(f"progressive must be true or false, got {progressive!r}")
     if max_iter < 1:  # at least one, so the reported residual is always measured
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     start = time.perf_counter()

@@ -23,26 +23,13 @@ import numpy as np
 
 from ..engines.lowprec_fp import Fp16MatrixEngine
 from ..formats.lowprec import round_to_fp16
-from ..utils.fp import exponent_floor, pow2
+from ..utils.fp import ldexp_lines, ldexp_unscale, max_exponents
 from ..utils.validation import check_gemm_operands
 
 __all__ = ["split_fp16_with_correction", "cumpsgemm_fp16tcec"]
 
 #: Number of significand bits recovered by the correction term.
 _CORRECTION_SHIFT = 11
-
-
-def _row_scales(x: np.ndarray, axis: int) -> np.ndarray:
-    """Power-of-two scales mapping each row/column's max magnitude near 1.
-
-    FP16 overflows beyond 65504 and loses precision below 2^-14; scaling
-    each row of A (column of B) so its largest magnitude lies in [1, 2)
-    keeps both the leading and the correction terms well inside the safe
-    range, mirroring cuMpSGEMM's dynamic scaling.
-    """
-    max_abs = np.max(np.abs(x), axis=axis)
-    exps = np.where(max_abs > 0, -exponent_floor(max_abs), 0)
-    return pow2(exps.astype(np.int64))
 
 
 def split_fp16_with_correction(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -64,20 +51,17 @@ def cumpsgemm_fp16tcec(
     a, b = check_gemm_operands(a, b, dtype=np.float32)
     engine = engine or Fp16MatrixEngine()
 
-    row_scale = _row_scales(a, axis=1)
-    col_scale = _row_scales(b, axis=0)
-    a_scaled = (a * row_scale[:, None]).astype(np.float32)
-    b_scaled = (b * col_scale[None, :]).astype(np.float32)
-
-    a1, a2 = split_fp16_with_correction(a_scaled)
-    b1, b2 = split_fp16_with_correction(b_scaled)
+    # FP16 overflows beyond 65504 and loses precision below 2^-14; scaling
+    # each row of A (column of B) so its largest magnitude lies in [1, 2)
+    # keeps both the leading and the correction terms well inside the safe
+    # range, mirroring cuMpSGEMM's dynamic scaling.
+    row_exp = -max_exponents(np.max(np.abs(a), axis=1))
+    col_exp = -max_exponents(np.max(np.abs(b), axis=0))
+    a1, a2 = split_fp16_with_correction(ldexp_lines(a, row_exp, 1))
+    b1, b2 = split_fp16_with_correction(ldexp_lines(b, col_exp, 0))
 
     main = engine.matmul(a1, b1)
     corr = engine.matmul(a1, b2) + engine.matmul(a2, b1)
     c_scaled = main + np.ldexp(corr, -_CORRECTION_SHIFT).astype(np.float32)
 
-    inv_row = (1.0 / row_scale).astype(np.float64)
-    inv_col = (1.0 / col_scale).astype(np.float64)
-    return (c_scaled.astype(np.float64) * inv_row[:, None] * inv_col[None, :]).astype(
-        np.float32
-    )
+    return ldexp_unscale(c_scaled.astype(np.float64), row_exp, col_exp).astype(np.float32)

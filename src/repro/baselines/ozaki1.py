@@ -36,7 +36,7 @@ from ..config import MAX_K_WITHOUT_BLOCKING
 from ..engines.base import MatrixEngine
 from ..engines.int8 import Int8MatrixEngine
 from ..errors import ConfigurationError
-from ..utils.fp import exponent_floor, pow2
+from ..utils.fp import ldexp_lines, ldexp_unscale, max_exponents
 from ..utils.validation import check_gemm_operands
 
 __all__ = ["Ozaki1Config", "slice_width", "split_into_slices", "ozimmu_gemm"]
@@ -91,13 +91,6 @@ def slice_width(k: int) -> int:
     return max(1, min(7, head // 2))
 
 
-def _row_scales(x: np.ndarray, axis: int) -> np.ndarray:
-    """Power-of-two scale per row/column mapping max |x| into [1/2, 1)."""
-    max_abs = np.max(np.abs(x), axis=axis)
-    exps = np.where(max_abs > 0, -(exponent_floor(max_abs) + 1), 0)
-    return pow2(exps.astype(np.int64))
-
-
 def split_into_slices(
     x_scaled: np.ndarray, num_slices: int, width: int
 ) -> List[np.ndarray]:
@@ -136,13 +129,11 @@ def ozimmu_gemm(
     n = b.shape[1]
     width = slice_width(min(k, MAX_K_WITHOUT_BLOCKING))
 
-    row_scale = _row_scales(a, axis=1)
-    col_scale = _row_scales(b, axis=0)
-    a_scaled = a * row_scale[:, None]
-    b_scaled = b * col_scale[None, :]
-
-    a_slices = split_into_slices(a_scaled, config.num_slices, width)
-    b_slices = split_into_slices(b_scaled, config.num_slices, width)
+    # Power-of-two scales mapping each row/column max |x| into [1/2, 1).
+    row_exp = -1 - max_exponents(np.max(np.abs(a), axis=1))
+    col_exp = -1 - max_exponents(np.max(np.abs(b), axis=0))
+    a_slices = split_into_slices(ldexp_lines(a, row_exp, 1), config.num_slices, width)
+    b_slices = split_into_slices(ldexp_lines(b, col_exp, 0), config.num_slices, width)
 
     c_acc = np.zeros((m, n), dtype=np.float64)
     s_max = config.num_slices
@@ -158,6 +149,4 @@ def ozimmu_gemm(
                 partial += prod.astype(np.float64)
             c_acc += np.ldexp(partial, -width * (s + t))
 
-    inv_row = 1.0 / row_scale
-    inv_col = 1.0 / col_scale
-    return c_acc * inv_row[:, None] * inv_col[None, :]
+    return ldexp_unscale(c_acc, row_exp, col_exp)

@@ -199,12 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runtime_arguments(serve)
     serve.add_argument("--mode", default="fast", choices=["fast", "accurate"])
     serve.add_argument(
-        "--coalesce-window-ms",
-        type=float,
-        default=2.0,
-        help="how long to collect concurrent GEMMs into one batched call",
-    )
-    serve.add_argument(
         "--max-batch", type=int, default=16, help="largest coalesced batch"
     )
     serve.add_argument(
@@ -979,7 +973,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         cache_bytes=int(args.cache_mb * 1024 * 1024),
-        coalesce_window_seconds=args.coalesce_window_ms / 1000.0,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
     )

@@ -38,6 +38,7 @@ import numpy as np
 from ..crt.constants import CRTConstantTable
 from ..crt.residues import uint8_residues_stack
 from ..utils.fma import two_sum
+from ..utils.fp import ldexp_unscale
 
 __all__ = [
     "accumulate_residue_products",
@@ -267,16 +268,15 @@ def reconstruct_crt(
 
 def unscale(
     c_pp: np.ndarray,
-    mu: np.ndarray,
-    nu: np.ndarray,
+    mu_exp: np.ndarray,
+    nu_exp: np.ndarray,
     out_dtype: "np.dtype | type" = np.float64,
 ) -> np.ndarray:
     """Line 12 of Algorithm 1: ``C = diag(μ⁻¹)·C''·diag(ν⁻¹)``.
 
-    The scales are powers of two, so the divisions are exact; they are
-    implemented as multiplications by the exact reciprocals.
+    ``μ = 2^mu_exp`` and ``ν = 2^nu_exp``, so the two divisions are one
+    ``ldexp`` by ``-(mu_exp[:, None] + nu_exp[None, :])``: exact whenever
+    the result is representable, rounded once into the subnormal range,
+    and ±inf only when the exact value lies beyond the format's range.
     """
-    inv_mu = 1.0 / np.asarray(mu, dtype=np.float64)
-    inv_nu = 1.0 / np.asarray(nu, dtype=np.float64)
-    c = c_pp * inv_mu[:, None] * inv_nu[None, :]
-    return np.asarray(c, dtype=out_dtype)
+    return np.asarray(ldexp_unscale(c_pp, mu_exp, nu_exp), dtype=out_dtype)

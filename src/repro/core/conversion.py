@@ -3,7 +3,8 @@
 Covers lines 2–5 of Algorithm 1:
 
 * ``A' = trunc(diag(μ)·A)`` and ``B' = trunc(B·diag(ν))`` — truncation
-  toward zero after the power-of-two scaling (:func:`truncate_scaled`), and
+  toward zero after the power-of-two scaling, given by the exponents of
+  ``μ``/``ν`` (:func:`truncate_scaled`), and
 * ``A'_i = rmod(A', p_i)``, ``B'_i = rmod(B', p_i)`` for every modulus,
   cast to INT8 (:func:`residue_slices`).
 """
@@ -15,28 +16,25 @@ import numpy as np
 from ..config import ResidueKernel
 from ..crt.constants import CRTConstantTable
 from ..crt.residues import residues_to_int8
+from ..utils.fp import ldexp_lines
 
 __all__ = ["truncate_scaled", "residue_slices"]
 
 
-def truncate_scaled(x: np.ndarray, scale: np.ndarray, side: str) -> np.ndarray:
-    """``trunc(diag(scale)·X)`` (side="left") or ``trunc(X·diag(scale))`` (side="right").
+def truncate_scaled(x: np.ndarray, exps: np.ndarray, side: str) -> np.ndarray:
+    """``trunc(diag(2^exps)·X)`` (side="left") or ``trunc(X·diag(2^exps))`` (side="right").
 
-    The scales are powers of two, so the multiplication is exact; the
-    truncation rounds toward zero, exactly as ``trunc`` in the paper.  The
-    result is a float64 matrix whose entries are integers (possibly larger
-    than 2^53 in magnitude for large ``N``; they remain exact float64
-    values because scaling by a power of two only changes the exponent).
+    The scale is given by its integer exponents and applied with ``ldexp``,
+    so the scaling is exact (only the exponent of each entry changes) for
+    any scale the range of float64 can take; the truncation rounds toward
+    zero, exactly as ``trunc`` in the paper.  The result is a float64
+    matrix whose entries are integers (possibly larger than 2^53 in
+    magnitude for large ``N``).
     """
-    x = np.asarray(x, dtype=np.float64)
-    scale = np.asarray(scale, dtype=np.float64)
-    if side == "left":
-        scaled = x * scale[:, None]
-    elif side == "right":
-        scaled = x * scale[None, :]
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return np.trunc(scaled)
+    scaled = ldexp_lines(np.asarray(x, dtype=np.float64), exps, 1 if side == "left" else 0)
+    return np.trunc(scaled, out=scaled)
 
 
 def residue_slices(

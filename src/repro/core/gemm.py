@@ -72,10 +72,11 @@ __all__ = [
 class _ScaledSides:
     """What lines 1–5 decided for one product (see :func:`_scaled_sides`).
 
+    ``mu_exp``/``nu_exp`` are the exponents of the scale vectors ``μ``/``ν``.
     ``a_slices``/``b_slices`` hold a side's cached INT8 residue stack (a
     fast-mode :class:`~repro.core.operand.ResidueOperand`); when ``None``,
     ``a_source``/``b_source`` is the float64 matrix the route still has to
-    truncate under ``mu``/``nu`` and convert (lines 2–5).
+    truncate under those exponents and convert (lines 2–5).
     """
 
     config: Ozaki2Config
@@ -84,8 +85,8 @@ class _ScaledSides:
     m: int
     k: int
     n: int
-    mu: np.ndarray
-    nu: np.ndarray
+    mu_exp: np.ndarray
+    nu_exp: np.ndarray
     a_slices: Optional[np.ndarray]
     a_source: Optional[np.ndarray]
     b_slices: Optional[np.ndarray]
@@ -132,18 +133,18 @@ def _scaled_sides(
     resolves ``num_moduli="auto"`` through
     :func:`~repro.core.operand.resolve_moduli` (re-deriving prepared sides
     at the selected count), builds the constant table and derives the scale
-    vectors under the ``"scale"`` phase of ``times``.  Fast mode takes each
-    side's scales from that side alone, so a prepared operand contributes
-    its cached vector; accurate mode finalises from the two sides'
-    pre-scales (cached on an :class:`~repro.core.operand.AccurateOperand`,
+    exponents under the ``"scale"`` phase of ``times``.  Fast mode takes
+    each side's scales from that side alone, so a prepared operand
+    contributes its cached exponents; accurate mode finalises from the two
+    sides' pre-scales (cached on an :class:`~repro.core.operand.AccurateOperand`,
     computed here otherwise) through the coupled bound product on
     ``engine``.  Every entry point calls this, so a prepared, raw, vector or
     batched side is scaled by the same arithmetic.
 
-    ``scale_memo`` (a batch's shared dict) keeps fast-mode scale vectors
+    ``scale_memo`` (a batch's shared dict) keeps fast-mode scale exponents
     by ``(side, id(array), N)``, so an array object that recurs in one
-    batch is scaled once; the vector is a function of the array and the
-    count alone, so the bits do not change.
+    batch is scaled once; they are a function of the array and the count
+    alone, so the bits do not change.
     """
     a_id, b_id = id(a), id(b)
     a_prep, a = _side(a, "A")
@@ -185,16 +186,16 @@ def _scaled_sides(
     with _PhaseTimer(times, "scale"):
         if config.mode is ComputeMode.FAST:
             n_mod = config.num_moduli
-            mu = a_prep.scale if a_prep is not None else _memo_scale(
+            mu_exp = a_prep.scale_exp if a_prep is not None else _memo_scale(
                 scale_memo, ("A", a_id, n_mod), fast_mode_scale_a, a, table
             )
-            nu = b_prep.scale if b_prep is not None else _memo_scale(
+            nu_exp = b_prep.scale_exp if b_prep is not None else _memo_scale(
                 scale_memo, ("B", b_id, n_mod), fast_mode_scale_b, b, table
             )
         else:
             pa = a_prep.prescale if a_prep is not None else accurate_mode_prescale(a, axis=1)
             pb = b_prep.prescale if b_prep is not None else accurate_mode_prescale(b, axis=0)
-            mu, nu, _ = accurate_scales_from_prescale(
+            mu_exp, nu_exp, _ = accurate_scales_from_prescale(
                 pa, pb, table, engine, MAX_K_WITHOUT_BLOCKING
             )
 
@@ -203,7 +204,7 @@ def _scaled_sides(
     a_slices, a_source = _pending(a, a_prep)
     b_slices, b_source = _pending(b, b_prep)
     return _ScaledSides(
-        config, table, selection, m, k, n, mu, nu, a_slices, a_source, b_slices, b_source
+        config, table, selection, m, k, n, mu_exp, nu_exp, a_slices, a_source, b_slices, b_source
     )
 
 
@@ -337,14 +338,14 @@ def ozaki2_gemm(
         if a_slices is None:
             with _PhaseTimer(times, "convert_A"):
                 a_slices = scheduler.convert_residues(
-                    sides.a_source, sides.mu, "left", table, config, plan
+                    sides.a_source, sides.mu_exp, "left", table, config, plan
                 )
         else:
             times.add("convert_A", 0.0)
         if b_slices is None:
             with _PhaseTimer(times, "convert_B"):
                 b_slices = scheduler.convert_residues(
-                    sides.b_source, sides.nu, "right", table, config, plan
+                    sides.b_source, sides.nu_exp, "right", table, config, plan
                 )
         else:
             times.add("convert_B", 0.0)
@@ -363,7 +364,7 @@ def ozaki2_gemm(
 
         # Line 12: inverse scaling.
         with _PhaseTimer(times, "unscale"):
-            c = unscale(c_pp, sides.mu, sides.nu, out_dtype=out_dtype)
+            c = unscale(c_pp, sides.mu_exp, sides.nu_exp, out_dtype=out_dtype)
     finally:
         if own_scheduler:
             scheduler.close()
@@ -379,8 +380,8 @@ def ozaki2_gemm(
     return GemmResult(
         value=c,
         config=config,
-        mu=sides.mu,
-        nu=sides.nu,
+        mu_exp=sides.mu_exp,
+        nu_exp=sides.nu_exp,
         phase_times=times,
         ledger=engine.counter,
         num_k_blocks=plan.num_k_blocks,

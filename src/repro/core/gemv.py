@@ -70,9 +70,10 @@ class GemvResult(Result):
         precision's dtype.
     config:
         The configuration used.
-    mu / nu:
-        The power-of-two scale vectors actually applied (``nu`` has length
-        1 — the vector is the single column of the B side).
+    mu_exp / nu_exp:
+        Exponents (``np.intc``) of the power-of-two scale vectors actually
+        applied (``nu_exp`` has length 1 — the vector is the single column
+        of the B side).
     phase_times:
         Wall-clock seconds per phase, under the same keys as
         :class:`~repro.result.PhaseTimes` so GEMV and GEMM breakdowns
@@ -85,8 +86,8 @@ class GemvResult(Result):
         ``num_moduli="auto"`` runs; ``None`` for fixed counts.
     """
 
-    mu: Optional[np.ndarray] = None
-    nu: Optional[np.ndarray] = None
+    mu_exp: Optional[np.ndarray] = None
+    nu_exp: Optional[np.ndarray] = None
     moduli_selection: object = None
 
 
@@ -163,7 +164,7 @@ def prepared_gemv(
     a_slices = sides.a_slices
     if a_slices is None:
         with _PhaseTimer(times, "convert_A"):
-            a_prime = truncate_scaled(sides.a_source, sides.mu, side="left")
+            a_prime = truncate_scaled(sides.a_source, sides.mu_exp, side="left")
             a_slices = residue_slices(a_prime, table, config.residue_kernel)
     else:
         times.add("convert_A", 0.0)
@@ -172,7 +173,7 @@ def prepared_gemv(
     # kernels are element-wise, so the 1-D pass is bit-identical to
     # converting the (k, 1) column (see crt.residues.residues_to_int8).
     with _PhaseTimer(times, "convert_B"):
-        x_prime = truncate_scaled(sides.b_source, sides.nu, side="right").ravel()
+        x_prime = truncate_scaled(sides.b_source, sides.nu_exp, side="right").ravel()
         x_slices = residue_slices(x_prime, table, config.residue_kernel)
 
     # Line 6: the N residue GEMVs — one stacked engine call per k-block, no
@@ -207,15 +208,15 @@ def prepared_gemv(
 
     # Line 12: inverse scaling, then drop the dead column axis.
     with _PhaseTimer(times, "unscale"):
-        c = unscale(c_pp, sides.mu, sides.nu, out_dtype=out_dtype)[:, 0]
+        c = unscale(c_pp, sides.mu_exp, sides.nu_exp, out_dtype=out_dtype)[:, 0]
 
     if not return_details:
         return c
     return GemvResult(
         value=c,
         config=config,
-        mu=sides.mu,
-        nu=sides.nu,
+        mu_exp=sides.mu_exp,
+        nu_exp=sides.nu_exp,
         phase_times=times,
         ledger=engine.counter,
         moduli_selection=sides.selection,

@@ -10,8 +10,8 @@ iteration, batches sharing a weight matrix — re-pay that cost on every call.
 
 :class:`ResidueOperand` captures the conversion of one side once:
 
-* the fast-mode power-of-two scale vector (``μ`` for the A side, ``ν`` for
-  the B side),
+* the exponents of the fast-mode power-of-two scale vector (``μ`` for the
+  A side, ``ν`` for the B side),
 * the per-modulus INT8 residue stack ``(N, rows, cols)``,
 * the ``N``-independent pre-scale bounds of the scale formula
   (:class:`~repro.core.scaling.PrescaleBounds`) and a reference to the
@@ -286,9 +286,9 @@ class ResidueOperand(PreparedOperand):
     side:
         ``"A"`` (left operand, per-row scales) or ``"B"`` (right operand,
         per-column scales).
-    scale:
-        The fast-mode power-of-two scale vector actually applied (``μ`` for
-        the A side, ``ν`` for the B side).
+    scale_exp:
+        Exponents (``np.intc``) of the fast-mode power-of-two scale vector
+        actually applied (``μ`` for the A side, ``ν`` for the B side).
     slices:
         INT8 residue stack of shape ``(N, rows, cols)`` — lines 4–5 of
         Algorithm 1 for this operand.
@@ -317,7 +317,7 @@ class ResidueOperand(PreparedOperand):
     """
 
     side: str
-    scale: np.ndarray
+    scale_exp: np.ndarray
     slices: np.ndarray
     config: Ozaki2Config
     convert_seconds: float = 0.0
@@ -374,7 +374,7 @@ class ResidueOperand(PreparedOperand):
         :meth:`resolve_for` are *not* included — the cache bounds what it
         inserted, and derived operands share the source reference.
         """
-        total = int(self.slices.nbytes) + int(self.scale.nbytes)
+        total = int(self.slices.nbytes) + int(self.scale_exp.nbytes)
         if self.source is not None:
             total += int(self.source.nbytes)
         return total
@@ -383,7 +383,7 @@ class ResidueOperand(PreparedOperand):
         """Return this operand re-derived at another moduli count.
 
         The derived operand is **bit-identical to a fresh preparation** of
-        the source matrix at the requested count: the scale vector is
+        the source matrix at the requested count: the scale exponents are
         finalised from the cached pre-scale bounds (the exact arithmetic of
         :func:`~repro.core.scaling.fast_mode_scale_a` — see
         :func:`~repro.core.scaling.scale_from_prescale`) and the truncation
@@ -505,7 +505,7 @@ class AccurateOperand(PreparedOperand):
         """Resident bytes (pre-scale arrays + kept source); the figure the
         operand cache's byte budget accounts in."""
         total = int(self.prescale.magnitude.nbytes)
-        total += int(self.prescale.scale_prime.nbytes)
+        total += int(self.prescale.exp_prime.nbytes)
         total += int(self.prescale.max_abs.nbytes)
         total += int(self.source.nbytes)
         return total
@@ -536,18 +536,18 @@ def _fast_operand(
     """Finalise one fast-mode side from its pre-scale bounds.
 
     Lines 1, 2/3 and 4/5 of Algorithm 1 for a concrete ``config``: the
-    scale vector from the cached bounds (the arithmetic of
+    scale exponents from the cached bounds (the arithmetic of
     :func:`~repro.core.scaling.fast_mode_scale_a`, see
     :func:`~repro.core.scaling.scale_from_prescale`), truncation and the
     INT8 residues.  Shared by preparation and :meth:`ResidueOperand.resolve_for`,
     so a re-derived operand is a fresh preparation at the other count.
     """
     table = table or table_for(config)
-    scale = scale_from_prescale(prescale, scale_exponent_budget(table, "fast"))
-    x_prime = truncate_scaled(source, scale, side="left" if side == "A" else "right")
+    scale_exp = scale_from_prescale(prescale, scale_exponent_budget(table, "fast"))
+    x_prime = truncate_scaled(source, scale_exp, side="left" if side == "A" else "right")
     return ResidueOperand(
         side=side,
-        scale=scale,
+        scale_exp=scale_exp,
         slices=residue_slices(x_prime, table, config.residue_kernel),
         config=config,
         convert_seconds=time.perf_counter() - start,

@@ -11,6 +11,10 @@ This guarantees that the CRT reconstruction of ``A'B'`` is unique.  Larger
 scales retain more significand bits after the truncation, so the goal is to
 pick the largest power-of-two scales that still satisfy the bound.
 
+Every function here returns a scale as its ``np.intc`` exponent vector
+(``μ = 2^e_μ``), never as a float: a row of magnitude 1e-300 needs
+``μ ≈ 2^1050``, which no float64 holds (see :mod:`repro.utils.fp`).
+
 Two modes are provided, as in the paper:
 
 fast mode
@@ -51,7 +55,7 @@ from ..crt.constants import CRTConstantTable
 from ..engines.base import MatrixEngine
 from ..engines.int8 import Int8MatrixEngine
 from ..errors import ValidationError
-from ..utils.fp import exponent_floor, pow2, round_up_sum_of_squares
+from ..utils.fp import ldexp_lines, max_exponents, round_up_sum_of_squares
 
 __all__ = [
     "scale_exponent_budget",
@@ -109,7 +113,7 @@ class PrescaleBounds:
     clamp_term:
         ``max(1, 0.51·log2 S_i)`` per row/column (float64).
     m_exp:
-        Floored exponents ``M_i`` (int64; 0 for zero rows/columns).
+        Floored exponents ``M_i`` (``np.intc``; 0 for zero rows/columns).
     max_abs:
         Per-row/column largest magnitudes (the scan the scaling pass
         performs anyway; ``float(global_max_abs)`` feeds auto-N selection).
@@ -141,84 +145,56 @@ def fast_mode_prescale(x: np.ndarray, axis: int) -> PrescaleBounds:
     a true upper bound on ``log2`` of the normalised 2-norm.
     """
     max_abs = np.max(np.abs(x), axis=axis)
-    m_exp = np.where(max_abs > 0, exponent_floor(max_abs), np.int64(0))
-    normaliser = pow2((-m_exp).astype(np.int64))
-    if axis == 1:
-        normalised = x * normaliser[:, None]
-    else:
-        normalised = x * normaliser[None, :]
-    s_norm = round_up_sum_of_squares(normalised, axis=axis)
+    m_exp = max_exponents(max_abs)
+    s_norm = round_up_sum_of_squares(ldexp_lines(x, -m_exp, axis), axis=axis)
     s_norm = np.maximum(s_norm, 1.0)
     clamp = np.maximum(1.0, 0.51 * np.log2(s_norm))
     return PrescaleBounds(axis=axis, clamp_term=clamp, m_exp=m_exp, max_abs=max_abs)
 
 
 def scale_from_prescale(prescale: PrescaleBounds, alpha: float) -> np.ndarray:
-    """Finalise a scale vector from cached pre-scale bounds and a budget.
+    """Fast-mode scale exponents from pre-scale bounds and a budget.
 
-    The exponent is ``⌊α − max(1, 0.51·log2 S_norm)⌋ − M`` (zero
-    rows/columns get exponent 0), exactly the arithmetic of the one-shot
-    path — so ``scale_from_prescale(fast_mode_prescale(x, axis), α)`` is
-    bit-identical to the corresponding :func:`fast_mode_scale_a` /
-    :func:`fast_mode_scale_b` call.
+    The exponent is ``⌊α − max(1, 0.51·log2 S_norm)⌋ − M``, which
+    guarantees ``μ_i·‖a_i‖₂ ≤ 2^α`` (see the module docstring and
+    :func:`fast_mode_prescale`); zero rows/columns get exponent 0.  This is
+    the one place the fast formula is evaluated: :func:`fast_mode_scale_a`,
+    :func:`fast_mode_scale_b`, prepared operands and out-of-core staging all
+    finalise through it, so their exponents agree bit for bit.
     """
     exps = np.floor(alpha - prescale.clamp_term) - prescale.m_exp
-    exps = np.where(prescale.max_abs > 0, exps, 0.0)
-    return pow2(exps.astype(np.int64))
-
-
-def _fast_mode_exponents(x: np.ndarray, axis: int, alpha: float) -> np.ndarray:
-    """Per-row (axis=1) or per-column (axis=0) scale exponents, fast mode.
-
-    The exponent is ``⌊α − max(1, 0.51·log2 S_norm)⌋ − M`` which guarantees
-    ``μ_i·‖a_i‖₂ ≤ 2^α`` (see the module docstring and
-    :func:`fast_mode_prescale`).  Zero rows/columns get exponent 0.
-    """
-    prescale = fast_mode_prescale(x, axis)
-    exps = np.floor(alpha - prescale.clamp_term) - prescale.m_exp
-    return np.where(prescale.max_abs > 0, exps, 0.0)
+    return np.where(prescale.max_abs > 0, exps, 0.0).astype(np.intc)
 
 
 def fast_mode_scale_a(a: np.ndarray, table: CRTConstantTable) -> np.ndarray:
-    """Fast-mode scale vector ``μ`` (per row of A) alone.
+    """Fast-mode scale exponents ``e_μ`` (per row of A) alone.
 
     Fast mode derives each side's scales from that side only (Cauchy–Schwarz
     splits the budget per side), so ``μ`` can be computed — and cached, see
     :mod:`repro.core.operand` — without ever seeing ``B``.
     """
-    alpha = scale_exponent_budget(table, "fast")
-    return pow2(_fast_mode_exponents(a, axis=1, alpha=alpha).astype(np.int64))
+    return scale_from_prescale(fast_mode_prescale(a, axis=1), scale_exponent_budget(table, "fast"))
 
 
 def fast_mode_scale_b(b: np.ndarray, table: CRTConstantTable) -> np.ndarray:
-    """Fast-mode scale vector ``ν`` (per column of B) alone."""
-    alpha = scale_exponent_budget(table, "fast")
-    return pow2(_fast_mode_exponents(b, axis=0, alpha=alpha).astype(np.int64))
+    """Fast-mode scale exponents ``e_ν`` (per column of B) alone."""
+    return scale_from_prescale(fast_mode_prescale(b, axis=0), scale_exponent_budget(table, "fast"))
 
 
 def fast_mode_scales(
     a: np.ndarray, b: np.ndarray, table: CRTConstantTable
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Scale vectors ``μ`` (per row of A) and ``ν`` (per column of B), fast mode.
+    """Scale exponents ``e_μ`` (per row of A) and ``e_ν`` (per column of B), fast mode.
 
     The exponent of ``μ_i`` is ``⌊α − max(1, 0.51·log2 S_i)⌋ − M_i`` where
     ``M_i = ⌊log2 max_h |a_ih|⌋`` and ``S_i`` is a guaranteed upper bound on
     the sum of squares of the row normalised by ``2^{M_i}``.  Because
     ``max(1, 0.51·log2 S_i) ≥ 0.5·log2 S_i = log2(‖a_i‖/2^{M_i})``, the
     product ``μ_i ‖a_i‖ ≤ 2^α`` and condition (3) follows from
-    Cauchy–Schwarz.  Zero rows/columns get scale 1 (their contribution to
+    Cauchy–Schwarz.  Zero rows/columns get exponent 0 (their contribution to
     ``A'B'`` is zero either way).
     """
     return fast_mode_scale_a(a, table), fast_mode_scale_b(b, table)
-
-
-def _ceil_scaled_magnitude(x: np.ndarray, scale: np.ndarray, axis: int) -> np.ndarray:
-    """``ceil(scale ⊙ |x|)`` broadcast along ``axis`` (rows or columns)."""
-    if axis == 0:
-        scaled = np.abs(x) * scale[:, None]
-    else:
-        scaled = np.abs(x) * scale[None, :]
-    return np.ceil(scaled)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -232,17 +208,17 @@ class AccuratePrescale:
     rounded-up magnitude matrix ``Ā = ceil(diag(μ')·|A|)``.  Capturing them
     at preparation time lets a prepared accurate-mode operand skip its half
     of the magnitude scan and round-up on every reuse — bit-identically to
-    a fresh pass, because :func:`accurate_scales_from_prescale` performs
-    exactly the arithmetic the one-shot path used to.
+    a fresh pass, because the one-shot :func:`accurate_mode_scales` is
+    implemented as the same split.
 
     Attributes
     ----------
     axis:
         Reduction axis of the magnitude scan: 1 for the A side (per-row),
         0 for the B side (per-column).
-    scale_prime:
-        The pre-scale vector ``μ'`` (A side) or ``ν'`` (B side), float64
-        powers of two.
+    exp_prime:
+        Exponents of the pre-scale vector ``μ'`` (A side) or ``ν'`` (B
+        side), ``np.intc``.
     magnitude:
         ``Ā`` / ``B̄`` — ``ceil`` of the pre-scaled magnitudes, entries in
         ``[0, 2^6]``, ready for the INT8 bound product.
@@ -251,12 +227,12 @@ class AccuratePrescale:
     """
 
     axis: int
-    scale_prime: np.ndarray
+    exp_prime: np.ndarray
     magnitude: np.ndarray
     max_abs: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("scale_prime", "magnitude", "max_abs"):
+        for name in ("exp_prime", "magnitude", "max_abs"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -269,15 +245,15 @@ def accurate_mode_prescale(x: np.ndarray, axis: int) -> AccuratePrescale:
     """Compute one side's ``N``-independent accurate-mode pre-scale.
 
     ``axis=1`` treats ``x`` as the A side (per-row pre-scales), ``axis=0``
-    as the B side (per-column).  The arithmetic is lifted verbatim from the
-    one-shot :func:`accurate_mode_scales` so the split is bit-identical.
+    as the B side (per-column).  The pre-scale exponent is
+    ``5 − ⌊log2 max_h|a_ih|⌋`` (0 for a zero row), so ``Ā`` has entries in
+    ``[0, 2^6]``.
     """
     max_abs = np.max(np.abs(x), axis=axis)
-    exp_prime = np.where(max_abs > 0, 5 - exponent_floor(max_abs), 0)
-    scale_prime = pow2(exp_prime.astype(np.int64))
-    magnitude = _ceil_scaled_magnitude(x, scale_prime, axis=1 - axis)
+    exp_prime = np.where(max_abs > 0, 5 - max_exponents(max_abs), 0).astype(np.intc)
+    magnitude = np.ceil(ldexp_lines(np.abs(x), exp_prime, axis))
     return AccuratePrescale(
-        axis=axis, scale_prime=scale_prime, magnitude=magnitude, max_abs=max_abs
+        axis=axis, exp_prime=exp_prime, magnitude=magnitude, max_abs=max_abs
     )
 
 
@@ -292,7 +268,7 @@ def accurate_scales_from_prescale(
 
     Runs the coupled half of accurate mode: the blocked INT8 bound product
     ``C̄ = Ā·B̄`` followed by the row/column-max exponent formula.  Returns
-    ``(μ, ν, C̄)`` exactly as :func:`accurate_mode_scales` does.
+    ``(e_μ, e_ν, C̄)`` exactly as :func:`accurate_mode_scales` does.
     """
     if prescale_a.axis != 1 or prescale_b.axis != 0:
         raise ValidationError(
@@ -323,11 +299,9 @@ def accurate_scales_from_prescale(
     row_max = np.maximum(np.max(c_bar, axis=1), 1.0)
     col_max = np.maximum(np.max(c_bar, axis=0), 1.0)
 
-    exp_a = np.floor(alpha - 0.51 * np.log2(row_max))
-    exp_b = np.floor(alpha - 0.51 * np.log2(col_max))
-    mu = prescale_a.scale_prime * pow2(exp_a.astype(np.int64))
-    nu = prescale_b.scale_prime * pow2(exp_b.astype(np.int64))
-    return mu, nu, c_bar
+    exp_a = np.floor(alpha - 0.51 * np.log2(row_max)).astype(np.intc)
+    exp_b = np.floor(alpha - 0.51 * np.log2(col_max)).astype(np.intc)
+    return prescale_a.exp_prime + exp_a, prescale_b.exp_prime + exp_b, c_bar
 
 
 def accurate_mode_scales(
@@ -337,7 +311,7 @@ def accurate_mode_scales(
     engine: MatrixEngine | None = None,
     max_block_k: int = 2**17,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scale vectors in accurate mode (Section 4.2), plus the bound matrix.
+    """Scale exponents in accurate mode (Section 4.2), plus the bound matrix.
 
     The magnitude matrices ``Ā = ceil(diag(μ')·|A|)`` and
     ``B̄ = ceil(|B|·diag(ν'))`` (entries at most ``2^6``) are multiplied on
@@ -347,7 +321,8 @@ def accurate_mode_scales(
         μ_i = μ'_i · 2^⌊α − 0.51·log2(max_h c̄_ih)⌋
         ν_j = ν'_j · 2^⌊α − 0.51·log2(max_h c̄_hj)⌋
 
-    Returns ``(μ, ν, C̄)``; the last is exposed for diagnostics and tests.
+    evaluated as integer additions of exponents.  Returns ``(e_μ, e_ν, C̄)``;
+    the last is exposed for diagnostics and tests.
     Implemented as :func:`accurate_mode_prescale` per side followed by
     :func:`accurate_scales_from_prescale`, the same two-phase split that
     prepared operands use — so prepared reuse is bit-identical by

@@ -117,6 +117,11 @@ _U_ACC = {64: 2.0**-52, 32: 2.0**-36}
 #: report ``met=True`` for an error the output rounding alone exceeds.
 _U_OUT = {64: 2.0**-52, 32: 2.0**-24}
 
+#: Absolute floor of every nonzero bound, the target's smallest subnormal:
+#: a subnormal output rounds on a fixed grid that ``u_out`` cannot cover
+#: (fp32 ``A·(B·1e-44)`` misses by 2^-150; the relative terms give 7.8e-49).
+_SUBNORMAL_FLOOR = {64: 2.0**-1074, 32: 2.0**-149}
+
 #: Selection models accepted by :func:`select_num_moduli` and
 #: ``Ozaki2Config.selection_model``.
 SELECTION_MODELS = ("rigorous", "calibrated")
@@ -142,7 +147,9 @@ class AdaptiveSelection:
         guaranteed.
     bound:
         Guaranteed absolute element-wise error bound
-        ``max_ij |(AB − C)_ij| ≤ bound`` at the selected ``N``.
+        ``max_ij |(AB − C)_ij| ≤ bound`` at the selected ``N``: the relative
+        bound times the natural scale, plus the target format's smallest
+        subnormal unless an operand is zero.
     relative_bound:
         The same bound divided by the natural scale ``k·max|A|·max|B|``
         (0 when either operand is identically zero).
@@ -191,7 +198,13 @@ class AdaptiveSelection:
     @property
     def scale(self) -> float:
         """The natural error scale ``k·max|A|·max|B|``."""
-        return float(self.k) * self.max_abs_a * self.max_abs_b
+        return _natural_scale(self.k, self.max_abs_a, self.max_abs_b)
+
+
+def _natural_scale(k: int, max_abs_a: float, max_abs_b: float) -> float:
+    """``k·max|A|·max|B|`` smallest factor first (``k·1e307`` overflows)."""
+    small, large = sorted((float(max_abs_a), float(max_abs_b)))
+    return float(k) * small * large
 
 
 def truncation_margin_exponent(k: int, mode: str = "fast") -> float:
@@ -308,15 +321,16 @@ def elementwise_error_bound(
     """Absolute element-wise bound ``max_ij |(AB − C)_ij|`` of one emulation.
 
     The product of :func:`relative_error_bound` and the natural scale
-    ``k·max|A|·max|B|``.  Zero operands give a zero bound (the emulated
-    product of a zero matrix is exactly zero).
+    ``k·max|A|·max|B|``, plus the smallest subnormal of the target format
+    (the final rounding of a subnormal output).  Zero operands give a zero
+    bound (the emulated product of a zero matrix is exactly zero).
     """
     max_abs_a = _check_max_abs(max_abs_a, "A")
     max_abs_b = _check_max_abs(max_abs_b, "B")
-    scale = float(k) * max_abs_a * max_abs_b
-    if scale == 0.0:
+    if max_abs_a == 0.0 or max_abs_b == 0.0:
         return 0.0
-    return relative_error_bound(k, num_moduli, precision_bits, mode) * scale
+    rel = relative_error_bound(k, num_moduli, precision_bits, mode)
+    return rel * _natural_scale(k, max_abs_a, max_abs_b) + _SUBNORMAL_FLOOR[precision_bits]
 
 
 def _check_max_abs(value: float, which: str) -> float:
@@ -429,9 +443,10 @@ def select_num_moduli(
     max_abs_a = _check_max_abs(max_abs_a, "A")
     max_abs_b = _check_max_abs(max_abs_b, "B")
 
-    scale = float(k) * max_abs_a * max_abs_b
-    if scale == 0.0:
+    if max_abs_a == 0.0 or max_abs_b == 0.0:
         # A zero operand: the emulated product is exactly zero for any N.
+        # (An underflowing natural scale is not one: selection stays
+        # magnitude-invariant.)
         return AdaptiveSelection(
             num_moduli=_MIN_MODULI,
             target=target,
@@ -486,7 +501,7 @@ def select_num_moduli(
         num_moduli=chosen,
         target=target,
         met=met,
-        bound=rel * scale,
+        bound=rel * _natural_scale(k, max_abs_a, max_abs_b) + _SUBNORMAL_FLOOR[precision_bits],
         relative_bound=rel,
         k=k,
         max_abs_a=max_abs_a,

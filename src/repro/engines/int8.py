@@ -80,6 +80,18 @@ def _exact_int8_product(a8: np.ndarray, b8: np.ndarray) -> np.ndarray:
     return out
 
 
+def _aligned_float32(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised ``(rows, cols)`` float32 array on a 32-byte boundary.
+
+    ``np.empty`` aligns to 16 bytes only, and SGEMV runs ~7% slower on a
+    buffer 16 bytes past a 32-byte boundary, wherever malloc happens to put it.
+    """
+    nbytes = rows * cols * 4
+    raw = np.empty(nbytes + 32, dtype=np.uint8)
+    offset = -raw.ctypes.data % 32
+    return raw[offset : offset + nbytes].view(np.float32).reshape(rows, cols)
+
+
 def _exact_int8_matvec(a8: np.ndarray, v8: np.ndarray) -> np.ndarray:
     """Exact INT32 GEMV stack ``(N, m, k) @ (N, k) -> (N, m)`` of INT8 operands.
 
@@ -91,7 +103,7 @@ def _exact_int8_matvec(a8: np.ndarray, v8: np.ndarray) -> np.ndarray:
     n_stack, m, k = a8.shape
     rows = max(1, min(m, _GEMV_BLOCK_BYTES // (4 * max(k, 1))))
     out = np.empty((n_stack, m), dtype=np.int32)
-    block = np.empty((rows, k), dtype=np.float32)
+    block = _aligned_float32(rows, k)
     for a_i, v_i, out_i in zip(a8, v8, out, strict=True):
         v32 = v_i.astype(np.float32)
         for r0 in range(0, m, rows):

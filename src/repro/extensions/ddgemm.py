@@ -27,12 +27,13 @@ from typing import Tuple
 
 import numpy as np
 
-from ..baselines.ozaki1 import _row_scales, slice_width, split_into_slices
+from ..baselines.ozaki1 import slice_width, split_into_slices
 from ..config import MAX_K_WITHOUT_BLOCKING
 from ..engines.base import MatrixEngine
 from ..engines.int8 import Int8MatrixEngine
 from ..errors import ConfigurationError
-from ..utils.doubledouble import dd_add, dd_mul_fp
+from ..utils.doubledouble import dd_add
+from ..utils.fp import ldexp_lines, ldexp_unscale, max_exponents
 from ..utils.validation import check_gemm_operands
 
 __all__ = ["dd_gemm"]
@@ -73,10 +74,11 @@ def dd_gemm(
     n = b.shape[1]
     width = slice_width(min(k, MAX_K_WITHOUT_BLOCKING))
 
-    row_scale = _row_scales(a, axis=1)
-    col_scale = _row_scales(b, axis=0)
-    a_slices = split_into_slices(a * row_scale[:, None], num_slices, width)
-    b_slices = split_into_slices(b * col_scale[None, :], num_slices, width)
+    # Power-of-two scales mapping each row/column max |x| into [1/2, 1).
+    row_exp = -1 - max_exponents(np.max(np.abs(a), axis=1))
+    col_exp = -1 - max_exponents(np.max(np.abs(b), axis=0))
+    a_slices = split_into_slices(ldexp_lines(a, row_exp, 1), num_slices, width)
+    b_slices = split_into_slices(ldexp_lines(b, col_exp, 0), num_slices, width)
 
     hi = np.zeros((m, n), dtype=np.float64)
     lo = np.zeros((m, n), dtype=np.float64)
@@ -100,8 +102,5 @@ def dd_gemm(
         term = np.ldexp(partial, -width * (s + t))
         hi, lo = dd_add((hi, lo), (term, np.zeros_like(term)))
 
-    inv_row = 1.0 / row_scale
-    inv_col = 1.0 / col_scale
-    hi, lo = dd_mul_fp((hi, lo), inv_row[:, None])
-    hi, lo = dd_mul_fp((hi, lo), inv_col[None, :])
-    return hi, lo
+    # Undoing a power-of-two scale is exact on both halves of the pair.
+    return ldexp_unscale(hi, row_exp, col_exp), ldexp_unscale(lo, row_exp, col_exp)

@@ -210,8 +210,9 @@ class GemmResult(Result):
         The emulated product, in the target precision's dtype.
     config:
         The configuration used.
-    mu / nu:
-        The power-of-two scale vectors actually applied.
+    mu_exp / nu_exp:
+        Exponents (``np.intc``) of the power-of-two scale vectors actually
+        applied: ``μ = 2^mu_exp``, ``ν = 2^nu_exp``.
     phase_times:
         Wall-clock seconds per phase (this process; useful for the CPU
         wall-clock benchmark, *not* a GPU prediction — that is the job of
@@ -228,7 +229,7 @@ class GemmResult(Result):
         runs.  ``config`` always carries the resolved count either way.
     """
 
-    mu: Optional[np.ndarray] = None
-    nu: Optional[np.ndarray] = None
+    mu_exp: Optional[np.ndarray] = None
+    nu_exp: Optional[np.ndarray] = None
     num_k_blocks: int = 1
     moduli_selection: object = None

@@ -185,10 +185,10 @@ def _run_batch(
         plans.append(plan_for_config(item.m, item.k, item.n, item.config))
 
         per_side = (
-            (As[j], item.a_source, item.mu, "left", "convert_A", a_primes, a_src, seen_a),
-            (Bs[j], item.b_source, item.nu, "right", "convert_B", b_primes, b_src, seen_b),
+            (As[j], item.a_source, item.mu_exp, "left", "convert_A", a_primes, a_src, seen_a),
+            (Bs[j], item.b_source, item.nu_exp, "right", "convert_B", b_primes, b_src, seen_b),
         )
-        for x_in, source, scale, side, key, primes, src, seen in per_side:
+        for x_in, source, exps, side, key, primes, src, seen in per_side:
             if source is None:  # the side carries its residue stack
                 times[j].add(key, 0.0)
                 continue
@@ -200,7 +200,7 @@ def _run_batch(
                     continue
                 seen[alias] = j
             t0 = time.perf_counter()
-            primes[j] = truncate_scaled(source, scale, side=side)
+            primes[j] = truncate_scaled(source, exps, side=side)
             times[j].add(key, time.perf_counter() - t0)
 
     # -- shared residue conversion -------------------------------------------
@@ -256,7 +256,7 @@ def _run_batch(
             )
             engine.counter.record_emulated(item.config.num_moduli)
             t0 = time.perf_counter()
-            c = unscale(c_pp, item.mu, item.nu, out_dtype=out_dtype)
+            c = unscale(c_pp, item.mu_exp, item.nu_exp, out_dtype=out_dtype)
             times[j].add("unscale", time.perf_counter() - t0)
             if not return_details:
                 results.append(c)
@@ -270,8 +270,8 @@ def _run_batch(
                 GemmResult(
                     value=c,
                     config=item.config,
-                    mu=item.mu,
-                    nu=item.nu,
+                    mu_exp=item.mu_exp,
+                    nu_exp=item.nu_exp,
                     phase_times=times[j],
                     ledger=item_counter,
                     num_k_blocks=plans[j].num_k_blocks,

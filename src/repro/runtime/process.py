@@ -231,9 +231,8 @@ def _task_convert(engine: MatrixEngine, p: Dict[str, Any]) -> None:
         out = _open_operand(p["out"], stack)
         r0, r1 = p["rows"]
         band = x[r0:r1]
-        scale = p["scale"]
-        if scale is not None:
-            band = truncate_scaled(band, scale, p["side"])
+        if p["scale_exp"] is not None:
+            band = truncate_scaled(band, p["scale_exp"], p["side"])
         table = _table_from_spec(p["table"])
         out[:, r0:r1] = residue_slices(band, table, p["kernel"])
 

@@ -478,25 +478,26 @@ class Scheduler:
     def convert_residues_inline(
         self,
         x: np.ndarray,
-        scale: Optional[np.ndarray],
+        scale_exp: Optional[np.ndarray],
         side: str,
         table: CRTConstantTable,
         config: Ozaki2Config,
     ) -> np.ndarray:
         """The serial conversion pipeline (also the shm-failure fallback)."""
-        x_prime = x if scale is None else truncate_scaled(x, scale, side)
+        x_prime = x if scale_exp is None else truncate_scaled(x, scale_exp, side)
         return residue_slices(x_prime, table, config.residue_kernel)
 
     def convert_residues(
         self,
         x: np.ndarray,
-        scale: Optional[np.ndarray],
+        scale_exp: Optional[np.ndarray],
         side: str,
         table: CRTConstantTable,
         config: Ozaki2Config,
         plan: ExecutionPlan,
     ) -> np.ndarray:
-        """Truncate-scale ``x`` (optional) and convert to INT8 residues.
+        """Truncate-scale ``x`` by the exponents ``scale_exp`` (optional) and
+        convert to INT8 residues.
 
         Conversion follows the :meth:`backend` of ``plan``, the call it
         feeds.  The thread/serial path runs the exact inline pipeline
@@ -510,7 +511,7 @@ class Scheduler:
         stragglers).
         """
         if self.backend(plan) != "process" or x.ndim != 2 or x.shape[0] < 2:
-            return self.convert_residues_inline(x, scale, side, table, config)
+            return self.convert_residues_inline(x, scale_exp, side, table, config)
         try:
             source = SharedArray.copy_from(np.ascontiguousarray(x, dtype=np.float64))
         except (MemoryError, faults.InjectedFault) as exc:
@@ -519,26 +520,26 @@ class Scheduler:
             # and is bit-identical by construction.
             self.engine.counter.record_fault_event("shm_fallback")
             _LOG.warning("shared-memory conversion fell back inline: %s", exc)
-            return self.convert_residues_inline(x, scale, side, table, config)
+            return self.convert_residues_inline(x, scale_exp, side, table, config)
         try:
             out = SharedArray.create((table.num_moduli,) + x.shape, np.int8)
         except (MemoryError, faults.InjectedFault) as exc:
             self.engine.counter.record_fault_event("shm_fallback")
             _LOG.warning("shared-memory conversion fell back inline: %s", exc)
             source.close()
-            return self.convert_residues_inline(x, scale, side, table, config)
+            return self.convert_residues_inline(x, scale_exp, side, table, config)
         try:
             spec = table_spec(table)
             tasks = []
             for r0, r1 in modulus_chunk_ranges(x.shape[0], self.workers):
-                if scale is None:
-                    scale_band = None
+                if scale_exp is None:
+                    exp_band = None
                 elif side == "left":
                     # Row scales band with the rows; column scales ("right")
                     # apply whole to every band.
-                    scale_band = np.ascontiguousarray(scale[r0:r1])
+                    exp_band = np.ascontiguousarray(scale_exp[r0:r1])
                 else:
-                    scale_band = np.ascontiguousarray(scale)
+                    exp_band = np.ascontiguousarray(scale_exp)
                 tasks.append(
                     (
                         "convert",
@@ -546,7 +547,7 @@ class Scheduler:
                             "x": ("shm", *source.descriptor),
                             "out": ("shm", *out.descriptor),
                             "rows": (r0, r1),
-                            "scale": scale_band,
+                            "scale_exp": exp_band,
                             "side": side,
                             "table": spec,
                             "kernel": config.residue_kernel,

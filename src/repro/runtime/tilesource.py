@@ -53,6 +53,7 @@ from ..core.scaling import (
     scale_from_prescale,
 )
 from ..errors import ConfigurationError
+from ..utils.validation import require_finite
 
 __all__ = ["TileSource"]
 
@@ -176,19 +177,17 @@ class TileSource:
             )
         rows, cols = x.shape
         axis = 1 if side == "A" else 0
+        total, other = (rows, cols) if side == "A" else (cols, rows)
 
         start = time.perf_counter()
         # Pass 1 — strip-wise prescale bounds (row strips for A, column
         # strips for B: the direction the per-row/per-column quantities run).
+        width = _strip_width(total, other, self.strip_elements)
         parts: List[PrescaleBounds] = []
-        if side == "A":
-            width = _strip_width(rows, cols, self.strip_elements)
-            for r0 in range(0, rows, width):
-                parts.append(fast_mode_prescale(x[r0 : r0 + width], axis=1))
-        else:
-            width = _strip_width(cols, rows, self.strip_elements)
-            for c0 in range(0, cols, width):
-                parts.append(fast_mode_prescale(x[:, c0 : c0 + width], axis=0))
+        for lo in range(0, total, width):
+            strip = x[lo : lo + width] if side == "A" else x[:, lo : lo + width]
+            require_finite(strip, side)  # as every in-core route rejects NaN/Inf
+            parts.append(fast_mode_prescale(strip, axis=axis))
         prescale = _concat_prescale(parts, axis)
 
         if config.moduli_is_auto:
@@ -197,12 +196,12 @@ class TileSource:
             # selection model.
             config, _ = resolve_moduli(
                 config,
-                cols if side == "A" else rows,
+                other,
                 prescale.global_max_abs,
                 prescale.global_max_abs,
             )
         table = table_for(config)
-        scale = scale_from_prescale(prescale, scale_exponent_budget(table, "fast"))
+        scale_exp = scale_from_prescale(prescale, scale_exponent_budget(table, "fast"))
 
         # Pass 2 — truncate + residue-convert strip by strip, writing the
         # INT8 slices straight into the disk-backed stack.
@@ -217,8 +216,8 @@ class TileSource:
             """Stage one strip, absorbing one write fault per strip.
 
             Strip conversion is a pure elementwise function of the source
-            and the (already fixed) scale, and each strip owns a disjoint
-            slab of the stack — rewriting it is idempotent.  One transient
+            and the (already fixed) scale exponents, and each strip owns a
+            disjoint slab of the stack — rewriting it is idempotent.  One transient
             write failure (fault site ``tile.stage``, or a real
             :class:`OSError` from the filesystem) is therefore retried in
             place; a second consecutive failure on the *same* strip is a
@@ -228,13 +227,13 @@ class TileSource:
                 try:
                     faults.raise_if("tile.stage")
                     if side == "A":
-                        strip = truncate_scaled(x[lo:hi], scale[lo:hi], side="left")
+                        strip = truncate_scaled(x[lo:hi], scale_exp[lo:hi], side="left")
                         staged[:, lo:hi, :] = residue_slices(
                             strip, table, config.residue_kernel
                         )
                     else:
                         strip = truncate_scaled(
-                            x[:, lo:hi], scale[lo:hi], side="right"
+                            x[:, lo:hi], scale_exp[lo:hi], side="right"
                         )
                         staged[:, :, lo:hi] = residue_slices(
                             strip, table, config.residue_kernel
@@ -253,7 +252,6 @@ class TileSource:
                     )
 
         try:
-            total = rows if side == "A" else cols
             for lo in range(0, total, width):
                 stage_strip(lo, min(total, lo + width))
             staged.flush()
@@ -268,7 +266,7 @@ class TileSource:
         # out-of-core operands (re-prepare at the other count instead).
         return ResidueOperand(
             side=side,
-            scale=scale,
+            scale_exp=scale_exp,
             slices=slices,
             config=config,
             convert_seconds=elapsed,

@@ -54,6 +54,7 @@ from ..config import Ozaki2Config
 from ..core.operand import PreparedOperand, matrix_fingerprint, prepare_a, prepare_b
 from ..engines.base import OpCounter
 from ..errors import ValidationError
+from ..utils.validation import as_number
 
 __all__ = ["OperandCache", "DEFAULT_CAPACITY_BYTES", "cache_key", "precond_key"]
 
@@ -106,7 +107,7 @@ def precond_key(fingerprint: str, kind: str, omega: float = 1.0) -> Tuple:
     keeps these keys apart from the operand keys of :func:`cache_key`.
     """
     if kind == "ssor":
-        return (kind, fingerprint, float(omega))
+        return (kind, fingerprint, as_number(omega, "omega", float))
     return (kind, fingerprint)
 
 

@@ -7,10 +7,10 @@ server receiving concurrent single-GEMM requests would leave all of that on
 the table if it executed them one by one; :class:`RequestCoalescer` closes
 the gap by queueing incoming requests and draining them in small batches:
 
-* the drain worker blocks for the first pending request, then keeps
-  collecting for a short window (``window_seconds``) up to ``max_batch``
-  items — a lone request therefore pays at most the window in added
-  latency, while a burst of concurrent requests lands in one batch,
+* the drain worker blocks for the first pending request, then takes
+  whatever is already queued behind it, up to ``max_batch`` items, without
+  waiting — a lone request pays no added latency, while a burst that
+  queued up during the previous batch lands in one batch,
 * items are grouped by configuration (the batched API executes one config
   per call); each group becomes one ``gemm_batched`` call on the shared
   :class:`~repro.session.Session`, so the transparent operand cache and
@@ -30,7 +30,6 @@ from __future__ import annotations
 import logging
 import queue
 import threading
-import time
 from concurrent.futures import Future
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -68,22 +67,11 @@ class RequestCoalescer:
         The shared :class:`~repro.session.Session` the batches execute on.
     max_batch:
         Largest number of requests merged into one batched call.
-    window_seconds:
-        How long the drain worker keeps collecting after the first request
-        of a batch arrives — the latency/throughput trade-off knob.  ``0``
-        still coalesces whatever is already queued (a genuinely concurrent
-        burst) without adding any wait.
     """
 
-    def __init__(
-        self,
-        session: "Session",
-        max_batch: int = 16,
-        window_seconds: float = 0.002,
-    ) -> None:
+    def __init__(self, session: "Session", max_batch: int = 16) -> None:
         self._session = session
         self.max_batch = max(1, int(max_batch))
-        self.window_seconds = max(0.0, float(window_seconds))
         self._queue: "queue.Queue[Optional[_Item]]" = queue.Queue()
         self._lock = named_lock("service.coalescer._lock")
         self.coalesced_batches = 0
@@ -135,19 +123,14 @@ class RequestCoalescer:
 
     # -- drain worker --------------------------------------------------------
     def _collect(self) -> List[_Item]:
-        """Block for one item, then drain the window / queue up to max_batch."""
+        """Block for one item, then drain what is already queued, up to max_batch."""
         first = self._queue.get()
         if first is None:
             return []
         batch = [first]
-        deadline = time.monotonic() + self.window_seconds
         while len(batch) < self.max_batch:
-            # Clamp to a non-negative timeout: an expired window must do a
-            # zero-timeout (non-blocking) poll, never ``timeout=None`` — a
-            # None timeout blocks forever when the queue stays empty.
-            remaining = max(0.0, deadline - time.monotonic())
             try:
-                item = self._queue.get(timeout=remaining)
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is None:

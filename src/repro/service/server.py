@@ -113,8 +113,9 @@ class ReproServer:
     cache_bytes:
         Operand-cache budget (0 disables transparent caching; fingerprint
         references then always answer ``operand-missing``).
-    coalesce_window_seconds / max_batch:
-        The :class:`~repro.service.coalescer.RequestCoalescer` knobs.
+    max_batch:
+        The largest batch the :class:`~repro.service.coalescer.RequestCoalescer`
+        merges from GEMMs already queued.
     max_queue:
         Load-shedding budget: when the coalescer backlog reaches this many
         queued GEMMs, further ``/v1/gemm`` requests are shed with HTTP 503,
@@ -132,7 +133,6 @@ class ReproServer:
         host: str = "127.0.0.1",
         port: int = 0,
         cache_bytes: int = DEFAULT_CAPACITY_BYTES,
-        coalesce_window_seconds: float = 0.002,
         max_batch: int = 16,
         max_queue: int = 0,
         retry_after_seconds: float = 0.25,
@@ -140,9 +140,7 @@ class ReproServer:
         self.max_queue = max(0, int(max_queue))
         self.retry_after_seconds = max(0.0, float(retry_after_seconds))
         self.session = Session(config=config, cache_bytes=cache_bytes)
-        self.coalescer = RequestCoalescer(
-            self.session, max_batch=max_batch, window_seconds=coalesce_window_seconds
-        )
+        self.coalescer = RequestCoalescer(self.session, max_batch=max_batch)
         self._started = time.perf_counter()
         self._requests: Dict[str, int] = {}
         self._requests_lock = named_lock("service.server._requests_lock")
@@ -246,13 +244,16 @@ class ReproServer:
         arrays: Dict[str, np.ndarray],
         config: Ozaki2Config,
         learned: Dict[str, str],
+        converted: Optional[Dict[str, float]] = None,
     ) -> "np.ndarray | ResidueOperand":
         """Resolve one request operand: inline bytes or fingerprint reference.
 
         Inline matrices are pushed through the session cache (when eligible)
-        and acked in ``learned``; fingerprint references are looked up and
-        answer :class:`_OperandMissing` when evicted.  Vectors and accurate-
-        mode operands pass through uncached.
+        and acked in ``learned``; a cache miss converts here, and records the
+        seconds it took in ``converted`` under the operand's name.
+        Fingerprint references are looked up and answer
+        :class:`_OperandMissing` when evicted.  Vectors and accurate-mode
+        operands pass through uncached.
         """
         ref = (header.get("refs") or {}).get(name)
         if ref is not None:
@@ -275,8 +276,10 @@ class ReproServer:
             and config.mode is ComputeMode.FAST
             and self.session.cache.capacity_bytes > 0
         ):
-            operand, _ = self.session.cache.get_or_prepare(array, side, config)
+            operand, converted_here = self.session.cache.get_or_prepare(array, side, config)
             learned[name] = operand.fingerprint
+            if converted_here and converted is not None:
+                converted[name] = operand.convert_seconds
             return operand
         return array
 
@@ -426,7 +429,8 @@ class ReproServer:
                 f"unknown {method} solve options {unknown}; expected some of {sorted(accepted)}"
             )
         learned: Dict[str, str] = {}
-        a = self._resolve_operand("a", "A", header, arrays, config, learned)
+        converted: Dict[str, float] = {}
+        a = self._resolve_operand("a", "A", header, arrays, config, learned, converted)
         if "b" not in arrays:
             raise ValidationError("solve request is missing the right-hand side 'b'")
         if isinstance(a, np.ndarray):
@@ -440,6 +444,11 @@ class ReproServer:
                 np.asarray(a.source), arrays["b"], method=method, config=config,
                 prepared=a, **options,
             )
+        if "a" in converted:
+            # The conversion above ran before the session saw the matrix, so
+            # the session reported reuse; this request paid for it.
+            result.prepare_seconds = converted["a"]
+            result.seconds += converted["a"]
         meta = {
             "method": result.method,
             "converged": bool(result.converged),

@@ -3,7 +3,8 @@
 Submodules
 ----------
 ``fp``
-    Exponent/power-of-two helpers, round-up-mode reductions.
+    Exponent helpers (scales as integer exponents applied by ``ldexp``),
+    round-up-mode reductions.
 ``fma``
     Error-free transformations (``two_sum``, ``two_prod``, Dekker split) and
     a software fused multiply-add built on top of them.
@@ -20,7 +21,6 @@ from .fma import fast_two_sum, fma, split, two_prod, two_sum
 from .fp import (
     exponent_floor,
     next_power_of_two_exponent,
-    pow2,
     round_up_sum_of_squares,
     ufp,
 )
@@ -44,7 +44,6 @@ __all__ = [
     "two_sum",
     "exponent_floor",
     "next_power_of_two_exponent",
-    "pow2",
     "round_up_sum_of_squares",
     "ufp",
     "dd_add",

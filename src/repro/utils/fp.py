@@ -8,6 +8,11 @@ portably, so :func:`round_up_sum_of_squares` instead computes an upper bound
 on the round-to-nearest result by inflating it with the standard a-priori
 error bound ``(n*u/(1-n*u))`` — slightly looser than true round-up mode but
 guaranteed to be an upper bound, which is all condition (7) needs.
+
+Every power-of-two scale in the library is an ``np.intc`` exponent vector
+(the dtype of NumPy's fast ``ldexp`` loop), applied only by
+:func:`ldexp_lines` and :func:`ldexp_unscale`: a float ``2**e`` overflows
+long before ``x·2**e`` does (a row of magnitude 1e-300 needs ``2**1050``).
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ import numpy as np
 from ..errors import ValidationError
 
 __all__ = [
-    "pow2",
+    "ldexp_lines",
+    "ldexp_unscale",
+    "max_exponents",
     "exponent_floor",
     "ufp",
     "next_power_of_two_exponent",
@@ -26,14 +33,25 @@ __all__ = [
 ]
 
 
-def pow2(e) -> np.ndarray:
-    """Return ``2.0**e`` as float64 for integer (array) exponents.
+def ldexp_lines(x: np.ndarray, exps: np.ndarray, axis: int) -> np.ndarray:
+    """``x`` with row ``i`` (``axis=1``) or column ``i`` (``axis=0``) times
+    ``2**exps[i]``: exact wherever the result is representable.  Float
+    ``exps`` are a ``TypeError``, never a silent multiplication."""
+    return np.ldexp(x, exps[:, None] if axis == 1 else exps[None, :])
 
-    ``np.ldexp`` is used so the result is exact for every exponent in the
-    float64 range, including very large/small scale factors.
-    """
-    e = np.asarray(e)
-    return np.ldexp(np.ones_like(e, dtype=np.float64), e.astype(np.int64))
+
+def ldexp_unscale(c: np.ndarray, row_exps: np.ndarray, col_exps: np.ndarray) -> np.ndarray:
+    """``c·2^-(row_exps[:, None] + col_exps[None, :])`` in one ``ldexp`` pass:
+    no intermediate over- or underflows, a subnormal result is rounded once,
+    and one beyond the format's range is ±inf (NumPy warns, as for a native
+    GEMM's overflow)."""
+    return np.ldexp(c, np.subtract(-row_exps[:, None], col_exps[None, :]))
+
+
+def max_exponents(max_abs: np.ndarray) -> np.ndarray:
+    """``⌊log2 m⌋`` of each per-row/column max magnitude ``m`` as ``np.intc``;
+    0 for a zero line (whose scale never matters)."""
+    return np.where(max_abs > 0, exponent_floor(max_abs), 0).astype(np.intc)
 
 
 def exponent_floor(x) -> np.ndarray:
@@ -57,9 +75,7 @@ def ufp(x) -> np.ndarray:
     ``ufp(0) = 0`` by convention.
     """
     x = np.asarray(x, dtype=np.float64)
-    e = exponent_floor(x)
-    out = pow2(np.where(x == 0.0, 0, e))
-    return np.where(x == 0.0, 0.0, out)
+    return np.where(x == 0.0, 0.0, np.ldexp(1.0, max_exponents(np.abs(x))))
 
 
 def next_power_of_two_exponent(x) -> np.ndarray:
@@ -69,8 +85,8 @@ def next_power_of_two_exponent(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     e = exponent_floor(x)
-    is_pow2 = np.abs(x) == ufp(x)
-    out = np.where(is_pow2, e, e + 1)
+    exact = np.abs(x) == ufp(x)
+    out = np.where(exact, e, e + 1)
     return np.where(x == 0.0, np.int64(0), out)
 
 

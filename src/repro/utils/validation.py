@@ -13,7 +13,15 @@ import numpy as np
 
 from ..errors import ValidationError
 
-__all__ = ["ensure_2d", "require_finite", "check_operand", "check_gemm_operands"]
+__all__ = ["as_number", "ensure_2d", "require_finite", "check_operand", "check_gemm_operands"]
+
+
+def as_number(value, name: str, cast: type):
+    """``cast(value)``; a service request may carry any JSON value here."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
 
 
 def ensure_2d(x, name: str = "matrix") -> np.ndarray:

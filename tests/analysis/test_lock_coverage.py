@@ -57,7 +57,7 @@ def test_all_lock_sites_observed_and_acyclic():
                 session.gemm(a, b)
 
         # serve stack: server requests lock, coalescer lock, client lock
-        with ReproServer(port=0, coalesce_window_seconds=0.0).start() as server:
+        with ReproServer(port=0).start() as server:
             with ServiceClient(port=server.port) as client:
                 client.gemm(a, b)
                 client.gemm(a, b)  # second call exercises the fingerprint path

@@ -113,6 +113,17 @@ class TestJacobi:
             with pytest.raises(ValidationError, match=f"{name} must be a number"):
                 solver(a, b, **setting)
 
+    def test_progressive_must_be_a_bool(self):
+        """A JSON string such as "no" is not a switch, on direct calls too."""
+        a, b, _ = linear_system(8, kind="spd", seed=0)
+        with pytest.raises(ValidationError, match="progressive"):
+            cg_solve(a, b, progressive="no")
+
+    def test_non_numeric_omega_rejected(self):
+        a, b, _ = linear_system(8, kind="spd", seed=0)
+        with pytest.raises(ValidationError, match="omega must be a number"):
+            pcg_solve(a, b, precond="ssor", omega="x")
+
     def test_zero_diagonal_rejected(self):
         a = np.eye(4)
         a[2, 2] = 0.0

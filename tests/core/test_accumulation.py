@@ -286,12 +286,21 @@ def _cancelling_c2(table, rng):
 class TestUnscale:
     def test_unscale_exact_for_powers_of_two(self, rng):
         c = rng.standard_normal((4, 6))
-        mu = 2.0 ** rng.integers(-20, 20, 4).astype(np.float64)
-        nu = 2.0 ** rng.integers(-20, 20, 6).astype(np.float64)
-        out = unscale(c, mu, nu)
+        mu_exp = rng.integers(-20, 20, 4).astype(np.intc)
+        nu_exp = rng.integers(-20, 20, 6).astype(np.intc)
+        out = unscale(c, mu_exp, nu_exp)
+        mu, nu = np.ldexp(1.0, mu_exp), np.ldexp(1.0, nu_exp)
         np.testing.assert_array_equal(out, c / mu[:, None] / nu[None, :])
+
+    def test_exact_where_float_reciprocals_overflow(self):
+        # mu = 2**-1100 has no float64 reciprocal (1/mu and 2**1100 overflow),
+        # yet mu_i * nu_j = 2**-50 and the product is an ordinary number.
+        c = np.array([[3.0, -5.0]])
+        out = unscale(c, np.array([-1100], dtype=np.intc), np.array([1050, 1051], dtype=np.intc))
+        np.testing.assert_array_equal(out, np.array([[3.0 * 2.0**50, -5.0 * 2.0**49]]))
 
     def test_output_dtype(self):
         c = np.ones((2, 2))
-        out = unscale(c, np.ones(2), np.ones(2), out_dtype=np.float32)
+        zeros = np.zeros(2, dtype=np.intc)
+        out = unscale(c, zeros, zeros, out_dtype=np.float32)
         assert out.dtype == np.float32

@@ -13,38 +13,45 @@ from repro.crt.constants import build_constant_table
 class TestTruncateScaled:
     def test_left_scaling_rows(self):
         x = np.array([[1.7, -2.3], [0.4, 5.9]])
-        scale = np.array([2.0, 4.0])
-        out = truncate_scaled(x, scale, "left")
+        exps = np.array([1, 2], dtype=np.intc)
+        out = truncate_scaled(x, exps, "left")
         np.testing.assert_array_equal(out, np.array([[3.0, -4.0], [1.0, 23.0]]))
 
     def test_right_scaling_columns(self):
         x = np.array([[1.7, -2.3], [0.4, 5.9]])
-        scale = np.array([2.0, 4.0])
-        out = truncate_scaled(x, scale, "right")
+        exps = np.array([1, 2], dtype=np.intc)
+        out = truncate_scaled(x, exps, "right")
         np.testing.assert_array_equal(out, np.array([[3.0, -9.0], [0.0, 23.0]]))
 
     def test_truncation_toward_zero(self):
         x = np.array([[-1.9, 1.9]])
-        out = truncate_scaled(x, np.array([1.0]), "left")
+        out = truncate_scaled(x, np.array([0], dtype=np.intc), "left")
         np.testing.assert_array_equal(out, np.array([[-1.0, 1.0]]))
 
     def test_results_are_integers(self, rng):
         x = rng.standard_normal((20, 30))
-        scale = 2.0 ** rng.integers(0, 40, 20).astype(np.float64)
-        out = truncate_scaled(x, scale, "left")
+        exps = rng.integers(0, 40, 20).astype(np.intc)
+        out = truncate_scaled(x, exps, "left")
         np.testing.assert_array_equal(out, np.trunc(out))
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
-            truncate_scaled(np.ones((2, 2)), np.ones(2), "top")
+            truncate_scaled(np.ones((2, 2)), np.zeros(2, dtype=np.intc), "top")
 
     def test_power_of_two_scaling_is_exact(self):
         # Scaling by powers of two must not round: undoing the scale
         # reproduces the truncated value exactly.
         x = np.array([[1.0 + 2.0**-40]])
-        scale = np.array([2.0**45])
-        out = truncate_scaled(x, scale, "left")
+        out = truncate_scaled(x, np.array([45], dtype=np.intc), "left")
         assert out[0, 0] == 2.0**45 + 2.0**5
+
+    def test_scales_beyond_float_range(self):
+        # A subnormal row needs a scale of ~2**1100, which no float64 holds;
+        # as an exponent it truncates exactly like any other row.
+        x = np.array([[3e-310, -1e-320], [1.5, 2.25]])
+        out = truncate_scaled(x, np.array([1080, 4], dtype=np.intc), "left")
+        np.testing.assert_array_equal(out, np.trunc(np.ldexp(x, [[1080], [4]])))
+        assert np.all(np.isfinite(out)) and out[0, 0] != 0.0
 
 
 class TestResidueSlices:

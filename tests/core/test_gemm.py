@@ -112,8 +112,8 @@ class TestConfigurationPaths:
         result = ozaki2_gemm(a, b, return_details=True)
         assert isinstance(result, GemmResult)
         assert result.value.shape == (a.shape[0], b.shape[1])
-        assert result.mu.shape == (a.shape[0],)
-        assert result.nu.shape == (b.shape[1],)
+        assert result.mu_exp.shape == (a.shape[0],)
+        assert result.nu_exp.shape == (b.shape[1],)
         assert result.num_k_blocks == 1
         assert result.ledger.matmul_calls == result.config.num_moduli
         assert set(result.phase_times.seconds) == set(PHASE_KEYS)

@@ -78,8 +78,8 @@ class TestGemvResult:
         assert isinstance(result, GemvResult)
         assert result.method_name == "OS II-fast-15"
         assert result.value.shape == (a.shape[0],)
-        assert result.nu.shape == (1,)
-        np.testing.assert_array_equal(result.mu, prep.scale)
+        assert result.nu_exp.shape == (1,)
+        np.testing.assert_array_equal(result.mu_exp, prep.scale_exp)
         assert set(result.phase_times.seconds) == set(PHASE_KEYS)
         # Prepared A skips its convert phase; the engine performed N GEMVs.
         assert result.phase_times.seconds["convert_A"] == 0.0

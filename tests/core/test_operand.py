@@ -36,7 +36,7 @@ class TestPrepare:
         # The cached scale is exactly the fast-mode mu.
         table = build_constant_table(12, 64)
         mu, _ = fast_mode_scales(a, b, table)
-        np.testing.assert_array_equal(prep.scale, mu)
+        np.testing.assert_array_equal(prep.scale_exp, mu)
 
     def test_prepare_b_contents(self, small_pair):
         _, b = small_pair
@@ -63,7 +63,7 @@ class TestPrepare:
         assert prep.side == "A"
         assert prep.shape == a.shape
         assert prep.num_moduli == 12
-        assert prep.prescale.scale_prime.shape == (a.shape[0],)
+        assert prep.prescale.exp_prime.shape == (a.shape[0],)
         assert not prep.prescale.magnitude.flags.writeable
 
     def test_accurate_prepared_mode_mismatch_rejected(self, small_pair):
@@ -79,7 +79,7 @@ class TestPrepare:
         with pytest.raises(ConfigurationError):
             ResidueOperand(
                 side="C",
-                scale=np.ones(2),
+                scale_exp=np.zeros(2, dtype=np.intc),
                 slices=np.zeros((2, 2, 2), dtype=np.int8),
                 config=Ozaki2Config(),
             )
@@ -217,7 +217,7 @@ class TestResolveCache:
         assert 4 not in prep._resolved_cache
         again = prep.resolve_for(4)
         assert again is not first
-        np.testing.assert_array_equal(again.scale, first.scale)
+        np.testing.assert_array_equal(again.scale_exp, first.scale_exp)
         np.testing.assert_array_equal(again.slices, first.slices)
 
     def test_lru_keeps_recently_used(self, small_pair):
@@ -260,7 +260,7 @@ class TestPhaseReporting:
         config = Ozaki2Config.for_dgemm(10)
         prep = prepare_a(a, config)
         result = ozaki2_gemm(prep, b, config=config, return_details=True)
-        np.testing.assert_array_equal(result.mu, prep.scale)
+        np.testing.assert_array_equal(result.mu_exp, prep.scale_exp)
 
 
 class TestCompatibility:

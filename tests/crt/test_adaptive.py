@@ -34,6 +34,20 @@ class TestRelativeBound:
     def test_zero_operand_bound_is_zero(self):
         assert elementwise_error_bound(128, 0.0, 1.0, 12, 64) == 0.0
 
+    @pytest.mark.parametrize("bits, tiny", [(64, 2.0**-1074), (32, 2.0**-149)])
+    def test_bound_covers_rounding_into_a_subnormal_output(self, bits, tiny):
+        # The relative terms vanish at subnormal magnitudes (fp64 B·1e-318
+        # underflows them to 0); the final rounding still misses by up to
+        # half the format's smallest subnormal.
+        assert elementwise_error_bound(64, 4.0, 4e-318, 15, bits) >= tiny
+        sel = select_num_moduli(64, 4.0, 4e-318, bits)
+        assert sel.bound >= tiny and sel.num_moduli == select_num_moduli(64, 1, 1, bits).num_moduli
+
+    def test_natural_scale_does_not_overflow_early(self):
+        # k·max|A| alone overflows; k·max|A|·max|B| does not.
+        bound = elementwise_error_bound(64, 1e307, 1e-10, 15, 64)
+        assert bound == pytest.approx(relative_error_bound(64, 15, 64) * 64 * 1e297)
+
     @pytest.mark.parametrize("bad_bits", [16, 128, 0])
     def test_rejects_bad_precision(self, bad_bits):
         with pytest.raises(ConfigurationError):
@@ -87,6 +101,13 @@ class TestSelection:
         sel = select_num_moduli(128, 0.0, 5.0, 64)
         assert sel.num_moduli == 2
         assert sel.met and sel.bound == 0.0
+
+    def test_underflowing_scale_is_not_a_zero_operand(self):
+        # Two subnormal-sized operands: k·max|A|·max|B| underflows to 0, but
+        # the partner-independent count must not collapse to the minimum.
+        sel = select_num_moduli(64, 4e-312, 4e-312, 64)
+        assert sel.num_moduli == select_num_moduli(64, 1.0, 1.0, 64).num_moduli
+        assert sel.bound == 2.0**-1074
 
     def test_magnitude_invariant_selection(self):
         a = select_num_moduli(256, 1.0, 1.0, 64).num_moduli

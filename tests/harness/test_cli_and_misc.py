@@ -114,6 +114,9 @@ class TestOzaki2ResultDiagnostics:
         a = rng.standard_normal((12, 20)) * 1e5
         b = rng.standard_normal((20, 8)) * 1e-5
         result = ozaki2_gemm(a, b, return_details=True)
-        for vec in (result.mu, result.nu):
-            mantissa, _ = np.frexp(vec)
+        # The scales are carried as integer exponents: 2**e is a power of
+        # two by construction, and representable for these magnitudes.
+        for exps in (result.mu_exp, result.nu_exp):
+            assert exps.dtype == np.intc
+            mantissa, _ = np.frexp(np.ldexp(1.0, exps))
             assert np.all(mantissa == 0.5)

@@ -148,7 +148,7 @@ class TestResolveFor:
         widened = prep.resolve_for(14)
         fresh = prepare_a(a, config=Ozaki2Config(num_moduli=14))
         assert np.array_equal(widened.slices, fresh.slices)
-        assert np.array_equal(widened.scale, fresh.scale)
+        assert np.array_equal(widened.scale_exp, fresh.scale_exp)
 
     def test_cache_returns_same_object(self):
         a = phi_pair(16, 12, 8, phi=0.5, seed=8)[0]
@@ -163,7 +163,7 @@ class TestResolveFor:
         a = phi_pair(12, 10, 8, phi=0.5, seed=9)[0]
         prep = prepare_a(a)
         bare = ResidueOperand(
-            side="A", scale=prep.scale, slices=prep.slices, config=prep.config
+            side="A", scale_exp=prep.scale_exp, slices=prep.slices, config=prep.config
         )
         with pytest.raises(ConfigurationError, match="re-derived"):
             bare.resolve_for(10)
@@ -176,7 +176,7 @@ class TestResolveFor:
         prep = prepare_a(a)
         with pytest.raises(ConfigurationError, match="concrete"):
             ResidueOperand(
-                side="A", scale=prep.scale, slices=prep.slices, config=AUTO
+                side="A", scale_exp=prep.scale_exp, slices=prep.slices, config=AUTO
             )
 
     def test_fixed_count_mismatch_still_rejected(self):

@@ -104,8 +104,8 @@ def test_resolve_for_equals_fresh_prepare(m, k, target, seed):
     sel = prepare_a(a, config=Ozaki2Config(num_moduli="auto", target_accuracy=target))
     reduced = prep.resolve_for(sel.num_moduli)
     fresh = prepare_a(a, config=Ozaki2Config(num_moduli=sel.num_moduli))
-    assert np.array_equal(reduced.scale, fresh.scale)
+    assert np.array_equal(reduced.scale_exp, fresh.scale_exp)
     assert np.array_equal(reduced.slices, fresh.slices)
     # And the auto preparation itself equals the fresh one at its count.
-    assert np.array_equal(sel.scale, fresh.scale) or sel.num_moduli != fresh.num_moduli
+    assert np.array_equal(sel.scale_exp, fresh.scale_exp) or sel.num_moduli != fresh.num_moduli
     assert np.array_equal(sel.slices, prep.resolve_for(sel.num_moduli).slices)

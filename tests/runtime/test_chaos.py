@@ -156,7 +156,7 @@ def test_tile_stage_fault_is_restaged_bit_identically():
         with TileSource(strip_elements=512) as tiles:
             staged = tiles.prepare_a(a, config)
             np.testing.assert_array_equal(np.asarray(staged.slices), in_core.slices)
-            np.testing.assert_array_equal(staged.scale, in_core.scale)
+            np.testing.assert_array_equal(staged.scale_exp, in_core.scale_exp)
 
 
 def test_tile_stage_persistent_failure_propagates():

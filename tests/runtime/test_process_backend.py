@@ -35,10 +35,11 @@ from repro import faults
 from repro.config import Ozaki2Config
 from repro.core.gemm import ozaki2_gemm
 from repro.core.operand import prepare_a, prepare_b
+from repro.crt.constants import build_constant_table
 from repro.errors import ConfigurationError, ValidationError
 from repro.runtime import TileSource, live_segment_names
 from repro.runtime import scheduler as scheduler_module
-from repro.runtime.plan import PROCESS_MIN_MACS, resolve_executor
+from repro.runtime.plan import PROCESS_MIN_MACS, plan_for_config, resolve_executor
 from repro.runtime.process import WorkerTaskError
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.shm import SharedArray, attach_view
@@ -121,7 +122,7 @@ def _check_staged_matches_in_core(config):
         staged = tiles.prepare_a(a, config)
         assert staged.config == in_core.config
         np.testing.assert_array_equal(np.asarray(staged.slices), in_core.slices)
-        np.testing.assert_array_equal(staged.scale, in_core.scale)
+        np.testing.assert_array_equal(staged.scale_exp, in_core.scale_exp)
         # The staged operand keeps no source, so it multiplies only at the
         # count it was staged at: the one every in-core route selects.
         product = ozaki2_gemm(staged, b, config=config, return_details=True)
@@ -159,12 +160,18 @@ def test_worker_task_error_leaves_scheduler_usable():
     with Scheduler(parallelism=2, executor="process") as sched:
         with pytest.raises(WorkerTaskError):
             sched.run_process_tasks([("no-such-task", {})])
-        # An operand the conversion cannot represent (its scales overflow
-        # to inf) fails inside the workers, but it is the caller's error:
-        # it arrives as itself, not retried.
+        # Scale exponents the conversion cannot represent (|x'| >= 2**93)
+        # fail inside the workers, but it is the caller's error: it arrives
+        # as itself, not retried.
         retries = sched.engine.counter.fault_events["task_retry"]
+        x = np.random.default_rng(0).standard_normal((40, 32))
+        plan = plan_for_config(40, 32, 28, config)
+        assert sched.backend(plan) == "process"
         with pytest.raises(ValidationError, match="2\\*\\*93"):
-            ozaki2_gemm(a, b * 1e-300, config=config, scheduler=sched)
+            sched.convert_residues(
+                x, np.full(40, 100, dtype=np.intc), "left",
+                build_constant_table(15, 64), config, plan,
+            )
         assert sched.engine.counter.fault_events["task_retry"] == retries
         # The pool survived both in-task failures: the same scheduler still
         # serves a full GEMM, bit-identically.

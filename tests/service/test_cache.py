@@ -79,7 +79,7 @@ class TestFingerprint:
         assert warm is cold
         direct = prepare_a(np.ascontiguousarray(view), config=cfg)
         assert np.array_equal(cold.slices, direct.slices)
-        assert np.array_equal(cold.scale, direct.scale)
+        assert np.array_equal(cold.scale_exp, direct.scale_exp)
 
 
 class TestKeying:
@@ -125,7 +125,7 @@ class TestLRU:
         # Only the miss reports that it paid the conversion.
         assert converted and not reconverted
         assert np.array_equal(warm.slices, direct.slices)
-        assert np.array_equal(warm.scale, direct.scale)
+        assert np.array_equal(warm.scale_exp, direct.scale_exp)
         assert cache.counter.cache_hits == 1
         assert cache.counter.cache_misses == 1
 

@@ -33,12 +33,12 @@ CFG = Ozaki2Config.for_dgemm(num_moduli=10)
 
 class TestCoalescerWindow:
     def test_lone_request_with_zero_window_completes_promptly(self, rng):
-        """Regression: an expired window must poll non-blocking, never
+        """Regression: collecting a batch must poll non-blocking, never
         ``get(timeout=None)`` — a lone request used to hang forever."""
         a = rng.standard_normal((16, 12))
         b = rng.standard_normal((12, 8))
         with Session(config=CFG) as session:
-            coalescer = RequestCoalescer(session, window_seconds=0.0)
+            coalescer = RequestCoalescer(session)
             try:
                 future = coalescer.submit(a, b, CFG)
                 result = future.result(timeout=10.0)
@@ -47,11 +47,11 @@ class TestCoalescerWindow:
         assert np.array_equal(result.value, ozaki2_gemm(a, b, config=CFG))
 
     def test_expired_window_still_drains_queued_burst(self, rng):
-        """window=0 still coalesces whatever is already queued."""
+        """With no window to wait in, whatever is already queued still coalesces."""
         a = rng.standard_normal((16, 12))
         bs = [rng.standard_normal((12, 8)) for _ in range(4)]
         with Session(config=CFG) as session:
-            coalescer = RequestCoalescer(session, window_seconds=0.0)
+            coalescer = RequestCoalescer(session)
             try:
                 futures = [coalescer.submit(a, b, CFG) for b in bs]
                 results = [f.result(timeout=10.0) for f in futures]
@@ -67,7 +67,7 @@ class TestHungShutdown:
         b = rng.standard_normal((10, 8))
         release = threading.Event()
         with Session(config=CFG) as session:
-            coalescer = RequestCoalescer(session, window_seconds=0.0)
+            coalescer = RequestCoalescer(session)
 
             def wedged_batch(*args: object, **kwargs: object) -> object:
                 release.wait()

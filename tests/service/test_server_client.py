@@ -22,6 +22,7 @@ from repro.core.operand import matrix_fingerprint, prepare_a
 from repro.service import ReproServer, ServiceClient, ServiceError
 from repro.service.protocol import ERROR_BAD_REQUEST
 from repro.session import Session
+from repro.workloads import spd_matrix
 
 
 CFG = Ozaki2Config.for_dgemm(num_moduli=10)
@@ -84,6 +85,23 @@ class TestRoundTrips:
         assert bool(warm.meta["converged"])
         # The warm request referenced the cached conversion: zero prep.
         assert warm.meta["prepare_seconds"] == 0.0
+
+    def test_cold_solve_reports_the_conversion_it_paid(self):
+        a = spd_matrix(32, seed=1)
+        b = np.ones(32)
+        config = Ozaki2Config.for_dgemm(15)
+        with ReproServer(config=config).start() as srv, ServiceClient(port=srv.port) as cli:
+            cold = cli.solve(a, b, method="pcg", precond="ilu0")
+            warm = cli.solve(a, b, method="pcg", precond="ilu0")
+        # The server converted A on the cache miss before the session saw it.
+        assert cold.meta["prepare_seconds"] > 0.0
+        paid = cold.meta["prepare_seconds"] + cold.meta["precond_seconds"]
+        assert cold.meta["seconds"] >= paid
+        assert warm.meta["prepare_seconds"] == 0.0
+        with Session(config=config) as session:
+            local = session.solve(a, b, method="pcg", precond="ilu0")
+        assert local.prepare_seconds > 0.0
+        assert cold.value.tobytes() == local.value.tobytes()
 
     def test_pcg_ilu0_solves_factor_once_per_fingerprint(
         self, server, client, rng, monkeypatch
@@ -232,6 +250,8 @@ class TestErrors:
             ("cg", {"max_iter": "many"}),
             ("cg", {"tol": "abc"}),
             ("cg", {"prepared": "mine"}),
+            ("pcg", {"precond": "ssor", "omega": "x"}),
+            ("cg", {"progressive": "no"}),
         ],
     )
     def test_malformed_solve_options(self, server, client, rng, method, options):
@@ -250,12 +270,18 @@ class TestErrors:
     def test_shape_mismatch_is_an_error_not_a_hang(self, server, client, rng):
         with pytest.raises(ServiceError):
             client.gemm(rng.standard_normal((8, 4)), rng.standard_normal((8, 4)))
-        # A B side the residue conversion cannot represent exactly (its
-        # scales overflow to inf) is the caller's error, not the server's.
+        # A non-finite operand is the caller's error, not the server's.
         a = rng.standard_normal((64, 64))
+        b = rng.standard_normal((64, 64))
+        bad = b.copy()
+        bad[3, 5] = np.nan
         with pytest.raises(ServiceError) as excinfo:
-            client.gemm(a, rng.standard_normal((64, 64)) * 1e-300)
+            client.gemm(a, bad)
         assert excinfo.value.code == ERROR_BAD_REQUEST
+        # A tiny but finite B side (its scales lie beyond float64 as factors)
+        # computes, bit-identically to the in-process product.
+        got = client.gemm(a, b * 1e-300).value
+        np.testing.assert_array_equal(got, ozaki2_gemm(a, b * 1e-300, config=CFG))
 
     def test_missing_operand_in_frame(self, server, client):
         with pytest.raises(ServiceError) as excinfo:
@@ -268,7 +294,7 @@ class TestCoalescing:
         a = rng.standard_normal((24, 20))
         bs = [rng.standard_normal((20, 16)) for _ in range(8)]
         references = [ozaki2_gemm(a, b, config=CFG) for b in bs]
-        with ReproServer(config=CFG, coalesce_window_seconds=0.02).start() as srv:
+        with ReproServer(config=CFG).start() as srv:
             with ServiceClient(port=srv.port) as warmup:
                 warmup.prepare(a, side="A")
             results = [None] * len(bs)
