@@ -52,7 +52,7 @@ def pytest_collection_modifyitems(items):
     ``-m "not slow"`` would deselect the entire tier-1 suite.  The tier-1
     suite still runs the benchmarks (``pytest -x -q`` selects everything),
     but the CI test matrix deselects them with ``-m "not slow"`` — the
-    smoke job runs the benchmark files explicitly and uploads their tables.
+    smoke job runs the whole directory and uploads their tables.
     """
     bench_dir = str(pathlib.Path(__file__).resolve().parent)
     for item in items:

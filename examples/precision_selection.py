@@ -4,9 +4,10 @@
 The accuracy of Ozaki scheme II is controlled by the number of moduli ``N``
 (Figure 3) while its cost grows linearly in ``N`` (Figures 4-5).  This
 example sweeps ``N`` for a user-selected workload, measures the actual
-accuracy on this machine, asks the planner which ``N`` it would have picked,
-and reports the modelled GH200 throughput of each setting — i.e. exactly the
-trade-off a user of the library has to navigate.
+accuracy on this machine and the modelled GH200 throughput of each setting —
+i.e. exactly the trade-off a user of the library has to navigate — and sets
+the smallest measured ``N`` that reaches native accuracy beside the count
+``num_moduli="auto"`` selects for its default accuracy target.
 
 Usage::
 
@@ -21,11 +22,25 @@ import sys
 
 import numpy as np
 
-from repro import choose_num_moduli, emulated_dgemm, emulated_sgemm
+from repro import emulated_dgemm, emulated_sgemm
 from repro.accuracy import max_relative_error, reference_gemm
 from repro.harness import format_table
 from repro.perfmodel import modeled_tflops
 from repro.workloads import phi_pair
+
+
+def _report(rows, auto, label: str) -> None:
+    """The auto selection beside the smallest measured N reaching native."""
+    sel = auto.moduli_selection
+    print(
+        f"auto selection for {label} (target {sel.target:g}): "
+        f"N = {sel.num_moduli}, decided_by = {sel.decided_by}"
+    )
+    native = [row["N"] for row in rows if row[f"reaches_{label}"]]
+    print(
+        f"smallest measured N reaching native {label} accuracy: "
+        f"{native[0] if native else 'none in the table'}"
+    )
 
 
 def main(n: int = 320, phi: float = 1.0) -> None:
@@ -48,8 +63,7 @@ def main(n: int = 320, phi: float = 1.0) -> None:
         )
     print(format_table(rows, title=f"DGEMM emulation, phi={phi}: accuracy vs modelled throughput"))
     print(f"\nnative DGEMM max relative error: {native_err:.3e}")
-    picked = choose_num_moduli("fp64", k=n, phi=phi)
-    print(f"planner suggestion for fp64, k={n}, phi={phi}: N = {picked}")
+    _report(rows, emulated_dgemm(a, b, num_moduli="auto", return_details=True), "fp64")
 
     a32, b32 = phi_pair(n, n, n, phi=phi, precision="fp32", seed=12)
     ref32 = reference_gemm(a32, b32)
@@ -70,8 +84,7 @@ def main(n: int = 320, phi: float = 1.0) -> None:
     print()
     print(format_table(rows, title=f"SGEMM emulation, phi={phi}: accuracy vs modelled throughput"))
     print(f"\nnative SGEMM max relative error: {native32:.3e}")
-    picked32 = choose_num_moduli("fp32", k=n, phi=phi)
-    print(f"planner suggestion for fp32, k={n}, phi={phi}: N = {picked32}")
+    _report(rows, emulated_sgemm(a32, b32, num_moduli="auto", return_details=True), "fp32")
 
 
 if __name__ == "__main__":

@@ -59,7 +59,6 @@ from .core.operand import (
     ResidueOperand,
     matrix_fingerprint,
 )
-from .core.planner import choose_num_moduli
 from .crt.adaptive import AdaptiveSelection, select_num_moduli
 from .crt.calibration import DEFAULT_CALIBRATION, CalibrationEntry, CalibrationTable
 from . import faults
@@ -114,7 +113,6 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     # moduli selection
-    "choose_num_moduli",
     "AdaptiveSelection",
     "select_num_moduli",
     "CalibrationEntry",

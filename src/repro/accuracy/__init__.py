@@ -8,7 +8,6 @@ the error metrics used by the harness.
 
 from __future__ import annotations
 
-from .error_bounds import ozaki2_error_bound, required_moduli_for_bound
 from .metrics import ErrorSummary, max_relative_error, relative_errors, summarize_errors
 from .reference import exact_int_gemm, reference_gemm
 
@@ -19,6 +18,4 @@ __all__ = [
     "summarize_errors",
     "exact_int_gemm",
     "reference_gemm",
-    "ozaki2_error_bound",
-    "required_moduli_for_bound",
 ]

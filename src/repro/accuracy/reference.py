@@ -40,6 +40,17 @@ from ..utils.validation import check_gemm_operands
 __all__ = ["reference_gemm", "exact_int_gemm"]
 
 
+def _line_exponents(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Power-of-two exponents mapping each row of ``a`` and column of ``b``
+    to a max magnitude in [1/2, 1), so neither algorithm overflows, no
+    line's largest entry is subnormal, and the result is rounded once, by
+    the final ``ldexp_unscale``."""
+    return (
+        -1 - max_exponents(np.max(np.abs(a), axis=1)),
+        -1 - max_exponents(np.max(np.abs(b), axis=0)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # split (error-free transformation) reference
 # ---------------------------------------------------------------------------
@@ -72,15 +83,12 @@ def _fixed_point_chunks(x_scaled: np.ndarray, num_chunks: int, width: int) -> Li
 
 
 def _split_reference(a: np.ndarray, b: np.ndarray, num_chunks: int) -> np.ndarray:
+    """``a @ b`` for lines scaled by :func:`_line_exponents`."""
     m, k = a.shape
     n = b.shape[1]
     width = _chunk_width(k)
-
-    # Power-of-two scales mapping each row/column max magnitude into [1/2, 1).
-    row_exp = -1 - max_exponents(np.max(np.abs(a), axis=1))
-    col_exp = -1 - max_exponents(np.max(np.abs(b), axis=0))
-    a_chunks = _fixed_point_chunks(ldexp_lines(a, row_exp, 1), num_chunks, width)
-    b_chunks = _fixed_point_chunks(ldexp_lines(b, col_exp, 0), num_chunks, width)
+    a_chunks = _fixed_point_chunks(a, num_chunks, width)
+    b_chunks = _fixed_point_chunks(b, num_chunks, width)
 
     hi = np.zeros((m, n), dtype=np.float64)
     lo = np.zeros((m, n), dtype=np.float64)
@@ -95,7 +103,7 @@ def _split_reference(a: np.ndarray, b: np.ndarray, num_chunks: int) -> np.ndarra
         exact_product = a_chunks[s - 1] @ b_chunks[t - 1]  # exact by construction
         term = np.ldexp(exact_product, -width * (s + t))
         hi, lo = dd_add((hi, lo), (term, np.zeros_like(term)))
-    return ldexp_unscale(hi + lo, row_exp, col_exp)
+    return hi + lo
 
 
 # ---------------------------------------------------------------------------
@@ -151,27 +159,28 @@ def reference_gemm(
     algorithm:
         ``"split"`` (default, BLAS-speed error-free transformation) or
         ``"doubledouble"`` (direct compensated accumulation; slow, used for
-        cross-validation).  ``"split"`` scales every row and column by a
-        power of two first, so it covers the whole exponent range,
-        subnormals included.  ``"doubledouble"`` has a limited range: its
-        Veltkamp split overflows for ``|x| ≳ 1e300``, and products of
-        subnormals are not error-free; compare extreme-range data against
-        ``"split"`` only.
+        cross-validation).  Both scale every row and column by a power of
+        two first, so both cover the whole exponent range, subnormals
+        included.
     num_chunks:
         Number of fixed-point chunks per operand for the split algorithm.
         Six chunks retain well over 100 bits relative to each row/column
         scale.
     """
     a, b = check_gemm_operands(a, b, dtype=np.float64)
+    if algorithm not in ("split", "doubledouble"):
+        raise ConfigurationError(
+            f"unknown reference algorithm {algorithm!r}; use 'split' or 'doubledouble'"
+        )
+    if algorithm == "split" and num_chunks < 2:
+        raise ConfigurationError("num_chunks must be at least 2")
+    row_exp, col_exp = _line_exponents(a, b)
+    a, b = ldexp_lines(a, row_exp, 1), ldexp_lines(b, col_exp, 0)
     if algorithm == "split":
-        if num_chunks < 2:
-            raise ConfigurationError("num_chunks must be at least 2")
-        return _split_reference(a, b, num_chunks)
-    if algorithm == "doubledouble":
-        return _doubledouble_reference(a, b)
-    raise ConfigurationError(
-        f"unknown reference algorithm {algorithm!r}; use 'split' or 'doubledouble'"
-    )
+        c = _split_reference(a, b, num_chunks)
+    else:
+        c = _doubledouble_reference(a, b)
+    return ldexp_unscale(c, row_exp, col_exp)
 
 
 def exact_int_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

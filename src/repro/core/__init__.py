@@ -6,9 +6,7 @@ The public entry points are:
   diagnostics,
 * :func:`repro.core.gemm.emulated_dgemm` / :func:`emulated_sgemm` —
   drop-in style helpers targeting FP64 / FP32,
-* :class:`repro.config.Ozaki2Config` — the configuration object,
-* :func:`repro.core.planner.choose_num_moduli` — pick ``N`` for a target
-  accuracy.
+* :class:`repro.config.Ozaki2Config` — the configuration object.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from .gemm import (
 )
 from .gemv import GemvResult, prepared_gemv
 from .operand import ResidueOperand, prepare_a, prepare_b
-from .planner import choose_num_moduli, estimate_retained_bits
 from .scaling import (
     accurate_mode_scales,
     fast_mode_scale_a,
@@ -52,8 +49,6 @@ __all__ = [
     "emulated_dgemm",
     "emulated_sgemm",
     "ozaki2_gemm",
-    "choose_num_moduli",
-    "estimate_retained_bits",
     "accurate_mode_scales",
     "fast_mode_scales",
     "scale_exponent_budget",

@@ -8,6 +8,11 @@ actually needs.  This module turns the scaling construction of
 :mod:`repro.core.scaling` into a rigorous a-priori bound on the emulated
 product's element-wise error and inverts it: given a target accuracy,
 :func:`select_num_moduli` returns the smallest ``N`` whose bound meets it.
+It is the library's one error model: ``num_moduli="auto"``, every result's
+``bound`` and ``bound_met``, and the benchmark's correctness checks all
+read it.  Fixed counts come from Section 5.1's measurements instead (15
+moduli for DGEMM-level and 8 for SGEMM-level accuracy, the
+:class:`~repro.config.Ozaki2Config` defaults).
 
 Derivation
 ----------
@@ -34,8 +39,8 @@ floor and the clamp through gives the guaranteed scale lower bound
 obey the same form with ``c(k) = 0.51·log2(4096·k) − 4 + c_slack``, since
 ``C̄`` entries are at most ``k·2^{12}``).  Substituting into the truncation
 sum and adding the reconstruction roundoff ``u_acc·k`` (``u_acc = 2^{−52}``
-for the split 64-bit tables, ``2^{−36}`` for the unsplit 32-bit tables, as
-in :mod:`repro.accuracy.error_bounds`) yields the **relative** bound
+for the split 64-bit tables, ``2^{−36}`` for the unsplit 32-bit tables)
+yields the **relative** bound
 
 .. math::
 
@@ -103,8 +108,9 @@ _MIN_MODULI = 2
 #: its rounding is far below one bit, 0.1 is generous).
 _SLACK_BITS = 0.1
 
-#: Accumulation/reconstruction unit roundoff per table bit width (matches
-#: :mod:`repro.accuracy.error_bounds`).
+#: Accumulation/reconstruction unit roundoff per table bit width: ``P`` and
+#: the CRT weights are split into two float64 values for the 64-bit tables
+#: and stored as one for the 32-bit tables.
 _U_ACC = {64: 2.0**-52, 32: 2.0**-36}
 
 #: Output-precision rounding floor: the final :func:`~repro.core.
@@ -342,7 +348,7 @@ def _check_max_abs(value: float, which: str) -> float:
     return value
 
 
-def _warn_clamped(target: float, max_moduli: int, relative_bound: float) -> None:
+def _warn_clamped(target: float, relative_bound: float) -> None:
     """Once-per-process warning when selection clamps with ``met=False``.
 
     Silent clamping was a bug: every caller (GEMM, GEMV, batches, the
@@ -357,7 +363,7 @@ def _warn_clamped(target: float, max_moduli: int, relative_bound: float) -> None
     _CLAMP_WARNING_EMITTED = True
     warnings.warn(
         f"target_accuracy={target:g} is unreachable: even num_moduli="
-        f"{max_moduli} only guarantees a relative bound of "
+        f"{MAX_MODULI} only guarantees a relative bound of "
         f"{relative_bound:g}; proceeding with the clamped count "
         "(selection.met / Result.bound_met report False; this warning is "
         "emitted once per process)",
@@ -373,7 +379,6 @@ def select_num_moduli(
     precision_bits: int = 64,
     target: "float | None" = None,
     mode: str = "fast",
-    max_moduli: int = MAX_MODULI,
     model: str = "rigorous",
     calibration: Optional[CalibrationTable] = None,
 ) -> AdaptiveSelection:
@@ -393,16 +398,14 @@ def select_num_moduli(
         64 for DGEMM emulation, 32 for SGEMM emulation.
     target:
         Relative accuracy target in ``(0, 1)``; ``None`` uses
-        :data:`DEFAULT_TARGET_ACCURACY` for the precision.
+        :data:`DEFAULT_TARGET_ACCURACY` for the precision.  A target that
+        even :data:`repro.config.MAX_MODULI` moduli cannot meet returns
+        that count with ``met=False`` rather than raising — auto selection
+        degrades to the most accurate supported configuration, the
+        returned ``bound`` states what is actually guaranteed, and a
+        once-per-process ``RuntimeWarning`` flags the shortfall.
     mode:
         ``"fast"`` or ``"accurate"``.
-    max_moduli:
-        Upper clamp (:data:`repro.config.MAX_MODULI` by default).  A target
-        unreachable even at the clamp returns ``met=False`` with the clamp
-        value rather than raising — auto selection degrades to the most
-        accurate supported configuration, the returned ``bound`` states
-        what is actually guaranteed, and a once-per-process
-        ``RuntimeWarning`` flags the shortfall.
     model:
         ``"rigorous"`` (default) selects from the guaranteed a-priori
         bound alone.  ``"calibrated"`` additionally consults the measured
@@ -429,11 +432,6 @@ def select_num_moduli(
     if not (0.0 < target < 1.0):
         raise ConfigurationError(
             f"target_accuracy must lie in (0, 1), got {target}"
-        )
-    max_moduli = int(max_moduli)
-    if not (_MIN_MODULI <= max_moduli <= MAX_MODULI):
-        raise ConfigurationError(
-            f"max_moduli must lie in [{_MIN_MODULI}, {MAX_MODULI}], got {max_moduli}"
         )
     model = str(model).strip().lower()
     if model not in SELECTION_MODELS:
@@ -463,16 +461,16 @@ def select_num_moduli(
             rigorous_num_moduli=_MIN_MODULI,
         )
 
-    chosen, met, rel = max_moduli, False, relative_error_bound(
-        k, max_moduli, precision_bits, mode
+    chosen, met, rel = MAX_MODULI, False, relative_error_bound(
+        k, MAX_MODULI, precision_bits, mode
     )
-    for n in range(_MIN_MODULI, max_moduli + 1):
+    for n in range(_MIN_MODULI, MAX_MODULI + 1):
         candidate = relative_error_bound(k, n, precision_bits, mode)
         if candidate <= target:
             chosen, met, rel = n, True, candidate
             break
     if not met:
-        _warn_clamped(target, max_moduli, rel)
+        _warn_clamped(target, rel)
 
     rigorous_chosen = chosen
     decided_by = "rigorous"

@@ -109,7 +109,7 @@ class CRTConstantTable:
         ``single(log2(P-1) - 1.5)`` and ``single(log2(P-1) - 0.5)`` — the
         scale budgets of Section 4.1.
     log2_P:
-        ``log2(P)`` in float64 (convenience for the planner and reports).
+        ``log2(P)`` in float64.
     """
 
     moduli: Tuple[int, ...]

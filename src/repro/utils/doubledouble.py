@@ -1,19 +1,11 @@
-"""Array double-double (~106-bit) arithmetic.
+"""Double-double (~106-bit) addition on arrays.
 
 A double-double number represents a value as an unevaluated sum of two
-float64 values ``hi + lo`` with ``|lo| <= ulp(hi)/2``.  The library uses
-double-double arithmetic in two places:
-
-* the accuracy reference GEMM (:mod:`repro.accuracy.reference`), which needs
-  substantially more than 53 bits so that measured errors of FP64-level
-  emulation are meaningful, and
-* analysis helpers around the accumulation step of Algorithm 1 (the constant
-  ``P`` of the CRT is itself stored as the double-double ``P1 + P2``).
-
-All operations are vectorised over NumPy arrays and follow the classical
-Dekker/Knuth/Bailey formulations.  A double-double is represented as a pair
+float64 values ``hi + lo`` with ``|lo| <= ulp(hi)/2``, held as a pair
 ``(hi, lo)`` of equally-shaped float64 arrays; no wrapper class is used so
-that intermediate results stay cheap.
+that intermediate results stay cheap.  The accuracy reference GEMM
+(:mod:`repro.accuracy.reference`) and the double-double GEMM extension
+(:mod:`repro.extensions.ddgemm`) accumulate with :func:`dd_add`.
 """
 
 from __future__ import annotations
@@ -22,55 +14,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .fma import fast_two_sum, two_prod, two_sum
+from .fma import fast_two_sum, two_sum
 
-__all__ = [
-    "dd_from_fp",
-    "dd_to_fp",
-    "dd_two_sum",
-    "dd_add",
-    "dd_add_fp",
-    "dd_mul",
-    "dd_mul_fp",
-    "dd_neg",
-    "dd_sum",
-    "dd_abs",
-    "dd_sub",
-]
+__all__ = ["dd_add"]
 
 DD = Tuple[np.ndarray, np.ndarray]
-
-
-def dd_from_fp(x) -> DD:
-    """Promote a float64 array to a double-double with zero low part."""
-    hi = np.asarray(x, dtype=np.float64)
-    return hi, np.zeros_like(hi)
-
-
-def dd_to_fp(x: DD) -> np.ndarray:
-    """Round a double-double back to float64 (hi + lo)."""
-    hi, lo = x
-    return hi + lo
-
-
-def dd_two_sum(hi: np.ndarray, lo: np.ndarray) -> DD:
-    """Renormalise a (hi, lo) pair so that ``|lo| <= ulp(hi)/2``."""
-    s, e = fast_two_sum(hi, lo)
-    return s, e
-
-
-def dd_neg(x: DD) -> DD:
-    """Negate a double-double."""
-    hi, lo = x
-    return -hi, -lo
-
-
-def dd_abs(x: DD) -> DD:
-    """Absolute value of a double-double."""
-    hi, lo = x
-    flip = np.signbit(hi)
-    sign = np.where(flip, -1.0, 1.0)
-    return hi * sign, lo * sign
 
 
 def dd_add(x: DD, y: DD) -> DD:
@@ -83,54 +31,3 @@ def dd_add(x: DD, y: DD) -> DD:
     s, e = fast_two_sum(s, e)
     e = e + f
     return fast_two_sum(s, e)
-
-
-def dd_sub(x: DD, y: DD) -> DD:
-    """Double-double subtraction ``x - y``."""
-    return dd_add(x, dd_neg(y))
-
-
-def dd_add_fp(x: DD, y) -> DD:
-    """Add a float64 array to a double-double."""
-    xh, xl = x
-    y = np.asarray(y, dtype=np.float64)
-    s, e = two_sum(xh, y)
-    e = e + xl
-    return fast_two_sum(s, e)
-
-
-def dd_mul(x: DD, y: DD) -> DD:
-    """Double-double multiplication."""
-    xh, xl = x
-    yh, yl = y
-    p, e = two_prod(xh, yh)
-    e = e + (xh * yl + xl * yh)
-    return fast_two_sum(p, e)
-
-
-def dd_mul_fp(x: DD, y) -> DD:
-    """Multiply a double-double by a float64 array."""
-    xh, xl = x
-    y = np.asarray(y, dtype=np.float64)
-    p, e = two_prod(xh, y)
-    e = e + xl * y
-    return fast_two_sum(p, e)
-
-
-def dd_sum(hi_terms: np.ndarray, lo_terms: np.ndarray, axis: int = -1) -> DD:
-    """Sum double-double terms along an axis with double-double accumulation.
-
-    ``hi_terms``/``lo_terms`` hold the high and low parts of each term.  The
-    reduction is a simple sequential double-double accumulation along the
-    requested axis, which keeps ~106 bits regardless of the term count seen
-    in this library (inner dimensions up to a few tens of thousands).
-    """
-    hi_terms = np.asarray(hi_terms, dtype=np.float64)
-    lo_terms = np.asarray(lo_terms, dtype=np.float64)
-    hi_moved = np.moveaxis(hi_terms, axis, 0)
-    lo_moved = np.moveaxis(lo_terms, axis, 0)
-    acc_hi = np.zeros(hi_moved.shape[1:], dtype=np.float64)
-    acc_lo = np.zeros(hi_moved.shape[1:], dtype=np.float64)
-    for idx in range(hi_moved.shape[0]):
-        acc_hi, acc_lo = dd_add((acc_hi, acc_lo), (hi_moved[idx], lo_moved[idx]))
-    return acc_hi, acc_lo

@@ -26,8 +26,6 @@ __all__ = [
     "ldexp_unscale",
     "max_exponents",
     "exponent_floor",
-    "ufp",
-    "next_power_of_two_exponent",
     "round_up_sum_of_squares",
     "upper_bound_inflation",
 ]
@@ -67,27 +65,6 @@ def exponent_floor(x) -> np.ndarray:
     # frexp returns mantissa in [0.5, 1), so floor(log2|x|) = exponent - 1.
     result = exponent.astype(np.int64) - 1
     return np.where(x == 0.0, np.int64(-1075), result)
-
-
-def ufp(x) -> np.ndarray:
-    """Unit in the first place: the largest power of two not exceeding |x|.
-
-    ``ufp(0) = 0`` by convention.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x == 0.0, 0.0, np.ldexp(1.0, max_exponents(np.abs(x))))
-
-
-def next_power_of_two_exponent(x) -> np.ndarray:
-    """Smallest integer ``e`` with ``2**e >= |x|`` (elementwise).
-
-    Exact powers of two map to their own exponent.  Zeros map to 0.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    e = exponent_floor(x)
-    exact = np.abs(x) == ufp(x)
-    out = np.where(exact, e, e + 1)
-    return np.where(x == 0.0, np.int64(0), out)
 
 
 def upper_bound_inflation(n: int, dtype=np.float64) -> float:

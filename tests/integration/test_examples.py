@@ -44,7 +44,8 @@ class TestExamplesRun:
         module = _load_example("precision_selection.py")
         module.main(96, 1.0)
         out = capsys.readouterr().out
-        assert "planner suggestion" in out
+        assert "auto selection for fp64" in out and "decided_by" in out
+        assert "smallest measured N reaching native fp32 accuracy" in out
         assert "GH200_model_TFLOPS" in out
 
     def test_quantum_chemistry(self, capsys):

@@ -1,19 +1,16 @@
-"""Tests for the conclusion's extensions (dd / mixed GEMM), the LU app,
-the a-priori error bounds and the CLI."""
+"""Tests for the conclusion's extensions (dd / mixed GEMM), the LU app
+and the CLI."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.accuracy import (
-    max_relative_error,
-    ozaki2_error_bound,
-    reference_gemm,
-    required_moduli_for_bound,
-)
+from repro.accuracy import max_relative_error, reference_gemm
 from repro.apps import blocked_lu, lu_backward_error, lu_with_method
 from repro.cli import main as cli_main
+from repro.config import Ozaki2Config
+from repro.core.gemm import ozaki2_gemm
 from repro.errors import ConfigurationError, ValidationError
 from repro.extensions import dd_gemm, mixed_gemm
 from repro.workloads import phi_pair
@@ -87,6 +84,25 @@ class TestMixedGemm:
         with pytest.raises(ConfigurationError):
             mixed_gemm(np.ones((2, 2)), np.ones((2, 2)), "fp64", "fp64", out_format="fp16")
 
+    def test_default_moduli_keep_native_accuracy(self):
+        # Section 5.1's phi = 0.5, k = 1024 setting: the default 15 / 8
+        # moduli reach native DGEMM / SGEMM accuracy.
+        a, b = phi_pair(64, 1024, 64, phi=0.5, seed=10)
+        ref = reference_gemm(a, b)
+        c = mixed_gemm(a, b, "fp64", "fp64")
+        assert max_relative_error(c, ref) <= 10 * max_relative_error(a @ b, ref)
+        a32, b32 = a.astype(np.float32), b.astype(np.float32)
+        ref32 = reference_gemm(a32, b32)
+        c32 = mixed_gemm(a32, b32, "fp32", "fp32")
+        assert c32.dtype == np.float32
+        native32 = np.matmul(a32, b32, dtype=np.float32)
+        assert max_relative_error(c32, ref32) <= max_relative_error(native32, ref32)
+
+    def test_auto_moduli_pass_through(self):
+        a, b = phi_pair(16, 32, 12, phi=0.5, seed=6)
+        want = ozaki2_gemm(a, b, Ozaki2Config(num_moduli="auto"))
+        assert np.array_equal(mixed_gemm(a, b, "fp64", "fp64", num_moduli="auto"), want)
+
 
 class TestLuApp:
     def test_native_lu_small_backward_error(self, rng):
@@ -118,34 +134,6 @@ class TestLuApp:
         p, lower, upper = blocked_lu(a, block=16, pivot=True)
         assert lu_backward_error(a, p, lower, upper) < 1e-13
         assert not np.array_equal(p, np.eye(40)) or True  # permutation may or may not be identity
-
-
-class TestErrorBounds:
-    @pytest.mark.parametrize("num_moduli", [10, 14, 17])
-    def test_bound_dominates_measured_error(self, num_moduli):
-        from repro import emulated_dgemm
-
-        a, b = phi_pair(32, 64, 28, phi=1.0, seed=7)
-        ref = reference_gemm(a, b)
-        c = emulated_dgemm(a, b, num_moduli=num_moduli)
-        bound = ozaki2_error_bound(a, b, num_moduli)
-        measured = np.abs(c - ref)
-        assert np.all(measured <= bound)
-
-    def test_bound_shrinks_with_moduli(self):
-        a, b = phi_pair(16, 32, 12, phi=0.5, seed=8)
-        b10 = ozaki2_error_bound(a, b, 10)
-        b16 = ozaki2_error_bound(a, b, 16)
-        assert np.all(b16 < b10)
-
-    def test_required_moduli_consistent_with_planner_range(self):
-        a, b = phi_pair(32, 64, 28, phi=0.5, seed=9)
-        n = required_moduli_for_bound(a, b, target_relative=2.0**-45)
-        assert 12 <= n <= 20
-
-    def test_invalid_target(self):
-        with pytest.raises(ConfigurationError):
-            required_moduli_for_bound(np.ones((2, 2)), np.ones((2, 2)), target_relative=2.0)
 
 
 class TestCli:

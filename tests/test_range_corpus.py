@@ -16,6 +16,11 @@ through ``ServiceClient.gemm`` against a ``ReproServer``.  Every result must
 
 with no ``RuntimeWarning`` raised anywhere (bar the note that two workers
 over-subscribe a one-CPU host).
+
+The same checks run on 3×k×2 products at the real k-blocking limit,
+``k = 2**17 - 1, 2**17, 2**17 + 1``, where the serial GEMM must report one,
+one and two k-blocks.  The double-double reference must carry the split
+reference's bits on every corpus case.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import pytest
 import range_corpus
 import repro.runtime.plan as plan_mod
 from repro.accuracy.reference import reference_gemm
-from repro.config import Ozaki2Config
+from repro.config import MAX_K_WITHOUT_BLOCKING, Ozaki2Config
 from repro.core.gemm import ozaki2_gemm
 from repro.core.gemv import prepared_gemv
 from repro.core.operand import prepare_a, prepare_b
@@ -115,12 +120,9 @@ def _gemm_routes(case, config, process_scheduler, service, monkeypatch):
     return serial, out
 
 
-@pytest.mark.parametrize("moduli", ["fixed", "auto"])
-@pytest.mark.parametrize("mode", ["fast", "accurate"])
-@pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
-def test_corpus_case_on_every_route(case, mode, moduli, process_scheduler, service,
-                                    monkeypatch):
-    config = _config(case.precision, mode, moduli)
+def _check_every_route(case, config, process_scheduler, service, monkeypatch):
+    """Run ``case`` on every route and check it as the module docstring
+    says; return the serial GEMM's details."""
     a, b = case.a, case.b
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -144,8 +146,46 @@ def test_corpus_case_on_every_route(case, mode, moduli, process_scheduler, servi
             assert ledger.as_dict() == want_ledger.as_dict(), f"{route}: ledger differs"
     for route, result in gemv.items():
         _check_range(result.value, reference[:, 0], _bound(result, config, a, x[:, None]), route)
-        if mode == "fast":
+        if config.mode.value == "fast":
             _same_bits(result.value, want[:, 0], route)
+    return serial
+
+
+@pytest.mark.parametrize("moduli", ["fixed", "auto"])
+@pytest.mark.parametrize("mode", ["fast", "accurate"])
+@pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
+def test_corpus_case_on_every_route(case, mode, moduli, process_scheduler, service,
+                                    monkeypatch):
+    config = _config(case.precision, mode, moduli)
+    _check_every_route(case, config, process_scheduler, service, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "precision, mode, moduli",
+    [("fp64", "fast", "fixed"), ("fp64", "fast", "auto"), ("fp32", "fast", "fixed"),
+     ("fp64", "accurate", "fixed")],
+)
+@pytest.mark.parametrize("k", [MAX_K_WITHOUT_BLOCKING - 1, MAX_K_WITHOUT_BLOCKING,
+                               MAX_K_WITHOUT_BLOCKING + 1])
+def test_k_block_boundary_on_every_route(k, precision, mode, moduli, process_scheduler,
+                                         service, monkeypatch):
+    """The real k = 2**17 limit, not a patched one: the largest single
+    block (whose int32 chunk sums can wrap) and the first split."""
+    rng = np.random.default_rng(k)
+    dtype = np.float64 if precision == "fp64" else np.float32
+    a = rng.standard_normal((3, k)).astype(dtype)
+    b = rng.standard_normal((k, 2)).astype(dtype)
+    case = range_corpus.Case(f"k={k}", precision, a, b)
+    config = _config(precision, mode, moduli)
+    serial = _check_every_route(case, config, process_scheduler, service, monkeypatch)
+    assert serial.num_k_blocks == (1 if k <= MAX_K_WITHOUT_BLOCKING else 2)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
+def test_doubledouble_reference_matches_split(case):
+    value = reference_gemm(case.a, case.b, algorithm="doubledouble")
+    assert np.all(np.isfinite(value))
+    _same_bits(value, reference_gemm(case.a, case.b), "doubledouble")
 
 
 
