@@ -6,14 +6,16 @@ quantifies what it buys:
 * split-constant (``s_i1``/``s_i2``) accumulation vs naive FP64 accumulation
   of the raw INT32 products,
 * fast vs accurate computing mode (accuracy for wide exponent spreads),
-* exact vs fast-FMA conversion and floor-division vs ``__mulhi`` mod
-  (identical results; their measured cost on this CPU),
+* the production conversion and ``mod`` vs the paper's fast-FMA ``rmod``
+  and ``__mulhi`` ``mod``, called directly as the reference functions they
+  are (identical results; their measured cost on this CPU),
 * UINT8 residue accumulation vs INT32 accumulation (memory traffic in the
   cost model).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -21,12 +23,17 @@ import numpy as np
 from repro import emulated_dgemm
 from repro.accuracy import max_relative_error, reference_gemm
 from repro.config import Ozaki2Config
-from repro.core.accumulation import accumulate_residue_products
 from repro.core.conversion import residue_slices, truncate_scaled
 from repro.core.gemm import ozaki2_gemm
+from repro.core.operand import prepare_a, prepare_b
 from repro.core.scaling import fast_mode_scales
 from repro.crt.constants import build_constant_table
-from repro.crt.residues import residues_to_int8, uint8_residues_stack
+from repro.crt.residues import (
+    mod_fast_mulhi,
+    residues_to_int8,
+    rmod_fast_fma,
+    uint8_residues_stack,
+)
 from repro.harness.report import format_table
 from repro.workloads import phi_pair
 
@@ -109,44 +116,70 @@ def _best_seconds(fn, repeats=5):
     return best
 
 
+def _paper_residues(x_prime, table):
+    """Lines 4-5 by the paper's fast FMA ``rmod`` (Section 4.2), one modulus
+    at a time, cast to INT8 as the hardware does (``+128`` wraps to ``-128``)."""
+    out = np.empty((table.num_moduli,) + x_prime.shape, dtype=np.int8)
+    for i, p in enumerate(table.moduli):
+        r = rmod_fast_fma(
+            x_prime, p, table.pinv64[i], table.pinv32[i], table.num_moduli,
+            table.precision_bits,
+        )
+        r = np.rint(r).astype(np.int16)
+        r[r == 128] = -128
+        out[i] = r
+    return out
+
+
+def _mulhi_stack(c_stack, table):
+    """Line 7 by the paper's ``__mulhi`` ``mod`` (Section 4.3), one modulus
+    at a time, into a UINT8 stack."""
+    out = np.empty(c_stack.shape, dtype=np.uint8)
+    for i, p in enumerate(table.moduli):
+        out[i] = mod_fast_mulhi(c_stack[i], p, int(table.pinv_prime[i]))
+    return out
+
+
 def test_bench_ablation_residue_kernels(benchmark, save_result):
     """The paper's fast residue kernels — the FMA/reciprocal conversion of
-    Section 4.2 and the ``__mulhi`` mod of Section 4.3 — give bit-identical
-    emulation results.  The table records, next to each equivalence, the
-    seconds the production kernel and the paper's kernel take on this CPU
-    (recorded, not gated)."""
+    Section 4.2 and the ``__mulhi`` mod of Section 4.3 — are reference
+    functions that give the production results: a GEMM whose operands carry
+    the paper kernel's residues returns the production bits, and the
+    ``__mulhi`` U stack is the production one.  The table records, next to
+    each equivalence, the seconds the production kernel and the paper's
+    kernel take on this CPU (recorded, not gated)."""
     a, b = phi_pair(192, 256, 160, phi=1.0, seed=2)
+    config = Ozaki2Config.for_dgemm(15)
+    table = build_constant_table(15, 64)
+
+    def with_paper_residues(prep, side):
+        x_prime = truncate_scaled(prep.source, prep.scale_exp, side)
+        return dataclasses.replace(prep, slices=_paper_residues(x_prime, table))
 
     def run():
-        exact = ozaki2_gemm(a, b, config=Ozaki2Config.for_dgemm(15, residue_kernel="exact"))
-        fast = ozaki2_gemm(a, b, config=Ozaki2Config.for_dgemm(15, residue_kernel="fast_fma"))
-        return exact, fast
+        exact = ozaki2_gemm(a, b, config=config)
+        pa = with_paper_residues(prepare_a(a, config), "left")
+        pb = with_paper_residues(prepare_b(b, config), "right")
+        return exact, ozaki2_gemm(pa, pb, config=config)
 
     exact, fast = benchmark.pedantic(run, rounds=1, iterations=1)
     max_diff = float(np.max(np.abs(exact - fast)))
 
-    table = build_constant_table(15, 64)
     mu, _ = fast_mode_scales(a, b, table)
     a_prime = truncate_scaled(a, mu, "left")
     convert_seconds = {
-        kernel: _best_seconds(
-            lambda kernel=kernel: residues_to_int8(
-                a_prime, table.moduli, kernel=kernel,
-                pinv_b=table.pinv64, pinv32=table.pinv32,
-            )
-        )
-        for kernel in ("exact", "fast_fma")
+        "exact": _best_seconds(lambda: residues_to_int8(a_prime, table.moduli)),
+        "fast_fma": _best_seconds(lambda: _paper_residues(a_prime, table)),
     }
     rng = np.random.default_rng(2)
     c_stack = rng.integers(-(2**31), 2**31, (15, 192, 160)).astype(np.int32)
-    mod_tables = {"floor_divide": None, "mulhi": table.pinv_prime}
     mod_seconds = {
-        name: _best_seconds(lambda pinv=pinv: uint8_residues_stack(c_stack, table.moduli, pinv))
-        for name, pinv in mod_tables.items()
+        "floor_divide": _best_seconds(lambda: uint8_residues_stack(c_stack, table.moduli)),
+        "mulhi": _best_seconds(lambda: _mulhi_stack(c_stack, table)),
     }
     u_diff = int(np.max(np.abs(
         uint8_residues_stack(c_stack, table.moduli).astype(np.int64)
-        - uint8_residues_stack(c_stack, table.moduli, table.pinv_prime).astype(np.int64)
+        - _mulhi_stack(c_stack, table).astype(np.int64)
     )))
     rows = [
         {
@@ -171,28 +204,24 @@ def test_bench_ablation_residue_kernels(benchmark, save_result):
             "(conversion of a 192x256 A', mod of a 15x192x160 stack; best of 5)",
         ),
     )
-    scale = float(np.max(np.abs(exact)))
-    assert max_diff <= 1e-12 * scale
+    assert max_diff == 0.0
     assert u_diff == 0
 
 
 def test_bench_ablation_uint8_vs_int32_accumulation_traffic(benchmark, save_result):
     """Reducing C'_i to UINT8 residues and fusing the weighted sum into one
     kernel (lines 7-9 of Alg. 1) moves far fewer bytes than accumulating the
-    FP64 result after every INT8 GEMM, and the ``__mulhi`` mod kernel gives
-    bit-identical residues to the exact integer remainder."""
+    FP64 result after every INT8 GEMM, and the paper's ``__mulhi`` mod kernel
+    gives bit-identical UINT8 residues to the production integer remainder."""
     rng = np.random.default_rng(3)
     table = build_constant_table(15, 64)
     c_stack = rng.integers(-(2**31), 2**31, (15, 64, 64)).astype(np.int32)
 
     def run():
-        c1_u8, c2_u8 = accumulate_residue_products(c_stack, table, use_mulhi=True)
-        c1_ref, c2_ref = accumulate_residue_products(c_stack, table, use_mulhi=False)
-        return c1_u8, c1_ref, c2_u8, c2_ref
+        return uint8_residues_stack(c_stack, table.moduli), _mulhi_stack(c_stack, table)
 
-    c1_u8, c1_ref, c2_u8, c2_ref = benchmark.pedantic(run, rounds=1, iterations=1)
-    np.testing.assert_array_equal(c1_u8, c1_ref)
-    np.testing.assert_array_equal(c2_u8, c2_ref)
+    u_production, u_mulhi = benchmark.pedantic(run, rounds=1, iterations=1)
+    np.testing.assert_array_equal(u_production, u_mulhi)
 
     # Modelled accumulation-stage traffic at the paper's largest size.
     n_mod, size = 15, 8192

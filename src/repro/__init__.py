@@ -49,7 +49,7 @@ from __future__ import annotations
 
 __version__ = "1.3.0"
 
-from .config import ComputeMode, Ozaki2Config, ResidueKernel
+from .config import ComputeMode, Ozaki2Config
 from .core.blas_like import gemm
 from .core.gemm import emulated_dgemm, emulated_sgemm
 from .core.gemv import GemvResult
@@ -95,7 +95,6 @@ __all__ = [
     # configuration
     "ComputeMode",
     "Ozaki2Config",
-    "ResidueKernel",
     # one-shot entry points
     "emulated_dgemm",
     "emulated_sgemm",

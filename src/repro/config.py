@@ -3,10 +3,13 @@
 The central object is :class:`Ozaki2Config`, which captures every knob of
 Algorithm 1 in the paper: the target precision (FP64 for DGEMM emulation,
 FP32 for SGEMM emulation), the number of CRT moduli ``N``, the computing
-mode (``fast`` or ``accurate``, Section 4.2), the residue kernel, and the
-runtime knobs (workers, executor, memory budget).  Inputs are always
-validated, and inner dimensions beyond ``2**17`` are always processed in
-blocks (Section 4.3).
+mode (``fast`` or ``accurate``, Section 4.2), the accuracy target of auto
+selection, and the runtime knobs (workers, executor, memory budget).
+Inputs are always validated, and inner dimensions beyond ``2**17`` are
+always processed in blocks (Section 4.3).  The residue kernels are not a
+knob either: conversion (lines 4–5) and ``mod`` (line 7) each have one
+production kernel, and the paper's FMA and ``__mulhi`` kernels, which give
+the same bits, stay reference functions in :mod:`repro.crt.residues`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .types import FP32, FP64, Format, get_format
 
 __all__ = [
     "ComputeMode",
-    "ResidueKernel",
     "Ozaki2Config",
     "MAX_MODULI",
     "MAX_K_WITHOUT_BLOCKING",
@@ -78,32 +80,6 @@ class ComputeMode(str, enum.Enum):
         raise ConfigurationError(f"unknown compute mode {value!r}")
 
 
-class ResidueKernel(str, enum.Enum):
-    """Which implementation computes ``rmod(X, p_i)`` in Algorithm 1.
-
-    ``EXACT`` computes the centred remainders exactly for every input the
-    conversion accepts: a multiply by the correctly rounded ``1/p`` on
-    exact power-of-two limbs, rounded and subtracted (see
-    :func:`repro.crt.residues.residues_to_int8`).  ``FAST_FMA`` reproduces
-    the paper's FMA-based kernel of Section 4.2 (reciprocal multiply + FMA
-    correction steps), which is the high-throughput variant used on GPUs
-    and is exact for the ``N`` ranges stated in the paper.
-    """
-
-    EXACT = "exact"
-    FAST_FMA = "fast_fma"
-
-    @classmethod
-    def parse(cls, value: "ResidueKernel | str") -> "ResidueKernel":
-        if isinstance(value, cls):
-            return value
-        key = str(value).strip().lower()
-        for member in cls:
-            if key == member.value:
-                return member
-        raise ConfigurationError(f"unknown residue kernel {value!r}")
-
-
 @dataclasses.dataclass(frozen=True)
 class Ozaki2Config:
     """Configuration of one Ozaki scheme II emulated GEMM.
@@ -146,8 +122,6 @@ class Ozaki2Config:
         ``num_moduli`` is a fixed count.
     mode:
         ``ComputeMode.FAST`` or ``ComputeMode.ACCURATE`` (Section 4.2).
-    residue_kernel:
-        Implementation used for ``rmod`` (see :class:`ResidueKernel`).
     parallelism:
         Number of worker threads used by the execution runtime to fan the
         ``N`` residue GEMMs / k-blocks / output tiles out
@@ -194,7 +168,6 @@ class Ozaki2Config:
     precision: Format = FP64
     num_moduli: Union[int, str] = DEFAULT_MODULI_DGEMM
     mode: ComputeMode = ComputeMode.FAST
-    residue_kernel: ResidueKernel = ResidueKernel.EXACT
     parallelism: Union[int, str] = 1
     executor: str = "thread"
     max_pool_rebuilds: int = 2
@@ -211,8 +184,6 @@ class Ozaki2Config:
             )
         mode = ComputeMode.parse(self.mode)
         object.__setattr__(self, "mode", mode)
-        kernel = ResidueKernel.parse(self.residue_kernel)
-        object.__setattr__(self, "residue_kernel", kernel)
         if isinstance(self.num_moduli, str):
             key = self.num_moduli.strip().lower()
             if key != AUTO:

@@ -21,7 +21,9 @@ stays the reference the tests compare against.
 
 ``U_i`` is computed as ``C'_i − p_i ⌊C'_i / p_i⌋`` in integer arithmetic,
 exact for every int32 and int64 product (see :func:`repro.crt.residues.
-uint8_residues_stack`).  Callers run accumulation and reconstruction per row
+uint8_residues_stack`); that is line 7's one production kernel, and the
+paper's ``__mulhi`` kernel (:func:`repro.crt.residues.mod_fast_mulhi`) is a
+reference function that returns the same ``U_i``.  Callers run accumulation and reconstruction per row
 block (:func:`accumulation_row_blocks`), so each block's float64 U-stack
 stays cache-resident from the mod through the reconstruction.  Every step is
 elementwise in the rows, so blocking never changes a bit.
@@ -127,7 +129,6 @@ def _ordered_sum(u: np.ndarray, weights: np.ndarray, indices: Sequence[int]) -> 
 def accumulate_residue_products(
     c_stack: np.ndarray,
     table: CRTConstantTable,
-    use_mulhi: bool = False,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Compute ``C'^{(1)} = Σ s_i1 U_i`` and ``C'^{(2)} = Σ s_i2 U_i``.
 
@@ -150,9 +151,6 @@ def accumulate_residue_products(
         residue products ``C'_i``.
     table:
         Constant table providing moduli, split weights and reciprocals.
-    use_mulhi:
-        Use the ``__mulhi`` fast kernel for ``mod`` (Section 4.3) instead of
-        the integer floor-division.  Both yield identical ``U_i``.
 
     Returns
     -------
@@ -170,10 +168,7 @@ def accumulate_residue_products(
         )
     s2_nonzero = _table_terms(table.moduli, table.precision_bits).s2_nonzero
     u = uint8_residues_stack(
-        c_stack,
-        table.moduli,
-        table.pinv_prime if use_mulhi else None,
-        out=np.empty(c_stack.shape, dtype=np.float64),
+        c_stack, table.moduli, out=np.empty(c_stack.shape, dtype=np.float64)
     )
     if table.precision_bits == 64:
         c1 = np.tensordot(table.s1, u.reshape(table.num_moduli, -1), axes=1)

@@ -6,14 +6,16 @@ Covers lines 2–5 of Algorithm 1:
   toward zero after the power-of-two scaling, given by the exponents of
   ``μ``/``ν`` (:func:`truncate_scaled`), and
 * ``A'_i = rmod(A', p_i)``, ``B'_i = rmod(B', p_i)`` for every modulus,
-  cast to INT8 (:func:`residue_slices`).
+  cast to INT8 (:func:`residue_slices`), by the one production kernel,
+  :func:`repro.crt.residues.residues_to_int8`.  The paper's FMA kernel of
+  Section 4.2 (:func:`repro.crt.residues.rmod_fast_fma`) is a reference
+  function: its residues are congruent to these, so it gives the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..config import ResidueKernel
 from ..crt.constants import CRTConstantTable
 from ..crt.residues import residues_to_int8
 from ..utils.fp import ldexp_lines
@@ -37,25 +39,10 @@ def truncate_scaled(x: np.ndarray, exps: np.ndarray, side: str) -> np.ndarray:
     return np.trunc(scaled, out=scaled)
 
 
-def residue_slices(
-    x_prime: np.ndarray,
-    table: CRTConstantTable,
-    kernel: ResidueKernel = ResidueKernel.EXACT,
-) -> np.ndarray:
+def residue_slices(x_prime: np.ndarray, table: CRTConstantTable) -> np.ndarray:
     """INT8 residue stack ``[rmod(X', p_1), ..., rmod(X', p_N)]``.
 
-    Returns an ``(N, *X'.shape)`` INT8 array (lines 4–5 of Algorithm 1).
-    The ``kernel`` selects the exact float-domain kernel or the paper's fast
-    FMA kernel (Section 4.2); see :func:`repro.crt.residues.residues_to_int8`.
+    Returns an ``(N, *X'.shape)`` INT8 array (lines 4–5 of Algorithm 1); see
+    :func:`repro.crt.residues.residues_to_int8`.
     """
-    kernel = ResidueKernel.parse(kernel)
-    if kernel is ResidueKernel.EXACT:
-        return residues_to_int8(x_prime, table.moduli, kernel="exact")
-    return residues_to_int8(
-        x_prime,
-        table.moduli,
-        kernel="fast_fma",
-        pinv_b=table.pinv64,
-        pinv32=table.pinv32,
-        precision_bits=table.precision_bits,
-    )
+    return residues_to_int8(x_prime, table.moduli)

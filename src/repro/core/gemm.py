@@ -7,11 +7,12 @@ and intermediate diagnostics.  The convenience wrappers
 :func:`emulated_dgemm` / :func:`emulated_sgemm` choose sensible defaults for
 FP64 / FP32 targets.
 
-Lines 1–5 of Algorithm 1 (validation, moduli selection, the scale vectors
-and whatever conversion a side still needs) are decided in one place,
-:func:`_scaled_sides`, for every entry point: this module's GEMM, the
-residue GEMV (:mod:`repro.core.gemv`) and each item of the batched runtime
-(:mod:`repro.runtime.batched`).  Each route keeps only its own conversion
+Every emulated GEMM runs through :func:`ozaki2_gemm`: the batched runtime
+(:mod:`repro.runtime.batched`) calls it once per item.  Lines 1–5 of
+Algorithm 1 (validation, moduli selection, the scale vectors and whatever
+conversion a side still needs) are decided in one place,
+:func:`_scaled_sides`, for both entry points: this module's GEMM and the
+residue GEMV (:mod:`repro.core.gemv`).  Each keeps only its own conversion
 strategy, its line 6 and its result type.  The inner-dimension block limit
 of Section 4.3 is read from this module's :data:`MAX_K_WITHOUT_BLOCKING`
 on every route, so tests shrink it in one place.
@@ -24,7 +25,7 @@ here; see that module for the phase-key table.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
@@ -124,7 +125,6 @@ def _scaled_sides(
     constant_table: Optional[CRTConstantTable],
     engine: MatrixEngine,
     times: PhaseTimes,
-    scale_memo: Optional[Dict[tuple, np.ndarray]] = None,
 ) -> _ScaledSides:
     """Lines 1–5 of Algorithm 1 up to conversion, for raw or prepared sides.
 
@@ -138,15 +138,9 @@ def _scaled_sides(
     contributes its cached exponents; accurate mode finalises from the two
     sides' pre-scales (cached on an :class:`~repro.core.operand.AccurateOperand`,
     computed here otherwise) through the coupled bound product on
-    ``engine``.  Every entry point calls this, so a prepared, raw, vector or
-    batched side is scaled by the same arithmetic.
-
-    ``scale_memo`` (a batch's shared dict) keeps fast-mode scale exponents
-    by ``(side, id(array), N)``, so an array object that recurs in one
-    batch is scaled once; they are a function of the array and the count
-    alone, so the bits do not change.
+    ``engine``.  Every entry point calls this, so a prepared, raw or vector
+    side is scaled by the same arithmetic.
     """
-    a_id, b_id = id(a), id(b)
     a_prep, a = _side(a, "A")
     b_prep, b = _side(b, "B")
     for prep in (a_prep, b_prep):
@@ -185,13 +179,8 @@ def _scaled_sides(
 
     with _PhaseTimer(times, "scale"):
         if config.mode is ComputeMode.FAST:
-            n_mod = config.num_moduli
-            mu_exp = a_prep.scale_exp if a_prep is not None else _memo_scale(
-                scale_memo, ("A", a_id, n_mod), fast_mode_scale_a, a, table
-            )
-            nu_exp = b_prep.scale_exp if b_prep is not None else _memo_scale(
-                scale_memo, ("B", b_id, n_mod), fast_mode_scale_b, b, table
-            )
+            mu_exp = a_prep.scale_exp if a_prep is not None else fast_mode_scale_a(a, table)
+            nu_exp = b_prep.scale_exp if b_prep is not None else fast_mode_scale_b(b, table)
         else:
             pa = a_prep.prescale if a_prep is not None else accurate_mode_prescale(a, axis=1)
             pb = b_prep.prescale if b_prep is not None else accurate_mode_prescale(b, axis=0)
@@ -206,21 +195,6 @@ def _scaled_sides(
     return _ScaledSides(
         config, table, selection, m, k, n, mu_exp, nu_exp, a_slices, a_source, b_slices, b_source
     )
-
-
-def _memo_scale(
-    memo: Optional[Dict[tuple, np.ndarray]],
-    key: tuple,
-    scale: Callable[[np.ndarray, CRTConstantTable], np.ndarray],
-    x: np.ndarray,
-    table: CRTConstantTable,
-) -> np.ndarray:
-    """``scale(x, table)``, computed once per ``key`` when a memo is given."""
-    if memo is None:
-        return scale(x, table)
-    if key not in memo:
-        memo[key] = scale(x, table)
-    return memo[key]
 
 
 def _pending(
@@ -287,7 +261,9 @@ def ozaki2_gemm(
         :class:`~repro.engines.Int8MatrixEngine`.
     return_details:
         When True, return a :class:`GemmResult` instead of just the
-        product matrix.
+        product matrix; its ledger holds the engine work of this call alone
+        (the engine's counter is snapshotted on entry, which only this flag
+        pays for).
     constant_table:
         Precomputed constant table (otherwise built/cached from the config).
     scheduler:
@@ -311,6 +287,7 @@ def ozaki2_gemm(
         engine = scheduler.engine
     elif engine is None:
         engine = Int8MatrixEngine()
+    counter_before = engine.counter.copy() if return_details else None
     times = PhaseTimes()
     sides = _scaled_sides(a, b, config, constant_table, engine, times)
     config, table = sides.config, sides.table
@@ -338,14 +315,14 @@ def ozaki2_gemm(
         if a_slices is None:
             with _PhaseTimer(times, "convert_A"):
                 a_slices = scheduler.convert_residues(
-                    sides.a_source, sides.mu_exp, "left", table, config, plan
+                    sides.a_source, sides.mu_exp, "left", table, plan
                 )
         else:
             times.add("convert_A", 0.0)
         if b_slices is None:
             with _PhaseTimer(times, "convert_B"):
                 b_slices = scheduler.convert_residues(
-                    sides.b_source, sides.nu_exp, "right", table, config, plan
+                    sides.b_source, sides.nu_exp, "right", table, plan
                 )
         else:
             times.add("convert_B", 0.0)
@@ -357,7 +334,7 @@ def ozaki2_gemm(
         # conversion (or a prepared operand), so they are trusted: the
         # engine may skip its per-call validation sweeps.
         c_pp = execute_plan(
-            scheduler, plan, a_slices, b_slices, table, config, times, trusted=True
+            scheduler, plan, a_slices, b_slices, table, times, trusted=True
         )
         # One emulated GEMM retired at this (possibly auto-selected) count.
         engine.counter.record_emulated(config.num_moduli)
@@ -383,7 +360,7 @@ def ozaki2_gemm(
         mu_exp=sides.mu_exp,
         nu_exp=sides.nu_exp,
         phase_times=times,
-        ledger=engine.counter,
+        ledger=engine.counter.difference(counter_before),
         num_k_blocks=plan.num_k_blocks,
         moduli_selection=sides.selection,
         moduli_history=[config.num_moduli],

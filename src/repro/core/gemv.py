@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import Ozaki2Config, ResidueKernel
+from ..config import Ozaki2Config
 from ..crt.constants import CRTConstantTable
 from ..engines.base import MatrixEngine
 from ..engines.int8 import Int8MatrixEngine
@@ -79,8 +79,8 @@ class GemvResult(Result):
         :class:`~repro.result.PhaseTimes` so GEMV and GEMM breakdowns
         compare directly.
     ledger:
-        Operation ledger of the INT8 engine — identical to what the
-        ``n = 1`` GEMM route records for the same product.
+        This call's operation ledger on the INT8 engine — identical to what
+        the ``n = 1`` GEMM route records for the same product.
     moduli_selection:
         :class:`~repro.crt.adaptive.AdaptiveSelection` diagnostic for
         ``num_moduli="auto"`` runs; ``None`` for fixed counts.
@@ -134,7 +134,9 @@ def prepared_gemv(
         INT8 matrix engine; defaults to a fresh
         :class:`~repro.engines.int8.Int8MatrixEngine`.
     return_details:
-        When True, return a :class:`GemvResult` instead of just the vector.
+        When True, return a :class:`GemvResult` instead of just the vector;
+        its ledger holds the engine work of this call alone (the engine's
+        counter is snapshotted on entry, which only this flag pays for).
     constant_table:
         Precomputed constant table (otherwise built/cached from the config).
 
@@ -147,6 +149,7 @@ def prepared_gemv(
     config = config or (a_prep.config if a_prep is not None else Ozaki2Config())
     out_dtype = result_dtype(config.precision)
     engine = engine or Int8MatrixEngine()
+    counter_before = engine.counter.copy() if return_details else None
     times = PhaseTimes()
 
     x = np.asarray(x, dtype=np.float64)
@@ -165,7 +168,7 @@ def prepared_gemv(
     if a_slices is None:
         with _PhaseTimer(times, "convert_A"):
             a_prime = truncate_scaled(sides.a_source, sides.mu_exp, side="left")
-            a_slices = residue_slices(a_prime, table, config.residue_kernel)
+            a_slices = residue_slices(a_prime, table)
     else:
         times.add("convert_A", 0.0)
 
@@ -174,7 +177,7 @@ def prepared_gemv(
     # converting the (k, 1) column (see crt.residues.residues_to_int8).
     with _PhaseTimer(times, "convert_B"):
         x_prime = truncate_scaled(sides.b_source, sides.nu_exp, side="right").ravel()
-        x_slices = residue_slices(x_prime, table, config.residue_kernel)
+        x_slices = residue_slices(x_prime, table)
 
     # Line 6: the N residue GEMVs — one stacked engine call per k-block, no
     # plan, no scheduler, no tiling.  Multiple k-blocks accumulate the exact
@@ -192,11 +195,8 @@ def prepared_gemv(
 
     # Lines 7-11: accumulation and CRT reconstruction, on the (N, m, 1)
     # view so every step matches the GEMM route bit for bit.
-    use_mulhi = (
-        config.residue_kernel is ResidueKernel.FAST_FMA and c_stack.dtype == np.int32
-    )
     t1 = time.perf_counter()
-    c1, c2 = accumulate_residue_products(c_stack[:, :, None], table, use_mulhi=use_mulhi)
+    c1, c2 = accumulate_residue_products(c_stack[:, :, None], table)
     t2 = time.perf_counter()
     c_pp = reconstruct_crt(c1, c2, table)
     t3 = time.perf_counter()
@@ -218,7 +218,7 @@ def prepared_gemv(
         mu_exp=sides.mu_exp,
         nu_exp=sides.nu_exp,
         phase_times=times,
-        ledger=engine.counter,
+        ledger=engine.counter.difference(counter_before),
         moduli_selection=sides.selection,
         moduli_history=[config.num_moduli],
     )

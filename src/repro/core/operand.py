@@ -213,10 +213,9 @@ class PreparedOperand:
         """Raise :class:`ConfigurationError` unless ``config`` can reuse this.
 
         The cached state is a function of the preparing configuration's
-        mode, precision (constant-table bit width), moduli count and
-        residue kernel; a multiplication under a configuration that differs
-        in any of those would silently change the result, so it is rejected
-        instead.  Runtime knobs (``parallelism``, ``executor``,
+        mode, precision (constant-table bit width) and moduli count; a
+        multiplication under a configuration that differs in any of those
+        would silently change the result, so it is rejected instead.  Runtime knobs (``parallelism``, ``executor``,
         ``max_pool_rebuilds``, ``memory_budget_mb``) may differ freely.  An
         **auto** ``config`` skips the moduli-count comparison: the entry
         points resolve the selection and re-derive the operand
@@ -229,13 +228,9 @@ class PreparedOperand:
                 f"but the multiplication requests {config.mode.value!r} mode: "
                 f"{_MODE_MISMATCH}"
             )
-        checks = [
-            ("precision", self.config.precision.name, config.precision.name),
-            ("residue_kernel", self.config.residue_kernel.value,
-             config.residue_kernel.value),
-        ]
+        checks = [("precision", self.config.precision.name, config.precision.name)]
         if not config.moduli_is_auto:
-            checks.insert(1, ("num_moduli", self.config.num_moduli, config.num_moduli))
+            checks.append(("num_moduli", self.config.num_moduli, config.num_moduli))
         mismatches = [
             f"{name}: prepared with {ours!r}, multiplication requests {theirs!r}"
             for name, ours, theirs in checks
@@ -296,9 +291,9 @@ class ResidueOperand(PreparedOperand):
         The (always concrete) configuration the operand was prepared
         under; preparing with ``num_moduli="auto"`` stores the resolved
         configuration at the selected count.  Multiplications must use a
-        configuration with the same precision, moduli count, mode and
-        residue kernel (runtime knobs — ``parallelism``, ``executor``,
-        ``max_pool_rebuilds``, ``memory_budget_mb`` — may differ freely;
+        configuration with the same precision, moduli count and mode
+        (runtime knobs — ``parallelism``, ``executor``, ``max_pool_rebuilds``,
+        ``memory_budget_mb`` — may differ freely;
         they do not affect the residues).  A different moduli count is
         reachable through :meth:`resolve_for` instead of re-preparation.
     convert_seconds:
@@ -548,7 +543,7 @@ def _fast_operand(
     return ResidueOperand(
         side=side,
         scale_exp=scale_exp,
-        slices=residue_slices(x_prime, table, config.residue_kernel),
+        slices=residue_slices(x_prime, table),
         config=config,
         convert_seconds=time.perf_counter() - start,
         prescale=prescale,

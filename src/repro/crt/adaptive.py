@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 from typing import Optional
 
@@ -355,12 +356,22 @@ def _warn_clamped(target: float, relative_bound: float) -> None:
     solvers) received a result missing its requested ``target_accuracy``
     with no signal.  The warning fires once per process (a solver loop
     re-selecting every iteration must not spam); programmatic callers read
-    ``AdaptiveSelection.met`` / ``Result.bound_met`` instead.
+    ``AdaptiveSelection.met`` / ``Result.bound_met`` instead.  It is
+    attributed to the first frame outside the ``repro`` package, the
+    caller's own line, whichever route (GEMM, GEMV, preparation, a direct
+    :func:`select_num_moduli`) selected.
     """
     global _CLAMP_WARNING_EMITTED
     if _CLAMP_WARNING_EMITTED:
         return
     _CLAMP_WARNING_EMITTED = True
+    # ``warnings.warn(skip_file_prefixes=...)`` needs Python 3.12; count the
+    # package's frames instead (stacklevel 1 is this function).
+    stacklevel, frame = 1, sys._getframe()
+    while frame.f_back is not None and (
+        frame.f_globals.get("__name__", "").partition(".")[0] == "repro"
+    ):
+        stacklevel, frame = stacklevel + 1, frame.f_back
     warnings.warn(
         f"target_accuracy={target:g} is unreachable: even num_moduli="
         f"{MAX_MODULI} only guarantees a relative bound of "
@@ -368,7 +379,7 @@ def _warn_clamped(target: float, relative_bound: float) -> None:
         "(selection.met / Result.bound_met report False; this warning is "
         "emitted once per process)",
         RuntimeWarning,
-        stacklevel=4,
+        stacklevel=stacklevel,
     )
 
 

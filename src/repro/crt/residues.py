@@ -1,8 +1,21 @@
 """Residue kernels: ``rmod`` and ``mod`` (Sections 4.2 and 4.3).
 
-Three families of implementations are provided.
+Algorithm 1 has one production kernel for each; the other two families are
+reference functions the tests (and the ablation benchmark) call directly.
 
-Reference kernels
+Production kernels
+    :func:`residues_to_int8` (lines 4-5 of Algorithm 1) and
+    :func:`uint8_residues_stack` (line 7) compute the exact remainders, the
+    CPU analogue of the paper's reciprocal and ``__mulhi`` kernels.
+    Conversion multiplies by the correctly rounded ``1/p``, rounds and
+    subtracts, over cache-sized blocks, exactly for every ``|x| < 2**93``
+    (larger inputs raise :class:`~repro.errors.ValidationError`).  The
+    ``mod`` of the INT32/INT64 products is ``C' - p * (C' // p)`` in integer
+    arithmetic (NumPy vectorises integer floor-division by a scalar as a
+    multiply-high and a shift, the ``__mulhi`` idea), exact for every int32
+    and int64 value.
+
+Exact reference kernels
     :func:`rmod_exact` and :func:`mod_exact` use exact integer remainders
     (values beyond the int64 range are split exactly into two limbs first),
     so they realise the mathematical definitions
@@ -15,28 +28,17 @@ Reference kernels
     with no error.  The test suite compares the production kernels with
     them.
 
-Production kernels
-    :func:`residues_to_int8` (lines 4-5 of Algorithm 1) and
-    :func:`uint8_residues_stack` (line 7) compute the same remainders
-    exactly, the CPU analogue of the paper's reciprocal and ``__mulhi``
-    kernels.  Conversion multiplies by the correctly rounded ``1/p``,
-    rounds and subtracts, over cache-sized blocks, exactly for every
-    ``|x| < 2**93`` (larger inputs raise
-    :class:`~repro.errors.ValidationError`).  The ``mod``
-    of the INT32/INT64 products is ``C' - p * (C' // p)`` in integer
-    arithmetic (NumPy vectorises integer floor-division by a scalar as a
-    multiply-high and a shift, the ``__mulhi`` idea), exact for every int32
-    and int64 value.
-
-Fast kernels
+The paper's kernels
     :func:`rmod_fast_fma` reproduces the FMA/reciprocal kernel of
     Section 4.2 (built-in ``fmod`` is slow on GPUs, so the paper multiplies
     by a precomputed reciprocal, rounds, and corrects with up to two extra
     FMA steps depending on ``N``), and :func:`mod_fast_mulhi` reproduces the
-    ``__mulhi``-based integer kernel of Section 4.3.  They exist both for
-    fidelity to the paper and so the test-suite can check the windows of
-    validity the paper states (``N <= 18`` for FP32 inputs, ``N <= 20`` for
-    FP64 inputs).
+    ``__mulhi``-based integer kernel of Section 4.3.  Their residues are
+    congruent to the production ones modulo ``p``, so the ``U_i`` and every
+    output bit are the same: the test suite's literal Algorithm 1
+    (``tests/algorithm1_oracle.py``) gives the production bits with either
+    kernel pair.  The tests also check the windows of validity the paper
+    states (``N <= 18`` for FP32 inputs, ``N <= 20`` for FP64 inputs).
 """
 
 from __future__ import annotations
@@ -198,70 +200,15 @@ def mod_fast_mulhi(c: np.ndarray, p: int, pinv_prime: int) -> np.ndarray:
     return y
 
 
-def _wrap_to_int8(r: np.ndarray) -> np.ndarray:
-    """Cast centred residues to INT8, wrapping ``+128`` to ``-128``.
-
-    Values must already lie in ``[-128, 128]``; the single boundary value
-    ``+128`` (reachable only for ``p = 256``) wraps exactly as the hardware
-    cast does and is congruent modulo 256 (Section 4.1).
-    """
-    r_int = np.rint(r).astype(np.int16)
-    r_int = np.where(r_int == 128, np.int16(-128), r_int)
-    return r_int.astype(np.int8)
-
-
-def residues_to_int8(
-    x: np.ndarray,
-    moduli: Sequence[int],
-    kernel: str = "exact",
-    pinv_b: np.ndarray | None = None,
-    pinv32: np.ndarray | None = None,
-    precision_bits: int = 64,
-) -> np.ndarray:
+def residues_to_int8(x: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     """Residues of an integer-valued array for every modulus, as INT8.
 
-    Returns an array of shape ``(N, *x.shape)`` holding
-    ``rmod(x, p_i)`` cast to INT8 (lines 4-5 of Algorithm 1).  ``x`` may be
-    any shape — the kernels are element-wise, so a 1-D vector (the ``n = 1``
-    GEMV operand of :func:`repro.core.gemv.prepared_gemv`) converts in the
-    same pass as a matrix and is bit-identical to converting the equivalent
-    ``(k, 1)`` column: a vector-shaped conversion is simply a matrix-shaped
-    one without the dead trailing axis.
-
-    Parameters
-    ----------
-    x:
-        Integer-valued float64 array (``A'``, ``B'`` or a GEMV vector
-        ``x'``).
-    moduli:
-        Sequence of moduli.
-    kernel:
-        ``"exact"`` (default) for the float-domain kernel of
-        :func:`_residues_to_int8_exact`, exact for every ``|x| < 2**93``
-        (larger magnitudes raise :class:`~repro.errors.ValidationError`),
-        or ``"fast_fma"`` for the Section 4.2 kernel
-        (:func:`rmod_fast_fma`, one modulus at a time).
-    pinv_b, pinv32, precision_bits:
-        Reciprocal tables and input precision, required by the fast kernel.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    mods = [int(p) for p in moduli]
-    if kernel not in ("exact", "fast_fma"):
-        raise ConfigurationError(f"unknown residue kernel {kernel!r}")
-    if kernel == "exact":
-        return _residues_to_int8_exact(x, mods)
-    if pinv_b is None or pinv32 is None:
-        raise ConfigurationError("fast_fma kernel requires pinv_b and pinv32 tables")
-    out = np.empty((len(mods),) + x.shape, dtype=np.int8)
-    for i, p in enumerate(mods):
-        out[i] = _wrap_to_int8(
-            rmod_fast_fma(x, p, float(pinv_b[i]), float(pinv32[i]), len(mods), precision_bits)
-        )
-    return out
-
-
-def _residues_to_int8_exact(x: np.ndarray, mods: "list[int]") -> np.ndarray:
-    """Float-domain conversion of the exact kernel for all ``N`` moduli.
+    Returns an array of shape ``(N, *x.shape)`` holding ``rmod(x, p_i)``
+    cast to INT8 (lines 4-5 of Algorithm 1).  ``x`` (``A'``, ``B'`` or a
+    GEMV vector ``x'``) may be any shape: the kernel is element-wise, so a
+    1-D vector (the ``n = 1`` operand of
+    :func:`repro.core.gemv.prepared_gemv`) converts bit-identically to the
+    equivalent ``(k, 1)`` column.
 
     ``x`` is processed in blocks of :data:`_CONVERT_BLOCK` elements, so each
     block's temporaries stay cache-resident while every modulus visits it.
@@ -291,6 +238,8 @@ def _residues_to_int8_exact(x: np.ndarray, mods: "list[int]") -> np.ndarray:
     cast to INT8 for every ``|x| < 2**93``; larger magnitudes raise
     :class:`~repro.errors.ValidationError`.
     """
+    x = np.asarray(x, dtype=np.float64)
+    mods = [int(p) for p in moduli]
     out = np.empty((len(mods),) + x.shape, dtype=np.int8)
     if x.size == 0:
         return out
@@ -334,7 +283,6 @@ def _residues_to_int8_exact(x: np.ndarray, mods: "list[int]") -> np.ndarray:
 def uint8_residues_stack(
     c_stack: np.ndarray,
     moduli: Sequence[int],
-    pinv_prime: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``U = [mod(C'_1, p_1), ..., mod(C'_N, p_N)]`` for the whole stack.
@@ -346,9 +294,8 @@ def uint8_residues_stack(
     ``[0, p)``, so it is exact even where ``p * (C' // p)`` wraps (near
     ``-2**31`` for int32) — the wrapped product is still right modulo the
     type's width.  Stacks of any other dtype (an integer-valued float stack,
-    say) are cast to int64 first.  When ``pinv_prime`` (the
-    ``⌊2^32/p_i − 1⌋`` table) is given, the ``__mulhi`` fast kernel of
-    Section 4.3 is used instead.
+    say) are cast to int64 first.  The paper's ``__mulhi`` kernel
+    (:func:`mod_fast_mulhi`) returns the same ``U``.
 
     ``out`` may supply a preallocated ``c_stack.shape`` array of any dtype
     that can represent ``[0, 255]``; the accumulation passes a float64
@@ -357,10 +304,6 @@ def uint8_residues_stack(
     """
     c = np.asarray(c_stack)
     u = out if out is not None else np.empty(c.shape, dtype=np.uint8)
-    if pinv_prime is not None:
-        for i, p in enumerate(moduli):
-            u[i] = mod_fast_mulhi(c[i], p, int(pinv_prime[i]))
-        return u
     if c.dtype not in (np.int32, np.int64):
         c = c.astype(np.int64)
     r = np.empty(c.shape[1:], dtype=c.dtype)

@@ -15,8 +15,8 @@ spelling:
   the computation ran under,
 * ``phase_times`` — the :class:`PhaseTimes` breakdown (``None`` where a
   composite operation has no single breakdown, e.g. a whole solve),
-* ``ledger`` — the :class:`~repro.engines.base.OpCounter` of the engine
-  that retired the work,
+* ``ledger`` — the :class:`~repro.engines.base.OpCounter` of the work this
+  call retired on its engine (a delta, not the engine's running total),
 * ``moduli_history`` — the moduli count(s) the operation actually used:
   one entry per emulated product for solves (the progressive ladder), a
   single entry for one-shot products.
@@ -129,9 +129,12 @@ class Result:
         Per-phase wall-clock breakdown, or ``None`` for composite
         operations without a single Algorithm-1 breakdown.
     ledger:
-        The engine's operation ledger (GEMM calls, MACs, bytes, emulated
-        calls, operand-cache events), or ``None`` where no engine ledger
-        was collected.
+        This call's operation ledger (GEMM calls, MACs, bytes, emulated
+        calls, fault events): what the engine recorded between the call's
+        start and its return, or ``None`` where no engine ledger was
+        collected.  Calls running concurrently on one engine (one
+        :class:`~repro.session.Session` serving several threads) share a
+        window, so each may count the other's work.
     moduli_history:
         Moduli count(s) actually used, one entry per emulated product.
     """
@@ -176,12 +179,16 @@ class Result:
     def fault_events(self) -> Dict[str, int]:
         """Resilience events survived while computing this result.
 
-        The ledger's ``fault_events`` histogram (``task_retry``,
-        ``wave_retry``, ``pool_failure``, ``shm_fallback``,
-        ``degraded_to_thread``, …) — empty for a fault-free run or when no
+        The ``fault_events`` histogram of this call's ledger
+        (``task_retry``, ``wave_retry``, ``pool_failure``, ``shm_fallback``,
+        ``degraded_to_thread``, …) — empty for a fault-free call or when no
         ledger was collected.  Recoveries are recorded here instead of
         perturbing the work counters, so a recovered run stays
-        ledger-comparable to a fault-free one.
+        ledger-comparable to a fault-free one.  Events of earlier calls are
+        not repeated here: a scheduler's lasting state (it stays degraded
+        for the rest of its life) is in
+        :meth:`Scheduler.health() <repro.runtime.scheduler.Scheduler.health>`
+        and ``Session.stats()["runtime"]``.
         """
         if self.ledger is None:
             return {}
@@ -189,7 +196,8 @@ class Result:
 
     @property
     def degraded(self) -> bool:
-        """True when the process executor degraded to the thread path.
+        """True when the process executor degraded to the thread path
+        during this call.
 
         The scheduler records ``degraded_to_thread`` after surviving more
         pool failures than ``config.max_pool_rebuilds`` allows; the value
@@ -218,7 +226,8 @@ class GemmResult(Result):
         wall-clock benchmark, *not* a GPU prediction — that is the job of
         :mod:`repro.perfmodel`).
     ledger:
-        Operation ledger of the INT8 engine (GEMM calls, MACs, bytes).
+        This call's operation ledger on the INT8 engine (GEMM calls, MACs,
+        bytes).
     num_k_blocks:
         Number of inner-dimension blocks actually used, derived from the
         execution plan's block ranges (1 unless ``k > 2^17``).

@@ -17,9 +17,9 @@ number of output tiles.  This package exploits that structure:
 * :mod:`repro.runtime.tilesource` — :class:`TileSource` stages residue
   stacks too large for RAM on disk and streams them through the same
   tiled plans (out-of-core GEMM).
-* :mod:`repro.runtime.batched` — :func:`ozaki2_gemm_batched` serves whole
-  batches through one shared scheduler, with one residue-conversion pass
-  per operand shape.
+* :mod:`repro.runtime.batched` — :func:`ozaki2_gemm_batched` runs a whole
+  batch as a loop of :func:`~repro.core.gemm.ozaki2_gemm` calls on one
+  shared scheduler, preparing each recurring array once.
 """
 
 from __future__ import annotations

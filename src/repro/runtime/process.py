@@ -210,9 +210,7 @@ def _task_accumulate(engine: MatrixEngine, p: Dict[str, Any]) -> Tuple[float, fl
         # Cache-sized row blocks within the band, as the thread path does.
         for b0, b1 in accumulation_row_blocks(table.num_moduli, r1 - r0, n1 - n0):
             t0 = time.perf_counter()
-            c1, c2 = accumulate_residue_products(
-                c[:, r0 + b0 : r0 + b1, :], table, use_mulhi=p["use_mulhi"]
-            )
+            c1, c2 = accumulate_residue_products(c[:, r0 + b0 : r0 + b1, :], table)
             t1 = time.perf_counter()
             out[m0 + r0 + b0 : m0 + r0 + b1, n0:n1] = reconstruct_crt(c1, c2, table)
             accumulate_s += t1 - t0
@@ -234,7 +232,7 @@ def _task_convert(engine: MatrixEngine, p: Dict[str, Any]) -> None:
         if p["scale_exp"] is not None:
             band = truncate_scaled(band, p["scale_exp"], p["side"])
         table = _table_from_spec(p["table"])
-        out[:, r0:r1] = residue_slices(band, table, p["kernel"])
+        out[:, r0:r1] = residue_slices(band, table)
 
 
 _TASK_HANDLERS = {
@@ -421,7 +419,6 @@ def execute_plan_process(
     a_slices: np.ndarray,
     b_slices: np.ndarray,
     table: CRTConstantTable,
-    config: "Ozaki2Config",  # noqa: F821
     times: "PhaseTimes | None" = None,  # noqa: F821
     trusted: bool = False,
 ) -> np.ndarray:
@@ -445,9 +442,6 @@ def execute_plan_process(
     # matmul_stack always yields INT32; k-blocked runs accumulate partials
     # exactly in INT64 — the same dtypes the thread path materialises.
     c_dtype = np.int64 if blocked else np.int32
-    use_mulhi = (
-        config.residue_kernel.name == "FAST_FMA" and c_dtype == np.int32
-    )
     spec = table_spec(table)
 
     temps: List[SharedArray] = []
@@ -498,7 +492,6 @@ def execute_plan_process(
                             "m_range": (m0, m1),
                             "n_range": (n0, n1),
                             "table": spec,
-                            "use_mulhi": use_mulhi,
                         },
                     )
                     for band in bands

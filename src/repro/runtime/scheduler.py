@@ -51,7 +51,6 @@ import numpy as np
 
 from .. import faults
 from ..analysis.lockorder import named_lock
-from ..config import Ozaki2Config, ResidueKernel
 from ..core.accumulation import (
     accumulate_residue_products,
     accumulation_row_blocks,
@@ -481,11 +480,10 @@ class Scheduler:
         scale_exp: Optional[np.ndarray],
         side: str,
         table: CRTConstantTable,
-        config: Ozaki2Config,
     ) -> np.ndarray:
         """The serial conversion pipeline (also the shm-failure fallback)."""
         x_prime = x if scale_exp is None else truncate_scaled(x, scale_exp, side)
-        return residue_slices(x_prime, table, config.residue_kernel)
+        return residue_slices(x_prime, table)
 
     def convert_residues(
         self,
@@ -493,7 +491,6 @@ class Scheduler:
         scale_exp: Optional[np.ndarray],
         side: str,
         table: CRTConstantTable,
-        config: Ozaki2Config,
         plan: ExecutionPlan,
     ) -> np.ndarray:
         """Truncate-scale ``x`` by the exponents ``scale_exp`` (optional) and
@@ -511,7 +508,7 @@ class Scheduler:
         stragglers).
         """
         if self.backend(plan) != "process" or x.ndim != 2 or x.shape[0] < 2:
-            return self.convert_residues_inline(x, scale_exp, side, table, config)
+            return self.convert_residues_inline(x, scale_exp, side, table)
         try:
             source = SharedArray.copy_from(np.ascontiguousarray(x, dtype=np.float64))
         except (MemoryError, faults.InjectedFault) as exc:
@@ -520,14 +517,14 @@ class Scheduler:
             # and is bit-identical by construction.
             self.engine.counter.record_fault_event("shm_fallback")
             _LOG.warning("shared-memory conversion fell back inline: %s", exc)
-            return self.convert_residues_inline(x, scale_exp, side, table, config)
+            return self.convert_residues_inline(x, scale_exp, side, table)
         try:
             out = SharedArray.create((table.num_moduli,) + x.shape, np.int8)
         except (MemoryError, faults.InjectedFault) as exc:
             self.engine.counter.record_fault_event("shm_fallback")
             _LOG.warning("shared-memory conversion fell back inline: %s", exc)
             source.close()
-            return self.convert_residues_inline(x, scale_exp, side, table, config)
+            return self.convert_residues_inline(x, scale_exp, side, table)
         try:
             spec = table_spec(table)
             tasks = []
@@ -550,7 +547,6 @@ class Scheduler:
                             "scale_exp": exp_band,
                             "side": side,
                             "table": spec,
-                            "kernel": config.residue_kernel,
                         },
                     )
                 )
@@ -569,7 +565,6 @@ def execute_plan(
     a_slices: np.ndarray,
     b_slices: np.ndarray,
     table: CRTConstantTable,
-    config: Ozaki2Config,
     times: "PhaseTimes | None" = None,
     trusted: bool = False,
 ) -> np.ndarray:
@@ -589,13 +584,7 @@ def execute_plan(
         copy), memory-maps (streamed out-of-core), or plain arrays (copied
         into a transient segment for the call).
     table:
-        CRT constant table matching ``config``.
-    config:
-        Configuration; selects the ``mod`` kernel of the accumulation.
-        Tasks are modulus *chunks* of the stack, one
-        :meth:`~repro.engines.base.MatrixEngine.matmul_stack` call per
-        chunk and k-block: serial runs take the whole stack in one call per
-        tile and k-block, parallel runs split it across workers.
+        CRT constant table of the residue stacks' moduli.
     times:
         Optional :class:`~repro.core.gemm.PhaseTimes` receiving per-phase
         seconds under the keys ``matmul`` / ``accumulate`` / ``reconstruct``.
@@ -607,8 +596,12 @@ def execute_plan(
         skip its per-call validation sweeps.  Off by default so
         external callers handing in arbitrary stacks keep full validation.
 
-    Tiles are processed one at a time — bounding the transient workspace to
-    a single ``(N, m_tile, n_tile)`` stack, which is what the memory budget
+    Tasks are modulus *chunks* of the stack, one
+    :meth:`~repro.engines.base.MatrixEngine.matmul_stack` call per chunk and
+    k-block: serial runs take the whole stack in one call per tile and
+    k-block, parallel runs split it across workers.  Tiles are processed
+    one at a time — bounding the transient workspace to a single
+    ``(N, m_tile, n_tile)`` stack, which is what the memory budget
     promises — while the engine calls inside each tile fan out across the
     pool.
     """
@@ -627,7 +620,7 @@ def execute_plan(
     if scheduler.backend(plan) == "process":
         try:
             c_pp = execute_plan_process(
-                scheduler, plan, a_slices, b_slices, table, config, times, trusted
+                scheduler, plan, a_slices, b_slices, table, times, trusted
             )
             scheduler._count_call("process")
             return c_pp
@@ -689,10 +682,6 @@ def execute_plan(
                 # One k-block: tasks are the chunks in modulus order already.
                 c_stack = partials[0] if len(partials) == 1 else np.concatenate(partials)
 
-            use_mulhi = (
-                config.residue_kernel is ResidueKernel.FAST_FMA
-                and c_stack.dtype == np.int32
-            )
             # Accumulate and reconstruct per row block, so each block's
             # U-stack stays cache-resident through both (bit-identical to
             # one whole-tile call: both steps are elementwise in the rows).
@@ -701,9 +690,7 @@ def execute_plan(
             reconstruct_s = 0.0
             for r0, r1 in accumulation_row_blocks(n_mod, m1 - m0, n1 - n0):
                 t2 = time.perf_counter()
-                c1, c2 = accumulate_residue_products(
-                    c_stack[:, r0:r1], table, use_mulhi=use_mulhi
-                )
+                c1, c2 = accumulate_residue_products(c_stack[:, r0:r1], table)
                 t3 = time.perf_counter()
                 c_pp[m0 + r0 : m0 + r1, n0:n1] = reconstruct_crt(c1, c2, table)
                 accumulate_s += t3 - t2

@@ -228,16 +228,12 @@ class TileSource:
                     faults.raise_if("tile.stage")
                     if side == "A":
                         strip = truncate_scaled(x[lo:hi], scale_exp[lo:hi], side="left")
-                        staged[:, lo:hi, :] = residue_slices(
-                            strip, table, config.residue_kernel
-                        )
+                        staged[:, lo:hi, :] = residue_slices(strip, table)
                     else:
                         strip = truncate_scaled(
                             x[:, lo:hi], scale_exp[lo:hi], side="right"
                         )
-                        staged[:, :, lo:hi] = residue_slices(
-                            strip, table, config.residue_kernel
-                        )
+                        staged[:, :, lo:hi] = residue_slices(strip, table)
                     return
                 except (faults.InjectedFault, OSError) as exc:
                     if attempt:

@@ -12,16 +12,15 @@ are JSON headers plus raw array bytes (:mod:`repro.service.protocol`).
 Pieces
 ------
 * :class:`~repro.service.server.ReproServer` — the host: HTTP endpoints,
-  operand resolution, request coalescing into the batched runtime,
-  ``/v1/stats`` observability.
+  operand resolution, request coalescing, ``/v1/stats`` observability.
 * :class:`~repro.service.client.ServiceClient` — the caller side, with
   transparent fingerprint negotiation (upload once, reference thereafter,
   automatic inline retry after eviction).
 * :class:`~repro.service.cache.OperandCache` — the bounded LRU of prepared
   operands shared by :class:`~repro.session.Session` and the server.
 * :class:`~repro.service.coalescer.RequestCoalescer` — concurrent GEMM
-  requests merged into :func:`~repro.runtime.batched.ozaki2_gemm_batched`
-  calls.
+  requests queued and drained on one worker, each through
+  :meth:`Session.gemm <repro.session.Session.gemm>`.
 
 Start a server from the CLI (``repro serve --port 7723``), query it with
 ``repro serve --stats``, or embed both ends::

@@ -9,7 +9,7 @@ returning operand by *value*.  :class:`OperandCache` provides that:
 
 * keys are content fingerprints (:func:`~repro.core.operand.
   matrix_fingerprint`) plus everything the residues are a function of —
-  side, precision, residue kernel and the moduli request — so a hit is
+  side, mode, precision and the moduli request — so a hit is
   **bit-identical** to a cold conversion by construction (the cached
   operand *is* what the conversion would have produced; reuse reorders no
   floating-point operation),
@@ -73,8 +73,8 @@ def cache_key(side: str, fingerprint: str, config: Ozaki2Config) -> Tuple:
     The cached state is a function of the matrix contents (the
     fingerprint), the side (row vs. column scales), the compute mode (fast
     operands cache residues, accurate operands cache pre-scales — different
-    objects entirely), the precision (constant-table bit width), the
-    residue kernel, and the moduli request — a fixed count, or the auto
+    objects entirely), the precision (constant-table bit width) and the
+    moduli request — a fixed count, or the auto
     marker with its accuracy target *and selection model* (auto resolves
     the count from the operand's own magnitudes, so equal-content operands
     under the same target and model always resolve alike and may share an
@@ -93,7 +93,6 @@ def cache_key(side: str, fingerprint: str, config: Ozaki2Config) -> Tuple:
         fingerprint,
         config.mode.value,
         config.precision.name,
-        config.residue_kernel.value,
         moduli,
     )
 

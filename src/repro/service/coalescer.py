@@ -1,28 +1,25 @@
-"""Request coalescing: merge concurrent GEMMs into one batched runtime call.
+"""Request coalescing: drain concurrent GEMMs on one worker thread.
 
-The batched runtime (:func:`repro.runtime.batched.ozaki2_gemm_batched`)
-amortises conversion and scheduling across a batch — it groups equal-shape
-items into fused stacked engine calls and dedupes repeated operands.  A
-server receiving concurrent single-GEMM requests would leave all of that on
-the table if it executed them one by one; :class:`RequestCoalescer` closes
-the gap by queueing incoming requests and draining them in small batches:
+A server receiving concurrent single-GEMM requests hands each to
+:class:`RequestCoalescer`, which queues them and drains them in small
+batches on one worker thread:
 
 * the drain worker blocks for the first pending request, then takes
   whatever is already queued behind it, up to ``max_batch`` items, without
-  waiting — a lone request pays no added latency, while a burst that
-  queued up during the previous batch lands in one batch,
-* items are grouped by configuration (the batched API executes one config
-  per call); each group becomes one ``gemm_batched`` call on the shared
-  :class:`~repro.session.Session`, so the transparent operand cache and
-  the warm scheduler pool apply as usual,
-* a failing batch falls back to per-item execution, so one poisoned
-  request (say, a shape mismatch) fails alone instead of failing its
-  whole batch.
+  waiting — a lone request pays no added latency,
+* each drained request runs as its own :meth:`Session.gemm
+  <repro.session.Session.gemm>` call on the shared
+  :class:`~repro.session.Session`, so the transparent operand cache and the
+  warm scheduler pool apply as usual (a batched call would share nothing
+  more: the batched runtime is a loop of the same GEMM on the same
+  scheduler),
+* each request gets its own result or exception, so one poisoned request
+  (say, a shape mismatch) fails alone.
 
-Results are delivered through per-request
-:class:`concurrent.futures.Future` objects — the HTTP handler threads
-submit and block on their own future, which is what turns N server threads
-into one well-formed batch.
+The queue depth is the server's load-shedding signal (:meth:`backlog`) and
+the drained batch sizes feed the ``/v1/stats`` coalescer counters.  Results
+are delivered through per-request :class:`concurrent.futures.Future`
+objects — the HTTP handler threads submit and block on their own future.
 """
 
 from __future__ import annotations
@@ -59,14 +56,14 @@ class _Item:
 
 
 class RequestCoalescer:
-    """Queue + drain worker turning concurrent GEMMs into batched calls.
+    """Queue + drain worker running concurrent GEMMs on one session.
 
     Parameters
     ----------
     session:
-        The shared :class:`~repro.session.Session` the batches execute on.
+        The shared :class:`~repro.session.Session` the requests execute on.
     max_batch:
-        Largest number of requests merged into one batched call.
+        Largest number of requests taken from the queue in one drain.
     """
 
     def __init__(self, session: "Session", max_batch: int = 16) -> None:
@@ -151,41 +148,13 @@ class RequestCoalescer:
             self.coalesced_batches += 1
             self.coalesced_requests += len(batch)
             self.largest_batch = max(self.largest_batch, len(batch))
-        # One batched call per distinct configuration (the batched API runs
-        # a single config; distinct-config requests rarely coexist anyway).
-        groups: Dict[object, List[_Item]] = {}
         for item in batch:
-            config = item.config
-            key = None if config is None else (
-                config.precision.name,
-                config.mode.value,
-                config.num_moduli,
-                config.residue_kernel.value,
-                config.target_accuracy,
-            )
-            groups.setdefault(key, []).append(item)
-        for items in groups.values():
-            self._run_group(items)
-
-    def _run_group(self, items: List[_Item]) -> None:
-        config = items[0].config
-        try:
-            results = self._session.gemm_batched(
-                [item.a for item in items],
-                [item.b for item in items],
-                config=config,
-            )
-            for item, result in zip(items, results, strict=True):
-                item.future.set_result(result)
-        except Exception:
-            # Per-item fallback: a poisoned request fails alone.
-            for item in items:
-                try:
-                    item.future.set_result(
-                        self._session.gemm(item.a, item.b, config=item.config)
-                    )
-                except Exception as exc:  # delivered to the caller via the future
-                    item.future.set_exception(exc)
+            try:
+                item.future.set_result(
+                    self._session.gemm(item.a, item.b, config=item.config)
+                )
+            except Exception as exc:  # delivered to the caller via the future
+                item.future.set_exception(exc)
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> Dict[str, object]:

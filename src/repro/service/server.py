@@ -4,15 +4,16 @@ A :class:`ReproServer` is a :class:`~repro.session.Session` behind a
 socket: a stdlib :class:`http.server.ThreadingHTTPServer` (one thread per
 connection, HTTP/1.1 keep-alive) whose handlers decode the binary frames
 of :mod:`repro.service.protocol`, route matrix operands through the
-session's transparent operand cache, coalesce concurrent GEMMs into the
-batched runtime (:class:`~repro.service.coalescer.RequestCoalescer`) and
-answer with the framed result.  No dependency beyond the standard library
+session's transparent operand cache, queue concurrent GEMMs on one drain
+worker (:class:`~repro.service.coalescer.RequestCoalescer`, which runs each
+through :meth:`Session.gemm <repro.session.Session.gemm>`) and answer with
+the framed result.  No dependency beyond the standard library
 crosses the wire — no pickling, no third-party RPC stack.
 
 Endpoints (all under ``/v1``):
 
 =================  ====  ====================================================
-``/gemm``          POST  emulated ``A @ B`` (coalesced into batched calls)
+``/gemm``          POST  emulated ``A @ B`` (queued on the coalescer)
 ``/gemv``          POST  emulated ``A @ x`` via the residue-GEMV fast path
 ``/solve``         POST  iterative solve (``cg``/``pcg``/``jacobi``/``ir``)
 ``/prepare``       POST  warm the operand cache, returns the fingerprint ack
@@ -114,8 +115,8 @@ class ReproServer:
         Operand-cache budget (0 disables transparent caching; fingerprint
         references then always answer ``operand-missing``).
     max_batch:
-        The largest batch the :class:`~repro.service.coalescer.RequestCoalescer`
-        merges from GEMMs already queued.
+        The most queued GEMMs the
+        :class:`~repro.service.coalescer.RequestCoalescer` drains at once.
     max_queue:
         Load-shedding budget: when the coalescer backlog reaches this many
         queued GEMMs, further ``/v1/gemm`` requests are shed with HTTP 503,

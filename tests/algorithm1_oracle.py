@@ -2,19 +2,22 @@
 
 Each function is one group of lines of the paper's Algorithm 1, written one
 modulus at a time from the reference kernels that stay in ``src/`` for this
-purpose: the exact integer ``rmod``/``mod`` (or the paper's fast ``rmod`` and
-``__mulhi`` kernels), the INT8 engine's pure-integer path, called per
+purpose: the exact integer ``rmod``/``mod`` (``kernel="exact"``) or the
+paper's FMA ``rmod`` of Section 4.2 and ``__mulhi`` ``mod`` of Section 4.3
+(``kernel="fast_fma"``), the INT8 engine's pure-integer path, called per
 modulus and k-block by ``blocked_residue_products`` (partials summed in
 int64), and the software FMA.  Nothing here tiles, chunks or runs in
 parallel, so a production route that returns :func:`gemm`'s bits and ledger
-executes Algorithm 1 and nothing else.  Line 1 is production's own scaling.
+executes Algorithm 1 and nothing else — and since production returns them
+under either kernel pair, the paper's kernels give the production bits.
+Line 1 is production's own scaling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.config import MAX_K_WITHOUT_BLOCKING, ComputeMode, ResidueKernel
+from repro.config import MAX_K_WITHOUT_BLOCKING, ComputeMode
 from repro.core.accumulation import unscale
 from repro.core.blocking import blocked_residue_products
 from repro.core.conversion import truncate_scaled
@@ -26,12 +29,18 @@ from repro.types import result_dtype
 from repro.utils.fma import fma
 
 
-def residues(x_prime, table, kernel=ResidueKernel.EXACT):
+#: The oracle's kernel pairs: the exact integer ``rmod``/``mod``, and the
+#: paper's ``rmod_fast_fma``/``mod_fast_mulhi``.
+KERNELS = ("exact", "fast_fma")
+
+
+def residues(x_prime, table, kernel="exact"):
     """Lines 4-5: ``rmod(X', p_i)`` as INT8, one modulus after another."""
-    exact = ResidueKernel.parse(kernel) is ResidueKernel.EXACT
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown oracle kernel {kernel!r}")
     out = []
     for i, p in enumerate(table.moduli):
-        if exact:
+        if kernel == "exact":
             r = rmod_exact(x_prime, p)
         else:
             r = rmod_fast_fma(
@@ -64,11 +73,14 @@ def reconstruct(c1, c2, table):
     return fma(np.full_like(q, -table.P2), q, t)
 
 
-def gemm(a, b, config, block=MAX_K_WITHOUT_BLOCKING):
+def gemm(a, b, config, block=MAX_K_WITHOUT_BLOCKING, kernel="exact"):
     """Algorithm 1 for ``A @ B`` under a concrete ``config``.
 
-    Returns ``(C, ledger)``: the product in the target precision and the op
-    ledger of the reference INT8 engine that ran every product.
+    ``kernel`` picks the ``rmod``/``mod`` pair (:data:`KERNELS`); the paper's
+    ``__mulhi`` ``mod`` takes INT32 products, so a k-blocked (int64) stack
+    is reduced by the exact ``mod``.  Returns ``(C, ledger)``: the product
+    in the target precision and the op ledger of the reference INT8 engine
+    that ran every product.
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     table = build_constant_table(config.num_moduli, 64 if config.is_dgemm else 32)
@@ -77,11 +89,11 @@ def gemm(a, b, config, block=MAX_K_WITHOUT_BLOCKING):
         mu, nu = fast_mode_scales(a, b, table)
     else:
         mu, nu, _ = accurate_mode_scales(a, b, table, engine, block)
-    a_res = residues(truncate_scaled(a, mu, "left"), table, config.residue_kernel)
-    b_res = residues(truncate_scaled(b, nu, "right"), table, config.residue_kernel)
+    a_res = residues(truncate_scaled(a, mu, "left"), table, kernel)
+    b_res = residues(truncate_scaled(b, nu, "right"), table, kernel)
     # Line 6: C'_i = A'_i B'_i, one engine call per modulus and k-block.
     c = blocked_residue_products(engine, np.stack(a_res), np.stack(b_res), block)
-    use_mulhi = config.residue_kernel is ResidueKernel.FAST_FMA and c[0].dtype == np.int32
+    use_mulhi = kernel == "fast_fma" and c[0].dtype == np.int32
     c_pp = reconstruct(*accumulate(c, table, use_mulhi), table)
     engine.counter.record_emulated(config.num_moduli)
     return unscale(c_pp, mu, nu, out_dtype=result_dtype(config.precision)), engine.counter

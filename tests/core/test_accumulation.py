@@ -20,6 +20,7 @@ from repro.core.accumulation import (
 from repro.core.conversion import residue_slices
 from repro.crt.constants import build_constant_table
 from repro.crt.inverses import crt_reconstruct_int
+from repro.crt.residues import mod_fast_mulhi, uint8_residues_stack
 
 
 def _residue_products(a_prime, b_prime, table):
@@ -60,12 +61,17 @@ class TestAccumulate:
                 assert c1[r, c] == float(exact)
 
     def test_mulhi_and_exact_mod_agree(self, rng):
+        """The paper's ``__mulhi`` kernel gives the production U-stack,
+        including at the int32 extremes."""
         table = build_constant_table(10, 64)
         c_stack = rng.integers(-(2**31), 2**31, (10, 6, 6)).astype(np.int32)
-        c1_a, c2_a = accumulate_residue_products(c_stack, table, use_mulhi=False)
-        c1_b, c2_b = accumulate_residue_products(c_stack, table, use_mulhi=True)
-        np.testing.assert_array_equal(c1_a, c1_b)
-        np.testing.assert_array_equal(c2_a, c2_b)
+        c_stack[:, 0, :2] = [-(2**31), 2**31 - 1]
+        u = uint8_residues_stack(c_stack, table.moduli)
+        mulhi = [
+            mod_fast_mulhi(c_stack[i], p, int(table.pinv_prime[i]))
+            for i, p in enumerate(table.moduli)
+        ]
+        np.testing.assert_array_equal(u, np.stack(mulhi))
 
     def test_sgemm_table_gives_c2_sentinel(self, rng):
         """All split-weight tails are zero for SGEMM tables: the dead second
@@ -80,7 +86,8 @@ class TestAccumulate:
     def test_matches_oracle_accumulation(self, rng, precision_bits, use_mulhi):
         """The U-stack/tensordot accumulation must be bit-identical to the
         oracle's ascending per-modulus sums, including the inexact C2 terms
-        and the rounded C1 sum of the unsplit 32-bit weights."""
+        and the rounded C1 sum of the unsplit 32-bit weights — whether the
+        oracle reduces with the exact ``mod`` or the paper's ``__mulhi``."""
         n_mod = 15 if precision_bits == 64 else 8
         table = build_constant_table(n_mod, precision_bits)
         c_stack = rng.integers(-(2**31), 2**31, (n_mod, 7, 9)).astype(np.int32)
@@ -117,7 +124,7 @@ class TestAccumulate:
 
 
 def _assert_matches_oracle(c_stack, table, use_mulhi):
-    c1, c2 = accumulate_residue_products(c_stack, table, use_mulhi=use_mulhi)
+    c1, c2 = accumulate_residue_products(c_stack, table)
     want_c1, want_c2 = oracle.accumulate(list(c_stack), table, use_mulhi)
     np.testing.assert_array_equal(c1.view(np.uint64), want_c1.view(np.uint64))
     if c2 is None:

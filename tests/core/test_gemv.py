@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import algorithm1_oracle as oracle
 import repro.core.gemm as gemm_mod
 from repro.config import Ozaki2Config
 from repro.core.gemm import PHASE_KEYS, ozaki2_gemm
@@ -42,12 +43,12 @@ class TestBitIdentityWithGemmRoute:
         )
 
     def test_fast_fma_residue_kernel(self):
-        config = Ozaki2Config(residue_kernel="fast_fma")
+        """The n = 1 product of Algorithm 1 with the paper's kernels (fast
+        FMA ``rmod``, ``__mulhi`` ``mod``) gives the GEMV's bits."""
+        config = Ozaki2Config()
         a, v = _problem(seed=7)
-        np.testing.assert_array_equal(
-            prepared_gemv(a, v, config=config),
-            ozaki2_gemm(a, v[:, None], config=config).ravel(),
-        )
+        fast, _ = oracle.gemm(a, v[:, None], config, kernel="fast_fma")
+        np.testing.assert_array_equal(prepared_gemv(a, v, config=config), fast.ravel())
 
     def test_k_blocked_path(self, monkeypatch):
         monkeypatch.setattr(gemm_mod, "MAX_K_WITHOUT_BLOCKING", 16)

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import algorithm1_oracle as oracle
 from repro.config import ComputeMode, Ozaki2Config
+from repro.core.conversion import truncate_scaled
 from repro.core.gemm import ozaki2_gemm
 from repro.core.operand import (
     AccurateOperand,
     ResidueOperand,
     prepare_a,
     prepare_b,
+    table_for,
 )
 from repro.core.scaling import fast_mode_scales
 from repro.crt.constants import build_constant_table
@@ -85,18 +90,29 @@ class TestPrepare:
             )
 
 
+def _oracle_residues(prep: ResidueOperand, kernel: str) -> ResidueOperand:
+    """``prep`` with its residue stack recomputed by the oracle's ``kernel``."""
+    side = "left" if prep.side == "A" else "right"
+    x_prime = truncate_scaled(prep.source, prep.scale_exp, side)
+    slices = np.stack(oracle.residues(x_prime, table_for(prep.config), kernel))
+    return dataclasses.replace(prep, slices=slices)
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize("kernel", ["exact", "fast_fma"])
+    @pytest.mark.parametrize("kernel", oracle.KERNELS)
     @pytest.mark.parametrize(
         "precision, num_moduli", [("fp64", 15), ("fp64", 8), ("fp32", 8)]
     )
     def test_prepared_matches_unprepared(self, kernel, precision, num_moduli):
+        """Prepared operands give the unprepared bits, also when their
+        residues come from the paper's fast FMA ``rmod`` (congruent residues
+        give the same ``U_i``)."""
         a, b = phi_pair(21, 34, 17, phi=0.7, seed=5)
-        config = Ozaki2Config(
-            precision=precision, num_moduli=num_moduli, residue_kernel=kernel
-        )
+        config = Ozaki2Config(precision=precision, num_moduli=num_moduli)
         reference = ozaki2_gemm(a, b, config=config)
         pa, pb = prepare_a(a, config), prepare_b(b, config)
+        if kernel == "fast_fma":
+            pa, pb = _oracle_residues(pa, kernel), _oracle_residues(pb, kernel)
         for lhs, rhs in ((pa, b), (a, pb), (pa, pb)):
             c = ozaki2_gemm(lhs, rhs, config=config)
             assert c.tobytes() == reference.tobytes()
@@ -106,18 +122,15 @@ class TestBitIdentity:
         k=st.integers(1, 32),
         n=st.integers(1, 24),
         num_moduli=st.integers(2, 20),
-        kernel=st.sampled_from(["exact", "fast_fma"]),
         prepare_side=st.sampled_from(["A", "B", "AB"]),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=30, deadline=None)
-    def test_prepared_byte_identical_property(
-        self, m, k, n, num_moduli, kernel, prepare_side, seed
-    ):
-        """For random shapes/N/kernels, prepared A and/or B returns output
+    def test_prepared_byte_identical_property(self, m, k, n, num_moduli, prepare_side, seed):
+        """For random shapes/N, prepared A and/or B returns output
         byte-identical to the unprepared call (the tentpole guarantee)."""
         a, b = phi_pair(m, k, n, phi=0.5, seed=seed)
-        config = Ozaki2Config.for_dgemm(num_moduli, residue_kernel=kernel)
+        config = Ozaki2Config.for_dgemm(num_moduli)
         reference = ozaki2_gemm(a, b, config=config)
         lhs = prepare_a(a, config) if "A" in prepare_side else a
         rhs = prepare_b(b, config) if "B" in prepare_side else b
@@ -277,14 +290,6 @@ class TestCompatibility:
         prep = prepare_a(a, Ozaki2Config.for_dgemm(10))
         with pytest.raises(ConfigurationError, match="num_moduli"):
             ozaki2_gemm(prep, b, config=Ozaki2Config.for_dgemm(12))
-
-    def test_kernel_mismatch_rejected(self, small_pair):
-        a, b = small_pair
-        prep = prepare_a(a, Ozaki2Config.for_dgemm(10, residue_kernel="exact"))
-        with pytest.raises(ConfigurationError, match="residue_kernel"):
-            ozaki2_gemm(
-                prep, b, config=Ozaki2Config.for_dgemm(10, residue_kernel="fast_fma")
-            )
 
     def test_precision_mismatch_rejected(self):
         a, b = phi_pair(8, 8, 8, seed=0)

@@ -148,6 +148,27 @@ class TestClampWarning:
             again = select_num_moduli(2**16, 1.0, 1.0, 64, target=1e-15)
         assert not again.met
 
+    def test_warning_names_the_callers_line(self, monkeypatch):
+        """Every route attributes the clamp warning to the caller's code,
+        not to a line of the library."""
+        import repro.crt.adaptive as adaptive_mod
+        from repro.core.gemm import ozaki2_gemm
+        from repro.core.gemv import prepared_gemv
+        from repro.workloads import phi_pair
+
+        a, b = phi_pair(6, 8, 6, phi=0.5, seed=1)
+        config = Ozaki2Config(num_moduli="auto", target_accuracy=1e-15)
+        calls = (
+            lambda: ozaki2_gemm(a, b, config=config),
+            lambda: prepared_gemv(a, b[:, 0], config=config),
+            lambda: select_num_moduli(2**16, 1.0, 1.0, 64, target=1e-15),
+        )
+        for call in calls:
+            monkeypatch.setattr(adaptive_mod, "_CLAMP_WARNING_EMITTED", False)
+            with pytest.warns(RuntimeWarning, match="unreachable") as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
+
     def test_met_selection_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,4 +1,4 @@
-"""Tests for the batched GEMM API: loop equivalence, ledgers, grouping."""
+"""Tests for the batched GEMM API: loop equivalence, ledgers, recurring arrays."""
 
 from __future__ import annotations
 
@@ -166,16 +166,19 @@ class TestBatchedPrepared:
 
     def test_shared_matrix_object_converted_once(self, monkeypatch):
         """Items passing the same array object share one conversion pass."""
-        import repro.runtime.batched as batched_mod
+        import repro.core.operand as operand_mod
+        import repro.runtime.scheduler as scheduler_mod
 
         calls = []
-        original = batched_mod.truncate_scaled
+        # A recurring array converts in its preparation, any other in the
+        # scheduler's conversion of its own GEMM.
+        for module in (operand_mod, scheduler_mod):
 
-        def counting(x, scale, side):
-            calls.append(side)
-            return original(x, scale, side)
+            def counting(x, scale, side, original=module.truncate_scaled):
+                calls.append(side)
+                return original(x, scale, side)
 
-        monkeypatch.setattr(batched_mod, "truncate_scaled", counting)
+            monkeypatch.setattr(module, "truncate_scaled", counting)
         config = Ozaki2Config.for_dgemm(8)
         a, b = phi_pair(16, 24, 12, phi=0.5, seed=43)
         _, b2 = phi_pair(16, 24, 12, phi=0.5, seed=44)
@@ -188,9 +191,11 @@ class TestBatchedPrepared:
     def test_recurring_array_scaled_once(self, monkeypatch):
         """A fast-mode array that recurs in a batch is scaled once, same bits."""
         import repro.core.gemm as gemm_mod
+        import repro.core.operand as operand_mod
 
         calls = {"A": 0, "B": 0}
         originals = {"A": gemm_mod.fast_mode_scale_a, "B": gemm_mod.fast_mode_scale_b}
+        prescale = operand_mod.fast_mode_prescale
 
         def counting(side):
             def scale(x, table):
@@ -199,8 +204,14 @@ class TestBatchedPrepared:
 
             return scale
 
+        def counting_prescale(x, axis):
+            # A recurring array is scaled by its preparation (rows: the A side).
+            calls["A" if axis == 1 else "B"] += 1
+            return prescale(x, axis=axis)
+
         monkeypatch.setattr(gemm_mod, "fast_mode_scale_a", counting("A"))
         monkeypatch.setattr(gemm_mod, "fast_mode_scale_b", counting("B"))
+        monkeypatch.setattr(operand_mod, "fast_mode_prescale", counting_prescale)
         config = Ozaki2Config.for_dgemm(8)
         a, b = phi_pair(16, 24, 12, phi=0.5, seed=47)
         bs = [b, phi_pair(16, 24, 12, phi=0.5, seed=48)[1], b, b]
@@ -209,6 +220,53 @@ class TestBatchedPrepared:
         monkeypatch.undo()
         for got, rhs in zip(batched, bs, strict=True):
             assert np.array_equal(got, ozaki2_gemm(a, rhs, config=config))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            Ozaki2Config.for_dgemm(9),
+            Ozaki2Config.for_dgemm(9, mode="accurate"),
+            Ozaki2Config(num_moduli="auto"),
+        ],
+        ids=["fast", "accurate", "auto"],
+    )
+    def test_item_ledgers_and_phases_match_loop(self, config, monkeypatch):
+        """Each item reports what its own ozaki2_gemm call reports: value,
+        selection and ledger; a recurring array's preparation is charged to
+        the convert phase of its first user."""
+        import repro.runtime.batched as batched_mod
+        from repro.core.operand import prepare_a
+
+        prepared = {}
+
+        def capture(prepare):
+            def wrapper(x, *args):
+                prepared[id(x)] = operand = prepare(x, *args)
+                return operand
+
+            return wrapper
+
+        monkeypatch.setattr(batched_mod, "prepare_a", capture(batched_mod.prepare_a))
+        monkeypatch.setattr(batched_mod, "prepare_b", capture(batched_mod.prepare_b))
+        a, b = phi_pair(20, 28, 16, phi=0.5, seed=50)
+        a2, b2 = phi_pair(20, 28, 16, phi=0.5, seed=51)
+        # a recurs on the A side (items 0, 2), b on the B side (items 0, 1);
+        # item 1 passes a caller-prepared A.
+        As, Bs = [a, prepare_a(a2, config), a, a2], [b, b, b2, b2]
+        results = ozaki2_gemm_batched(As, Bs, config=config, return_details=True)
+        for r, x, y in zip(results, As, Bs, strict=True):
+            loop = ozaki2_gemm(x, y, config=config, return_details=True)
+            np.testing.assert_array_equal(r.value, loop.value)
+            assert r.config == loop.config
+            assert r.moduli_selection == loop.moduli_selection
+            assert r.ledger.as_dict() == loop.ledger.as_dict()
+
+        seconds = [r.phase_times.seconds for r in results]
+        assert seconds[0]["convert_A"] >= prepared[id(a)].convert_seconds > 0.0
+        assert seconds[0]["convert_B"] >= prepared[id(b)].convert_seconds > 0.0
+        if config.mode.value == "fast":
+            # Later users multiply the cached residues, like any prepared side.
+            assert seconds[2]["convert_A"] == seconds[1]["convert_B"] == 0.0
 
     def test_shared_matrix_bit_identical_to_loop(self):
         config = Ozaki2Config.for_dgemm(9)

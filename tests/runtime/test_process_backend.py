@@ -170,7 +170,7 @@ def test_worker_task_error_leaves_scheduler_usable():
         with pytest.raises(ValidationError, match="2\\*\\*93"):
             sched.convert_residues(
                 x, np.full(40, 100, dtype=np.intc), "left",
-                build_constant_table(15, 64), config, plan,
+                build_constant_table(15, 64), plan,
             )
         assert sched.engine.counter.fault_events["task_retry"] == retries
         # The pool survived both in-task failures: the same scheduler still

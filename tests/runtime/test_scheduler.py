@@ -100,7 +100,6 @@ class TestExecutePlanDeterminism:
         n_mod, m, k = a_s.shape
         n = b_s.shape[2]
         table = build_constant_table(n_mod, 64)
-        config = Ozaki2Config.for_dgemm(n_mod)
         plan = build_plan(
             m,
             k,
@@ -112,7 +111,7 @@ class TestExecutePlanDeterminism:
         )
         times = PhaseTimes()
         with Scheduler(parallelism=parallelism) as sched:
-            c_pp = execute_plan(sched, plan, a_s, b_s, table, config, times)
+            c_pp = execute_plan(sched, plan, a_s, b_s, table, times)
             calls = sched.engine.counter.matmul_calls
         return c_pp, times, calls, plan
 
@@ -146,11 +145,10 @@ class TestExecutePlanDeterminism:
         from repro.crt.constants import build_constant_table
 
         table = build_constant_table(a_s.shape[0], 64)
-        config = Ozaki2Config.for_dgemm(a_s.shape[0])
         plan = build_plan(99, a_s.shape[2], b_s.shape[2], a_s.shape[0])
         with Scheduler() as sched:
             with pytest.raises(ValueError):
-                execute_plan(sched, plan, a_s, b_s, table, config)
+                execute_plan(sched, plan, a_s, b_s, table)
 
 
 class TestGemmLevelParallelism:

@@ -68,17 +68,18 @@ class TestHungShutdown:
         release = threading.Event()
         with Session(config=CFG) as session:
             coalescer = RequestCoalescer(session)
+            real_gemm = session.gemm
 
-            def wedged_batch(*args: object, **kwargs: object) -> object:
+            def wedged_gemm(*args: object, **kwargs: object) -> object:
                 release.wait()
-                raise RuntimeError("released: fall back to per-item")
+                return real_gemm(*args, **kwargs)
 
-            monkeypatch.setattr(session, "gemm_batched", wedged_batch)
+            monkeypatch.setattr(session, "gemm", wedged_gemm)
             future = coalescer.submit(a, b, CFG)
             with pytest.raises(RuntimeError, match="failed to stop"):
                 coalescer.close(timeout=0.2)
-            # Un-wedge: the worker falls back to per-item execution, the
-            # pending future still resolves, and the worker exits cleanly.
+            # Un-wedge: the request runs, the pending future still
+            # resolves, and the worker exits cleanly.
             release.set()
             assert np.array_equal(
                 future.result(timeout=10.0).value, ozaki2_gemm(a, b, config=CFG)

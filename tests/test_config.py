@@ -1,4 +1,4 @@
-"""Tests for repro.config (Ozaki2Config, ComputeMode, ResidueKernel)."""
+"""Tests for repro.config (Ozaki2Config, ComputeMode)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.config import (
     MAX_K_WITHOUT_BLOCKING,
     MAX_MODULI,
     Ozaki2Config,
-    ResidueKernel,
 )
 from repro.errors import ConfigurationError
 from repro.types import FP32, FP64
@@ -39,27 +38,15 @@ class TestComputeMode:
             ComputeMode.parse("turbo")
 
 
-class TestResidueKernel:
-    def test_parse(self):
-        assert ResidueKernel.parse("exact") is ResidueKernel.EXACT
-        assert ResidueKernel.parse("fast_fma") is ResidueKernel.FAST_FMA
-        assert ResidueKernel.parse(ResidueKernel.EXACT) is ResidueKernel.EXACT
-
-    def test_parse_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            ResidueKernel.parse("simd")
-
-
 class TestOzaki2Config:
     def test_defaults(self):
         cfg = Ozaki2Config()
         assert cfg.precision is FP64
         assert cfg.num_moduli == DEFAULT_MODULI_DGEMM
         assert cfg.mode is ComputeMode.FAST
-        assert cfg.residue_kernel is ResidueKernel.EXACT
         assert cfg.is_dgemm and not cfg.is_sgemm
-        # Validation and k-blocking are unconditional, not knobs.
-        assert len(dataclasses.fields(Ozaki2Config)) == 10
+        # Validation, k-blocking and the residue kernels are not knobs.
+        assert len(dataclasses.fields(Ozaki2Config)) == 9
 
     def test_for_dgemm_and_sgemm(self):
         d = Ozaki2Config.for_dgemm()

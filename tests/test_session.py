@@ -283,6 +283,20 @@ class TestResultUnification:
         assert result.method_name == cfg.method_name
         assert set(result.phase_times.seconds) >= {"convert_A", "convert_B"}
 
+    @pytest.mark.parametrize("op", ["gemm", "gemv"])
+    def test_result_ledger_is_its_own_call(self, cfg, pair, op):
+        """A result's ledger holds its call's work alone: a later call on
+        the same session leaves it unchanged."""
+        a, b = pair
+        rhs = b if op == "gemm" else b[:, 0]
+        with repro.Session(cfg) as session:
+            first = getattr(session, op)(a, rhs)
+            at_return = first.ledger.as_dict()
+            second = getattr(session, op)(a, rhs)
+            assert first.ledger is not session.ledger
+            assert first.ledger.as_dict() == at_return == second.ledger.as_dict()
+        assert at_return["matmul_calls"] == cfg.num_moduli
+
     def test_solve_result_alias(self, cfg, rng):
         """The solution is ``value``; the historical ``.x`` alias is gone."""
         n = 12
