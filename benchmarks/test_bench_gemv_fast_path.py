@@ -17,6 +17,14 @@ asserted unconditionally — the fast path is an execution strategy, not a
 numerical change.  The ``>= 2x`` lower per-iteration latency requirement of
 the GEMV work is asserted at the 4096x4096 acceptance scale.
 
+A second table times line 6 of the prepared GEMV
+(:func:`repro.harness.gemv_line6_sweep`): the INT8 matvec route against
+the exact FP64 DGEMM on the operand's kept ``A'``, at N = 10 (the count
+the solvers select) on a small matrix and at 4096x4096, where the FP64
+route must run ``>= 1.5x`` faster with identical bits and ledgers.
+``REPRO_BENCH_FULL=1`` records the whole latency table (64²–4096²; fp64
+N = 8, 10, 11, 12; fp32 N = 8).
+
 The before/after per-iteration latency (and a per-phase breakdown) is
 archived in ``benchmarks/results/gemv_fast_path.txt`` (uploaded as a CI
 artifact by the smoke job); ``tests/test_benchmark_artifacts.py`` asserts
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 import os
 
-from repro.harness import gemv_route_sweep, preconditioner_sweep
+from repro.harness import gemv_line6_sweep, gemv_route_sweep, preconditioner_sweep
 from repro.harness.report import format_table
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
@@ -41,6 +49,13 @@ CPUS = os.cpu_count() or 1
 SIZE = 4096
 ITERS = 8 if FULL else 4
 REPEATS = 3 if FULL else 2
+
+#: Sizes and ``(precision, N)`` cases of the line-6 latency table.
+LINE6_SIZES = (64, 256, 1024, SIZE) if FULL else (256, SIZE)
+LINE6_CASES = (
+    (("fp64", 8), ("fp64", 10), ("fp64", 11), ("fp64", 12), ("fp32", 8))
+    if FULL else (("fp64", 10),)
+)
 
 
 def test_bench_gemv_fast_path_speedup(save_result):
@@ -54,11 +69,28 @@ def test_bench_gemv_fast_path_speedup(save_result):
             f"{CPUS} CPUs)"
         ),
     )
-    save_result("gemv_fast_path", table)
+    line6 = gemv_line6_sweep(LINE6_SIZES, LINE6_CASES, iters=ITERS, repeats=REPEATS)
+    line6_table = format_table(
+        line6,
+        float_format=".3e",
+        title=(
+            f"gemv line 6: INT8 matvec route vs exact FP64 DGEMM on the kept A' "
+            f"(prepared matrices, {ITERS} matvecs, {CPUS} CPUs)"
+        ),
+    )
+    save_result("gemv_fast_path", table + "\n\n" + line6_table)
 
     # The core guarantees hold on every row.
-    assert all(row["bit_identical"] for row in rows)
-    assert all(row["ledger_equal"] for row in rows)
+    assert all(row["bit_identical"] for row in rows + line6)
+    assert all(row["ledger_equal"] for row in rows + line6)
+
+    # Line 6 on the kept A' beats the INT8 route at the acceptance scale.
+    n10 = next(row for row in line6
+               if row["n"] == SIZE and row["method"] == "OS II-fast-10")
+    assert n10["fp64_route"] and n10["speedup"] >= 1.5, (
+        f"FP64 line 6 reached only {n10['speedup']:.2f}x over the INT8 route "
+        f"at {SIZE}x{SIZE}"
+    )
 
     fast = next(row for row in rows if row["route"] == "gemv-fast")
     # The headline requirement of the GEMV work: >= 2x lower per-iteration

@@ -707,6 +707,25 @@ def _cmd_selfcheck(args) -> int:
         )
     )
 
+    # At N = 10 the prepared A side keeps A' and line 6 runs as one FP64
+    # DGEMM on the BLAS engine; the integer reference engine runs the INT8
+    # route on the same operand.
+    n10 = Ozaki2Config(num_moduli=10)
+    prep10 = prepare_a(a, n10)
+    fp64_route = prepared_gemv(prep10, v, n10, Int8MatrixEngine(), return_details=True)
+    int8_route = prepared_gemv(
+        prep10, v, n10, Int8MatrixEngine(use_blas=False), return_details=True
+    )
+    checks.append(
+        (
+            "prepared GEMV FP64 route bit-identical to the INT8 route",
+            prep10._a_prime is not None
+            and fp64_route.value.tobytes() == int8_route.value.tobytes()
+            and fp64_route.ledger.as_dict() == int8_route.ledger.as_dict(),
+            "",
+        )
+    )
+
     accurate_cfg = Ozaki2Config(mode="accurate", parallelism=1)
     accurate_fresh = ozaki2_gemm(a, b, config=accurate_cfg)
     accurate_prepared = ozaki2_gemm(

@@ -18,10 +18,9 @@ import dataclasses
 import enum
 import math
 import os
-import warnings
 from typing import Optional, Union
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, warn_at_caller
 from .types import FP32, FP64, Format, get_format
 
 __all__ = [
@@ -253,14 +252,13 @@ class Ozaki2Config:
                 # Deduplication is left to the warnings machinery (the
                 # default filter shows one occurrence per call site), so
                 # standard filters/pytest.warns keep full control.
-                warnings.warn(
+                warn_at_caller(
                     f"parallelism={workers} over-subscribes this host "
                     f"({cpus} CPU{'s' if cpus != 1 else ''}); oversubscribed "
                     "worker pools measure slower than serial (see "
                     "benchmarks/results/runtime_scaling.txt) — consider "
                     "parallelism='auto'",
                     RuntimeWarning,
-                    stacklevel=3,
                 )
         object.__setattr__(self, "parallelism", workers)
         executor = str(self.executor).strip().lower()

@@ -77,7 +77,9 @@ class _ScaledSides:
     ``a_slices``/``b_slices`` hold a side's cached INT8 residue stack (a
     fast-mode :class:`~repro.core.operand.ResidueOperand`); when ``None``,
     ``a_source``/``b_source`` is the float64 matrix the route still has to
-    truncate under those exponents and convert (lines 2–5).
+    truncate under those exponents and convert (lines 2–5).  ``a_prime`` is
+    the truncated ``A'`` such an A side keeps for the GEMV's FP64 line 6,
+    else ``None``.
     """
 
     config: Ozaki2Config
@@ -92,6 +94,7 @@ class _ScaledSides:
     a_source: Optional[np.ndarray]
     b_slices: Optional[np.ndarray]
     b_source: Optional[np.ndarray]
+    a_prime: Optional[np.ndarray]
 
 
 #: Why a prepared operand was refused on a side, keyed by the side it was
@@ -192,8 +195,10 @@ def _scaled_sides(
     # accurate prepared — its scales are partner-coupled) still converts.
     a_slices, a_source = _pending(a, a_prep)
     b_slices, b_source = _pending(b, b_prep)
+    a_prime = a_prep._a_prime if isinstance(a_prep, ResidueOperand) else None
     return _ScaledSides(
-        config, table, selection, m, k, n, mu_exp, nu_exp, a_slices, a_source, b_slices, b_source
+        config, table, selection, m, k, n, mu_exp, nu_exp,
+        a_slices, a_source, b_slices, b_source, a_prime,
     )
 
 

@@ -25,6 +25,15 @@ this module adds is the execution strategy:
 * no plan, no scheduler, no tiling: the transient workspace is one
   ``(N, m)`` stack.
 
+A prepared fast-mode A side that kept its truncated ``A'`` (see
+:class:`~repro.core.operand.ResidueOperand`) skips even the stacked INT8
+call on the BLAS engine: lines 7–12 consume only ``U_i = mod(C'_i, p_i)``
+and ``C'_i ≡ A'x' (mod p_i)``, so line 6 becomes one exact FP64 DGEMM of
+``A'`` against balanced digits of ``x'`` (Ozaki scheme I's splitting,
+applied to the vector), reduced to an ``(N, m)`` stack congruent to the
+``C'_i`` (:func:`_fp64_residue_products`).  The engine's ledger still
+records the ``N`` residue GEMVs per k-block the emulation stands for.
+
 The result is **bit-identical** to the ``n = 1`` GEMM route,
 ``ozaki2_gemm(a, x[:, None])``, for every configuration, and the op ledger
 records exactly the same ``N`` residue products — the GEMV path is an
@@ -34,8 +43,10 @@ execution strategy, not a numerical change.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,13 +61,81 @@ from . import gemm as _gemm
 from .accumulation import accumulate_residue_products, reconstruct_crt, unscale
 from .blocking import k_block_ranges
 from .conversion import residue_slices, truncate_scaled
-from .operand import PreparedOperand
+from .operand import FP64_ROUTE_MIN_DIGIT_BITS, PreparedOperand, fp64_digit_width
+from .scaling import scale_exponent_budget
 # Scaling runs in core.gemm._scaled_sides; these names stay importable here
 # because perfbench's span tracer looks them up in this module.
 from .scaling import accurate_mode_prescale, accurate_scales_from_prescale  # noqa: F401
 from .scaling import fast_mode_scale_a, fast_mode_scale_b  # noqa: F401
 
 __all__ = ["GemvResult", "prepared_gemv"]
+
+#: ``T = hi·2^27 + lo`` splits each FP64 line-6 product (``|T| ≤ 2^53``)
+#: into limbs of magnitude at most ``2^26``.
+_T_LIMB_BITS = 27
+
+
+def _centred(value: int, p: int) -> int:
+    """``value mod p`` as the representative in ``(−p/2, p/2]``."""
+    value %= p
+    return value - p if 2 * value > p else value
+
+
+@functools.lru_cache(maxsize=None)
+def _fp64_route_constants(
+    moduli: Tuple[int, ...], alpha: float, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Digit scales and limb weights of the FP64 line 6, per ``(table, w)``.
+
+    ``L`` balanced ``w``-bit digits hold every ``|x'| ≤ 2^α`` once
+    ``w·L ≥ α + 1``.  Returns the scales ``2^(−w·l)``, ``l < L``, and the
+    ``(N, 2L)`` weights ``2^e mod p_i`` (centred, so ``|·| ≤ 128``) of the
+    limbs ``lo_l`` (``e = w·l``) and ``hi_l`` (``e = w·l + 27``).
+    """
+    count = math.ceil((alpha + 1.0) / width)
+    while width * count < alpha + 1.0:
+        count += 1
+    scales = np.ldexp(1.0, -width * np.arange(count))
+    exps = [width * j for j in range(count)] + [width * j + _T_LIMB_BITS for j in range(count)]
+    weights = np.array([[_centred(pow(2, e, p), p) for e in exps] for p in moduli], dtype=np.float64)
+    scales.setflags(write=False)
+    weights.setflags(write=False)
+    return scales, weights
+
+
+def _fp64_residue_products(
+    a_prime: np.ndarray, x_prime: np.ndarray, table: CRTConstantTable, width: int
+) -> np.ndarray:
+    """Line 6 as one exact FP64 DGEMM: an ``(N, m)`` stack ``Y ≡ C'_i (mod p_i)``.
+
+    ``x'`` splits into balanced digits ``x' = Σ_l 2^(w·l)·s_l`` with
+    ``|s_l| ≤ 2^(w−1)``: ``q_l = rint(x'·2^(−w·l))``, ``s_l = q_l − 2^w·q_(l+1)``
+    (the sum telescopes to ``q_0 = x'``, and ``q_L = 0`` because
+    ``|x'| ≤ 2^α ≤ 2^(w·L−1)``), every step exact.  ``T = [s_l] @ A'ᵀ`` is
+    exact in any summation order, blocking or FMA use: every partial sum is
+    an integer of magnitude at most ``‖a'_i‖₁·2^(w−1) ≤ 2^53``
+    (:func:`~repro.core.operand.fp64_digit_width`).  Each ``T_l`` splits
+    exactly into limbs ``hi·2^27 + lo`` (``|hi|, |lo| ≤ 2^26``), and one
+    small DGEMM of the centred weights ``2^e mod p_i`` against the limbs
+    gives ``Y_i ≡ Σ_l 2^(w·l)·T_l = A'x' ≡ C'_i (mod p_i)``, exactly: each of
+    its ``2L`` terms is at most ``2^33``.  So ``mod(Y_i, p_i)`` is line 7's
+    ``U_i``, and every later bit is unchanged.
+    """
+    scales, weights = _fp64_route_constants(
+        table.moduli, scale_exponent_budget(table, "fast"), width
+    )
+    count = scales.size
+    digits = np.multiply.outer(scales, x_prime)
+    np.rint(digits, out=digits)
+    digits[:-1] -= np.ldexp(digits[1:], width)
+    t = digits @ a_prime.T
+    limbs = np.empty((2 * count, t.shape[1]))
+    lo, hi = limbs[:count], limbs[count:]
+    np.multiply(t, 2.0**-_T_LIMB_BITS, out=hi)
+    np.rint(hi, out=hi)
+    np.multiply(hi, 2.0**_T_LIMB_BITS, out=lo)
+    np.subtract(t, lo, out=lo)
+    return weights @ limbs
 
 
 @dataclasses.dataclass
@@ -160,6 +239,16 @@ def prepared_gemv(
     # moduli selection, same scales.
     sides = _gemm._scaled_sides(a, x[:, None], config, constant_table, engine, times)
     config, table = sides.config, sides.table
+    # Line 6's FP64 route: an A side that kept A' at this count, on the BLAS
+    # INT8 engine (any other engine runs its own matvec_stack, the product it
+    # models).
+    width = fp64_digit_width(table, sides.k)
+    fp64_line6 = (
+        sides.a_prime is not None
+        and width >= FP64_ROUTE_MIN_DIGIT_BITS
+        and type(engine) is Int8MatrixEngine
+        and engine.use_blas
+    )
 
     # Lines 2 and 4: A' and its residues (skipped when A carries a fast-mode
     # residue stack; an accurate prepared operand converts from its retained
@@ -175,16 +264,23 @@ def prepared_gemv(
     # Lines 3 and 5: x' and its residues, converted vector-shaped — the
     # kernels are element-wise, so the 1-D pass is bit-identical to
     # converting the (k, 1) column (see crt.residues.residues_to_int8).
+    # The FP64 route needs x' only.
     with _PhaseTimer(times, "convert_B"):
         x_prime = truncate_scaled(sides.b_source, sides.nu_exp, side="right").ravel()
-        x_slices = residue_slices(x_prime, table)
+        x_slices = None if fp64_line6 else residue_slices(x_prime, table)
 
     # Line 6: the N residue GEMVs — one stacked engine call per k-block, no
     # plan, no scheduler, no tiling.  Multiple k-blocks accumulate the exact
-    # INT32 partials in INT64, exactly as the blocked GEMM route does.
+    # INT32 partials in INT64, exactly as the blocked GEMM route does.  The
+    # FP64 route computes a congruent stack from A' in one DGEMM and records
+    # the same per-k-block GEMVs.
     with _PhaseTimer(times, "matmul"):
         blocks = list(k_block_ranges(sides.k, _gemm.MAX_K_WITHOUT_BLOCKING))
-        if len(blocks) == 1:
+        if fp64_line6:
+            c_stack = _fp64_residue_products(sides.a_prime, x_prime, table, width)
+            for start, stop in blocks:
+                engine.record_matvec_stack(table.num_moduli, sides.m, stop - start)
+        elif len(blocks) == 1:
             c_stack = engine.matvec_stack(a_slices, x_slices, trusted=True)
         else:
             c_stack = np.zeros((table.num_moduli, sides.m), dtype=np.int64)

@@ -68,7 +68,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import time
+import weakref
 from collections import OrderedDict
 from typing import Optional, Tuple
 
@@ -94,6 +96,7 @@ __all__ = [
     "ResidueOperand",
     "AccurateOperand",
     "matrix_fingerprint",
+    "fp64_digit_width",
     "prepare_a",
     "prepare_b",
     "resolve_moduli",
@@ -106,6 +109,13 @@ __all__ = [
 #: operand can accumulate to ~4x one stack (previously unbounded: one
 #: stack per distinct count ever requested).
 _RESOLVE_CACHE_ENTRIES = 4
+
+#: Narrowest digit (bits) for which a prepared GEMV computes line 6 as one
+#: exact FP64 DGEMM on the kept ``A'`` (:func:`fp64_digit_width`).  The
+#: latency table of ``benchmarks/results/gemv_fast_path.txt`` has that
+#: route ahead of the INT8 one down to 1-bit digits (fp64 N = 12 at
+#: 4096², 48 DGEMM columns), so any digit that fits is taken.
+FP64_ROUTE_MIN_DIGIT_BITS = 1
 
 
 def matrix_fingerprint(x: np.ndarray) -> str:
@@ -159,6 +169,21 @@ AUTO_TABLE_RESTRICTION = (
 def table_for(config: Ozaki2Config) -> CRTConstantTable:
     """The (cached) constant table of a concrete configuration."""
     return build_constant_table(config.num_moduli, 64 if config.is_dgemm else 32)
+
+
+def fp64_digit_width(table: CRTConstantTable, k: int) -> int:
+    """Widest digit ``w`` with ``√k·2^α·2^(w−1) ≤ 2^53`` (``α = P'_fast/2``).
+
+    Fast-mode scales guarantee ``μ_i·‖a_i‖₂ ≤ 2^α``, so every row of ``A'``
+    has ``‖a'_i‖₁ ≤ √k·2^α``: a product of ``A'`` with digits
+    ``|s| ≤ 2^(w−1)`` then has every partial sum an integer of magnitude at
+    most ``2^53``, exact in FP64 in any order (see
+    :func:`repro.core.gemv.prepared_gemv`).  It depends on ``(N, table,
+    k)`` only; the floor is taken ``2^-30`` low so the float evaluation can
+    never round it up.  Zero or negative means no digit fits.
+    """
+    alpha = scale_exponent_budget(table, "fast")
+    return math.floor(54.0 - alpha - 0.5 * math.log2(max(int(k), 1)) - 2.0**-30)
 
 
 def resolve_moduli(
@@ -309,6 +334,12 @@ class ResidueOperand(PreparedOperand):
         operand keeps the caller's array alive; mutating it invalidates
         future :meth:`resolve_for` derivations, exactly as mutating the
         matrix between two plain GEMM calls would change their results).
+
+    A prepared A side whose count admits the FP64 line-6 route of
+    :func:`~repro.core.gemv.prepared_gemv` (:func:`fp64_digit_width` at
+    least :data:`FP64_ROUTE_MIN_DIGIT_BITS`) also keeps the truncated
+    ``A'`` its preparation formed, read-only and in Fortran order (the
+    layout the route's DGEMM streams fastest), in the private ``_a_prime``.
     """
 
     side: str
@@ -318,8 +349,18 @@ class ResidueOperand(PreparedOperand):
     convert_seconds: float = 0.0
     prescale: Optional[PrescaleBounds] = None
     source: Optional[np.ndarray] = None
-    _resolved_cache: "OrderedDict[int, ResidueOperand]" = dataclasses.field(
-        default_factory=OrderedDict, repr=False, compare=False
+    _a_prime: Optional[np.ndarray] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # resolve_for's LRU of derived operands, owned by the operand that
+    # derived them; a derived operand reaches its root's only through the
+    # weak ``_root``, so no operand is strongly reachable from itself and a
+    # dropped operand frees its residues without the cyclic GC.
+    _derivations: "OrderedDict[int, ResidueOperand]" = dataclasses.field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False
+    )
+    _root: "Optional[weakref.ReferenceType[ResidueOperand]]" = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
     )
 
     mode = ComputeMode.FAST
@@ -335,10 +376,24 @@ class ResidueOperand(PreparedOperand):
                 "ResidueOperand.config must be concrete; preparation resolves "
                 "auto configurations before constructing the operand"
             )
-        # Seed the (shared) derivation cache with this operand's own count,
-        # so resolving back to it from a derived operand is a lookup, not a
-        # second conversion.
-        self._resolved_cache.setdefault(self.num_moduli, self)
+
+    @property
+    def _owner(self) -> "ResidueOperand":
+        """The operand whose derivation cache this one shares: its root
+        while that lives, otherwise itself."""
+        root = self._root() if self._root is not None else None
+        return self if root is None else root
+
+    @property
+    def _resolved_cache(self) -> "OrderedDict[int, ResidueOperand]":
+        """The derivation LRU shared by a root and every operand it derived."""
+        return self._owner._derivations
+
+    def __getstate__(self) -> dict:
+        # A weakref cannot be pickled; a copy starts with its own empty cache.
+        state = dict(self.__dict__)
+        state.update(_derivations=OrderedDict(), _root=None)
+        return state
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -362,7 +417,8 @@ class ResidueOperand(PreparedOperand):
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of this operand (residues + scales + kept source).
+        """Resident bytes of this operand (residues + scales + kept source
+        and ``A'``).
 
         The figure the operand cache's byte budget accounts in
         (:class:`repro.service.cache.OperandCache`); derivations cached by
@@ -370,8 +426,9 @@ class ResidueOperand(PreparedOperand):
         inserted, and derived operands share the source reference.
         """
         total = int(self.slices.nbytes) + int(self.scale_exp.nbytes)
-        if self.source is not None:
-            total += int(self.source.nbytes)
+        for kept in (self.source, self._a_prime):
+            if kept is not None:
+                total += int(kept.nbytes)
         return total
 
     def resolve_for(self, num_moduli: int) -> "ResidueOperand":
@@ -395,9 +452,13 @@ class ResidueOperand(PreparedOperand):
         num_moduli = int(num_moduli)
         if num_moduli == self.num_moduli:
             return self
-        cached = self._resolved_cache.get(num_moduli)
+        owner = self._owner
+        if num_moduli == owner.num_moduli:
+            return owner
+        cache = owner._derivations
+        cached = cache.get(num_moduli)
         if cached is not None:
-            self._resolved_cache.move_to_end(num_moduli)
+            cache.move_to_end(num_moduli)
             return cached
         if self.prescale is None or self.source is None:
             raise ConfigurationError(
@@ -413,11 +474,11 @@ class ResidueOperand(PreparedOperand):
             self.source,
             self.config.resolved(num_moduli),
             start=time.perf_counter(),
-            resolved_cache=self._resolved_cache,
         )
-        self._resolved_cache[num_moduli] = derived
-        while len(self._resolved_cache) > _RESOLVE_CACHE_ENTRIES:
-            self._resolved_cache.popitem(last=False)
+        object.__setattr__(derived, "_root", weakref.ref(owner))
+        cache[num_moduli] = derived
+        while len(cache) > _RESOLVE_CACHE_ENTRIES:
+            cache.popitem(last=False)
         return derived
 
 
@@ -526,7 +587,6 @@ def _fast_operand(
     config: Ozaki2Config,
     start: float,
     table: Optional[CRTConstantTable] = None,
-    resolved_cache: "Optional[OrderedDict[int, ResidueOperand]]" = None,
 ) -> ResidueOperand:
     """Finalise one fast-mode side from its pre-scale bounds.
 
@@ -534,22 +594,30 @@ def _fast_operand(
     scale exponents from the cached bounds (the arithmetic of
     :func:`~repro.core.scaling.fast_mode_scale_a`, see
     :func:`~repro.core.scaling.scale_from_prescale`), truncation and the
-    INT8 residues.  Shared by preparation and :meth:`ResidueOperand.resolve_for`,
-    so a re-derived operand is a fresh preparation at the other count.
+    INT8 residues.  An A side whose count admits the FP64 line-6 route
+    keeps ``A'`` too.  Shared by preparation and
+    :meth:`ResidueOperand.resolve_for`, so a re-derived operand is a fresh
+    preparation at the other count.
     """
     table = table or table_for(config)
     scale_exp = scale_from_prescale(prescale, scale_exponent_budget(table, "fast"))
     x_prime = truncate_scaled(source, scale_exp, side="left" if side == "A" else "right")
-    return ResidueOperand(
+    slices = residue_slices(x_prime, table)
+    a_prime = None
+    if side == "A" and fp64_digit_width(table, source.shape[1]) >= FP64_ROUTE_MIN_DIGIT_BITS:
+        a_prime = np.asfortranarray(x_prime)
+        a_prime.setflags(write=False)
+    operand = ResidueOperand(
         side=side,
         scale_exp=scale_exp,
-        slices=residue_slices(x_prime, table),
+        slices=slices,
         config=config,
         convert_seconds=time.perf_counter() - start,
         prescale=prescale,
         source=source,
-        _resolved_cache=OrderedDict() if resolved_cache is None else resolved_cache,
     )
+    object.__setattr__(operand, "_a_prime", a_prime)
+    return operand
 
 
 def _prepare(

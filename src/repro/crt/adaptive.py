@@ -65,12 +65,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
-import warnings
 from typing import Optional
 
 from ..config import MAX_MODULI
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, warn_at_caller
 from ..utils.fp import upper_bound_inflation
 from .calibration import DEFAULT_CALIBRATION, CalibrationTable
 from .constants import build_constant_table
@@ -359,27 +357,19 @@ def _warn_clamped(target: float, relative_bound: float) -> None:
     ``AdaptiveSelection.met`` / ``Result.bound_met`` instead.  It is
     attributed to the first frame outside the ``repro`` package, the
     caller's own line, whichever route (GEMM, GEMV, preparation, a direct
-    :func:`select_num_moduli`) selected.
+    :func:`select_num_moduli`) selected (:func:`~repro.errors.warn_at_caller`).
     """
     global _CLAMP_WARNING_EMITTED
     if _CLAMP_WARNING_EMITTED:
         return
     _CLAMP_WARNING_EMITTED = True
-    # ``warnings.warn(skip_file_prefixes=...)`` needs Python 3.12; count the
-    # package's frames instead (stacklevel 1 is this function).
-    stacklevel, frame = 1, sys._getframe()
-    while frame.f_back is not None and (
-        frame.f_globals.get("__name__", "").partition(".")[0] == "repro"
-    ):
-        stacklevel, frame = stacklevel + 1, frame.f_back
-    warnings.warn(
+    warn_at_caller(
         f"target_accuracy={target:g} is unreachable: even num_moduli="
         f"{MAX_MODULI} only guarantees a relative bound of "
         f"{relative_bound:g}; proceeding with the clamped count "
         "(selection.met / Result.bound_met report False; this warning is "
         "emitted once per process)",
         RuntimeWarning,
-        stacklevel=stacklevel,
     )
 
 

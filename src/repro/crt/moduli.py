@@ -50,13 +50,6 @@ def generate_moduli_table(max_value: int = 256, count: int = 32) -> Tuple[int, .
     return tuple(chosen)
 
 
-#: Size of the precomputed table.
-MAX_TABLE_SIZE: int = 32
-
-#: The default moduli table: descending, pairwise coprime, all <= 256.
-MODULI_TABLE: Tuple[int, ...] = generate_moduli_table(256, MAX_TABLE_SIZE)
-
-
 def validate_moduli(moduli: Sequence[int]) -> Tuple[int, ...]:
     """Validate a user-supplied moduli sequence.
 
@@ -79,15 +72,27 @@ def validate_moduli(moduli: Sequence[int]) -> Tuple[int, ...]:
     return mods
 
 
+#: Size of the precomputed table.
+MAX_TABLE_SIZE: int = 32
+
+#: The default moduli table: descending, pairwise coprime, all <= 256.
+#: Validated once here, so its prefixes need no check per lookup.
+MODULI_TABLE: Tuple[int, ...] = validate_moduli(generate_moduli_table(256, MAX_TABLE_SIZE))
+
+
 def select_moduli(num_moduli: int, table: Iterable[int] = MODULI_TABLE) -> Tuple[int, ...]:
     """Return the first ``num_moduli`` entries of the moduli table.
 
     Taking the largest available moduli maximises ``P`` and therefore the
-    accuracy attainable with a given number of INT8 GEMMs.
+    accuracy attainable with a given number of INT8 GEMMs.  A prefix of the
+    default :data:`MODULI_TABLE` (validated at import) is returned as is;
+    any other table's prefix goes through :func:`validate_moduli`.
     """
+    default = table is MODULI_TABLE
     table = tuple(table)
     if not (2 <= num_moduli <= len(table)):
         raise ModuliError(
             f"num_moduli must be between 2 and {len(table)}, got {num_moduli}"
         )
-    return validate_moduli(table[:num_moduli])
+    prefix = table[:num_moduli]
+    return prefix if default else validate_moduli(prefix)

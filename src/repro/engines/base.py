@@ -335,7 +335,17 @@ class MatrixEngine(abc.ABC):
             self._compute(self._prepare(a[i], "A"), self._prepare(v[i][:, None], "B"))[:, 0]
             for i in range(a.shape[0])
         ]
-        n_stack, m, k = a.shape
+        self.record_matvec_stack(*a.shape)
+        return np.stack(outs)
+
+    def record_matvec_stack(self, n_stack: int, m: int, k: int) -> None:
+        """Ledger of one :meth:`matvec_stack` call on ``(n_stack, m, k)``.
+
+        Every stacked GEMV records through here, as do host routes that
+        produce the same residue products another way (the FP64 line 6 of
+        :func:`repro.core.gemv.prepared_gemv`): the ledger counts the
+        engine work the emulation stands for, not the host's route.
+        """
         self.counter.record_matmul(
             m,
             1,
@@ -344,7 +354,6 @@ class MatrixEngine(abc.ABC):
             out_bytes=self.output_format.bytes_per_element,
             count=n_stack,
         )
-        return np.stack(outs)
 
     def _check_vec_stack_shapes(self, a: np.ndarray, v: np.ndarray) -> None:
         """Validate a :meth:`matvec_stack` operand pair (3-D x 2-D, conforming)."""

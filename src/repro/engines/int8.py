@@ -258,14 +258,7 @@ class Int8MatrixEngine(MatrixEngine):
         else:
             with np.errstate(over="ignore"):
                 out = np.einsum("nmk,nk->nm", a8, v8, dtype=np.int32)
-        self.counter.record_matmul(
-            m,
-            1,
-            k,
-            in_bytes=self.input_format.bytes_per_element,
-            out_bytes=self.output_format.bytes_per_element,
-            count=n_stack,
-        )
+        self.record_matvec_stack(n_stack, m, k)
         return out
 
     # -- computation paths ---------------------------------------------------

@@ -7,6 +7,9 @@ errors coming from NumPy or the standard library.
 
 from __future__ import annotations
 
+import sys
+import warnings
+
 __all__ = [
     "ReproError",
     "ConfigurationError",
@@ -15,6 +18,7 @@ __all__ = [
     "OverflowRiskError",
     "EngineError",
     "PerfModelError",
+    "warn_at_caller",
 ]
 
 
@@ -62,3 +66,26 @@ class EngineError(ReproError):
 
 class PerfModelError(ReproError):
     """Raised by the performance/power model for unknown GPUs or methods."""
+
+
+#: Modules whose frames :func:`warn_at_caller` skips: the library's own, and
+#: the standard :mod:`dataclasses` (``dataclasses.replace`` constructs the
+#: copies ``Ozaki2Config.replace`` returns).
+_SKIPPED_MODULES = ("repro", "dataclasses")
+
+
+def warn_at_caller(message: str, category: type) -> None:
+    """``warnings.warn`` attributed to the first frame outside the library.
+
+    A warning about the caller's request (an oversubscribed ``parallelism``,
+    an unreachable ``target_accuracy``) names the caller's own line,
+    whichever library route got there.  ``warnings.warn(skip_file_prefixes=
+    ...)`` needs Python 3.12, so the skipped frames are counted instead
+    (stacklevel 1 is this function).
+    """
+    stacklevel, frame = 1, sys._getframe()
+    while frame.f_back is not None and (
+        frame.f_globals.get("__name__", "").partition(".")[0] in _SKIPPED_MODULES
+    ):
+        stacklevel, frame = stacklevel + 1, frame.f_back
+    warnings.warn(message, category, stacklevel=stacklevel)

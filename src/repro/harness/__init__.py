@@ -14,6 +14,7 @@ from .experiments import (
     batched_speedup_sweep,
     breakdown_sweep,
     cpu_wallclock_sweep,
+    gemv_line6_sweep,
     gemv_route_sweep,
     power_sweep,
     preconditioner_sweep,
@@ -47,6 +48,7 @@ __all__ = [
     "batched_speedup_sweep",
     "breakdown_sweep",
     "cpu_wallclock_sweep",
+    "gemv_line6_sweep",
     "gemv_route_sweep",
     "power_sweep",
     "preconditioner_sweep",

@@ -29,6 +29,7 @@ __all__ = [
     "breakdown_sweep",
     "cpu_wallclock_sweep",
     "gemv_route_sweep",
+    "gemv_line6_sweep",
     "preconditioner_sweep",
     "runtime_scaling_sweep",
     "batched_speedup_sweep",
@@ -434,6 +435,84 @@ def gemv_route_sweep(
         for key, value in details[route].phase_times.seconds.items():
             row[f"phase_{key}"] = value
         rows.append(row)
+    return rows
+
+
+def gemv_line6_sweep(
+    sizes: Sequence[int],
+    cases: Sequence["tuple[str, int]"] = (
+        ("fp64", 8), ("fp64", 10), ("fp64", 11), ("fp64", 12), ("fp32", 8)
+    ),
+    iters: int = 4,
+    repeats: int = 2,
+    phi: float = 0.5,
+    seed: int = 0,
+) -> List[Dict[str, object]]:
+    """Line 6 of a prepared GEMV: the INT8 matvec route vs the FP64 route.
+
+    For every ``size x size`` matrix and ``(precision, N)`` case the matrix
+    is prepared once (:func:`~repro.core.operand.prepare_a`) and ``iters``
+    vectors run through :func:`~repro.core.gemv.prepared_gemv` twice: on the
+    prepared operand, whose kept ``A'`` takes the FP64 DGEMM route when a
+    digit fits (``digit_bits``, :func:`~repro.core.operand.fp64_digit_width`),
+    and on a hand-constructed operand over the same residues, which keeps
+    no ``A'`` and so runs the INT8 route.  One row per case: best-of-
+    ``repeats`` per-GEMV latency of each route (alternating, so a slow
+    stretch of the host hits both), the speedup, and whether the outputs
+    and op ledgers are identical.
+    """
+    from ..config import Ozaki2Config
+    from ..core.gemv import prepared_gemv
+    from ..core.operand import ResidueOperand, fp64_digit_width, prepare_a, table_for
+    from ..engines.int8 import Int8MatrixEngine
+
+    rows: List[Dict[str, object]] = []
+    for size in sizes:
+        for precision, num_moduli in cases:
+            fmt = precision_for_target(precision)
+            a = phi_pair(size, size, 1, phi=phi, precision=fmt, seed=seed)[0]
+            vectors = [
+                phi_pair(size, size, 1, phi=phi, precision=fmt, seed=seed + 1 + j)[1][:, 0]
+                for j in range(max(1, int(iters)))
+            ]
+            config = Ozaki2Config(precision=fmt, num_moduli=num_moduli)
+            fp64 = prepare_a(a, config=config)
+            int8 = ResidueOperand(
+                side="A", scale_exp=fp64.scale_exp, slices=fp64.slices, config=config
+            )
+            routes = {"int8": int8, "fp64": fp64}
+            best = {route: float("inf") for route in routes}
+            outputs: Dict[str, List[np.ndarray]] = {}
+            for _ in range(max(1, repeats)):
+                for route, operand in routes.items():
+                    engine = Int8MatrixEngine()
+                    start = time.perf_counter()
+                    outs = [prepared_gemv(operand, v, config, engine) for v in vectors]
+                    best[route] = min(best[route], time.perf_counter() - start)
+                    outputs[route] = outs
+            ledgers = {
+                route: prepared_gemv(
+                    operand, vectors[0], config, Int8MatrixEngine(), return_details=True
+                ).ledger.as_dict()
+                for route, operand in routes.items()
+            }
+            rows.append({
+                "n": int(size),
+                "precision": fmt.name,
+                "method": config.method_name,
+                "digit_bits": fp64_digit_width(table_for(config), size),
+                "fp64_route": fp64._a_prime is not None,
+                "int8_ms": 1e3 * best["int8"] / len(vectors),
+                "fp64_ms": 1e3 * best["fp64"] / len(vectors),
+                "speedup": best["int8"] / best["fp64"],
+                "bit_identical": all(
+                    np.array_equal(x, y)
+                    for x, y in zip(outputs["int8"], outputs["fp64"], strict=True)
+                ),
+                "ledger_equal": ledgers["int8"] == ledgers["fp64"],
+            })
+            # Free this case's operands before the next one is prepared.
+            del fp64, int8, routes, outputs
     return rows
 
 

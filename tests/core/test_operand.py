@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -325,3 +327,68 @@ class TestCompatibility:
         prep = prepare_a(a, Ozaki2Config.for_dgemm(8, mode="fast"))
         c = ozaki2_gemm(prep, b, config=Ozaki2Config.for_dgemm(8, mode=ComputeMode.FAST))
         np.testing.assert_array_equal(c, ozaki2_gemm(a, b, config=Ozaki2Config.for_dgemm(8)))
+
+
+class TestNoReferenceCycles:
+    """Dropped operands free their residues by reference counting alone:
+    no operand is strongly reachable from itself (the resolve_for cache is
+    owned by the root, and derived operands reach it through a weakref)."""
+
+    @pytest.fixture(autouse=True)
+    def no_cyclic_gc(self):
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    def test_prepared_operand(self, small_pair):
+        prep = prepare_a(small_pair[0], config=Ozaki2Config.for_dgemm(10))
+        alive = weakref.ref(prep)
+        del prep
+        assert alive() is None
+
+    def test_derived_operand(self, small_pair):
+        prep = prepare_a(small_pair[0], config=Ozaki2Config.for_dgemm(15))
+        derived = prep.resolve_for(8)
+        assert derived.resolve_for(15) is prep
+        alive_root, alive_derived = weakref.ref(prep), weakref.ref(derived)
+        del derived
+        assert alive_derived() is not None  # the root's cache holds it
+        del prep
+        assert alive_root() is None and alive_derived() is None
+
+    def test_derived_operand_outlives_its_root(self, small_pair):
+        prep = prepare_a(small_pair[0], config=Ozaki2Config.for_dgemm(15))
+        derived = prep.resolve_for(8)
+        del prep
+        again = derived.resolve_for(15)  # re-derived, bit-identical
+        fresh = prepare_a(small_pair[0], config=Ozaki2Config.for_dgemm(15))
+        np.testing.assert_array_equal(again.slices, fresh.slices)
+        alive = weakref.ref(derived)
+        del derived, again
+        assert alive() is None
+
+    def test_pickled_operands_start_their_own_cache(self, small_pair):
+        import pickle
+
+        prep = prepare_a(small_pair[0], config=Ozaki2Config.for_dgemm(15))
+        derived = prep.resolve_for(8)
+        for operand in (prep, derived):
+            copy = pickle.loads(pickle.dumps(operand))
+            np.testing.assert_array_equal(copy.slices, operand.slices)
+            assert copy._resolved_cache == {}
+            np.testing.assert_array_equal(copy.resolve_for(6).slices,
+                                          prep.resolve_for(6).slices)
+
+    def test_session_cached_operand_after_close(self, small_pair):
+        from repro.session import Session
+
+        session = Session(Ozaki2Config.for_dgemm(10))
+        prep = session.prepare(small_pair[0], side="A")
+        session.gemv(small_pair[0], np.ones(small_pair[0].shape[1]))
+        alive = weakref.ref(prep)
+        del prep
+        assert alive() is not None
+        session.close()
+        assert alive() is None

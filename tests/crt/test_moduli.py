@@ -76,3 +76,46 @@ class TestSelectAndValidate:
 
     def test_validate_accepts_custom_coprime_set(self):
         assert validate_moduli([64, 81, 25, 49]) == (64, 81, 25, 49)
+
+
+class TestDefaultPrefixValidatedOnce:
+    """The default table is validated at import; its prefixes are not
+    re-validated on every lookup (N(N-1)/2 gcds per call)."""
+
+    def test_prefixes_unchanged(self):
+        generated = generate_moduli_table(256, MAX_TABLE_SIZE)
+        for n in range(2, 21):
+            assert select_moduli(n) == validate_moduli(generated[:n]) == generated[:n]
+
+    def test_default_lookups_skip_validation(self, monkeypatch):
+        import repro.crt.constants as constants_mod
+        import repro.crt.moduli as moduli_mod
+        from repro.config import Ozaki2Config
+        from repro.core.operand import table_for
+
+        for n in range(2, 21):  # build every table before spying
+            constants_mod.build_constant_table(n, 64)
+        calls = []
+
+        def spy(moduli):
+            calls.append(moduli)
+            return validate_moduli(moduli)
+
+        monkeypatch.setattr(moduli_mod, "validate_moduli", spy)
+        monkeypatch.setattr(constants_mod, "validate_moduli", spy)
+        for n in range(2, 21):
+            select_moduli(n)
+            constants_mod.build_constant_table(n, 64)
+            table_for(Ozaki2Config(num_moduli=n))
+        assert calls == []
+        # A caller's own table is still checked.
+        select_moduli(3, table=[7, 5, 3])
+        assert calls == [(7, 5, 3)]
+
+    def test_bad_user_sequences_still_raise(self):
+        from repro.crt.constants import build_constant_table
+
+        with pytest.raises(ModuliError, match="coprime"):
+            select_moduli(3, table=[255, 253, 250])
+        with pytest.raises(ModuliError, match="coprime"):
+            build_constant_table(2, moduli=[256, 254])

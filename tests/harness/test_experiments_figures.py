@@ -13,6 +13,7 @@ from repro.harness.experiments import (
     accuracy_sweep,
     breakdown_sweep,
     cpu_wallclock_sweep,
+    gemv_line6_sweep,
     gemv_route_sweep,
     power_sweep,
     preconditioner_sweep,
@@ -93,6 +94,17 @@ class TestSweeps:
             assert {f"phase_{k}" for k in ("scale", "matmul", "unscale")} <= set(row)
         gemm_row = rows[0]
         assert gemm_row["speedup_vs_gemm"] == pytest.approx(1.0)
+
+    def test_gemv_line6_sweep(self):
+        rows = gemv_line6_sweep([24], cases=(("fp64", 10), ("fp64", 15), ("fp32", 8)),
+                                iters=2, repeats=1)
+        assert [(row["precision"], row["method"]) for row in rows] == [
+            ("fp64", "OS II-fast-10"), ("fp64", "OS II-fast-15"), ("fp32", "OS II-fast-8")
+        ]
+        assert [row["fp64_route"] for row in rows] == [True, False, True]
+        for row in rows:
+            assert row["bit_identical"] and row["ledger_equal"]
+            assert row["speedup"] == pytest.approx(row["int8_ms"] / row["fp64_ms"])
 
     def test_preconditioner_sweep(self):
         rows = preconditioner_sweep(size=32, kinds=("none", "ilu0"), cond=1e2)

@@ -232,6 +232,21 @@ class TestParallelismAuto:
             Ozaki2Config(parallelism=workers)
         assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) == 2
 
+    def test_oversubscription_warning_names_the_caller(self):
+        import os
+
+        workers = (os.cpu_count() or 1) + 7
+        constructions = (
+            lambda: Ozaki2Config(parallelism=workers),
+            lambda: Ozaki2Config().replace(parallelism=workers),
+            lambda: Ozaki2Config.for_dgemm(parallelism=workers),
+        )
+        for construct in constructions:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                construct()
+            assert [w.filename for w in caught] == [__file__]
+
     def test_bad_string_rejected(self):
         with pytest.raises(ConfigurationError, match="parallelism"):
             Ozaki2Config(parallelism="many")

@@ -32,7 +32,9 @@ ROUTE_SPANS = {
     "gemv-accurate": GEMV | {"int8.matmul"},
     "gemm_batched-fast": GEMM,
     "gemm_batched-accurate": GEMM,
-    "cg-auto": GEMV | {"select"},
+    # A solver's prepared A side computes line 6 by one FP64 DGEMM on its
+    # kept A' (core.gemv), so its GEMVs never call Int8MatrixEngine.matvec_stack.
+    "cg-auto": (GEMV - {"int8.matvec"}) | {"select"},
     "tilesource-gemm": {"execute_plan", "int8.matmul", "accumulate", "reconstruct",
                         "unscale"},
 }
