@@ -39,10 +39,13 @@ def truncate_scaled(x: np.ndarray, exps: np.ndarray, side: str) -> np.ndarray:
     return np.trunc(scaled, out=scaled)
 
 
-def residue_slices(x_prime: np.ndarray, table: CRTConstantTable) -> np.ndarray:
+def residue_slices(
+    x_prime: np.ndarray, table: CRTConstantTable, out: np.ndarray | None = None
+) -> np.ndarray:
     """INT8 residue stack ``[rmod(X', p_1), ..., rmod(X', p_N)]``.
 
-    Returns an ``(N, *X'.shape)`` INT8 array (lines 4–5 of Algorithm 1); see
+    Returns an ``(N, *X'.shape)`` INT8 array (lines 4–5 of Algorithm 1),
+    written into ``out`` when one is given; see
     :func:`repro.crt.residues.residues_to_int8`.
     """
-    return residues_to_int8(x_prime, table.moduli)
+    return residues_to_int8(x_prime, table.moduli, out)

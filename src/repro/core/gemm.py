@@ -135,8 +135,9 @@ def _scaled_sides(
     prepared side, shape and finiteness of a raw one, the inner dimension),
     resolves ``num_moduli="auto"`` through
     :func:`~repro.core.operand.resolve_moduli` (re-deriving prepared sides
-    at the selected count), builds the constant table and derives the scale
-    exponents under the ``"scale"`` phase of ``times``.  Fast mode takes
+    at the selected count under the ``"convert_A"``/``"convert_B"`` phases
+    of ``times``), builds the constant table and derives the scale
+    exponents under the ``"scale"`` phase.  Fast mode takes
     each side's scales from that side alone, so a prepared operand
     contributes its cached exponents; accurate mode finalises from the two
     sides' pre-scales (cached on an :class:`~repro.core.operand.AccurateOperand`,
@@ -174,10 +175,14 @@ def _scaled_sides(
         config, selection = resolve_moduli(
             config, k, _max_abs(a, a_prep), _max_abs(b, b_prep)
         )
-        if a_prep is not None:
-            a_prep = a_prep.resolve_for(config.num_moduli)
-        if b_prep is not None:
-            b_prep = b_prep.resolve_for(config.num_moduli)
+        # Re-deriving a prepared side at another count converts it again
+        # (truncation and residues from its kept source): a convert phase.
+        if a_prep is not None and a_prep.num_moduli != config.num_moduli:
+            with _PhaseTimer(times, "convert_A"):
+                a_prep = a_prep.resolve_for(config.num_moduli)
+        if b_prep is not None and b_prep.num_moduli != config.num_moduli:
+            with _PhaseTimer(times, "convert_B"):
+                b_prep = b_prep.resolve_for(config.num_moduli)
     table = constant_table or table_for(config)
 
     with _PhaseTimer(times, "scale"):

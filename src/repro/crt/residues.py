@@ -200,11 +200,15 @@ def mod_fast_mulhi(c: np.ndarray, p: int, pinv_prime: int) -> np.ndarray:
     return y
 
 
-def residues_to_int8(x: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
+def residues_to_int8(
+    x: np.ndarray, moduli: Sequence[int], out: np.ndarray | None = None
+) -> np.ndarray:
     """Residues of an integer-valued array for every modulus, as INT8.
 
     Returns an array of shape ``(N, *x.shape)`` holding ``rmod(x, p_i)``
-    cast to INT8 (lines 4-5 of Algorithm 1).  ``x`` (``A'``, ``B'`` or a
+    cast to INT8 (lines 4-5 of Algorithm 1), written into ``out`` when one
+    is given: an INT8 array of that shape whose slice per modulus is
+    C-contiguous (a row band of a C-contiguous stack).  ``x`` (``A'``, ``B'`` or a
     GEMV vector ``x'``) may be any shape: the kernel is element-wise, so a
     1-D vector (the ``n = 1`` operand of
     :func:`repro.core.gemv.prepared_gemv`) converts bit-identically to the
@@ -240,7 +244,8 @@ def residues_to_int8(x: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     mods = [int(p) for p in moduli]
-    out = np.empty((len(mods),) + x.shape, dtype=np.int8)
+    if out is None:
+        out = np.empty((len(mods),) + x.shape, dtype=np.int8)
     if x.size == 0:
         return out
     max_abs = max(float(np.max(x)), -float(np.min(x)))
@@ -248,6 +253,8 @@ def residues_to_int8(x: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     split = max_abs >= 2.0**_LIMB_BITS
     flat = np.ascontiguousarray(x).reshape(-1)
     dest = out.reshape(len(mods), -1)
+    if not np.may_share_memory(dest, out):
+        raise ValueError("out must hold one C-contiguous slice per modulus")
     consts = []
     for p in mods:
         shift_mod = pow(2, _LIMB_BITS, p)

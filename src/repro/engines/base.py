@@ -279,13 +279,20 @@ class MatrixEngine(abc.ABC):
         )
         return out
 
-    def matmul_stack(self, a: np.ndarray, b: np.ndarray, trusted: bool = False) -> np.ndarray:
+    def matmul_stack(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        trusted: bool = False,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Batched product ``out[i] = a[i] @ b[i]`` over a 3-D operand stack.
 
         ``a`` has shape ``(N, m, k)`` and ``b`` has shape ``(N, k, n)``; the
         result is the ``(N, m, n)`` stack of per-slice products with the
-        engine's numerical behaviour.  The op ledger records exactly what
-        ``N`` separate :meth:`matmul` calls would.
+        engine's numerical behaviour, written into ``out`` when one is
+        given.  The op ledger records exactly what ``N`` separate
+        :meth:`matmul` calls would.
 
         ``trusted`` asserts the operands are already in the engine's input
         representation (e.g. INT8 residue stacks produced by this library's
@@ -311,7 +318,7 @@ class MatrixEngine(abc.ABC):
             out_bytes=self.output_format.bytes_per_element,
             count=n_stack,
         )
-        return np.stack(outs)
+        return np.stack(outs, out=out)
 
     def matvec_stack(self, a: np.ndarray, v: np.ndarray, trusted: bool = False) -> np.ndarray:
         """Batched matrix–vector product ``out[i] = a[i] @ v[i]`` over a stack.

@@ -65,8 +65,10 @@ def _chunked_sgemm(a32: np.ndarray, b32: np.ndarray, out: np.ndarray) -> None:
         out += np.matmul(a32[:, start:stop], b32[start:stop]).astype(np.int32)
 
 
-def _exact_int8_product(a8: np.ndarray, b8: np.ndarray) -> np.ndarray:
-    """Exact INT32 product of INT8 operands, 2-D or stacked.
+def _exact_int8_product(
+    a8: np.ndarray, b8: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact INT32 product of INT8 operands, 2-D or stacked, into ``out``.
 
     A stack is multiplied one residue matrix at a time
     (:func:`_chunked_sgemm`), so the float32 copies stay one matrix large
@@ -74,7 +76,8 @@ def _exact_int8_product(a8: np.ndarray, b8: np.ndarray) -> np.ndarray:
     """
     if a8.ndim == 2:
         return _exact_int8_product(a8[None], b8[None])[0]
-    out = np.empty(a8.shape[:2] + b8.shape[2:], dtype=np.int32)
+    if out is None:
+        out = np.empty(a8.shape[:2] + b8.shape[2:], dtype=np.int32)
     for a_i, b_i, out_i in zip(a8, b8, out, strict=True):
         _chunked_sgemm(a_i.astype(np.float32), b_i.astype(np.float32), out_i)
     return out
@@ -170,7 +173,13 @@ class Int8MatrixEngine(MatrixEngine):
         return self._compute_integer(a, b)
 
     # -- fused stacked path ---------------------------------------------------
-    def matmul_stack(self, a: np.ndarray, b: np.ndarray, trusted: bool = False) -> np.ndarray:
+    def matmul_stack(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        trusted: bool = False,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Fused batched product ``(N, m, k) @ (N, k, n) -> (N, m, n)``.
 
         Unlike the generic per-slice fallback, this override validates the
@@ -186,7 +195,8 @@ class Int8MatrixEngine(MatrixEngine):
         regardless of the flag, so external callers keep full validation by
         default.  Results are bit-identical to ``N`` separate
         :meth:`~repro.engines.base.MatrixEngine.matmul` calls, and the op
-        ledger records the same ``N`` GEMMs.
+        ledger records the same ``N`` GEMMs.  ``out`` (an ``(N, m, n)`` INT32
+        array) receives the product in place and is returned.
         """
         a = np.asarray(a)
         b = np.asarray(b)
@@ -204,9 +214,9 @@ class Int8MatrixEngine(MatrixEngine):
             a8 = self._prepare(a, "A")
             b8 = self._prepare(b, "B")
         if self.use_blas:
-            out = _exact_int8_product(a8, b8)
+            out = _exact_int8_product(a8, b8, out)
         else:
-            out = self._compute_integer(a8, b8)
+            out = self._compute_integer(a8, b8, out)
         self.counter.record_matmul(
             m,
             n,
@@ -263,7 +273,9 @@ class Int8MatrixEngine(MatrixEngine):
 
     # -- computation paths ---------------------------------------------------
     @staticmethod
-    def _compute_integer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _compute_integer(
+        a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Reference integer product with native int32 wraparound."""
         with np.errstate(over="ignore"):
-            return np.matmul(a.astype(np.int32), b.astype(np.int32)).astype(np.int32)
+            return np.matmul(a.astype(np.int32), b.astype(np.int32), out=out)

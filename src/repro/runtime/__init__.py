@@ -4,15 +4,17 @@ Ozaki scheme II is embarrassingly parallel — one emulated GEMM is ``N``
 independent INT8 residue GEMMs, times the number of k-blocks, times the
 number of output tiles.  This package exploits that structure:
 
-* :mod:`repro.runtime.plan` — :class:`ExecutionPlan` decomposes a problem
-  into tasks (and sizes output tiles against a memory budget).
-* :mod:`repro.runtime.scheduler` — :class:`Scheduler` fans tasks over a
-  thread pool (or, with ``executor="process"``, a persistent
-  worker-process pool) with per-worker engine clones and merged op
-  ledgers; :func:`execute_plan` runs a plan with bit-identical
-  serial/parallel results on every backend.
+* :mod:`repro.runtime.plan` — :class:`ExecutionPlan` records a problem's
+  k-blocks, output tiles (sized against a memory budget) and route.
+* :mod:`repro.runtime.scheduler` — :func:`execute_plan` and
+  :meth:`Scheduler.convert_residues` build one task list per call from
+  three handlers (``matmul``, ``accumulate``, ``convert``), which every
+  backend runs: serial and thread runs on plain arrays (a thread pool with
+  per-worker engine clones and merged op ledgers), process runs on
+  shared-memory arrays in a persistent worker-process pool — with
+  bit-identical results on every backend.
 * :mod:`repro.runtime.process` — the process backend: worker pool plus
-  shared-memory task protocol (:mod:`repro.runtime.shm`); residue stacks
+  the descriptor protocol (:mod:`repro.runtime.shm`); residue stacks
   cross the process boundary zero-copy in both directions.
 * :mod:`repro.runtime.tilesource` — :class:`TileSource` stages residue
   stacks too large for RAM on disk and streams them through the same

@@ -215,9 +215,10 @@ class ExecutionPlan:
     def tasks_per_tile(self) -> int:
         """Independent residue GEMMs per output tile (``N * k-blocks``).
 
-        This counts the ledger-visible 2-D products.  The executors issue
-        them as :attr:`modulus_chunks` stacked engine calls per k-block
-        instead of one call each, which record the identical op ledger.
+        This counts the ledger-visible 2-D products.  The executor issues
+        them as one stacked engine call per modulus chunk
+        (:func:`modulus_chunk_ranges` of its worker count) and k-block,
+        which records the identical op ledger.
         """
         return self.num_moduli * self.num_k_blocks
 
@@ -225,16 +226,6 @@ class ExecutionPlan:
     def total_tasks(self) -> int:
         """Total residue GEMMs the plan will account for."""
         return self.num_tiles * self.tasks_per_tile
-
-    @property
-    def modulus_chunks(self) -> Tuple[Range, ...]:
-        """Contiguous moduli ranges, one stacked engine call each.
-
-        Derived from the plan's recorded ``parallelism``; a plan executed on
-        an explicitly provided scheduler is re-chunked for *that* scheduler's
-        worker count (chunking never changes the result, only the fan-out).
-        """
-        return modulus_chunk_ranges(self.num_moduli, self.parallelism)
 
     def tiles(self) -> Iterator[Tuple[Range, Range]]:
         """Iterate output tiles as ``((m_start, m_stop), (n_start, n_stop))``."""

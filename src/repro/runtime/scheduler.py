@@ -4,31 +4,48 @@ The ``N`` residue GEMMs of Ozaki scheme II (and their k-blocks) are
 independent integer products, so they can run on any number of workers in
 any order and still reconstruct bit-identically: every engine call is exact
 in INT32/INT64, the k-block partial sums are exact integer additions, and
-the only floating-point accumulation (lines 8–9 of Algorithm 1) is applied
-per output tile in a fixed modulus order by exactly the code the serial
-path uses.  A task is a contiguous *modulus chunk* of the residue stack —
-one stacked engine call — and a k-block; chunk boundaries follow the
-executing scheduler's worker count and never affect the value.  The
-scheduler therefore guarantees
+the only floating-point accumulation (lines 8–9 of Algorithm 1) is
+elementwise in the output rows, applied in a fixed modulus order by the
+same code on every route.  The scheduler therefore guarantees
 
     ``execute_plan(parallelism=W) == execute_plan(parallelism=1)``  (bitwise)
 
 for every worker count ``W`` — and for every executor backend.
 
-Two backends share that contract:
+One task list, three handlers.  :func:`execute_plan` and
+:meth:`Scheduler.convert_residues` build one task list per call from three
+handlers defined here, each taking arrays:
 
-* ``executor="thread"`` — a ``ThreadPoolExecutor``.  Each task is one large
-  NumPy matmul, which releases the GIL, so the BLAS calls scale; residue
-  conversion and CRT accumulation stay serialised under the GIL.
-* ``executor="process"`` — a persistent pool of worker processes
-  (:mod:`repro.runtime.process`).  Residue stacks live in shared memory
-  (:mod:`repro.runtime.shm`), workers write partial ``c_stack`` chunks and
-  reconstructed rows in place, and conversion/accumulation parallelise
-  too.
+* ``matmul`` — one modulus chunk of one tile (line 6): loops the plan's
+  k-blocks and writes its rows of the tile's ``c_stack``;
+* ``accumulate`` — one row band of one tile (lines 7–11): returns its
+  measured ``(accumulate_s, reconstruct_s)``;
+* ``convert`` — one row band of an operand (lines 2–5).
+
+Chunks follow the executing scheduler's worker count and never affect the
+value.  The backends differ only in where the arrays live:
+
+* serial and ``executor="thread"`` runs use plain arrays and call the
+  handlers on views: the matmul chunks fan out over a
+  ``ThreadPoolExecutor`` (each is one large NumPy matmul, which releases
+  the GIL), while conversion and accumulation run as one band in the
+  calling thread, where banding across threads was measured slower under
+  the GIL;
+* ``executor="process"`` runs place the arrays in shared memory
+  (:mod:`repro.runtime.shm`) and send descriptors through
+  :meth:`Scheduler.run_process_tasks` to a persistent pool of worker
+  processes (:mod:`repro.runtime.process`), which open them and call the
+  same handlers — one band per worker, so conversion and accumulation
+  parallelise too.
 
 ``executor="auto"`` picks between them per call: a plan whose INT8 work
 ``N·m·k·n`` reaches :data:`~repro.runtime.plan.PROCESS_MIN_MACS` runs on
 the processes, a smaller one on the threads (:meth:`Scheduler.backend`).
+
+Phase times follow one rule on every backend: ``matmul`` is the matmul
+wave's wall clock, and the accumulate wave's wall clock is split at the
+largest reconstruct seconds any band measured (``reconstruct``; the rest is
+``accumulate``).
 
 Engine ledgers: thread workers lazily receive ``engine.clone()`` (same
 settings, fresh :class:`~repro.engines.base.OpCounter`) and
@@ -62,14 +79,14 @@ from ..engines.base import MatrixEngine
 from ..errors import ReproError
 from ..result import PhaseTimes
 from ..engines.int8 import Int8MatrixEngine
-from .plan import ExecutionPlan, modulus_chunk_ranges, resolve_executor, resolve_parallelism
+from .plan import ExecutionPlan, Range, modulus_chunk_ranges, resolve_executor, resolve_parallelism
 from .process import (
-    _TASK_HANDLERS,
+    Descriptor,
     ProcessPool,
     WorkerError,
     WorkerTaskError,
-    execute_plan_process,
-    table_spec,
+    file_descriptor,
+    run_task,
 )
 from .shm import SharedArray
 
@@ -79,6 +96,7 @@ _LOG = logging.getLogger(__name__)
 
 T = TypeVar("T")
 R = TypeVar("R")
+Tile = Tuple[Range, Range]
 
 
 class Scheduler:
@@ -283,8 +301,8 @@ class Scheduler:
 
         Serial schedulers run inline on the primary engine; parallel ones
         fan out over the thread pool with per-thread engine clones.  (The
-        process backend does not route through ``map`` — its tasks are the
-        shared-memory descriptors of :meth:`run_process_tasks`.)
+        process backend does not route through ``map`` — its tasks travel
+        as descriptors through :meth:`run_process_tasks`.)
         """
         if self._closed:
             raise RuntimeError("scheduler has been closed")
@@ -305,7 +323,7 @@ class Scheduler:
             fault_spec = None if plan is None else (plan.spec(), plan.seed)
             try:
                 self._process_pool = ProcessPool(
-                    self.workers, self.engine, fault_spec=fault_spec
+                    self.workers, self.engine, _HANDLERS, fault_spec=fault_spec
                 )
             except (faults.InjectedFault, OSError) as exc:
                 # Pool construction failing (fork EAGAIN, pid exhaustion, or
@@ -341,13 +359,13 @@ class Scheduler:
     ) -> List[Any]:
         """Degraded path: run process-task payloads on the parent engine.
 
-        The handlers operate on the same shared-memory / mmap descriptors
-        the workers would have attached, and the parent engine records the
+        The handlers open the same shared-memory / mmap descriptors the
+        workers would have attached, and the parent engine records the
         identical op totals the absorbed worker deltas would have
         contributed — so mid-plan degradation changes neither the value nor
         the work counters of the run.
         """
-        return [_TASK_HANDLERS[kind](self.engine, payload) for kind, payload in tasks]
+        return [run_task(_HANDLERS, self.engine, kind, payload) for kind, payload in tasks]
 
     def run_process_tasks(self, tasks: Sequence[Tuple[str, Dict[str, Any]]]) -> List[Any]:
         """Dispatch one wave of tasks to the worker processes, resiliently.
@@ -444,13 +462,13 @@ class Scheduler:
             self._shared[id(handle.array)] = handle
         return handle.array
 
-    def shared_descriptor(self, arr: np.ndarray) -> Optional[Tuple[Any, ...]]:
+    def shared_descriptor(self, arr: np.ndarray) -> Optional[Descriptor]:
         """The worker descriptor for a view this scheduler shares, else None."""
         with self._shared_lock:
             handle = self._shared.get(id(arr))
         if handle is None:
             return None
-        return ("shm", *handle.descriptor)
+        return Descriptor("shm", *handle.descriptor)
 
     def release(self, arr: Optional[np.ndarray]) -> None:
         """Unlink the segment behind ``arr`` if this scheduler owns one.
@@ -474,89 +492,37 @@ class Scheduler:
             handle.close()
 
     # -- residue conversion ---------------------------------------------------
-    def convert_residues_inline(
-        self,
-        x: np.ndarray,
-        scale_exp: Optional[np.ndarray],
-        side: str,
-        table: CRTConstantTable,
-    ) -> np.ndarray:
-        """The serial conversion pipeline (also the shm-failure fallback)."""
-        x_prime = x if scale_exp is None else truncate_scaled(x, scale_exp, side)
-        return residue_slices(x_prime, table)
-
     def convert_residues(
         self,
         x: np.ndarray,
-        scale_exp: Optional[np.ndarray],
+        scale_exp: np.ndarray,
         side: str,
         table: CRTConstantTable,
         plan: ExecutionPlan,
     ) -> np.ndarray:
-        """Truncate-scale ``x`` by the exponents ``scale_exp`` (optional) and
-        convert to INT8 residues.
+        """Truncate-scale ``x`` by the exponents ``scale_exp`` and convert it
+        to INT8 residues (lines 2–5 of Algorithm 1).
 
         Conversion follows the :meth:`backend` of ``plan``, the call it
-        feeds.  The thread/serial path runs the exact inline pipeline
-        (:func:`~repro.core.conversion.truncate_scaled` +
-        :func:`~repro.core.conversion.residue_slices`).  Under the process
-        backend the rows are banded across workers — both steps are
-        elementwise in the rows, so the result is bitwise identical — and
-        the INT8 stack comes back as a scheduler-owned shared-memory view
-        that plan execution hands to workers zero-copy.  Callers should
-        :meth:`release` the returned stack when done (close() sweeps any
-        stragglers).
+        feeds, as ``convert`` tasks over row bands of ``x``: one band in the
+        calling thread on the serial and thread backends, one per worker
+        under the process backend — both steps are elementwise in the rows,
+        so the result is bitwise identical.  A process-routed stack comes
+        back as a scheduler-owned shared-memory view that plan execution
+        hands to workers zero-copy; callers should :meth:`release` the
+        returned stack when done (close() sweeps any stragglers).
         """
-        if self.backend(plan) != "process" or x.ndim != 2 or x.shape[0] < 2:
-            return self.convert_residues_inline(x, scale_exp, side, table)
-        try:
-            source = SharedArray.copy_from(np.ascontiguousarray(x, dtype=np.float64))
-        except (MemoryError, faults.InjectedFault) as exc:
-            # Shared memory exhausted (or the ``shm.alloc`` site fired):
-            # fall back to the inline conversion, which needs no segments
-            # and is bit-identical by construction.
-            self.engine.counter.record_fault_event("shm_fallback")
-            _LOG.warning("shared-memory conversion fell back inline: %s", exc)
-            return self.convert_residues_inline(x, scale_exp, side, table)
-        try:
-            out = SharedArray.create((table.num_moduli,) + x.shape, np.int8)
-        except (MemoryError, faults.InjectedFault) as exc:
-            self.engine.counter.record_fault_event("shm_fallback")
-            _LOG.warning("shared-memory conversion fell back inline: %s", exc)
-            source.close()
-            return self.convert_residues_inline(x, scale_exp, side, table)
-        try:
-            spec = table_spec(table)
-            tasks = []
-            for r0, r1 in modulus_chunk_ranges(x.shape[0], self.workers):
-                if scale_exp is None:
-                    exp_band = None
-                elif side == "left":
-                    # Row scales band with the rows; column scales ("right")
-                    # apply whole to every band.
-                    exp_band = np.ascontiguousarray(scale_exp[r0:r1])
-                else:
-                    exp_band = np.ascontiguousarray(scale_exp)
-                tasks.append(
-                    (
-                        "convert",
-                        {
-                            "x": ("shm", *source.descriptor),
-                            "out": ("shm", *out.descriptor),
-                            "rows": (r0, r1),
-                            "scale_exp": exp_band,
-                            "side": side,
-                            "table": spec,
-                        },
-                    )
-                )
-            self.run_process_tasks(tasks)
-        except BaseException:
-            out.close()
-            raise
-        finally:
-            source.close()
-        return self.adopt_shared(out)
+        if self.backend(plan) == "process" and x.shape[0] > 1:
+            try:
+                with _Workspace(self, shared=True) as ws:
+                    return _convert_on(ws, x, scale_exp, side, table)
+            except (MemoryError, faults.InjectedFault) as exc:
+                # Shared memory exhausted (or the ``shm.alloc`` site fired):
+                # convert in this process, which needs no segments and is
+                # bit-identical by construction.
+                self.engine.counter.record_fault_event("shm_fallback")
+                _LOG.warning("shared-memory conversion fell back inline: %s", exc)
+        return _convert_on(_Workspace(self, shared=False), x, scale_exp, side, table)
 
 
 def execute_plan(
@@ -587,23 +553,21 @@ def execute_plan(
         CRT constant table of the residue stacks' moduli.
     times:
         Optional :class:`~repro.core.gemm.PhaseTimes` receiving per-phase
-        seconds under the keys ``matmul`` / ``accumulate`` / ``reconstruct``.
-        Wall-clock is attributed per stage, so under parallelism the
-        ``matmul`` entry is the elapsed (not summed per-worker) time.
+        seconds under the keys ``matmul`` / ``accumulate`` / ``reconstruct``
+        by the module's phase-time rule: wall clock per wave, so under
+        parallelism the ``matmul`` entry is the elapsed (not summed
+        per-worker) time.
     trusted:
         Declare the residue stacks as produced by this library's own
         conversion (INT8, in range by construction), letting the engine
         skip its per-call validation sweeps.  Off by default so
         external callers handing in arbitrary stacks keep full validation.
 
-    Tasks are modulus *chunks* of the stack, one
-    :meth:`~repro.engines.base.MatrixEngine.matmul_stack` call per chunk and
-    k-block: serial runs take the whole stack in one call per tile and
-    k-block, parallel runs split it across workers.  Tiles are processed
-    one at a time — bounding the transient workspace to a single
-    ``(N, m_tile, n_tile)`` stack, which is what the memory budget
-    promises — while the engine calls inside each tile fan out across the
-    pool.
+    Each tile runs one ``matmul`` task per modulus chunk, then one
+    ``accumulate`` task per row band.  Tiles are processed one at a time —
+    bounding the transient workspace to a single ``(N, m_tile, n_tile)``
+    stack, which is what the memory budget promises — while the tasks
+    inside each tile fan out across the pool.
     """
     n_mod = plan.num_moduli
     if a_slices.shape != (n_mod, plan.m, plan.k):
@@ -619,90 +583,227 @@ def execute_plan(
 
     if scheduler.backend(plan) == "process":
         try:
-            c_pp = execute_plan_process(
-                scheduler, plan, a_slices, b_slices, table, times, trusted
-            )
+            with _Workspace(scheduler, shared=True) as ws:
+                c_pp = _run_plan(ws, plan, a_slices, b_slices, table, times, trusted)
             scheduler._count_call("process")
             return c_pp
         except (MemoryError, faults.InjectedFault) as exc:
             # Shared-memory allocation failed in the parent (or the
-            # ``shm.alloc`` site fired) before/between dispatch waves: the
-            # plan has not produced any output yet this tile, so fall
-            # through to the thread path — bit-identical by construction —
-            # rather than failing the whole GEMM.  Recorded, never silent.
+            # ``shm.alloc`` site fired): run the plan in this process
+            # instead — bit-identical by construction — rather than failing
+            # the whole GEMM.  Recorded, never silent.
             scheduler.engine.counter.record_fault_event("shm_fallback")
             _LOG.warning(
-                "process-backend plan execution fell back to the thread "
-                "path: %s",
-                exc,
+                "process-backend plan execution fell back to the thread path: %s", exc
             )
-
-    blocked = plan.num_k_blocks > 1
-    # Modulus chunks sized for the worker count actually executing the plan:
-    # the plan's own decomposition when the scheduler matches its recorded
-    # parallelism (the entry points always construct the scheduler from it),
-    # re-chunked for an externally supplied scheduler with a different
-    # worker count.  Tasks are ordered chunk-major so the unblocked path can
-    # reassemble the stack by concatenation; chunking never affects the
-    # value.
-    if scheduler.workers == plan.parallelism:
-        chunks = plan.modulus_chunks
-    else:
-        chunks = modulus_chunk_ranges(n_mod, scheduler.workers)
-    tasks = [
-        (lo, hi, start, stop)
-        for lo, hi in chunks
-        for start, stop in plan.k_ranges
-    ]
-    c_pp = np.empty((plan.m, plan.n), dtype=np.float64)
-
     try:
-        for (m0, m1), (n0, n1) in plan.tiles():
-
-            def _matmul(engine: MatrixEngine, task, _m0=m0, _m1=m1, _n0=n0, _n1=n1):
-                lo, hi, start, stop = task
-                return engine.matmul_stack(
-                    a_slices[lo:hi, _m0:_m1, start:stop],
-                    b_slices[lo:hi, start:stop, _n0:_n1],
-                    trusted=trusted,
-                )
-
-            t0 = time.perf_counter()
-            partials = scheduler.map(_matmul, tasks)
-            t1 = time.perf_counter()
-
-            if blocked:
-                # Exact INT64 accumulation over k-blocks, in ascending-k order
-                # (the order is irrelevant to the value — integer addition is
-                # associative — but keeping it fixed documents the determinism).
-                c_stack = np.zeros((n_mod, m1 - m0, n1 - n0), dtype=np.int64)
-                for (lo, hi, _, _), partial in zip(tasks, partials, strict=True):
-                    c_stack[lo:hi] += partial.astype(np.int64)
-            else:
-                # One k-block: tasks are the chunks in modulus order already.
-                c_stack = partials[0] if len(partials) == 1 else np.concatenate(partials)
-
-            # Accumulate and reconstruct per row block, so each block's
-            # U-stack stays cache-resident through both (bit-identical to
-            # one whole-tile call: both steps are elementwise in the rows).
-            # The stack assembly above belongs to the accumulate phase.
-            accumulate_s = time.perf_counter() - t1
-            reconstruct_s = 0.0
-            for r0, r1 in accumulation_row_blocks(n_mod, m1 - m0, n1 - n0):
-                t2 = time.perf_counter()
-                c1, c2 = accumulate_residue_products(c_stack[:, r0:r1], table)
-                t3 = time.perf_counter()
-                c_pp[m0 + r0 : m0 + r1, n0:n1] = reconstruct_crt(c1, c2, table)
-                accumulate_s += t3 - t2
-                reconstruct_s += time.perf_counter() - t3
-
-            if times is not None:
-                times.add("matmul", t1 - t0)
-                times.add("accumulate", accumulate_s)
-                times.add("reconstruct", reconstruct_s)
+        ws = _Workspace(scheduler, shared=False)
+        c_pp = _run_plan(ws, plan, a_slices, b_slices, table, times, trusted)
     finally:
         # Merge on the error path too, so a failing task never strands the
         # completed tasks' ledgers in the clones.
         scheduler.merge_counters()
     scheduler._count_call("thread" if scheduler.is_parallel else "serial")
     return c_pp
+
+
+def _run_plan(ws: "_Workspace", plan: ExecutionPlan, a_slices: np.ndarray,
+              b_slices: np.ndarray, table: CRTConstantTable,
+              times: "PhaseTimes | None", trusted: bool) -> np.ndarray:
+    """The plan's task list, tile by tile, on the arrays of ``ws``."""
+    n_mod = plan.num_moduli
+    chunks = modulus_chunk_ranges(n_mod, ws.scheduler.workers)
+    # One k-block leaves the engine's INT32 product in c_stack; several are
+    # summed there in exact INT64.
+    c_dtype = np.int64 if plan.num_k_blocks > 1 else np.int32
+    a, b = ws.operand(a_slices), ws.operand(b_slices)
+    out = ws.empty((plan.m, plan.n), np.float64)
+    for tile in plan.tiles():
+        (m0, m1), (n0, n1) = tile
+        c_stack = ws.empty((n_mod, m1 - m0, n1 - n0), c_dtype)
+        t0 = time.perf_counter()
+        ws.run("matmul", [
+            dict(a=a, b=b, c=c_stack, chunk=chunk, tile=tile,
+                 k_ranges=plan.k_ranges, trusted=trusted, in_place=not ws.shared)
+            for chunk in chunks
+        ])
+        t1 = time.perf_counter()
+        seconds = ws.run("accumulate", [
+            dict(c=c_stack, out=out, rows=rows, tile=tile, table=table)
+            for rows in ws.bands(m1 - m0)
+        ])
+        t2 = time.perf_counter()
+        ws.free(c_stack)
+        if times is not None:
+            reconstruct_s = max(rec for _, rec in seconds)
+            times.add("matmul", t1 - t0)
+            times.add("accumulate", t2 - t1 - reconstruct_s)
+            times.add("reconstruct", reconstruct_s)
+    return np.array(out, copy=True) if ws.shared else out
+
+
+def _convert_on(ws: "_Workspace", x: np.ndarray, scale_exp: np.ndarray, side: str,
+                table: CRTConstantTable) -> np.ndarray:
+    """The conversion's task list on the arrays of ``ws``; the INT8 stack."""
+    source = ws.operand(x)
+    out = ws.empty((table.num_moduli,) + x.shape, np.int8)
+    ws.run("convert", [
+        dict(x=source, out=out, rows=rows, scale_exp=scale_exp, side=side, table=table)
+        for rows in ws.bands(x.shape[0])
+    ])
+    return ws.keep(out)
+
+
+# -- task handlers ----------------------------------------------------------
+# Each takes the executing engine and arrays (views in this process, or the
+# opened descriptors of a process task) and writes a disjoint slice of its
+# output, so a task re-run after a fault rewrites exactly what it wrote.
+
+
+def _matmul(engine: MatrixEngine, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+            chunk: Range, tile: Tile, k_ranges: Sequence[Range], trusted: bool,
+            in_place: bool) -> None:
+    """Line 6 for the moduli ``chunk`` of one tile: rows ``chunk`` of ``c``.
+
+    One ``matmul_stack`` call per k-block.  With ``in_place`` a single
+    block writes its INT32 product straight into ``c``; otherwise, and for
+    several blocks, each product is copied (summed, in exact INT64) into
+    ``c`` in ascending-k order (integer addition makes the order irrelevant
+    to the value; fixing it documents the determinism).  Process runs pass
+    ``in_place=False``: two workers computing straight into one
+    shared-memory ``c_stack`` measured slower than computing in private
+    memory and copying once (fp64 N=15 at 512³ on 2 CPUs: matmul phase
+    52–64 ms against 39–46 ms).
+    """
+    lo, hi = chunk
+    (m0, m1), (n0, n1) = tile
+    rows = c[lo:hi]
+
+    def product(k0: int, k1: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return engine.matmul_stack(
+            a[lo:hi, m0:m1, k0:k1], b[lo:hi, k0:k1, n0:n1], trusted=trusted, out=out
+        )
+
+    first, *rest = k_ranges
+    if in_place and not rest:
+        product(*first, out=rows)
+        return
+    rows[...] = product(*first)
+    for k0, k1 in rest:
+        rows += product(k0, k1)
+
+
+def _accumulate(engine: MatrixEngine, c: np.ndarray, out: np.ndarray, rows: Range,
+                tile: Tile, table: CRTConstantTable) -> Tuple[float, float]:
+    """Lines 7–11 for the rows ``rows`` of one tile's ``c``, into ``out``.
+
+    Runs per cache-sized row block (:func:`accumulation_row_blocks`), so
+    each block's U-stack stays resident through both steps; both are
+    elementwise in the rows, so any banding gives the same bits.  Returns
+    the band's measured ``(accumulate_s, reconstruct_s)``.
+    """
+    r0, r1 = rows
+    (m0, _), (n0, n1) = tile
+    accumulate_s = reconstruct_s = 0.0
+    for b0, b1 in accumulation_row_blocks(table.num_moduli, r1 - r0, n1 - n0):
+        t0 = time.perf_counter()
+        c1, c2 = accumulate_residue_products(c[:, r0 + b0 : r0 + b1], table)
+        t1 = time.perf_counter()
+        out[m0 + r0 + b0 : m0 + r0 + b1, n0:n1] = reconstruct_crt(c1, c2, table)
+        accumulate_s += t1 - t0
+        reconstruct_s += time.perf_counter() - t1
+    return accumulate_s, reconstruct_s
+
+
+def _convert(engine: MatrixEngine, x: np.ndarray, out: np.ndarray, rows: Range,
+             scale_exp: np.ndarray, side: str, table: CRTConstantTable) -> None:
+    """Lines 2–5 for the rows ``rows`` of ``x``: ``out[:, r0:r1]``.
+
+    Row scales ("left") band with the rows; column scales ("right") apply
+    whole to every band.
+    """
+    r0, r1 = rows
+    exps = scale_exp[r0:r1] if side == "left" else scale_exp
+    residue_slices(truncate_scaled(x[r0:r1], exps, side), table, out=out[:, r0:r1])
+
+
+_HANDLERS = {"matmul": _matmul, "accumulate": _accumulate, "convert": _convert}
+
+
+class _Workspace:
+    """Where one call's arrays live and how its tasks run.
+
+    Serial and thread runs (``shared=False``) use plain arrays and call the
+    handlers on views here: a wave of several tasks through
+    :meth:`Scheduler.map`, a single task in the calling thread.  Process
+    runs place every array in a :class:`~repro.runtime.shm.SharedArray`
+    (an operand the scheduler already shares, or a memory-mapped stack, is
+    described as it is) and send the tasks through
+    :meth:`Scheduler.run_process_tasks`, each array replaced by its
+    descriptor.  Segments made here are unlinked on exit unless kept.
+    """
+
+    def __init__(self, scheduler: Scheduler, shared: bool) -> None:
+        self.scheduler = scheduler
+        self.shared = shared
+        #: ``id(view)`` -> (view, descriptor, owned segment or None).
+        self._wire: Dict[int, Tuple[np.ndarray, Descriptor, Optional[SharedArray]]] = {}
+
+    def __enter__(self) -> "_Workspace":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        for _, _, handle in self._wire.values():
+            if handle is not None:
+                handle.close()
+        self._wire.clear()
+
+    def bands(self, rows: int) -> Tuple[Range, ...]:
+        """Row bands of a conversion or accumulation wave."""
+        return modulus_chunk_ranges(rows, self.scheduler.workers if self.shared else 1)
+
+    def _share(self, handle: SharedArray) -> np.ndarray:
+        self._wire[id(handle.array)] = (handle.array, Descriptor("shm", *handle.descriptor), handle)
+        return handle.array
+
+    def empty(self, shape: Tuple[int, ...], dtype: Any) -> np.ndarray:
+        if not self.shared:
+            return np.empty(shape, dtype=dtype)
+        return self._share(SharedArray.create(shape, dtype))
+
+    def operand(self, arr: np.ndarray) -> np.ndarray:
+        """``arr`` as tasks reference it: itself, or a shared-memory copy."""
+        if not self.shared:
+            return arr
+        desc = self.scheduler.shared_descriptor(arr) or file_descriptor(arr)
+        if desc is None:
+            return self._share(SharedArray.copy_from(np.ascontiguousarray(arr)))
+        self._wire[id(arr)] = (arr, desc, None)
+        return arr
+
+    def free(self, arr: np.ndarray) -> None:
+        """Unlink ``arr``'s segment now (a plain array is left to the GC)."""
+        entry = self._wire.pop(id(arr), None)
+        if entry is not None and entry[2] is not None:
+            entry[2].close()
+
+    def keep(self, arr: np.ndarray) -> np.ndarray:
+        """Hand ``arr``'s segment to the scheduler (see :meth:`Scheduler.release`)."""
+        if not self.shared:
+            return arr
+        _, _, handle = self._wire.pop(id(arr))
+        return self.scheduler.adopt_shared(handle)
+
+    def run(self, kind: str, tasks: List[Dict[str, Any]]) -> List[Any]:
+        """Run one wave of ``kind`` tasks; their results in order."""
+        if self.shared:
+            return self.scheduler.run_process_tasks([(kind, self._to_wire(task)) for task in tasks])
+        handler = _HANDLERS[kind]
+        if len(tasks) == 1:
+            return [handler(self.scheduler.engine, **tasks[0])]
+        return self.scheduler.map(lambda engine, task: handler(engine, **task), tasks)
+
+    def _to_wire(self, task: Dict[str, Any]) -> Dict[str, Any]:
+        """``task`` with each of this workspace's arrays as its descriptor."""
+        return {key: self._wire[id(value)][1] if id(value) in self._wire else value
+                for key, value in task.items()}

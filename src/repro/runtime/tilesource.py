@@ -22,7 +22,7 @@ ever materialising the stack in RAM:
   ``memory_budget_mb``, the thread scheduler slices the map (the OS pages
   in only the touched tiles), and the process backend ships the map as a
   filename/offset descriptor so every worker streams its own tiles
-  (:func:`~repro.runtime.process.operand_descriptor`).
+  (:func:`~repro.runtime.process.file_descriptor`).
 
 Results are bit-identical to the in-core path: conversion is elementwise,
 so neither the strip boundaries nor the storage medium can change a bit.

@@ -14,6 +14,7 @@ import algorithm1_oracle as oracle
 from repro.config import ComputeMode, Ozaki2Config
 from repro.core.conversion import truncate_scaled
 from repro.core.gemm import ozaki2_gemm
+from repro.core.gemv import prepared_gemv
 from repro.core.operand import (
     AccurateOperand,
     ResidueOperand,
@@ -269,6 +270,23 @@ class TestPhaseReporting:
         assert both.phase_times.seconds["convert_A"] == 0.0
         assert both.phase_times.seconds["convert_B"] == 0.0
         assert both.phase_times.seconds["matmul"] > 0.0
+
+    @pytest.mark.parametrize("route", ["gemm", "gemv"])
+    def test_rederived_side_reports_its_conversion(self, small_pair, route):
+        """A prepared side re-derived at the call's auto count pays a
+        conversion, and the call's convert_A phase shows it."""
+        a, b = small_pair
+        loose = Ozaki2Config(num_moduli="auto", target_accuracy=1e-6)
+        tight = loose.replace(target_accuracy=1e-12)
+        prep = prepare_a(a, loose)
+        if route == "gemm":
+            result = ozaki2_gemm(prep, b, config=tight, return_details=True)
+        else:
+            result = prepared_gemv(prep, b[:, 0], tight, return_details=True)
+        count = result.config.num_moduli
+        assert count != prep.num_moduli
+        derived = prep.resolve_for(count)
+        assert result.phase_times.seconds["convert_A"] >= derived.convert_seconds > 0.0
 
     def test_details_carry_cached_scales(self, small_pair):
         a, b = small_pair

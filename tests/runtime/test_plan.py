@@ -111,12 +111,6 @@ class TestModulusChunks:
         with pytest.raises(ValueError):
             modulus_chunk_ranges(0, 2)
 
-    def test_plan_property_uses_recorded_parallelism(self):
-        plan = build_plan(32, 16, 32, 10, parallelism=4)
-        assert plan.modulus_chunks == modulus_chunk_ranges(10, 4)
-        serial = build_plan(32, 16, 32, 10, parallelism=1)
-        assert serial.modulus_chunks == ((0, 10),)
-
 
 class TestPlanForConfig:
     def test_reads_runtime_knobs_from_config(self):

@@ -87,6 +87,10 @@ class TestSchedulerMap:
 
 
 class TestExecutePlanDeterminism:
+    """Both parallel backends run the plan's one task list to the serial bits."""
+
+    EXECUTORS = ("thread", "process")
+
     @pytest.fixture
     def slices(self, rng):
         n_mod, m, k, n = 6, 24, 40, 20
@@ -94,7 +98,8 @@ class TestExecutePlanDeterminism:
         b_s = rng.integers(-100, 100, size=(n_mod, k, n)).astype(np.int8)
         return a_s, b_s
 
-    def _run(self, a_s, b_s, *, parallelism, memory_budget_mb=None, max_block_k=64):
+    def _run(self, a_s, b_s, *, parallelism, executor="thread", memory_budget_mb=None,
+             max_block_k=64):
         from repro.crt.constants import build_constant_table
 
         n_mod, m, k = a_s.shape
@@ -108,37 +113,49 @@ class TestExecutePlanDeterminism:
             max_block_k=max_block_k,
             memory_budget_mb=memory_budget_mb,
             parallelism=parallelism,
+            executor=executor,
         )
         times = PhaseTimes()
-        with Scheduler(parallelism=parallelism) as sched:
+        with Scheduler(parallelism=parallelism, executor=executor) as sched:
+            assert sched.backend(plan) == (executor if parallelism > 1 else "serial")
             c_pp = execute_plan(sched, plan, a_s, b_s, table, times)
             calls = sched.engine.counter.matmul_calls
         return c_pp, times, calls, plan
 
+    def _check_against_serial(self, a_s, b_s, **knobs):
+        serial, _, _, _ = self._run(a_s, b_s, parallelism=1)
+        for executor in self.EXECUTORS:
+            c_pp, times, calls, plan = self._run(a_s, b_s, executor=executor, **knobs)
+            np.testing.assert_array_equal(c_pp, serial)
+            assert calls == plan.total_tasks
+            for phase in ("matmul", "accumulate", "reconstruct"):
+                assert times.seconds[phase] > 0.0, (executor, phase)
+        return plan
+
     def test_parallel_bit_identical_to_serial(self, slices):
         a_s, b_s = slices
         serial, _, serial_calls, _ = self._run(a_s, b_s, parallelism=1)
-        for workers in (2, 4, 8):
-            parallel, _, calls, _ = self._run(a_s, b_s, parallelism=workers)
-            np.testing.assert_array_equal(parallel, serial)
-            assert calls == serial_calls
+        for executor in self.EXECUTORS:
+            for workers in (2, 4, 8):
+                parallel, _, calls, _ = self._run(
+                    a_s, b_s, parallelism=workers, executor=executor
+                )
+                np.testing.assert_array_equal(parallel, serial)
+                assert calls == serial_calls
 
     def test_tiled_bit_identical_and_counts(self, slices):
         a_s, b_s = slices
-        serial, _, _, _ = self._run(a_s, b_s, parallelism=1)
-        tiled, _, calls, plan = self._run(
-            a_s, b_s, parallelism=3, memory_budget_mb=0.003
-        )
-        np.testing.assert_array_equal(tiled, serial)
+        plan = self._check_against_serial(a_s, b_s, parallelism=3, memory_budget_mb=0.003)
         assert plan.num_tiles > 1
-        assert calls == plan.total_tasks
+
+    def test_k_blocked_bit_identical_and_counts(self, slices):
+        a_s, b_s = slices
+        plan = self._check_against_serial(a_s, b_s, parallelism=2, max_block_k=16)
+        assert plan.num_k_blocks == 3
 
     def test_phase_times_populated(self, slices):
         a_s, b_s = slices
-        _, times, _, _ = self._run(a_s, b_s, parallelism=2)
-        assert times.seconds["matmul"] > 0.0
-        assert times.seconds["accumulate"] > 0.0
-        assert times.seconds["reconstruct"] > 0.0
+        self._check_against_serial(a_s, b_s, parallelism=2)
 
     def test_shape_mismatch_rejected(self, slices):
         a_s, b_s = slices

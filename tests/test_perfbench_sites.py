@@ -26,6 +26,10 @@ GEMV = {"scaling", "conversion", "gemv", "int8.matvec", "accumulate", "reconstru
         "unscale"}
 ROUTE_SPANS = {
     "gemm-fast": GEMM,
+    "gemm-thread": GEMM,
+    # Worker processes run line 6 and the accumulation; the parent records
+    # the dispatch waves (and the pool start) as ipc_wait.
+    "gemm-process": {"scaling", "conversion", "execute_plan", "ipc_wait", "unscale"},
     "gemm-accurate": GEMM,
     "gemm-auto": GEMM | {"select"},
     "gemv-fast": GEMV,
@@ -93,6 +97,8 @@ def test_every_route_records_its_layers(tracer):
 
     calls = {
         "gemm-fast": session_call(fast, "gemm", a, b),
+        "gemm-thread": session_call(fast.replace(parallelism=2, executor="thread"), "gemm", a, b),
+        "gemm-process": session_call(fast.replace(parallelism=2, executor="process"), "gemm", a, b),
         "gemm-accurate": session_call(accurate, "gemm", a, b),
         "gemm-auto": session_call(auto, "gemm", a, b),
         "gemv-fast": session_call(fast, "gemv", a, x),
