@@ -101,7 +101,9 @@ def file_descriptor(arr: np.ndarray) -> Optional[Descriptor]:
         and arr.flags["C_CONTIGUOUS"]
         and arr.filename is not None
     ):
-        return Descriptor("mmap", str(arr.filename), arr.shape, arr.dtype.str, int(arr.offset))
+        return Descriptor(
+            "mmap", str(arr.filename), arr.shape, arr.dtype.str, int(arr.offset)
+        )
     return None
 
 
@@ -115,8 +117,12 @@ def _open(value: Any, stack: ExitStack) -> Any:
     # backing file fails to page in (disk error, truncated stage file).
     faults.raise_if("tile.read")
     return np.memmap(
-        value.location, dtype=np.dtype(value.dtype), mode="r", offset=value.offset,
-        shape=tuple(value.shape), order="C",
+        value.location,
+        dtype=np.dtype(value.dtype),
+        mode="r",
+        offset=value.offset,
+        shape=tuple(value.shape),
+        order="C",
     )
 
 
@@ -127,7 +133,8 @@ def run_task(
     ``payload`` opened as a view (detached when the handler returns)."""
     handler = handlers[kind]
     with ExitStack() as stack:
-        return handler(engine, **{key: _open(value, stack) for key, value in payload.items()})
+        opened = {key: _open(value, stack) for key, value in payload.items()}
+        return handler(engine, **opened)
 
 
 def _worker_main(

@@ -365,7 +365,9 @@ class Scheduler:
         contributed — so mid-plan degradation changes neither the value nor
         the work counters of the run.
         """
-        return [run_task(_HANDLERS, self.engine, kind, payload) for kind, payload in tasks]
+        return [
+            run_task(_HANDLERS, self.engine, kind, payload) for kind, payload in tasks
+        ]
 
     def run_process_tasks(self, tasks: Sequence[Tuple[str, Dict[str, Any]]]) -> List[Any]:
         """Dispatch one wave of tasks to the worker processes, resiliently.
@@ -594,7 +596,9 @@ def execute_plan(
             # the whole GEMM.  Recorded, never silent.
             scheduler.engine.counter.record_fault_event("shm_fallback")
             _LOG.warning(
-                "process-backend plan execution fell back to the thread path: %s", exc
+                "process-backend plan execution fell back to the thread "
+                "path: %s",
+                exc,
             )
     try:
         ws = _Workspace(scheduler, shared=False)
@@ -607,9 +611,15 @@ def execute_plan(
     return c_pp
 
 
-def _run_plan(ws: "_Workspace", plan: ExecutionPlan, a_slices: np.ndarray,
-              b_slices: np.ndarray, table: CRTConstantTable,
-              times: "PhaseTimes | None", trusted: bool) -> np.ndarray:
+def _run_plan(
+    ws: "_Workspace",
+    plan: ExecutionPlan,
+    a_slices: np.ndarray,
+    b_slices: np.ndarray,
+    table: CRTConstantTable,
+    times: "PhaseTimes | None",
+    trusted: bool,
+) -> np.ndarray:
     """The plan's task list, tile by tile, on the arrays of ``ws``."""
     n_mod = plan.num_moduli
     chunks = modulus_chunk_ranges(n_mod, ws.scheduler.workers)
@@ -621,17 +631,16 @@ def _run_plan(ws: "_Workspace", plan: ExecutionPlan, a_slices: np.ndarray,
     for tile in plan.tiles():
         (m0, m1), (n0, n1) = tile
         c_stack = ws.empty((n_mod, m1 - m0, n1 - n0), c_dtype)
+        matmul = dict(
+            a=a, b=b, c=c_stack, tile=tile, k_ranges=plan.k_ranges, trusted=trusted
+        )
+        accumulate = dict(c=c_stack, out=out, tile=tile, table=table)
         t0 = time.perf_counter()
-        ws.run("matmul", [
-            dict(a=a, b=b, c=c_stack, chunk=chunk, tile=tile,
-                 k_ranges=plan.k_ranges, trusted=trusted, in_place=not ws.shared)
-            for chunk in chunks
-        ])
+        ws.run("matmul", [dict(matmul, chunk=chunk) for chunk in chunks])
         t1 = time.perf_counter()
-        seconds = ws.run("accumulate", [
-            dict(c=c_stack, out=out, rows=rows, tile=tile, table=table)
-            for rows in ws.bands(m1 - m0)
-        ])
+        seconds = ws.run(
+            "accumulate", [dict(accumulate, rows=rows) for rows in ws.bands(m1 - m0)]
+        )
         t2 = time.perf_counter()
         ws.free(c_stack)
         if times is not None:
@@ -642,15 +651,18 @@ def _run_plan(ws: "_Workspace", plan: ExecutionPlan, a_slices: np.ndarray,
     return np.array(out, copy=True) if ws.shared else out
 
 
-def _convert_on(ws: "_Workspace", x: np.ndarray, scale_exp: np.ndarray, side: str,
-                table: CRTConstantTable) -> np.ndarray:
+def _convert_on(
+    ws: "_Workspace",
+    x: np.ndarray,
+    scale_exp: np.ndarray,
+    side: str,
+    table: CRTConstantTable,
+) -> np.ndarray:
     """The conversion's task list on the arrays of ``ws``; the INT8 stack."""
     source = ws.operand(x)
     out = ws.empty((table.num_moduli,) + x.shape, np.int8)
-    ws.run("convert", [
-        dict(x=source, out=out, rows=rows, scale_exp=scale_exp, side=side, table=table)
-        for rows in ws.bands(x.shape[0])
-    ])
+    convert = dict(x=source, out=out, scale_exp=scale_exp, side=side, table=table)
+    ws.run("convert", [dict(convert, rows=rows) for rows in ws.bands(x.shape[0])])
     return ws.keep(out)
 
 
@@ -660,20 +672,22 @@ def _convert_on(ws: "_Workspace", x: np.ndarray, scale_exp: np.ndarray, side: st
 # output, so a task re-run after a fault rewrites exactly what it wrote.
 
 
-def _matmul(engine: MatrixEngine, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-            chunk: Range, tile: Tile, k_ranges: Sequence[Range], trusted: bool,
-            in_place: bool) -> None:
+def _matmul(
+    engine: MatrixEngine,
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    chunk: Range,
+    tile: Tile,
+    k_ranges: Sequence[Range],
+    trusted: bool,
+) -> None:
     """Line 6 for the moduli ``chunk`` of one tile: rows ``chunk`` of ``c``.
 
-    One ``matmul_stack`` call per k-block.  With ``in_place`` a single
-    block writes its INT32 product straight into ``c``; otherwise, and for
-    several blocks, each product is copied (summed, in exact INT64) into
-    ``c`` in ascending-k order (integer addition makes the order irrelevant
-    to the value; fixing it documents the determinism).  Process runs pass
-    ``in_place=False``: two workers computing straight into one
-    shared-memory ``c_stack`` measured slower than computing in private
-    memory and copying once (fp64 N=15 at 512³ on 2 CPUs: matmul phase
-    52–64 ms against 39–46 ms).
+    One ``matmul_stack`` call per k-block.  A single block writes its INT32
+    product straight into ``c``; several are summed there in exact INT64,
+    in ascending-k order (integer addition makes the order irrelevant to
+    the value; fixing it documents the determinism).
     """
     lo, hi = chunk
     (m0, m1), (n0, n1) = tile
@@ -685,7 +699,7 @@ def _matmul(engine: MatrixEngine, a: np.ndarray, b: np.ndarray, c: np.ndarray,
         )
 
     first, *rest = k_ranges
-    if in_place and not rest:
+    if not rest:
         product(*first, out=rows)
         return
     rows[...] = product(*first)
@@ -693,8 +707,14 @@ def _matmul(engine: MatrixEngine, a: np.ndarray, b: np.ndarray, c: np.ndarray,
         rows += product(k0, k1)
 
 
-def _accumulate(engine: MatrixEngine, c: np.ndarray, out: np.ndarray, rows: Range,
-                tile: Tile, table: CRTConstantTable) -> Tuple[float, float]:
+def _accumulate(
+    engine: MatrixEngine,
+    c: np.ndarray,
+    out: np.ndarray,
+    rows: Range,
+    tile: Tile,
+    table: CRTConstantTable,
+) -> Tuple[float, float]:
     """Lines 7–11 for the rows ``rows`` of one tile's ``c``, into ``out``.
 
     Runs per cache-sized row block (:func:`accumulation_row_blocks`), so
@@ -715,8 +735,15 @@ def _accumulate(engine: MatrixEngine, c: np.ndarray, out: np.ndarray, rows: Rang
     return accumulate_s, reconstruct_s
 
 
-def _convert(engine: MatrixEngine, x: np.ndarray, out: np.ndarray, rows: Range,
-             scale_exp: np.ndarray, side: str, table: CRTConstantTable) -> None:
+def _convert(
+    engine: MatrixEngine,
+    x: np.ndarray,
+    out: np.ndarray,
+    rows: Range,
+    scale_exp: np.ndarray,
+    side: str,
+    table: CRTConstantTable,
+) -> None:
     """Lines 2–5 for the rows ``rows`` of ``x``: ``out[:, r0:r1]``.
 
     Row scales ("left") band with the rows; column scales ("right") apply
@@ -736,74 +763,72 @@ class _Workspace:
     Serial and thread runs (``shared=False``) use plain arrays and call the
     handlers on views here: a wave of several tasks through
     :meth:`Scheduler.map`, a single task in the calling thread.  Process
-    runs place every array in a :class:`~repro.runtime.shm.SharedArray`
-    (an operand the scheduler already shares, or a memory-mapped stack, is
-    described as it is) and send the tasks through
-    :meth:`Scheduler.run_process_tasks`, each array replaced by its
-    descriptor.  Segments made here are unlinked on exit unless kept.
+    runs place every array in shared memory registered with the scheduler
+    (:meth:`Scheduler.adopt_shared`; an operand the scheduler already
+    shares, or a memory-mapped stack, is used as it is) and send the tasks
+    through :meth:`Scheduler.run_process_tasks`, each array replaced by its
+    descriptor.  The segments made here are released on exit unless kept.
     """
 
     def __init__(self, scheduler: Scheduler, shared: bool) -> None:
         self.scheduler = scheduler
         self.shared = shared
-        #: ``id(view)`` -> (view, descriptor, owned segment or None).
-        self._wire: Dict[int, Tuple[np.ndarray, Descriptor, Optional[SharedArray]]] = {}
+        #: Views of the segments made here.
+        self._owned: List[np.ndarray] = []
 
     def __enter__(self) -> "_Workspace":
         return self
 
     def __exit__(self, *exc: object) -> None:
-        for _, _, handle in self._wire.values():
-            if handle is not None:
-                handle.close()
-        self._wire.clear()
+        for arr in self._owned:
+            self.scheduler.release(arr)
+        self._owned.clear()
 
     def bands(self, rows: int) -> Tuple[Range, ...]:
         """Row bands of a conversion or accumulation wave."""
         return modulus_chunk_ranges(rows, self.scheduler.workers if self.shared else 1)
 
-    def _share(self, handle: SharedArray) -> np.ndarray:
-        self._wire[id(handle.array)] = (handle.array, Descriptor("shm", *handle.descriptor), handle)
-        return handle.array
+    def _own(self, handle: SharedArray) -> np.ndarray:
+        arr = self.scheduler.adopt_shared(handle)
+        self._owned.append(arr)
+        return arr
 
     def empty(self, shape: Tuple[int, ...], dtype: Any) -> np.ndarray:
         if not self.shared:
             return np.empty(shape, dtype=dtype)
-        return self._share(SharedArray.create(shape, dtype))
+        return self._own(SharedArray.create(shape, dtype))
 
     def operand(self, arr: np.ndarray) -> np.ndarray:
         """``arr`` as tasks reference it: itself, or a shared-memory copy."""
-        if not self.shared:
+        if not self.shared or self._descriptor(arr) is not None:
             return arr
-        desc = self.scheduler.shared_descriptor(arr) or file_descriptor(arr)
-        if desc is None:
-            return self._share(SharedArray.copy_from(np.ascontiguousarray(arr)))
-        self._wire[id(arr)] = (arr, desc, None)
-        return arr
+        return self._own(SharedArray.copy_from(np.ascontiguousarray(arr)))
 
     def free(self, arr: np.ndarray) -> None:
-        """Unlink ``arr``'s segment now (a plain array is left to the GC)."""
-        entry = self._wire.pop(id(arr), None)
-        if entry is not None and entry[2] is not None:
-            entry[2].close()
+        """Release ``arr``'s segment now (a plain array is left to the GC)."""
+        self.keep(arr)  # a view held here would keep the segment mapped
+        self.scheduler.release(arr)
 
     def keep(self, arr: np.ndarray) -> np.ndarray:
-        """Hand ``arr``'s segment to the scheduler (see :meth:`Scheduler.release`)."""
-        if not self.shared:
-            return arr
-        _, _, handle = self._wire.pop(id(arr))
-        return self.scheduler.adopt_shared(handle)
+        """Leave ``arr``'s segment to the caller past exit (it is released
+        with the rest if the call fails first)."""
+        self._owned = [owned for owned in self._owned if owned is not arr]
+        return arr
 
     def run(self, kind: str, tasks: List[Dict[str, Any]]) -> List[Any]:
         """Run one wave of ``kind`` tasks; their results in order."""
         if self.shared:
-            return self.scheduler.run_process_tasks([(kind, self._to_wire(task)) for task in tasks])
+            return self.scheduler.run_process_tasks(
+                [(kind, self._to_wire(task)) for task in tasks]
+            )
         handler = _HANDLERS[kind]
         if len(tasks) == 1:
             return [handler(self.scheduler.engine, **tasks[0])]
         return self.scheduler.map(lambda engine, task: handler(engine, **task), tasks)
 
+    def _descriptor(self, value: Any) -> Optional[Descriptor]:
+        return self.scheduler.shared_descriptor(value) or file_descriptor(value)
+
     def _to_wire(self, task: Dict[str, Any]) -> Dict[str, Any]:
-        """``task`` with each of this workspace's arrays as its descriptor."""
-        return {key: self._wire[id(value)][1] if id(value) in self._wire else value
-                for key, value in task.items()}
+        """``task`` with each shared or memory-mapped array as its descriptor."""
+        return {key: self._descriptor(value) or value for key, value in task.items()}
