@@ -19,11 +19,14 @@ the GEMV work is asserted at the 4096x4096 acceptance scale.
 
 A second table times line 6 of the prepared GEMV
 (:func:`repro.harness.gemv_line6_sweep`): the INT8 matvec route against
-the exact FP64 DGEMM on the operand's kept ``A'``, at N = 10 (the count
-the solvers select) on a small matrix and at 4096x4096, where the FP64
-route must run ``>= 1.5x`` faster with identical bits and ledgers.
-``REPRO_BENCH_FULL=1`` records the whole latency table (64²–4096²; fp64
-N = 8, 10, 11, 12; fp32 N = 8).
+the exact FP64 product on the operand's kept ``A'``, at N = 10 (the count
+the solvers select) at 256², at 1024² (the solvers' benchmark size, where
+the product runs in row panels of a C-order ``A'``) and at 4096², where it
+stays one DGEMM and must run ``>= 1.5x`` faster than the INT8 route, with
+identical bits and ledgers everywhere.  ``REPRO_BENCH_FULL=1`` records the
+whole latency table (64²–4096²; fp64 N = 8, 10, 11, 12; fp32 N = 8).  The
+panels' gain depends on the BLAS thread count, so the table's title
+records ``OPENBLAS_NUM_THREADS``.
 
 The before/after per-iteration latency (and a per-phase breakdown) is
 archived in ``benchmarks/results/gemv_fast_path.txt`` (uploaded as a CI
@@ -42,6 +45,7 @@ from repro.harness.report import format_table
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 CPUS = os.cpu_count() or 1
+BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
 
 #: Problem size of the GEMV comparison.  4096x4096 is the acceptance scale
 #: (the ~250 MiB residue stack makes the GEMM route's floating-point
@@ -51,7 +55,7 @@ ITERS = 8 if FULL else 4
 REPEATS = 3 if FULL else 2
 
 #: Sizes and ``(precision, N)`` cases of the line-6 latency table.
-LINE6_SIZES = (64, 256, 1024, SIZE) if FULL else (256, SIZE)
+LINE6_SIZES = (64, 256, 1024, SIZE) if FULL else (256, 1024, SIZE)
 LINE6_CASES = (
     (("fp64", 8), ("fp64", 10), ("fp64", 11), ("fp64", 12), ("fp32", 8))
     if FULL else (("fp64", 10),)
@@ -74,8 +78,9 @@ def test_bench_gemv_fast_path_speedup(save_result):
         line6,
         float_format=".3e",
         title=(
-            f"gemv line 6: INT8 matvec route vs exact FP64 DGEMM on the kept A' "
-            f"(prepared matrices, {ITERS} matvecs, {CPUS} CPUs)"
+            f"gemv line 6: INT8 matvec route vs exact FP64 product on the kept A' "
+            f"(prepared matrices, {ITERS} matvecs, {CPUS} CPUs, "
+            f"OPENBLAS_NUM_THREADS={BLAS_THREADS})"
         ),
     )
     save_result("gemv_fast_path", table + "\n\n" + line6_table)
@@ -83,6 +88,11 @@ def test_bench_gemv_fast_path_speedup(save_result):
     # The core guarantees hold on every row.
     assert all(row["bit_identical"] for row in rows + line6)
     assert all(row["ledger_equal"] for row in rows + line6)
+
+    # The panel rule at the solvers' size and at the acceptance scale.
+    panelled = {row["n"]: row["panel_rows"] for row in line6
+                if row["method"] == "OS II-fast-10"}
+    assert panelled[1024] > 0 and panelled[SIZE] == 0
 
     # Line 6 on the kept A' beats the INT8 route at the acceptance scale.
     n10 = next(row for row in line6

@@ -707,19 +707,24 @@ def _cmd_selfcheck(args) -> int:
         )
     )
 
-    # At N = 10 the prepared A side keeps A' and line 6 runs as one FP64
-    # DGEMM on the BLAS engine; the integer reference engine runs the INT8
-    # route on the same operand.
+    # At N = 10 a prepared 300x1024 A side keeps a C-order A' and line 6
+    # runs as FP64 products on row panels of it (128, 128 and 44 rows) on the
+    # BLAS engine; the integer reference engine runs the INT8 route on the
+    # same operand.
     n10 = Ozaki2Config(num_moduli=10)
-    prep10 = prepare_a(a, n10)
-    fp64_route = prepared_gemv(prep10, v, n10, Int8MatrixEngine(), return_details=True)
+    a10, v10 = phi_pair(300, 1024, 1, phi=0.5, seed=1)
+    prep10 = prepare_a(a10, n10)
+    fp64_route = prepared_gemv(
+        prep10, v10[:, 0], n10, Int8MatrixEngine(), return_details=True
+    )
     int8_route = prepared_gemv(
-        prep10, v, n10, Int8MatrixEngine(use_blas=False), return_details=True
+        prep10, v10[:, 0], n10, Int8MatrixEngine(use_blas=False), return_details=True
     )
     checks.append(
         (
-            "prepared GEMV FP64 route bit-identical to the INT8 route",
+            "prepared GEMV FP64 route (row panels) bit-identical to the INT8 route",
             prep10._a_prime is not None
+            and prep10._a_prime.flags.c_contiguous
             and fp64_route.value.tobytes() == int8_route.value.tobytes()
             and fp64_route.ledger.as_dict() == int8_route.ledger.as_dict(),
             "",

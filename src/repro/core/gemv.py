@@ -28,11 +28,15 @@ this module adds is the execution strategy:
 A prepared fast-mode A side that kept its truncated ``A'`` (see
 :class:`~repro.core.operand.ResidueOperand`) skips even the stacked INT8
 call on the BLAS engine: lines 7–12 consume only ``U_i = mod(C'_i, p_i)``
-and ``C'_i ≡ A'x' (mod p_i)``, so line 6 becomes one exact FP64 DGEMM of
-``A'`` against balanced digits of ``x'`` (Ozaki scheme I's splitting,
-applied to the vector), reduced to an ``(N, m)`` stack congruent to the
-``C'_i`` (:func:`_fp64_residue_products`).  The engine's ledger still
-records the ``N`` residue GEMVs per k-block the emulation stands for.
+and ``C'_i ≡ A'x' (mod p_i)``, so line 6 becomes an exact FP64 product of
+``A'`` with balanced digits of ``x'`` (Ozaki scheme I's splitting, applied
+to the vector), reduced to an ``(N, m)`` stack congruent to the ``C'_i``
+(:func:`_fp64_residue_products`).  That product is memory-bound; where
+:func:`~repro.core.operand.fp64_panel_rows` admits it, it runs in
+contiguous row panels of a C-order ``A'``, small enough for the BLAS to
+skip packing, so it reads ``A'`` once; elsewhere it is one DGEMM on a
+Fortran-order ``A'``.  The engine's ledger still records the ``N`` residue
+GEMVs per k-block the emulation stands for.
 
 The result is **bit-identical** to the ``n = 1`` GEMM route,
 ``ozaki2_gemm(a, x[:, None])``, for every configuration, and the op ledger
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import time
 from typing import Optional, Tuple
 
@@ -61,7 +64,13 @@ from . import gemm as _gemm
 from .accumulation import accumulate_residue_products, reconstruct_crt, unscale
 from .blocking import k_block_ranges
 from .conversion import residue_slices, truncate_scaled
-from .operand import FP64_ROUTE_MIN_DIGIT_BITS, PreparedOperand, fp64_digit_width
+from .operand import (
+    FP64_ROUTE_MIN_DIGIT_BITS,
+    PreparedOperand,
+    fp64_digit_count,
+    fp64_digit_width,
+    fp64_panel_rows,
+)
 from .scaling import scale_exponent_budget
 # Scaling runs in core.gemm._scaled_sides; these names stay importable here
 # because perfbench's span tracer looks them up in this module.
@@ -92,9 +101,7 @@ def _fp64_route_constants(
     ``(N, 2L)`` weights ``2^e mod p_i`` (centred, so ``|·| ≤ 128``) of the
     limbs ``lo_l`` (``e = w·l``) and ``hi_l`` (``e = w·l + 27``).
     """
-    count = math.ceil((alpha + 1.0) / width)
-    while width * count < alpha + 1.0:
-        count += 1
+    count = fp64_digit_count(alpha, width)
     scales = np.ldexp(1.0, -width * np.arange(count))
     exps = [width * j for j in range(count)] + [width * j + _T_LIMB_BITS for j in range(count)]
     weights = np.array([[_centred(pow(2, e, p), p) for e in exps] for p in moduli], dtype=np.float64)
@@ -106,7 +113,7 @@ def _fp64_route_constants(
 def _fp64_residue_products(
     a_prime: np.ndarray, x_prime: np.ndarray, table: CRTConstantTable, width: int
 ) -> np.ndarray:
-    """Line 6 as one exact FP64 DGEMM: an ``(N, m)`` stack ``Y ≡ C'_i (mod p_i)``.
+    """Line 6 as an exact FP64 product: an ``(N, m)`` stack ``Y ≡ C'_i (mod p_i)``.
 
     ``x'`` splits into balanced digits ``x' = Σ_l 2^(w·l)·s_l`` with
     ``|s_l| ≤ 2^(w−1)``: ``q_l = rint(x'·2^(−w·l))``, ``s_l = q_l − 2^w·q_(l+1)``
@@ -120,15 +127,33 @@ def _fp64_residue_products(
     gives ``Y_i ≡ Σ_l 2^(w·l)·T_l = A'x' ≡ C'_i (mod p_i)``, exactly: each of
     its ``2L`` terms is at most ``2^33``.  So ``mod(Y_i, p_i)`` is line 7's
     ``U_i``, and every later bit is unchanged.
+
+    Because every partial sum is exact, ``T`` may be formed in any pieces.
+    Where :func:`~repro.core.operand.fp64_panel_rows` admits ``(L, k, m)``
+    (the operand then keeps ``A'`` in C order), ``T`` is computed in
+    contiguous row panels of ``A'``, each small enough for the BLAS to
+    multiply it without packing, so the product reads ``A'`` once;
+    elsewhere it is one DGEMM.
     """
     scales, weights = _fp64_route_constants(
         table.moduli, scale_exponent_budget(table, "fast"), width
     )
     count = scales.size
+    m, k = a_prime.shape
     digits = np.multiply.outer(scales, x_prime)
     np.rint(digits, out=digits)
     digits[:-1] -= np.ldexp(digits[1:], width)
-    t = digits @ a_prime.T
+    rows = fp64_panel_rows(count, k, m)
+    if rows:
+        # An odd digit count runs with one zero row more: the small-matrix
+        # kernel multiplies 4 digit rows faster than 3.
+        digits = np.concatenate((digits, np.zeros((count % 2, k))))
+        t = np.empty((digits.shape[0], m))
+        for start in range(0, m, rows):
+            np.matmul(digits, a_prime[start:start + rows].T, out=t[:, start:start + rows])
+        t = t[:count]
+    else:
+        t = digits @ a_prime.T
     limbs = np.empty((2 * count, t.shape[1]))
     lo, hi = limbs[:count], limbs[count:]
     np.multiply(t, 2.0**-_T_LIMB_BITS, out=hi)
@@ -272,8 +297,8 @@ def prepared_gemv(
     # Line 6: the N residue GEMVs — one stacked engine call per k-block, no
     # plan, no scheduler, no tiling.  Multiple k-blocks accumulate the exact
     # INT32 partials in INT64, exactly as the blocked GEMM route does.  The
-    # FP64 route computes a congruent stack from A' in one DGEMM and records
-    # the same per-k-block GEMVs.
+    # FP64 route computes a congruent stack from A' (one DGEMM or row panels)
+    # and records the same per-k-block GEMVs.
     with _PhaseTimer(times, "matmul"):
         blocks = list(k_block_ranges(sides.k, _gemm.MAX_K_WITHOUT_BLOCKING))
         if fp64_line6:

@@ -453,17 +453,27 @@ def gemv_line6_sweep(
     For every ``size x size`` matrix and ``(precision, N)`` case the matrix
     is prepared once (:func:`~repro.core.operand.prepare_a`) and ``iters``
     vectors run through :func:`~repro.core.gemv.prepared_gemv` twice: on the
-    prepared operand, whose kept ``A'`` takes the FP64 DGEMM route when a
-    digit fits (``digit_bits``, :func:`~repro.core.operand.fp64_digit_width`),
-    and on a hand-constructed operand over the same residues, which keeps
-    no ``A'`` and so runs the INT8 route.  One row per case: best-of-
+    prepared operand, whose kept ``A'`` takes the FP64 route when a digit
+    fits (``digit_bits``, :func:`~repro.core.operand.fp64_digit_width`), and
+    on a hand-constructed operand over the same residues, which keeps no
+    ``A'`` and so runs the INT8 route.  One row per case: the digit count
+    ``L`` and the rows per panel of the FP64 product (``panel_rows``,
+    :func:`~repro.core.operand.fp64_panel_rows`; 0 for one DGEMM), best-of-
     ``repeats`` per-GEMV latency of each route (alternating, so a slow
     stretch of the host hits both), the speedup, and whether the outputs
     and op ledgers are identical.
     """
     from ..config import Ozaki2Config
     from ..core.gemv import prepared_gemv
-    from ..core.operand import ResidueOperand, fp64_digit_width, prepare_a, table_for
+    from ..core.operand import (
+        ResidueOperand,
+        fp64_digit_count,
+        fp64_digit_width,
+        fp64_panel_rows,
+        prepare_a,
+        table_for,
+    )
+    from ..core.scaling import scale_exponent_budget
     from ..engines.int8 import Int8MatrixEngine
 
     rows: List[Dict[str, object]] = []
@@ -496,11 +506,19 @@ def gemv_line6_sweep(
                 ).ledger.as_dict()
                 for route, operand in routes.items()
             }
+            table = table_for(config)
+            width = fp64_digit_width(table, size)
+            digits = (
+                fp64_digit_count(scale_exponent_budget(table, "fast"), width)
+                if fp64._a_prime is not None else 0
+            )
             rows.append({
                 "n": int(size),
                 "precision": fmt.name,
                 "method": config.method_name,
-                "digit_bits": fp64_digit_width(table_for(config), size),
+                "digit_bits": width,
+                "digits": digits,
+                "panel_rows": fp64_panel_rows(digits, size, size),
                 "fp64_route": fp64._a_prime is not None,
                 "int8_ms": 1e3 * best["int8"] / len(vectors),
                 "fp64_ms": 1e3 * best["fp64"] / len(vectors),

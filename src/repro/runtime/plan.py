@@ -66,12 +66,13 @@ _BYTES_PER_ELEMENT_FIXED = 3 * 8
 #: call) at and above which ``executor="auto"`` runs a multi-worker call on
 #: worker processes; smaller calls run on the thread path.  Below it the
 #: process executor's IPC and shared-memory set-up cost more than escaping
-#: the GIL saves.  Measured on a 2-CPU host (2 workers, fp64 N=15, OpenBLAS
-#: on one thread), processes take 1.96x the serial time at 192^3 (1.1e8
-#: MACs) and 1.53x at 384^3 (8.5e8), tie with threads at 512^3 (2.0e9), and
-#: beat them from 4e9 up; any value between 8.5e8 and 2.0e9 puts every
-#: measured shape on its faster backend.  README "Breaking the GIL" has the
-#: sweep.
+#: the GIL saves.  The value was set from a 2-CPU sweep in which processes
+#: tied with threads at 512^3 and won from 4e9 MACs up.  A re-measured sweep
+#: on the same kind of host (2 workers, fp64 N=15, OpenBLAS on one thread,
+#: medians of 5 alternating rounds) has processes slower than threads at
+#: every size from 192^3 to 1536^3: 1.62x at 192^3 (1.1e8 MACs), 1.37x at
+#: 512^3 (2.0e9), 1.03x at 768^3 (6.8e9) and 1.12x at 1536^3 (5.4e10).
+#: README "Breaking the GIL" has both sweeps.
 PROCESS_MIN_MACS = 2**30
 
 

@@ -102,6 +102,8 @@ class TestSweeps:
             ("fp64", "OS II-fast-10"), ("fp64", "OS II-fast-15"), ("fp32", "OS II-fast-8")
         ]
         assert [row["fp64_route"] for row in rows] == [True, False, True]
+        assert [row["digits"] for row in rows] == [4, 0, 2]
+        assert [row["panel_rows"] for row in rows] == [0, 0, 0]
         for row in rows:
             assert row["bit_identical"] and row["ledger_equal"]
             assert row["speedup"] == pytest.approx(row["int8_ms"] / row["fp64_ms"])
