@@ -31,12 +31,12 @@ call on the BLAS engine: lines 7–12 consume only ``U_i = mod(C'_i, p_i)``
 and ``C'_i ≡ A'x' (mod p_i)``, so line 6 becomes an exact FP64 product of
 ``A'`` with balanced digits of ``x'`` (Ozaki scheme I's splitting, applied
 to the vector), reduced to an ``(N, m)`` stack congruent to the ``C'_i``
-(:func:`_fp64_residue_products`).  That product is memory-bound; where
-:func:`~repro.core.operand.fp64_panel_rows` admits it, it runs in
-contiguous row panels of a C-order ``A'``, small enough for the BLAS to
-skip packing, so it reads ``A'`` once; elsewhere it is one DGEMM on a
-Fortran-order ``A'``.  The engine's ledger still records the ``N`` residue
-GEMVs per k-block the emulation stands for.
+(:func:`_fp64_residue_products`).  The operand keeps ``A'`` in C order,
+and that product is memory-bound: where :func:`fp64_panel_rows` admits its
+shape it runs in contiguous row panels of ``A'``, small enough for the
+BLAS to skip packing, so it reads ``A'`` once; elsewhere it is one DGEMM.
+The engine's ledger still records the ``N`` residue GEMVs per k-block the
+emulation stands for.
 
 The result is **bit-identical** to the ``n = 1`` GEMM route,
 ``ozaki2_gemm(a, x[:, None])``, for every configuration, and the op ledger
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import time
 from typing import Optional, Tuple
 
@@ -64,13 +65,7 @@ from . import gemm as _gemm
 from .accumulation import accumulate_residue_products, reconstruct_crt, unscale
 from .blocking import k_block_ranges
 from .conversion import residue_slices, truncate_scaled
-from .operand import (
-    FP64_ROUTE_MIN_DIGIT_BITS,
-    PreparedOperand,
-    fp64_digit_count,
-    fp64_digit_width,
-    fp64_panel_rows,
-)
+from .operand import FP64_ROUTE_MIN_DIGIT_BITS, PreparedOperand, fp64_digit_width
 from .scaling import scale_exponent_budget
 # Scaling runs in core.gemm._scaled_sides; these names stay importable here
 # because perfbench's span tracer looks them up in this module.
@@ -82,6 +77,46 @@ __all__ = ["GemvResult", "prepared_gemv"]
 #: ``T = hi·2^27 + lo`` splits each FP64 line-6 product (``|T| ≤ 2^53``)
 #: into limbs of magnitude at most ``2^26``.
 _T_LIMB_BITS = 27
+
+#: Where the FP64 line 6 runs in row panels of ``A'``
+#: (:func:`fp64_panel_rows`): ``L`` digits, inner dimension ``k`` and an
+#: ``A'`` of ``m·k`` elements in these ranges (above 2 MiB, at most 32 MiB).
+#: Each panel is at most ``FP64_PANEL_MACS`` multiply-adds and
+#: ``FP64_PANEL_ROWS`` rows.  README "Line 6 in row panels of a C-order
+#: ``A'``" has the measurements behind every bound.
+FP64_PANEL_DIGITS = range(2, 5)
+FP64_PANEL_K = range(256, 8193)
+FP64_PANEL_ELEMENTS = range(2**18 + 1, 2**22 + 1)
+FP64_PANEL_MACS = 2**19
+FP64_PANEL_ROWS = 256
+
+
+def fp64_digit_count(alpha: float, width: int) -> int:
+    """``L``: the fewest balanced ``width``-bit digits that hold every
+    ``|x'| ≤ 2^α`` (``w·L ≥ α + 1``)."""
+    count = math.ceil((alpha + 1.0) / width)
+    while width * count < alpha + 1.0:
+        count += 1
+    return count
+
+
+def fp64_panel_rows(digits: int, k: int, m: int) -> int:
+    """Rows per panel of the FP64 line-6 product on an ``(m, k)`` ``A'``,
+    or 0 where it stays one DGEMM.
+
+    A DGEMM of ``L`` digit rows against all of ``A'`` packs ``A'`` first
+    (OpenBLAS), three passes over a product whose floor is one.  Products
+    of at most ``FP64_PANEL_MACS`` multiply-adds and ``FP64_PANEL_ROWS``
+    rows take its small-matrix kernel, which reads the panel once,
+    unpacked.  Outside the :data:`FP64_PANEL_DIGITS`, :data:`FP64_PANEL_K`
+    and :data:`FP64_PANEL_ELEMENTS` bounds the product stays one DGEMM: one
+    digit is a DGEMV already, many digits make the product compute-bound,
+    packing a small ``A'`` is cheap, and a large one gains more from a
+    multi-threaded BLAS than from skipping the packing.
+    """
+    if digits in FP64_PANEL_DIGITS and k in FP64_PANEL_K and m * k in FP64_PANEL_ELEMENTS:
+        return min(FP64_PANEL_ROWS, FP64_PANEL_MACS // (digits * k))
+    return 0
 
 
 def _centred(value: int, p: int) -> int:
@@ -129,10 +164,9 @@ def _fp64_residue_products(
     ``U_i``, and every later bit is unchanged.
 
     Because every partial sum is exact, ``T`` may be formed in any pieces.
-    Where :func:`~repro.core.operand.fp64_panel_rows` admits ``(L, k, m)``
-    (the operand then keeps ``A'`` in C order), ``T`` is computed in
-    contiguous row panels of ``A'``, each small enough for the BLAS to
-    multiply it without packing, so the product reads ``A'`` once;
+    Where :func:`fp64_panel_rows` admits ``(L, k, m)``, ``T`` is computed in
+    contiguous row panels of the C-order ``A'``, each small enough for the
+    BLAS to multiply it without packing, so the product reads ``A'`` once;
     elsewhere it is one DGEMM.
     """
     scales, weights = _fp64_route_constants(
@@ -145,13 +179,9 @@ def _fp64_residue_products(
     digits[:-1] -= np.ldexp(digits[1:], width)
     rows = fp64_panel_rows(count, k, m)
     if rows:
-        # An odd digit count runs with one zero row more: the small-matrix
-        # kernel multiplies 4 digit rows faster than 3.
-        digits = np.concatenate((digits, np.zeros((count % 2, k))))
-        t = np.empty((digits.shape[0], m))
+        t = np.empty((count, m))
         for start in range(0, m, rows):
             np.matmul(digits, a_prime[start:start + rows].T, out=t[:, start:start + rows])
-        t = t[:count]
     else:
         t = digits @ a_prime.T
     limbs = np.empty((2 * count, t.shape[1]))

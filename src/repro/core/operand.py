@@ -96,9 +96,7 @@ __all__ = [
     "ResidueOperand",
     "AccurateOperand",
     "matrix_fingerprint",
-    "fp64_digit_count",
     "fp64_digit_width",
-    "fp64_panel_rows",
     "prepare_a",
     "prepare_b",
     "resolve_moduli",
@@ -112,24 +110,12 @@ __all__ = [
 #: stack per distinct count ever requested).
 _RESOLVE_CACHE_ENTRIES = 4
 
-#: Narrowest digit (bits) for which a prepared GEMV computes line 6 as one
-#: exact FP64 DGEMM on the kept ``A'`` (:func:`fp64_digit_width`).  The
+#: Narrowest digit (bits) for which a prepared GEMV computes line 6 as an
+#: exact FP64 product on the kept ``A'`` (:func:`fp64_digit_width`).  The
 #: latency table of ``benchmarks/results/gemv_fast_path.txt`` has that
 #: route ahead of the INT8 one down to 1-bit digits (fp64 N = 12 at
 #: 4096², 48 DGEMM columns), so any digit that fits is taken.
 FP64_ROUTE_MIN_DIGIT_BITS = 1
-
-#: Where the FP64 line 6 runs in row panels of a C-order ``A'``
-#: (:func:`fp64_panel_rows`): ``L`` digits, inner dimension ``k`` and an
-#: ``A'`` of ``m·k`` elements in these ranges (above 2 MiB, at most 32 MiB).
-#: Each panel is at most ``FP64_PANEL_MACS`` multiply-adds and
-#: ``FP64_PANEL_ROWS`` rows.  README "Line 6 in row panels of a C-order
-#: ``A'``" has the measurements behind every bound.
-FP64_PANEL_DIGITS = range(2, 5)
-FP64_PANEL_K = range(256, 8193)
-FP64_PANEL_ELEMENTS = range(2**18 + 1, 2**22 + 1)
-FP64_PANEL_MACS = 2**19
-FP64_PANEL_ROWS = 256
 
 
 def matrix_fingerprint(x: np.ndarray) -> str:
@@ -198,35 +184,6 @@ def fp64_digit_width(table: CRTConstantTable, k: int) -> int:
     """
     alpha = scale_exponent_budget(table, "fast")
     return math.floor(54.0 - alpha - 0.5 * math.log2(max(int(k), 1)) - 2.0**-30)
-
-
-def fp64_digit_count(alpha: float, width: int) -> int:
-    """``L``: the fewest balanced ``width``-bit digits that hold every
-    ``|x'| ≤ 2^α`` (``w·L ≥ α + 1``)."""
-    count = math.ceil((alpha + 1.0) / width)
-    while width * count < alpha + 1.0:
-        count += 1
-    return count
-
-
-def fp64_panel_rows(digits: int, k: int, m: int) -> int:
-    """Rows per panel of the FP64 line-6 product on an ``(m, k)`` ``A'``,
-    or 0 where it stays one DGEMM.
-
-    A DGEMM of ``L`` digit rows against all of ``A'`` packs ``A'`` first
-    (OpenBLAS), three passes over a product whose floor is one.  Products
-    of at most ``FP64_PANEL_MACS`` multiply-adds (counting an odd ``L`` as
-    the next even count, the rows the panel route runs) and
-    ``FP64_PANEL_ROWS`` rows take its small-matrix kernel, which reads the
-    panel once, unpacked.  Outside the :data:`FP64_PANEL_DIGITS`,
-    :data:`FP64_PANEL_K` and :data:`FP64_PANEL_ELEMENTS` bounds one DGEMM
-    is as fast or faster: one digit is a DGEMV already, many digits make the
-    product compute-bound, packing a small ``A'`` is cheap, and a large one
-    gains more from a multi-threaded BLAS than from skipping the packing.
-    """
-    if digits in FP64_PANEL_DIGITS and k in FP64_PANEL_K and m * k in FP64_PANEL_ELEMENTS:
-        return min(FP64_PANEL_ROWS, FP64_PANEL_MACS // ((digits + digits % 2) * k))
-    return 0
 
 
 def resolve_moduli(
@@ -382,9 +339,8 @@ class ResidueOperand(PreparedOperand):
     :func:`~repro.core.gemv.prepared_gemv` (:func:`fp64_digit_width` at
     least :data:`FP64_ROUTE_MIN_DIGIT_BITS`) also keeps the truncated
     ``A'`` its preparation formed, read-only, in the private ``_a_prime``:
-    the C-order truncation itself where :func:`fp64_panel_rows` runs the
-    route's product in row panels, a Fortran-order copy (the layout one
-    DGEMM streams fastest) elsewhere.
+    the C-order truncation itself, not a copy, whose contiguous rows the
+    route's product reads in panels (:func:`~repro.core.gemv.fp64_panel_rows`).
     """
 
     side: str
@@ -649,11 +605,8 @@ def _fast_operand(
     x_prime = truncate_scaled(source, scale_exp, side="left" if side == "A" else "right")
     slices = residue_slices(x_prime, table)
     a_prime = None
-    width = fp64_digit_width(table, source.shape[1]) if side == "A" else 0
-    if width >= FP64_ROUTE_MIN_DIGIT_BITS:
-        digits = fp64_digit_count(scale_exponent_budget(table, "fast"), width)
-        panelled = fp64_panel_rows(digits, source.shape[1], source.shape[0])
-        a_prime = x_prime if panelled else np.asfortranarray(x_prime)
+    if side == "A" and fp64_digit_width(table, source.shape[1]) >= FP64_ROUTE_MIN_DIGIT_BITS:
+        a_prime = x_prime
         a_prime.setflags(write=False)
     operand = ResidueOperand(
         side=side,

@@ -458,21 +458,14 @@ def gemv_line6_sweep(
     on a hand-constructed operand over the same residues, which keeps no
     ``A'`` and so runs the INT8 route.  One row per case: the digit count
     ``L`` and the rows per panel of the FP64 product (``panel_rows``,
-    :func:`~repro.core.operand.fp64_panel_rows`; 0 for one DGEMM), best-of-
+    :func:`~repro.core.gemv.fp64_panel_rows`; 0 for one DGEMM), best-of-
     ``repeats`` per-GEMV latency of each route (alternating, so a slow
     stretch of the host hits both), the speedup, and whether the outputs
     and op ledgers are identical.
     """
     from ..config import Ozaki2Config
-    from ..core.gemv import prepared_gemv
-    from ..core.operand import (
-        ResidueOperand,
-        fp64_digit_count,
-        fp64_digit_width,
-        fp64_panel_rows,
-        prepare_a,
-        table_for,
-    )
+    from ..core.gemv import fp64_digit_count, fp64_panel_rows, prepared_gemv
+    from ..core.operand import ResidueOperand, fp64_digit_width, prepare_a, table_for
     from ..core.scaling import scale_exponent_budget
     from ..engines.int8 import Int8MatrixEngine
 

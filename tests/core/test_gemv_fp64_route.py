@@ -1,16 +1,16 @@
 """The FP64 line-6 route of prepared GEMVs (:mod:`repro.core.gemv`).
 
-A prepared fast-mode A side keeps its truncated ``A'`` when a digit fits
-(:func:`repro.core.operand.fp64_digit_width`); on the BLAS INT8 engine the
-GEMV then computes line 6 as one exact FP64 product of ``A'`` with
-balanced digits of ``x'`` — in row panels of a C-order ``A'`` where
-:func:`repro.core.operand.fp64_panel_rows` admits the shape, as one DGEMM
-on a Fortran-order ``A'`` elsewhere.  These tests pin that the route
-returns the INT8 route's bits, moduli count and ledger (the INT8 route
-forced through the integer reference engine) on both sides of that rule,
-that its product is exact at the bound the digit width is derived from,
-and that it runs only where it should.  Small shapes run in panels only
-with the rule's bounds patched (the ``panels`` fixture).
+A prepared fast-mode A side keeps its C-order truncated ``A'`` when a
+digit fits (:func:`repro.core.operand.fp64_digit_width`); on the BLAS INT8
+engine the GEMV then computes line 6 as one exact FP64 product of ``A'``
+with balanced digits of ``x'`` — in row panels of ``A'`` where
+:func:`repro.core.gemv.fp64_panel_rows` admits the shape, as one DGEMM
+elsewhere.  These tests pin that the route returns the INT8 route's bits,
+moduli count and ledger (the INT8 route forced through the integer
+reference engine) on both sides of that rule, that its product is exact at
+the bound the digit width is derived from, and that it runs only where it
+should.  Small shapes run in panels only with the rule's bounds patched
+(the ``panels`` fixture).
 """
 
 from __future__ import annotations
@@ -21,16 +21,13 @@ import numpy as np
 import pytest
 
 import repro.core.gemv as gemv_mod
-import repro.core.operand as operand_mod
 from repro.config import Ozaki2Config
 from repro.core.conversion import truncate_scaled
 from repro.core.gemm import ozaki2_gemm
-from repro.core.gemv import prepared_gemv
+from repro.core.gemv import fp64_digit_count, fp64_panel_rows, prepared_gemv
 from repro.core.operand import (
     FP64_ROUTE_MIN_DIGIT_BITS,
-    fp64_digit_count,
     fp64_digit_width,
-    fp64_panel_rows,
     prepare_a,
     prepare_b,
     table_for,
@@ -71,14 +68,14 @@ def route_calls(monkeypatch):
 @pytest.fixture
 def panels(monkeypatch):
     """Admit every shape to the panel route, in panels of at most ``rows``
-    rows and ``macs`` multiply-adds."""
+    rows and ``macs`` multiply-adds; ``rows=0`` admits none (one DGEMM)."""
 
     def admit(rows, macs=2**40):
-        monkeypatch.setattr(operand_mod, "FP64_PANEL_DIGITS", range(1, 10**3))
-        monkeypatch.setattr(operand_mod, "FP64_PANEL_K", range(1, 10**9))
-        monkeypatch.setattr(operand_mod, "FP64_PANEL_ELEMENTS", range(1, 10**12))
-        monkeypatch.setattr(operand_mod, "FP64_PANEL_ROWS", rows)
-        monkeypatch.setattr(operand_mod, "FP64_PANEL_MACS", macs)
+        monkeypatch.setattr(gemv_mod, "FP64_PANEL_DIGITS", range(1, 10**3) if rows else range(0))
+        monkeypatch.setattr(gemv_mod, "FP64_PANEL_K", range(1, 10**9))
+        monkeypatch.setattr(gemv_mod, "FP64_PANEL_ELEMENTS", range(1, 10**12))
+        monkeypatch.setattr(gemv_mod, "FP64_PANEL_ROWS", rows)
+        monkeypatch.setattr(gemv_mod, "FP64_PANEL_MACS", macs)
 
     return admit
 
@@ -176,7 +173,7 @@ class TestExactness:
                 row = np.array([base + 1] * extra + [base] * (k - extra), dtype=np.float64)
                 signs = np.stack([np.ones(k), -np.ones(k), rng.choice([-1.0, 1.0], k),
                                   (-1.0) ** np.arange(k)])
-                a_prime = np.asfortranarray(signs * row)
+                a_prime = signs * row
                 digit = 2.0 ** (width - 1)
                 digits = np.stack([np.full(k, digit), np.full(k, -digit),
                                    rng.choice([-digit, digit], k)])
@@ -188,13 +185,15 @@ class TestExactness:
         assert admitted >= 10
 
     @pytest.mark.parametrize("n, k", [(10, 1024), (12, 64), (11, 4096), (2, 7)])
-    def test_residue_stack_congruent_at_the_bound(self, n, k):
+    def test_residue_stack_congruent_at_the_bound(self, n, k, panels):
         """``x'`` entries at ``±⌊2^α⌋`` and ``A'`` at the 1-norm bound: the
-        route's stack is ``A'x' mod p_i`` for every modulus, exactly."""
-        _check_stack_at_the_bound(n, k, order="F", rows=0)
+        route's stack, one DGEMM, is ``A'x' mod p_i`` for every modulus,
+        exactly."""
+        panels(rows=0)
+        _check_stack_at_the_bound(n, k)
 
 
-def _check_stack_at_the_bound(n, k, order, rows):
+def _check_stack_at_the_bound(n, k):
     table = build_constant_table(n, 64)
     width = fp64_digit_width(table, k)
     alpha = scale_exponent_budget(table, "fast")
@@ -202,8 +201,7 @@ def _check_stack_at_the_bound(n, k, order, rows):
     top = math.floor(2.0**alpha)
     x_prime = rng.choice([-top, top, 0, 1, top - 1], k).astype(np.float64)
     base = math.floor(math.sqrt(k) * 2.0**alpha * (1 - 2.0**-40)) // k
-    a_prime = np.asarray(rng.choice([-base, base], (10, k)), dtype=np.float64, order=order)
-    assert fp64_panel_rows(fp64_digit_count(alpha, width), k, 10) == rows
+    a_prime = rng.choice([-base, base], (10, k)).astype(np.float64)
     y = gemv_mod._fp64_residue_products(a_prime, x_prime, table, width)
     exact = [sum(int(a) * int(x) for a, x in zip(r, x_prime, strict=True)) for r in a_prime]
     for i, p in enumerate(table.moduli):
@@ -219,7 +217,7 @@ PANEL_CONFIGS = [Ozaki2Config(num_moduli=n) for n in (8, 9, 10, 11, 12)] + [
 class TestRowPanels:
     """Line 6 in row panels: the bits and ledger of the INT8 route and of the
     ``n = 1`` GEMM route, for every admitted digit count (``L`` from 2 to 48,
-    odd ``L = 3`` included) and a ragged last panel."""
+    odd counts included) and a ragged last panel."""
 
     @pytest.mark.parametrize("config", PANEL_CONFIGS, ids=lambda c: c.method_name)
     @pytest.mark.parametrize("m, k, rows", [(20, 50, 7), (20, 1024, 7), (5, 4096, 2)])
@@ -242,18 +240,19 @@ class TestRowPanels:
 
     @pytest.mark.parametrize("n, k", [(10, 1024), (12, 64), (11, 4096), (2, 7), (8, 4096)])
     def test_stack_congruent_at_the_bound(self, n, k, panels):
-        """The exactness check of :class:`TestExactness` on a C-order ``A'``
-        in panels of 4, 4 and 2 rows."""
+        """The exactness check of :class:`TestExactness` in panels of 4, 4
+        and 2 rows."""
         panels(rows=4)
-        _check_stack_at_the_bound(n, k, order="C", rows=4)
+        assert fp64_panel_rows(_digits(Ozaki2Config(num_moduli=n), k), k, 10) == 4
+        _check_stack_at_the_bound(n, k)
 
     def test_panel_size_bound_by_multiply_adds(self, panels):
-        """``FP64_PANEL_MACS`` caps a panel at ``L'·rows·k`` multiply-adds,
-        ``L'`` the digit count rounded up to even."""
+        """``FP64_PANEL_MACS`` caps a panel at ``L·rows·k`` multiply-adds."""
         panels(rows=256, macs=4 * 50 * 6 + 1)
         config = Ozaki2Config(num_moduli=10)
         assert _digits(config, 50) == 4
-        assert fp64_panel_rows(3, 50, 20) == fp64_panel_rows(4, 50, 20) == 6
+        assert fp64_panel_rows(4, 50, 20) == 6
+        assert fp64_panel_rows(3, 50, 20) == 8
         assert fp64_panel_rows(2, 50, 20) == 12
         a, v = _matrix(20, 50, 0.5, "fp64", seed=9)
         _assert_routes_agree(prepare_a(a, config), v, config)
@@ -263,7 +262,7 @@ class TestRowPanels:
         threads; one DGEMM everywhere else."""
         assert fp64_panel_rows(4, 1024, 1024) == 128   # solvers' N = 10 at 1024²
         assert fp64_panel_rows(2, 1024, 1024) == 256
-        assert fp64_panel_rows(3, 1024, 1024) == 128   # runs as 4 digit rows
+        assert fp64_panel_rows(3, 1024, 1024) == 170
         assert fp64_panel_rows(4, 1024, 300) == 128    # 2.3 MiB
         assert fp64_panel_rows(4, 256, 1025) == 256    # row cap
         assert fp64_panel_rows(4, 8192, 512) == 16
@@ -279,20 +278,17 @@ class TestRowPanels:
         assert fp64_panel_rows(2, 16384, 256) == 0
 
     @pytest.mark.parametrize(
-        "num_moduli, k, m, c_order",
+        "num_moduli, k, m, in_panels",
         [(10, 1024, 1024, True), (8, 1024, 300, True), (12, 1024, 1024, False),
          (11, 1024, 1024, False), (6, 1024, 1024, False), (10, 256, 256, False)],
     )
-    def test_layout_follows_the_rule(self, num_moduli, k, m, c_order, route_calls):
-        """C order where line 6 runs in panels, Fortran order elsewhere; both
-        return the INT8 route's bits."""
+    def test_both_sides_of_the_rule(self, num_moduli, k, m, in_panels, route_calls):
+        """Under the rule's own bounds, in panels and as one DGEMM, the route
+        returns the INT8 route's bits."""
         config = Ozaki2Config(num_moduli=num_moduli)
         a, v = _matrix(m, k, 0.5, "fp64", seed=num_moduli)
-        prep = prepare_a(np.asfortranarray(a), config)
-        kept = prep._a_prime
-        assert bool(fp64_panel_rows(_digits(config, k), k, m)) == c_order
-        assert kept.flags.c_contiguous == c_order
-        assert kept.flags.f_contiguous != c_order
+        prep = prepare_a(a, config)
+        assert bool(fp64_panel_rows(_digits(config, k), k, m)) == in_panels
         _assert_routes_agree(prep, v, config)
         assert len(route_calls) == 1
 
@@ -333,25 +329,16 @@ class TestWhenTheRouteRuns:
 
 
 class TestKeptAPrime:
-    def test_a_side_keeps_its_truncation(self, panels):
-        """A read-only ``A'``: a Fortran-order copy where line 6 is one
-        DGEMM, the C-order truncation itself where it runs in panels,
-        whatever the input's order."""
+    def test_a_side_keeps_its_truncation(self):
+        """A read-only, C-order ``A'``, whatever the input's order."""
         a, _ = _matrix(30, 50, 2.0, "fp64", seed=3)
-        for in_panels in (False, True):
-            if in_panels:
-                panels(rows=8)
-            for order in ("C", "F"):
-                prep = prepare_a(np.asarray(a, order=order), Ozaki2Config(num_moduli=10))
-                kept = prep._a_prime
-                assert not kept.flags.writeable
-                assert kept.flags.c_contiguous == in_panels
-                assert kept.flags.f_contiguous != in_panels
-                np.testing.assert_array_equal(
-                    kept, truncate_scaled(a, prep.scale_exp, side="left")
-                )
-                assert prep.nbytes == (prep.slices.nbytes + prep.scale_exp.nbytes
-                                       + a.nbytes + kept.nbytes)
+        for order in ("C", "F"):
+            prep = prepare_a(np.asarray(a, order=order), Ozaki2Config(num_moduli=10))
+            kept = prep._a_prime
+            assert kept.flags.c_contiguous and not kept.flags.writeable
+            np.testing.assert_array_equal(kept, truncate_scaled(a, prep.scale_exp, side="left"))
+            assert prep.nbytes == (prep.slices.nbytes + prep.scale_exp.nbytes
+                                   + a.nbytes + kept.nbytes)
 
     def test_only_where_a_digit_fits(self):
         a, _ = _matrix(30, 1024, 2.0, "fp64", seed=4)
