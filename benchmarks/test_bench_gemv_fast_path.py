@@ -52,7 +52,10 @@ BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
 #: promotion traffic visible); the full run adds more iterations, not size.
 SIZE = 4096
 ITERS = 8 if FULL else 4
-REPEATS = 3 if FULL else 2
+#: Best of this many timed passes per route, each after an untimed warm
+#: pass: the >= 2x gate read 1.99x in one of five best-of-2 runs without
+#: warm passes on a 2-CPU host whose median is about 2.5x.
+REPEATS = 3
 
 #: Sizes and ``(precision, N)`` cases of the line-6 latency table.
 LINE6_SIZES = (64, 256, 1024, SIZE) if FULL else (256, 1024, SIZE)

@@ -323,9 +323,10 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         "--executor",
         default="thread",
         choices=["thread", "process", "auto"],
-        help="worker pool backend: 'thread' (GIL-bound), 'process' "
-        "(shared-memory worker processes), or 'auto' (per GEMM: processes "
-        "when --parallel > 1 and its INT8 work N*m*k*n reaches "
+        help="worker pool backend: 'thread' (worker threads; a large "
+        "conversion or accumulation bands its rows across them too), "
+        "'process' (shared-memory worker processes), or 'auto' (per GEMM: "
+        "processes when --parallel > 1 and its INT8 work N*m*k*n reaches "
         "repro.runtime.plan.PROCESS_MIN_MACS, threads otherwise)",
     )
 

@@ -137,17 +137,21 @@ class Ozaki2Config:
     executor:
         Which kind of worker pool the runtime fans out over when
         ``parallelism > 1``.  ``"thread"`` (default) uses a
-        ``ThreadPoolExecutor`` — only the GIL-releasing BLAS calls scale.
-        ``"process"`` uses the persistent worker-process pool of
-        :mod:`repro.runtime.process`: residue stacks travel through shared
-        memory (never pickled), and residue conversion, CRT accumulation
-        and reconstruction parallelise too.  ``"auto"`` chooses per GEMM
-        (and per batched item): processes when more than one worker is
-        configured, the platform has a ``multiprocessing`` start method and
-        the call's INT8 work ``N·m·k·n`` reaches
-        :data:`~repro.runtime.plan.PROCESS_MIN_MACS`; threads otherwise,
-        where the process pool's IPC costs more than it saves.  Results
-        and merged op ledgers are **bit-identical** for every setting.
+        ``ThreadPoolExecutor``: the residue GEMMs fan out over it, and so
+        do residue conversion, CRT accumulation and reconstruction in row
+        bands once each band holds
+        :data:`~repro.runtime.scheduler.BAND_MIN_ELEMENTS` elements (their
+        NumPy kernels release the GIL).  ``"process"`` uses the persistent
+        worker-process pool of :mod:`repro.runtime.process`: residue stacks
+        travel through shared memory (never pickled) and every phase
+        escapes the GIL, at the cost of IPC and fresh shared-memory pages.
+        ``"auto"`` chooses per GEMM (and per batched item): processes when
+        more than one worker is configured, the platform has a
+        ``multiprocessing`` start method and the call's INT8 work
+        ``N·m·k·n`` reaches :data:`~repro.runtime.plan.PROCESS_MIN_MACS`;
+        threads otherwise, where the process pool costs more than it
+        saves.  Results and merged op ledgers are **bit-identical** for
+        every setting.
     max_pool_rebuilds:
         How many worker-*pool* failures (a worker process dying mid-wave,
         pool construction failing) the process executor survives by

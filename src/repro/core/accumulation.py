@@ -94,20 +94,28 @@ def _table_terms(moduli: Tuple[int, ...], precision_bits: int) -> _TableTerms:
     )
 
 
-#: Target bytes of one row block's float64 U-stack (``N * rows * n * 8``):
-#: small enough that the mod, the weighted sum and the reconstruction of a
-#: block all run out of cache.
-_U_BLOCK_BYTES = 1 << 20
+#: Elements of one row block's per-modulus slab (``rows * n``).  Each ufunc
+#: call of the accumulation sweeps one slab, so its length must amortise the
+#: call and, under row bands on threads, its GIL hand-off: with 1 MiB
+#: U-stacks (8.7K-element slabs at N = 15) two bands ran accumulate +
+#: reconstruct slower than one (1536^2 fp64 N=15: 172 -> 244 ms), with
+#: 4 MiB (35K) faster (134 -> 86 ms).  The block's float64 U-stack, ``N``
+#: slabs (3.75 MiB at N = 15, 2 MiB at N = 8), is written by the mod and read
+#: back by both weighted sums, so it must stay in cache, and longer slabs
+#: measured no faster at N = 15 (8 MiB U-stacks) and slower at N = 8
+#: (64K-element slabs: serial 512^2 fp32 accumulate 6.0 -> 8.6 ms).
+_U_SLAB_ELEMENTS = 1 << 15
 
 
-def accumulation_row_blocks(num_moduli: int, m: int, n: int) -> Iterator[Tuple[int, int]]:
-    """Row ranges ``[r0, r1)`` of an ``(m, n)`` tile, each ~1 MiB of U-stack.
+def accumulation_row_blocks(m: int, n: int) -> Iterator[Tuple[int, int]]:
+    """Row ranges ``[r0, r1)`` of an ``(m, n)`` tile, each
+    :data:`_U_SLAB_ELEMENTS` elements per modulus.
 
     The callers that pair :func:`accumulate_residue_products` with
     :func:`reconstruct_crt` loop over these blocks; both are elementwise in
     the rows, so the result is bit-identical to one whole-tile call.
     """
-    rows = max(1, _U_BLOCK_BYTES // (8 * num_moduli * max(n, 1)))
+    rows = max(1, _U_SLAB_ELEMENTS // max(n, 1))
     for r0 in range(0, m, rows):
         yield r0, min(r0 + rows, m)
 

@@ -318,9 +318,8 @@ def ozaki2_gemm(
     try:
         # Lines 2-5: A', B' and their residues, skipped for a side that
         # carries a fast-mode residue stack.  Conversion routes through the
-        # scheduler so a process-routed call can band the rows across
-        # workers (bit-identical to the one band serial/thread-routed calls
-        # convert in this thread).
+        # scheduler, which bands large operands' rows across its workers
+        # (bit-identical to one band in this thread).
         a_slices, b_slices = sides.a_slices, sides.b_slices
         if a_slices is None:
             with _PhaseTimer(times, "convert_A"):

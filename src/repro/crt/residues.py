@@ -78,9 +78,17 @@ _EXACT_RANGE_LIMIT = 2.0**93
 #: ``|lo| <= 2**49`` and ``|hi| <= 2**43`` for ``|x| < 2**93``.
 _LIMB_BITS = 50
 
-#: Elements per float-domain conversion block: four float64 temporaries of
-#: this length stay resident in L2 across all ``N`` moduli.
-_CONVERT_BLOCK = 16384
+#: Elements per float-domain conversion block.  Its working set — the
+#: float64 input block and four float64 temporaries (5 x 256 KiB) plus its
+#: INT8 output for every modulus (N x 32 KiB) — must stay in one core's L2
+#: (2 MiB on the 2-CPU reference host) while all ``N`` moduli visit it:
+#: 64K-element blocks overflowed it (serial 1536^2 fp64 N=15 conversion
+#: 114 -> 132 ms).  Its length must amortise the block's ufunc calls (about
+#: seven per modulus), each of which releases and re-takes the GIL: with
+#: row bands on two threads, 16K-element blocks made two bands no faster
+#: than one (1536^2, both sides: 232 vs 226 ms), 32K-element blocks 1.5x
+#: faster (194 -> 121 ms).  Serially 32K ran as fast as 16K (114 vs 120 ms).
+_CONVERT_BLOCK = 32768
 
 
 def _check_exact_range(max_abs: float) -> None:

@@ -9,6 +9,7 @@ analytic GPU model (see DESIGN.md for the hardware substitution rationale).
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -251,80 +252,99 @@ def runtime_scaling_sweep(
 
 
 def process_scaling_sweep(
-    size: int,
+    sizes: Sequence[int],
     workers: Sequence[int] = (1, 2, 4),
     executors: Sequence[str] = ("thread", "process", "auto"),
     num_moduli: int = 15,
     target: "Format | str" = FP64,
     phi: float = 0.5,
     seed: int = 0,
-    repeats: int = 1,
+    repeats: int = 5,
 ) -> List[Dict[str, object]]:
-    """Thread pool vs process pool (vs ``"auto"``) wall clock for one GEMM.
+    """Thread pool vs process pool (vs ``"auto"``) wall clock per GEMM size.
 
-    One ``size^3`` emulated GEMM runs per ``(executor, workers)`` pair —
-    the process executor dispatches the residue work to worker *processes*
-    over shared-memory stacks, so (unlike threads) the INT8 conversion and
-    accumulation phases escape the GIL, and ``"auto"`` picks one of the two
-    by the call's INT8 work (its ``backend`` column says which).  Every row
-    reports the best-of-``repeats`` wall time, the speedup over the
-    strictly serial baseline (first row), bitwise equality with that
-    baseline and op-ledger equality — both guaranteed by the runtime
-    regardless of backend — plus the per-phase seconds (``phase_<key>``)
-    of the best run, which is where the de-serialised convert/accumulate
-    shows up.  ``workers == 1`` rows are forced onto the thread path (a
-    one-worker process pool only adds IPC overhead), so exactly one serial
-    baseline appears.
+    For every ``size^3`` emulated GEMM, one warm scheduler per
+    ``(executor, workers)`` pair — its pool started and one untimed call
+    made — runs the product once per round, the pairs alternating within
+    each of ``repeats`` rounds so a slow stretch of the host hits them
+    alike.  The process executor dispatches the residue work to worker
+    *processes* over shared-memory stacks; the thread executor keeps it in
+    this process and bands large conversions and accumulations across its
+    threads; ``"auto"`` picks one of the two by the call's INT8 work (its
+    ``backend`` column says which).  Every row reports the median wall
+    time, the speedup over the strictly serial baseline (first row of its
+    size), bitwise and op-ledger equality with that baseline — both
+    guaranteed by the runtime regardless of backend — and the median
+    per-phase seconds (``phase_<key>``).  ``workers == 1`` rows are forced
+    onto the thread path (a one-worker process pool only adds IPC
+    overhead), so exactly one serial baseline appears per size.
     """
     from ..config import Ozaki2Config
     from ..core.gemm import ozaki2_gemm
     from ..runtime.plan import plan_for_config
+    from ..runtime.scheduler import Scheduler
 
     fmt = precision_for_target(target)
-    a, b = phi_pair(size, size, size, phi=phi, precision=fmt, seed=seed)
-    serial_seconds: Optional[float] = None
-    serial_result = None
-    rows: List[Dict[str, object]] = []
     counts = list(workers)
     if not counts or counts[0] != 1:
         counts = [1] + counts
-    for count in counts:
-        backends = ("thread",) if count == 1 else tuple(executors)
-        for executor in backends:
-            config = Ozaki2Config(
-                precision=fmt,
-                num_moduli=num_moduli,
-                parallelism=int(count),
-                executor=executor,
-            )
-            best = float("inf")
-            result = None
+    configs = [
+        Ozaki2Config(
+            precision=fmt, num_moduli=num_moduli, parallelism=int(count), executor=executor
+        )
+        for count in counts
+        for executor in (("thread",) if count == 1 else tuple(executors))
+    ]
+    rows: List[Dict[str, object]] = []
+    for size in sizes:
+        a, b = phi_pair(size, size, size, phi=phi, precision=fmt, seed=seed)
+        seconds: List[List[float]] = [[] for _ in configs]
+        phases: List[Dict[str, List[float]]] = [{} for _ in configs]
+        results: list = [None] * len(configs)
+        with contextlib.ExitStack() as stack:
+            schedulers = [
+                stack.enter_context(
+                    Scheduler(parallelism=config.parallelism, executor=config.executor)
+                )
+                for config in configs
+            ]
+            for config, scheduler in zip(configs, schedulers, strict=True):
+                ozaki2_gemm(a, b, config=config, scheduler=scheduler)
             for _ in range(max(1, repeats)):
-                start = time.perf_counter()
-                candidate = ozaki2_gemm(a, b, config=config, return_details=True)
-                elapsed = time.perf_counter() - start
-                if elapsed < best:
-                    best, result = elapsed, candidate
-            if serial_result is None:
-                serial_seconds, serial_result = best, result
+                for index, (config, scheduler) in enumerate(
+                    zip(configs, schedulers, strict=True)
+                ):
+                    start = time.perf_counter()
+                    result = ozaki2_gemm(
+                        a, b, config=config, scheduler=scheduler, return_details=True
+                    )
+                    seconds[index].append(time.perf_counter() - start)
+                    for key, value in result.phase_times.seconds.items():
+                        phases[index].setdefault(key, []).append(value)
+                    results[index] = result
+        serial = results[0]
+        serial_seconds = float(np.median(seconds[0]))
+        for config, elapsed, phase, result in zip(
+            configs, seconds, phases, results, strict=True
+        ):
+            median = float(np.median(elapsed))
             row: Dict[str, object] = {
                 "n": int(size),
                 "method": result.method_name,
-                "executor": executor,
+                "executor": config.executor,
                 "backend": (
                     "serial"
-                    if count == 1
+                    if config.parallelism == 1
                     else plan_for_config(size, size, size, config).executor
                 ),
-                "workers": int(count),
-                "seconds": best,
-                "speedup_vs_serial": serial_seconds / best,
-                "bit_identical": bool(np.array_equal(result.value, serial_result.value)),
-                "ledger_equal": result.ledger.as_dict()
-                == serial_result.ledger.as_dict(),
+                "workers": config.parallelism,
+                "seconds": median,
+                "speedup_vs_serial": serial_seconds / median,
+                "bit_identical": bool(np.array_equal(result.value, serial.value)),
+                "ledger_equal": result.ledger.as_dict() == serial.ledger.as_dict(),
             }
-            for key, value in result.phase_times.seconds.items():
-                row[f"phase_{key}"] = value
+            for key, values in phase.items():
+                row[f"phase_{key}"] = float(np.median(values))
             rows.append(row)
     return rows
 
@@ -350,8 +370,9 @@ def gemv_route_sweep(
     ``"gemv-fast"`` — with the best-of-``repeats`` total wall time, the
     **per-iteration latency** (the figure a solver iteration pays), the GEMV
     path's speedup, and the bitwise/op-ledger equality flags that the GEMV
-    path guarantees.  Per-phase seconds of a representative call are
-    attached under ``phase_<key>``.
+    path guarantees.  Every timed pass over the vectors follows an untimed
+    warm pass of the same route.  Per-phase seconds of a representative
+    call are attached under ``phase_<key>``.
     """
     from ..apps.solvers import prepared_matvec
     from ..config import Ozaki2Config
@@ -383,7 +404,8 @@ def gemv_route_sweep(
     best = {route: float("inf") for route in routes}
     outputs: Dict[str, List[np.ndarray]] = {}
     # The routes' repeats alternate, so a slow stretch of the host hits
-    # both sides alike.
+    # both sides alike, and each timed pass follows an untimed warm pass of
+    # its own route, so it never starts in the cache the other route left.
     for _ in range(max(1, repeats)):
         for route, product in routes.items():
             with Scheduler(
@@ -391,6 +413,8 @@ def gemv_route_sweep(
                 executor=config.executor,
                 max_pool_rebuilds=config.max_pool_rebuilds,
             ) as sched:
+                for v in vectors:
+                    product(v, sched)
                 start = time.perf_counter()
                 outs = [product(v, sched) for v in vectors]
                 elapsed = time.perf_counter() - start
@@ -460,8 +484,10 @@ def gemv_line6_sweep(
     ``L`` and the rows per panel of the FP64 product (``panel_rows``,
     :func:`~repro.core.gemv.fp64_panel_rows`; 0 for one DGEMM), best-of-
     ``repeats`` per-GEMV latency of each route (alternating, so a slow
-    stretch of the host hits both), the speedup, and whether the outputs
-    and op ledgers are identical.
+    stretch of the host hits both; each timed pass follows an untimed warm
+    pass of its own route, so it never starts in the cache the other route
+    left), the speedup, and whether the outputs and op ledgers are
+    identical.
     """
     from ..config import Ozaki2Config
     from ..core.gemv import fp64_digit_count, fp64_panel_rows, prepared_gemv
@@ -489,6 +515,8 @@ def gemv_line6_sweep(
             for _ in range(max(1, repeats)):
                 for route, operand in routes.items():
                     engine = Int8MatrixEngine()
+                    for v in vectors:
+                        prepared_gemv(operand, v, config, engine)
                     start = time.perf_counter()
                     outs = [prepared_gemv(operand, v, config, engine) for v in vectors]
                     best[route] = min(best[route], time.perf_counter() - start)

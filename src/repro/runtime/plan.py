@@ -64,16 +64,18 @@ _BYTES_PER_ELEMENT_FIXED = 3 * 8
 
 #: INT8 multiply-accumulates ``N·m·k·n`` (the ledger's ``mac_ops`` for one
 #: call) at and above which ``executor="auto"`` runs a multi-worker call on
-#: worker processes; smaller calls run on the thread path.  Below it the
-#: process executor's IPC and shared-memory set-up cost more than escaping
-#: the GIL saves.  The value was set from a 2-CPU sweep in which processes
-#: tied with threads at 512^3 and won from 4e9 MACs up.  A re-measured sweep
-#: on the same kind of host (2 workers, fp64 N=15, OpenBLAS on one thread,
-#: medians of 5 alternating rounds) has processes slower than threads at
-#: every size from 192^3 to 1536^3: 1.62x at 192^3 (1.1e8 MACs), 1.37x at
-#: 512^3 (2.0e9), 1.03x at 768^3 (6.8e9) and 1.12x at 1536^3 (5.4e10).
-#: README "Breaking the GIL" has both sweeps.
-PROCESS_MIN_MACS = 2**30
+#: worker processes; smaller calls run on the thread path.  The thread path
+#: bands conversion and accumulation across its workers from
+#: :data:`repro.runtime.scheduler.BAND_MIN_ELEMENTS` elements per band, so
+#: processes only pay where escaping the GIL outweighs their IPC and fresh
+#: shared-memory pages.  On a 2-CPU host (2 workers, fp64 N=15, OpenBLAS on
+#: one thread, medians of 5 alternating rounds in fresh processes) they
+#: did so at no size from 192^3 to 2048^3: processes took 2.37x the
+#: banded threads' time at 192^3, 1.10x at 512^3 (2.0e9 MACs), 1.28x at
+#: 768^3, 1.14x at 1024^3, 1.05x at 1536^3 (5.4e10) and 1.13x at 2048^3
+#: (1.29e11).  So the constant sits just above 2048^3; the crossover beyond
+#: it is unmeasured.  README "Breaking the GIL" has the sweep.
+PROCESS_MIN_MACS = 2**37
 
 
 def resolve_parallelism(parallelism: "Optional[int] | str") -> int:

@@ -28,15 +28,18 @@ value.  The backends differ only in where the arrays live:
 * serial and ``executor="thread"`` runs use plain arrays and call the
   handlers on views: the matmul chunks fan out over a
   ``ThreadPoolExecutor`` (each is one large NumPy matmul, which releases
-  the GIL), while conversion and accumulation run as one band in the
-  calling thread, where banding across threads was measured slower under
-  the GIL;
+  the GIL), and so do conversion and accumulation, one row band per
+  worker, once each band holds at least :data:`BAND_MIN_ELEMENTS`
+  elements.  Their ufunc calls release the GIL too, on blocks long enough
+  (:data:`repro.crt.residues._CONVERT_BLOCK`,
+  :data:`repro.core.accumulation._U_SLAB_ELEMENTS`) that the hand-off
+  between workers costs little; a smaller wave runs as one band in the
+  calling thread, where the hand-offs measured slower than one thread;
 * ``executor="process"`` runs place the arrays in shared memory
   (:mod:`repro.runtime.shm`) and send descriptors through
   :meth:`Scheduler.run_process_tasks` to a persistent pool of worker
   processes (:mod:`repro.runtime.process`), which open them and call the
-  same handlers — one band per worker, so conversion and accumulation
-  parallelise too.
+  same handlers — one band per worker at every size.
 
 ``executor="auto"`` picks between them per call: a plan whose INT8 work
 ``N·m·k·n`` reaches :data:`~repro.runtime.plan.PROCESS_MIN_MACS` runs on
@@ -90,9 +93,20 @@ from .process import (
 )
 from .shm import SharedArray
 
-__all__ = ["Scheduler", "execute_plan"]
+__all__ = ["BAND_MIN_ELEMENTS", "Scheduler", "execute_plan"]
 
 _LOG = logging.getLogger(__name__)
+
+#: Elements (rows x columns) each row band must hold before a thread-backend
+#: conversion or accumulation wave splits into one band per worker; a
+#: smaller wave runs as one band in the calling thread.  Set from a 2-worker
+#: sweep of fp64 N=15 (2-CPU host, OpenBLAS on one thread, medians of 5
+#: rounds): at 512^2 (2^17 elements per band) two bands won every phase in
+#: every round (conversion of A 11.1 -> 9.4 ms, accumulate + reconstruct
+#: 18.6 -> 12.1 ms); at 384^2 the conversion gain stayed inside the
+#: one-band spread, and at 256^2 conversion tied while the matmul that read
+#: the banded stacks slowed.
+BAND_MIN_ELEMENTS = 2**17
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -506,10 +520,10 @@ class Scheduler:
         to INT8 residues (lines 2–5 of Algorithm 1).
 
         Conversion follows the :meth:`backend` of ``plan``, the call it
-        feeds, as ``convert`` tasks over row bands of ``x``: one band in the
-        calling thread on the serial and thread backends, one per worker
-        under the process backend — both steps are elementwise in the rows,
-        so the result is bitwise identical.  A process-routed stack comes
+        feeds, as ``convert`` tasks over row bands of ``x``
+        (:meth:`_Workspace.bands`) — both steps are elementwise in the
+        rows, so the result is bitwise identical however the rows are
+        banded.  A process-routed stack comes
         back as a scheduler-owned shared-memory view that plan execution
         hands to workers zero-copy; callers should :meth:`release` the
         returned stack when done (close() sweeps any stragglers).
@@ -639,7 +653,8 @@ def _run_plan(
         ws.run("matmul", [dict(matmul, chunk=chunk) for chunk in chunks])
         t1 = time.perf_counter()
         seconds = ws.run(
-            "accumulate", [dict(accumulate, rows=rows) for rows in ws.bands(m1 - m0)]
+            "accumulate",
+            [dict(accumulate, rows=rows) for rows in ws.bands(m1 - m0, n1 - n0)],
         )
         t2 = time.perf_counter()
         ws.free(c_stack)
@@ -662,7 +677,7 @@ def _convert_on(
     source = ws.operand(x)
     out = ws.empty((table.num_moduli,) + x.shape, np.int8)
     convert = dict(x=source, out=out, scale_exp=scale_exp, side=side, table=table)
-    ws.run("convert", [dict(convert, rows=rows) for rows in ws.bands(x.shape[0])])
+    ws.run("convert", [dict(convert, rows=rows) for rows in ws.bands(*x.shape)])
     return ws.keep(out)
 
 
@@ -725,7 +740,7 @@ def _accumulate(
     r0, r1 = rows
     (m0, _), (n0, n1) = tile
     accumulate_s = reconstruct_s = 0.0
-    for b0, b1 in accumulation_row_blocks(table.num_moduli, r1 - r0, n1 - n0):
+    for b0, b1 in accumulation_row_blocks(r1 - r0, n1 - n0):
         t0 = time.perf_counter()
         c1, c2 = accumulate_residue_products(c[:, r0 + b0 : r0 + b1], table)
         t1 = time.perf_counter()
@@ -784,9 +799,18 @@ class _Workspace:
             self.scheduler.release(arr)
         self._owned.clear()
 
-    def bands(self, rows: int) -> Tuple[Range, ...]:
-        """Row bands of a conversion or accumulation wave."""
-        return modulus_chunk_ranges(rows, self.scheduler.workers if self.shared else 1)
+    def bands(self, rows: int, cols: int) -> Tuple[Range, ...]:
+        """Row bands of a conversion or accumulation wave over ``rows x cols``.
+
+        One per worker under the process backend.  Serial and thread runs
+        band only when each band would hold at least
+        :data:`BAND_MIN_ELEMENTS` elements, and run a smaller wave as one
+        band in the calling thread.
+        """
+        workers = self.scheduler.workers
+        if not self.shared and (rows // workers) * cols < BAND_MIN_ELEMENTS:
+            workers = 1
+        return modulus_chunk_ranges(rows, workers)
 
     def _own(self, handle: SharedArray) -> np.ndarray:
         arr = self.scheduler.adopt_shared(handle)

@@ -113,7 +113,7 @@ class TestAccumulate:
         m, n = 301, 257
         c_stack = rng.integers(-(2**31), 2**31, (n_mod, m, n)).astype(np.int32)
         whole = reconstruct_crt(*accumulate_residue_products(c_stack, table), table)
-        blocks = list(accumulation_row_blocks(n_mod, m, n))
+        blocks = list(accumulation_row_blocks(m, n))
         assert len(blocks) > 1
         assert [r for r0, r1 in blocks for r in range(r0, r1)] == list(range(m))
         blocked = np.empty_like(whole)

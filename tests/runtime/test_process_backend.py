@@ -21,6 +21,7 @@ tiny call to the workers.
 
 from __future__ import annotations
 
+import math
 import os
 import pathlib
 import subprocess
@@ -38,6 +39,7 @@ from repro.core.operand import prepare_a, prepare_b
 from repro.crt.constants import build_constant_table
 from repro.errors import ConfigurationError, ValidationError
 from repro.runtime import TileSource, live_segment_names
+from repro.runtime import plan as plan_mod
 from repro.runtime import scheduler as scheduler_module
 from repro.runtime.plan import PROCESS_MIN_MACS, plan_for_config, resolve_executor
 from repro.runtime.process import WorkerTaskError
@@ -275,16 +277,16 @@ def test_resolve_executor():
         resolve_executor("greenlet", 2)
 
 
-#: N=16 at 256 x 512 x 512 is exactly PROCESS_MIN_MACS INT8 MACs; one
-#: column fewer is just below it.
+#: N=16 at 256 x 512 x 512; the crossover test moves PROCESS_MIN_MACS to
+#: exactly its INT8 MACs, so one column fewer is just below it.
 _AT = (16, 256, 512, 512)
-assert _AT[0] * _AT[1] * _AT[2] * _AT[3] == PROCESS_MIN_MACS
 
 
 @pytest.mark.parametrize(
     "n, backend", [(_AT[3] - 1, "thread"), (_AT[3], "process")]
 )
-def test_auto_routes_by_int8_work_bit_identical(n, backend):
+def test_auto_routes_by_int8_work_bit_identical(n, backend, monkeypatch):
+    monkeypatch.setattr(plan_mod, "PROCESS_MIN_MACS", math.prod(_AT))
     num_moduli, m, k, _ = _AT
     a = phi_matrix(m, k, phi=0.5, seed=21)
     b = phi_matrix(k, n, phi=0.5, seed=22)
